@@ -22,7 +22,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import chainlab, closedform, conformance, pauli
-from .fock import Species, Statistics
+from .fock import Statistics
 from .hubbard import HubbardParams
 
 SOFT_CAP = conformance.SOFT_REGIME_LIMIT
@@ -58,18 +58,12 @@ def _setting(args, config, name, default=None, required=False):
 
 def _triangle_params(family, j_up, j_dn, u_upup, u_dndn, u_updn):
     if family == "fermionic" or family == "complex_fermionic":
-        statistics = Statistics.FERMION
-        return HubbardParams.uniform(statistics, 3, j_up, j_dn,
+        return HubbardParams.uniform(Statistics.FERMION, 3, j_up, j_dn,
                                      u_updn=u_updn)
-    statistics = Statistics.BOSON
     if u_upup is None or u_dndn is None:
         raise UsageError("bosonic families need --uuu and --udd")
-    tun = {}
-    for link in range(3):
-        tun[(link, Species.UP)] = complex(j_up)
-        tun[(link, Species.DOWN)] = complex(j_dn)
-    return HubbardParams(statistics, u_upup=u_upup, u_dndn=u_dndn,
-                         u_updn=u_updn, tunneling=tun)
+    return HubbardParams.uniform(Statistics.BOSON, 3, j_up, j_dn,
+                                 u_updn=u_updn, u_upup=u_upup, u_dndn=u_dndn)
 
 
 def _couplings_for(family, j_up, j_dn, u_upup, u_dndn, u_updn):

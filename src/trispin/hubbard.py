@@ -251,9 +251,10 @@ def build_v_mixed(basis, graph, hop_matrices, mode_order="standard"):
         vals.append(coeff * amp)
 
     for edge in graph.edges:
-        kmat = np.asarray(hop_matrices.get(edge.link))
+        kmat = hop_matrices.get(edge.link)
         if kmat is None or not np.any(kmat):
             continue
+        kmat = np.asarray(kmat)
         for t in range(2):
             for f in range(2):
                 j = complex(kmat[t, f])

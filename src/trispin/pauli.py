@@ -6,6 +6,7 @@ is big-endian, bit 0 of the leftmost site, with 0 = up and 1 = down.
 
 from __future__ import annotations
 
+import functools
 from itertools import product
 
 import numpy as np
@@ -47,6 +48,29 @@ def embed(pattern, sites, n_sites):
 def all_strings(n_sites):
     for letters in product("IXYZ", repeat=n_sites):
         yield "".join(letters)
+
+
+@functools.lru_cache(maxsize=None)
+def string_masks(n_sites):
+    """Bit-mask form of ``all_strings(n_sites)``, in the same order.
+
+    Returns ``(strings, x, z, phase)``: the tuple of strings and, per
+    string, its X/Y bit mask ``x``, its Z/Y bit mask ``z`` and
+    ``phase = i^#Y``, so that P = phase * X^x Z^z with Y = i X Z.  The
+    arrays are read-only; the result is cached per ``n_sites``.
+    """
+    shifts = np.arange(n_sites - 1, -1, -1)   # site i is bit n - 1 - i
+    # letter of site i in string s: base-4 digit, 0..3 = I, X, Y, Z
+    digits = (np.arange(4 ** n_sites)[:, None] >> (2 * shifts)) & 3
+    x = ((digits == 1) | (digits == 2)) @ (1 << shifts)
+    z = (digits >= 2) @ (1 << shifts)
+    phase = np.array([1, 1j, -1, -1j])[(digits == 2).sum(axis=1) % 4]
+    letters = np.frombuffer(b"IXYZ", dtype="S1")[digits]
+    words = letters.view(f"S{n_sites}").ravel() if n_sites else [b""]
+    strings = tuple(np.asarray(words).astype(str).tolist())
+    for arr in (x, z, phase):
+        arr.flags.writeable = False
+    return strings, x, z, phase
 
 
 def string_action(string):

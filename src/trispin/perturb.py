@@ -119,8 +119,11 @@ def _split_blocks(h0, v, m_indices):
     return m, f, vmf, vff, ef
 
 
-def _to_spin_order(block, smap, m):
-    perm = np.array([np.where(m == p)[0][0] for p in smap.spin_to_fock])
+def to_spin_order(block, smap, m):
+    """Reorder a block indexed like ``m`` into spin order."""
+    position = np.empty(len(smap.basis), dtype=int)
+    position[m] = np.arange(len(m))
+    perm = position[smap.spin_to_fock]
     return block[np.ix_(perm, perm)]
 
 
@@ -136,7 +139,7 @@ def h_eff_second(h0, v, m_indices):
     m, f, vmf, vff, ef = _split_blocks(h0, v, m_indices)
     block = -(vmf / ef) @ vmf.conj().T
     smap = spin_map(h0.basis, m_indices)
-    block = _to_spin_order(block, smap, m)
+    block = to_spin_order(block, smap, m)
     _check_hermitian(block, "second-order effective Hamiltonian")
     return EffectiveHamiltonian(block, order="2")
 
@@ -146,7 +149,7 @@ def h_eff_third(h0, v, m_indices):
     m, f, vmf, vff, ef = _split_blocks(h0, v, m_indices)
     block = (vmf / ef) @ vff @ (vmf.conj().T / ef[:, None])
     smap = spin_map(h0.basis, m_indices)
-    block = _to_spin_order(block, smap, m)
+    block = to_spin_order(block, smap, m)
     _check_hermitian(block, "third-order effective Hamiltonian")
     return EffectiveHamiltonian(block, order="3")
 
@@ -162,7 +165,7 @@ def cross_second(h0, va, vb, m_indices):
     _, _, vbmf, _, _ = _split_blocks(h0, vb, m_indices)
     block = -(vamf / ef) @ vbmf.conj().T - (vbmf / ef) @ vamf.conj().T
     smap = spin_map(h0.basis, m_indices)
-    return EffectiveHamiltonian(_to_spin_order(block, smap, m), order="2",
+    return EffectiveHamiltonian(to_spin_order(block, smap, m), order="2",
                                 provenance="cross")
 
 
@@ -200,17 +203,45 @@ class PauliDecomposition:
         return records
 
 
+def _walsh_hadamard(a):
+    """Unnormalised Walsh-Hadamard transform along the last axis of a
+    (rows, 2^n) array, in place: a[:, z] <- sum_k (-1)^(z.k) a[:, k]."""
+    rows, dim = a.shape
+    half = 1
+    while half < dim:
+        pairs = a.reshape(rows, dim // (2 * half), 2, half)
+        low = pairs[:, :, 0, :].copy()
+        high = pairs[:, :, 1, :]
+        pairs[:, :, 0, :] += high
+        np.subtract(low, high, out=high)
+        half *= 2
+    return a
+
+
 def pauli_decompose(h):
-    """Exact Pauli-string expansion of a spin-space matrix."""
+    """Exact Pauli-string expansion of a spin-space matrix.
+
+    A string with X/Y mask x and Z/Y mask z is P = i^#Y X^x Z^z (since
+    Y = i X Z), and X^x Z^z |k> = (-1)^(z.k) |k ^ x>, so
+
+        c(x, z) = Tr(P M) / 2^n = i^#Y W[x, z] / 2^n,
+        W[x, z] = sum_k (-1)^(z.k) M[k, k ^ x],
+
+    one Walsh-Hadamard transform over k per flip mask x: O(n 4^n) work
+    in all.  The coefficients are keyed by string in
+    ``pauli.all_strings`` order, zeros included.
+    """
     matrix = h.matrix if isinstance(h, EffectiveHamiltonian) else np.asarray(h)
     dim = matrix.shape[0]
     n = int(round(np.log2(dim)))
     if 2 ** n != dim:
         raise ValueError("matrix dimension is not a power of two")
-    coeffs = {}
-    for string in pauli.all_strings(n):
-        coeffs[string] = pauli.string_trace_with(string, matrix) / dim
-    return PauliDecomposition(n, coeffs)
+    k = np.arange(dim)
+    flipped = matrix[k[None, :], k[None, :] ^ k[:, None]]   # [x, k]
+    walsh = _walsh_hadamard(flipped.astype(complex, copy=False))
+    strings, x, z, phase = pauli.string_masks(n)
+    values = phase * walsh[x, z] / dim
+    return PauliDecomposition(n, dict(zip(strings, values)))
 
 
 def _interaction_picture_block(h0, v, m, t):
@@ -264,12 +295,9 @@ def validate_by_evolution(h0, v, m_indices, h_eff, t):
     """
     m, f, vmf, vff, ef = _split_blocks(h0, v, m_indices)
     smap = spin_map(h0.basis, m_indices)
-    perm = np.array([np.where(m == p)[0][0] for p in smap.spin_to_fock])
 
-    exact = _interaction_picture_block(h0, v, m, t)
-    exact = exact[np.ix_(perm, perm)]
-    wiggle = (_oscillatory_second(vmf, ef, t)
-              + _oscillatory_third(vmf, vff, ef, t))
-    wiggle = wiggle[np.ix_(perm, perm)]
+    exact = to_spin_order(_interaction_picture_block(h0, v, m, t), smap, m)
+    wiggle = to_spin_order(_oscillatory_second(vmf, ef, t)
+                           + _oscillatory_third(vmf, vff, ef, t), smap, m)
     reference = la.expm(-1j * h_eff.matrix * t)
     return la.norm(exact - wiggle - reference, 2)

@@ -3,10 +3,10 @@ import pytest
 
 from trispin.adiabatic import (adiabatic_eliminate, series_compare,
                                truncated_series)
-from trispin.fock import Statistics
+from trispin.fock import Species, Statistics
 from trispin.hubbard import (Edge, HubbardParams, LatticeGraph, build_h0,
                              build_v, hilbert_basis, make_triangle,
-                             projector_single_occupancy)
+                             make_zigzag, projector_single_occupancy)
 from trispin.perturb import h_eff_second, h_eff_third
 
 U = 1.0
@@ -53,6 +53,43 @@ def test_condition_limit_guard():
                       u_updn=U, u_upup=U, u_dndn=U)
     with pytest.raises(ValueError, match="fast block"):
         adiabatic_eliminate(h0, v, m, cond_limit=1.0)
+
+
+def _random_draw(graph, statistics, rng):
+    tun = {(e.link, s): complex(rng.uniform(0.02, 0.3))
+           for e in graph.edges for s in Species}
+    u_same = {} if statistics is Statistics.FERMION else {
+        "u_upup": rng.uniform(0.5, 1.5), "u_dndn": rng.uniform(0.5, 1.5)}
+    params = HubbardParams(statistics, u_updn=rng.uniform(0.5, 1.5),
+                           tunneling=tun, **u_same)
+    basis = hilbert_basis(graph, params)
+    return (build_h0(basis, params), build_v(basis, graph, params),
+            projector_single_occupancy(basis))
+
+
+@pytest.mark.parametrize("n_sites, statistics", [
+    (3, Statistics.BOSON), (3, Statistics.FERMION), (4, Statistics.BOSON),
+    (4, Statistics.FERMION), (5, Statistics.FERMION)])
+def test_condition_number_estimates_one_norm_condition(n_sites, statistics):
+    # triangle and zig-zag chains; bosonic n = 5 (dim 2002) is too slow
+    graph = make_triangle() if n_sites == 3 else make_zigzag(n_sites)
+    rng = np.random.default_rng(7 + n_sites)
+    for _ in range(3):
+        h0, v, m = _random_draw(graph, statistics, rng)
+        f = np.setdiff1d(np.arange(h0.dim), m)
+        hff = (h0.mat + v.mat).toarray()[np.ix_(f, f)]
+        kappa1 = np.linalg.cond(hff, 1)
+        cond = adiabatic_eliminate(h0, v, m).condition_number
+        assert kappa1 / 3 <= cond <= kappa1 * (1 + 1e-12)
+
+
+def test_singular_fast_block_rejected():
+    # no tunneling and no cross-species collision energy: every up-down
+    # double occupancy is a zero row of H_FF
+    h0, v, m = _setup(make_triangle(), Statistics.BOSON, 0.0, 0.0,
+                      u_updn=0.0, u_upup=U, u_dndn=U)
+    with pytest.raises(ValueError, match="fast block"):
+        adiabatic_eliminate(h0, v, m)
 
 
 def test_truncated_series_matches_engine_exactly():

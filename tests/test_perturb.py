@@ -150,6 +150,36 @@ def test_pauli_reconstruction_and_reality():
     assert max(abs(c.imag) for c in dec.coeffs.values()) <= 1e-12
 
 
+def _reference_decompose(matrix):
+    """The per-string trace loop that the transform replaced."""
+    n = int(round(np.log2(matrix.shape[0])))
+    return {s: pauli.string_trace_with(s, matrix) / 2 ** n
+            for s in pauli.all_strings(n)}
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_pauli_decompose_matches_per_string_traces(n):
+    rng = np.random.default_rng(100 + n)
+    dim = 2 ** n
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    dec = pauli_decompose(m)
+    reference = _reference_decompose(m)
+    assert list(dec.coeffs) == list(reference)
+    tol = 1e-13 * max(1.0, np.linalg.norm(m, 2))
+    assert max(abs(dec.coeffs[s] - c) for s, c in reference.items()) <= tol
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_pauli_reconstruction_and_parseval(n):
+    rng = np.random.default_rng(200 + n)
+    dim = 2 ** n
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    dec = pauli_decompose(m)
+    assert np.abs(dec.reconstruct() - m).max() <= 1e-13 * np.abs(m).max()
+    power = dim * sum(abs(c) ** 2 for c in dec.coeffs.values())
+    assert power == pytest.approx(np.linalg.norm(m, "fro") ** 2, rel=1e-13)
+
+
 def test_json_records_sorted():
     dec = pauli_decompose(pauli.string_matrix("XZ"))
     records = dec.to_json_records()
