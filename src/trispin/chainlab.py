@@ -15,10 +15,12 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import pauli
+from .closedform import EPSILON_PATTERNS
 from .perturb import PauliDecomposition
 
 DENSE_LIMIT = 2 ** 16
 CLUSTER_TOL_FACTOR = 1e-9
+ARPACK_SEED = 2024
 
 
 @dataclass
@@ -73,9 +75,17 @@ def diagonalize(h, k=None):
 
 
 def extremal_eigenvalues(h_sparse, k=6):
-    """Lowest-k eigenvalues of a large sparse Hermitian matrix."""
+    """Lowest-k eigenvalues of a large sparse Hermitian matrix.
+
+    ARPACK starts from a fixed pseudo-random vector, so repeated calls
+    return identical values (a constant start can be orthogonal to a
+    wanted level of a block with signed hops).
+    """
+    v0 = np.random.default_rng(ARPACK_SEED).uniform(-1.0, 1.0,
+                                                    h_sparse.shape[0])
     ev = spla.eigsh(h_sparse, k=k, which="SA", ncv=max(4 * k + 8, 40),
-                    tol=0, return_eigenvectors=False)
+                    tol=0, v0=v0.astype(h_sparse.dtype),
+                    return_eigenvectors=False)
     ev.sort()
     return ev
 
@@ -86,8 +96,7 @@ def chirality_operator(n_sites, triangles=((0, 1, 2),)):
     dim = 2 ** n_sites
     out = np.zeros((dim, dim), dtype=complex)
     for (i, j, k) in triangles:
-        for pattern, sign in (("XYZ", 1.0), ("YZX", 1.0), ("ZXY", 1.0),
-                              ("XZY", -1.0), ("ZYX", -1.0), ("YXZ", -1.0)):
+        for pattern, sign in EPSILON_PATTERNS:
             string = pauli.embed(pattern, (i, j, k), n_sites)
             out += sign * pauli.string_matrix(string)
     return out
@@ -148,6 +157,57 @@ def zzz_chain_sparse(bx, bz, n, boundary="periodic"):
                          shape=(dim, dim))
 
 
+def zzz_chain_sector(bx, n, chi01, chi12):
+    """Block of the periodic chain -sum_i (bx X_i + Z_i Z_{i+1} Z_{i+2})
+    in the sector where the sublattice flips P01, P12 have eigenvalues
+    chi01, chi12 = +-1.
+
+    P_ab flips every site i with i mod 3 in {a, b}; for 3 | n each triple
+    holds two flipped sites, so the flips commute with the chain and form
+    Z2 x Z2 (P01 P12 = P02).  Each orbit has one configuration with sites
+    0 and 1 up, so the representatives are the integers j < 2**(n - 2)
+    and the real block has that dimension.  X_0 and X_1 leave that range
+    and are folded back by P02 and P12, which contributes their character.
+    """
+    if n % 3:
+        raise ValueError("sublattice flips need a multiple of 3 sites")
+    dim = 2 ** (n - 2)
+    j = np.arange(dim)
+    bit = 1 << (n - 1 - np.arange(n))
+    sublattice = np.arange(n) % 3
+    p02 = bit[sublattice != 1].sum()
+    p12 = bit[sublattice != 0].sum()
+    masks = np.concatenate([[0, bit[0] ^ p02, bit[1] ^ p12], bit[2:]])
+    signs = np.concatenate([[chi01 * chi12, chi12], np.ones(n - 2)])
+    vals = np.empty((n + 1, dim))
+    vals[0] = zzz_diagonal(n)[:dim]
+    vals[1:] = -bx * signs[:, None]
+    return sp.csr_matrix((vals.ravel(), ((j ^ masks[:, None]).ravel(),
+                                         np.tile(j, n + 1))),
+                         shape=(dim, dim))
+
+
+def chain_levels(bx, n, k=8):
+    """Lowest-k levels of the periodic transverse-field three-spin chain,
+    merged from its sublattice-flip sectors (see ``zzz_chain_sector``).
+
+    Translation by one site cycles P01 -> P12 -> P02, so the three
+    non-trivial sectors are isospectral and the spectrum is the trivial
+    block's plus three copies of one non-trivial block's.  That block
+    contributes ceil(k/3) + 1 levels: the extra one covers a copy of a
+    momentum-degenerate level that ARPACK can miss inside the block.
+    Blocks up to dimension 512 are diagonalized densely.
+    """
+    def lowest(h, count):
+        if h.shape[0] <= 512:
+            return np.linalg.eigvalsh(h.toarray())[:count]
+        return extremal_eigenvalues(h, k=count)
+
+    trivial = lowest(zzz_chain_sector(bx, n, 1, 1), k)
+    flipped = lowest(zzz_chain_sector(bx, n, 1, -1), -(-k // 3) + 1)
+    return np.sort(np.concatenate([trivial, np.repeat(flipped, 3)]))[:k]
+
+
 def zzz_ground_space_bruteforce(n, boundary="periodic"):
     """Configurations minimizing the bare three-spin chain: every
     consecutive triple product +1 (exact diagonal enumeration)."""
@@ -176,20 +236,28 @@ def duality_scan(bx_grid, n, boundary="periodic", k=8):
     small splitting).  The duality defect compares E0(b) with
     b*E0(1/b); it vanishes identically at b = 1 and approaches zero for
     all b only in the thermodynamic limit.
+
+    The spectra are symmetry-resolved (``chain_levels``): the sublattice
+    flips P01, P12 commute with the chain only when every triple of the
+    ring holds two flipped sites, which needs a periodic chain with
+    3 | n.  They split it into four blocks of dimension 2**(n-2), and the
+    three non-trivial ones, related by translation, each carry the same
+    levels, so every level of one of them counts three times.  Each
+    distinct field value is solved once, so b = 1 and pairs such as
+    0.8 and 1.25 = 1/0.8 share their solve with E0(1/b).
     """
     if n % 3:
         raise ValueError("chain length must be a multiple of 3")
     if boundary != "periodic":
         raise ValueError("duality scan is defined for periodic chains")
     bx_grid = np.asarray(bx_grid, dtype=float)
+    solved = {}
 
     def levels(bx):
-        h = zzz_chain_sparse(bx, 0.0, n, boundary)
-        if 2 ** n <= 512:
-            ev = np.linalg.eigvalsh(h.toarray())[: k]
-        else:
-            ev = extremal_eigenvalues(h, k=k)
-        return ev
+        bx = float(bx)
+        if bx not in solved:
+            solved[bx] = chain_levels(bx, n, k)
+        return solved[bx]
 
     e0 = np.empty_like(bx_grid)
     e1 = np.empty_like(bx_grid)

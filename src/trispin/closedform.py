@@ -35,6 +35,10 @@ from .fock import Species, Statistics
 EPSILON_PATTERNS = (("XYZ", 1.0), ("YZX", 1.0), ("ZXY", 1.0),
                     ("XZY", -1.0), ("ZYX", -1.0), ("YXZ", -1.0))
 
+# Expected coefficients below this fraction of the largest one are
+# summation roundoff of the Pauli decomposition, not couplings.
+ROUNDOFF_CUT = 1e-12
+
 
 @dataclass
 class CouplingSet:
@@ -355,6 +359,9 @@ def coupling_matrix(couplings):
 
 
 def expected_string_coefficients(couplings):
-    """Exact Pauli-string coefficients implied by a coupling set."""
+    """Exact Pauli-string coefficients implied by a coupling set, without
+    the roundoff strings below ``ROUNDOFF_CUT`` times the largest one."""
     from .perturb import pauli_decompose
-    return pauli_decompose(coupling_matrix(couplings)).nonzero(0.0)
+    dec = pauli_decompose(coupling_matrix(couplings))
+    scale = max(abs(c) for c in dec.coeffs.values())
+    return dec.nonzero(ROUNDOFF_CUT * scale)

@@ -181,3 +181,72 @@ def test_deactivating_longitudinal_removes_distance_two_exchange():
             assert abs(coeff) <= 1e-12
     # the diagonal distance-two coupling survives
     assert max(abs(c) for c in report.detected_zz.values()) > 1e-6
+
+
+SECTORS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+
+
+@pytest.mark.parametrize("n", [3, 6, 9, 12])
+def test_sector_dimensions_sum_to_full_space(n):
+    dims = [chainlab.zzz_chain_sector(0.9, n, *chi).shape[0]
+            for chi in SECTORS]
+    assert dims == [2 ** (n - 2)] * 4
+    assert sum(dims) == 2 ** n
+
+
+def test_sector_requires_multiple_of_three():
+    with pytest.raises(ValueError):
+        chainlab.zzz_chain_sector(1.0, 8, 1, 1)
+
+
+@pytest.mark.parametrize("n", [6, 9])
+def test_nontrivial_sectors_are_isospectral(n):
+    for bx in (0.6, 1.0, 1.4):
+        spectra = [np.linalg.eigvalsh(
+            chainlab.zzz_chain_sector(bx, n, *chi).toarray())
+            for chi in SECTORS]
+        full = np.linalg.eigvalsh(chainlab.zzz_chain_sparse(bx, 0, n).toarray())
+        assert np.abs(np.sort(np.concatenate(spectra)) - full).max() <= 1e-12
+        for other in spectra[2:]:
+            assert np.abs(other - spectra[1]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [6, 9])
+def test_merged_levels_match_dense_full_spectrum(n):
+    for bx in np.linspace(0.5, 1.5, 21):
+        full = np.linalg.eigvalsh(chainlab.zzz_chain_sparse(bx, 0, n).toarray())
+        levels = chainlab.chain_levels(bx, n)
+        assert np.abs(levels - full[:8]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("bx, k", [(0.7, 8), (1.0, 8), (1.3, 8), (0.95, 9)])
+def test_merged_levels_match_full_space_lanczos(bx, k):
+    # the full-space solve asks for k + 4 levels: at k = 8 it misses a
+    # copy of the degenerate level in eighth place at b = 0.7 and 1.3.
+    # At b = 0.95, k = 9 needs the third level of the non-trivial block,
+    # of which a three-level block solve misses a copy
+    n = 12
+    full = chainlab.extremal_eigenvalues(
+        chainlab.zzz_chain_sparse(bx, 0, n), k=k + 4)[:k]
+    levels = chainlab.chain_levels(bx, n, k)
+    assert np.all(np.abs(levels - full) <= 1e-10 * np.maximum(1, np.abs(full)))
+    tol = chainlab.CLUSTER_TOL_FACTOR * np.abs(full).max()
+    assert (np.sum(np.abs(levels - levels[0]) <= tol)
+            == np.sum(np.abs(full - full[0]) <= tol))
+
+
+def test_duality_scan_solves_each_field_once(monkeypatch):
+    built = []
+    sector = chainlab.zzz_chain_sector
+
+    def counting(bx, n, chi01, chi12):
+        built.append((bx, chi01, chi12))
+        return sector(bx, n, chi01, chi12)
+
+    monkeypatch.setattr(chainlab, "zzz_chain_sector", counting)
+    scan = chainlab.duality_scan(np.array([1.0]), 12)
+    assert built == [(1.0, 1, 1), (1.0, 1, -1)]
+    assert scan.duality_defect[0] == 0.0
+    built.clear()
+    chainlab.duality_scan(np.array([0.8, 1.25]), 9)
+    assert len(built) == 4

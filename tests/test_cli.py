@@ -164,3 +164,13 @@ def test_verify_small_run(capsys):
         if draw["statistics"] == "boson":
             assert draw["certified"]["n_failed"] == 0
             assert draw["printed_variant"]["n_failed"] == 0
+
+
+def test_chain_csv_repeats_byte_for_byte(capsys):
+    args = ["chain", "--sites", "12", "--bx-min", "0.9", "--bx-max", "1.1"]
+    outputs = []
+    for _ in range(2):
+        assert main(args) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].splitlines()) == 6

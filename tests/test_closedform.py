@@ -264,3 +264,29 @@ def test_engine_agreement_over_random_draws():
             strings = set(expected) | set(dec.nonzero(1e-13))
             worst = max(abs(dec[s] - expected.get(s, 0.0)) for s in strings)
             assert worst <= tol
+
+
+def test_expected_strings_drop_only_roundoff():
+    rng = np.random.default_rng(3)
+    sets = [
+        closedform.fermionic_couplings(
+            random_triangle_params(Statistics.FERMION, rng, 0.05)),
+        closedform.bosonic_couplings(
+            random_triangle_params(Statistics.BOSON, rng, 0.05,
+                                   u_ratios=(1.1, 0.9))),
+        closedform.complex_tunneling_couplings(
+            _uniform_params(Statistics.BOSON, 0.04j, 0.025j, uu=1.2, dd=0.9)),
+        closedform.complex_tunneling_couplings(
+            _uniform_params(Statistics.FERMION, 0.04j, 0.025j)),
+        closedform.rotated_xy_couplings(0.1, U),
+        closedform.CouplingSet("chirality", {"tau4": 0.7}),
+    ]
+    dropped = 0
+    for cs in sets:
+        coeffs = pauli_decompose(closedform.coupling_matrix(cs)).coeffs
+        cut = closedform.ROUNDOFF_CUT * max(abs(c) for c in coeffs.values())
+        kept = closedform.expected_string_coefficients(cs)
+        assert kept == {s: c for s, c in coeffs.items() if abs(c) > cut}
+        dropped += sum(0 < abs(c) <= cut for c in coeffs.values())
+    # the complex bosonic set carries a roundoff string that the cut removes
+    assert dropped > 0
