@@ -7,11 +7,12 @@ from .fock import (Species, Statistics, FockState, SectorSpec, Basis,
 from .hubbard import (LatticeGraph, HubbardParams, SparseOperator,
                       make_graph, make_triangle, make_zigzag,
                       make_triangular_patch, hilbert_basis, sector_for,
-                      build_h0, build_v, build_v_mixed,
+                      build_h0, build_v, build_v_mixed, derive,
                       projector_single_occupancy, zigzag_longitudinal_links)
 from .perturb import (EffectiveHamiltonian, PauliDecomposition, SpinMap,
-                      spin_map, h_eff_second, h_eff_third, h_eff_up_to_third,
-                      cross_second, pauli_decompose, validate_by_evolution,
+                      Partition, spin_map, partition, h_eff_second,
+                      h_eff_third, h_eff_up_to_third, cross_second,
+                      pauli_decompose, validate_by_evolution,
                       DegenerateIntermediateError)
 from .adiabatic import adiabatic_eliminate, truncated_series, series_compare
 from .closedform import (CouplingSet, SpinHamiltonianSpec,

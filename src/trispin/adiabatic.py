@@ -25,7 +25,7 @@ import numpy as np
 import scipy.linalg as la
 
 from .perturb import (EffectiveHamiltonian, h_eff_second, h_eff_third,
-                      spin_map, to_spin_order)
+                      partition)
 
 COND_LIMIT = 1e12
 
@@ -44,14 +44,6 @@ class AdiabaticResult:
     dims: tuple   # (total, fast, slow)
 
 
-def _blocks(h0, v, m_indices):
-    dim = h0.dim
-    m = np.asarray(m_indices, dtype=int)
-    f = np.setdiff1d(np.arange(dim), m)
-    h_full = (h0.mat + v.mat).toarray()
-    return m, f, h_full
-
-
 def _factor_fast_block(hff):
     """LU factors of H_FF and the 1-norm estimate of its condition."""
     with warnings.catch_warnings():
@@ -67,22 +59,23 @@ def adiabatic_eliminate(h0, v, m_indices, cond_limit=COND_LIMIT):
     """Exact elimination of the fast block; returns the spin-ordered
     effective Hamiltonian and the estimated 1-norm condition number of
     the fast block."""
-    m, f, h_full = _blocks(h0, v, m_indices)
-    block = h_full[np.ix_(m, m)]
+    p = partition(h0, v, m_indices)
+    # H0 is diagonal: H_MM and H_FF are V's blocks plus the energies
+    block = p.vmm
+    block[np.diag_indices_from(block)] += p.em
     cond = 0.0
-    if len(f):
-        lu, cond = _factor_fast_block(h_full[np.ix_(f, f)])
+    if len(p.f):
+        hff = p.vff
+        hff[np.diag_indices_from(hff)] += p.ef
+        lu, cond = _factor_fast_block(hff)
         if not np.isfinite(cond) or cond > cond_limit:
             raise ValueError(
                 "fast block not invertible; parameters too close to resonance")
-        hmf = h_full[np.ix_(m, f)]
-        block = block - hmf @ la.lu_solve(lu, hmf.conj().T,
-                                          check_finite=False)
+        block = block - p.vmf @ la.lu_solve(lu, p.vmf.conj().T,
+                                            check_finite=False)
     block = 0.5 * (block + block.conj().T)
-    smap = spin_map(h0.basis, m_indices)
-    heff = EffectiveHamiltonian(to_spin_order(block, smap, m), order="all",
-                                provenance="adiabatic")
-    return AdiabaticResult(heff, float(cond), (h0.dim, len(f), len(m)))
+    heff = EffectiveHamiltonian(block, order="all", provenance="adiabatic")
+    return AdiabaticResult(heff, float(cond), (h0.dim, len(p.f), len(p.m)))
 
 
 def truncated_series(h0, v, m_indices, order=3):
@@ -92,19 +85,14 @@ def truncated_series(h0, v, m_indices, order=3):
     two-intermediate term; both must agree with the perturbative engine
     to machine precision.
     """
-    m, f, h_full = _blocks(h0, v, m_indices)
-    energies = h0.diagonal().real
-    ef = energies[f]
-    vmf = v.mat.toarray()[np.ix_(m, f)]
-    vff = v.mat.toarray()[np.ix_(f, f)]
-    if np.any(np.abs(ef) < 1e-12 * max(1.0, np.abs(energies).max())):
+    p = partition(h0, v, m_indices)
+    ef = p.ef
+    if np.any(np.abs(ef) < 1e-12 * p.energy_scale):
         raise ValueError("zero-energy fast state; series undefined")
-    block = -(vmf / ef) @ vmf.conj().T
+    block = -(p.vmf / ef) @ p.vmf.conj().T
     if order >= 3:
-        block = block + (vmf / ef) @ vff @ (vmf.conj().T / ef[:, None])
-    smap = spin_map(h0.basis, m_indices)
-    return EffectiveHamiltonian(to_spin_order(block, smap, m),
-                                order=f"<={order}",
+        block = block + (p.vmf / ef) @ p.vff @ (p.vmf.conj().T / ef[:, None])
+    return EffectiveHamiltonian(block, order=f"<={order}",
                                 provenance="adiabatic-series")
 
 
@@ -113,12 +101,9 @@ def series_compare(h0, v, m_indices):
     the perturbative engine.  Requires the Neumann series to converge,
     i.e. the tunneling norm within the fast block below the smallest
     fast energy."""
-    m = np.asarray(m_indices, dtype=int)
-    f = np.setdiff1d(np.arange(h0.dim), m)
-    ef = h0.diagonal().real[f]
-    vff = v.mat.toarray()[np.ix_(f, f)]
-    vff_norm = la.norm(vff, 2)
-    emin = np.abs(ef).min() if len(f) else np.inf
+    p = partition(h0, v, m_indices)
+    vff_norm = la.norm(p.vff, 2)
+    emin = np.abs(p.ef).min() if len(p.f) else np.inf
     if vff_norm >= emin:
         raise ValueError("tunneling too large: fast-block series does not "
                          f"converge (|V_FF| = {vff_norm:.3g} >= {emin:.3g})")

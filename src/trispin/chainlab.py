@@ -80,6 +80,11 @@ def extremal_eigenvalues(h_sparse, k=6):
     ARPACK starts from a fixed pseudo-random vector, so repeated calls
     return identical values (a constant start can be orthogonal to a
     wanted level of a block with signed hops).
+
+    When a degenerate level straddles the k-th place, ARPACK can miss one
+    of its copies and return a later level as the k-th value.  A caller
+    that reads all k values asks for a margin of extra levels, as
+    ``chain_levels`` does.
     """
     v0 = np.random.default_rng(ARPACK_SEED).uniform(-1.0, 1.0,
                                                     h_sparse.shape[0])
@@ -131,15 +136,7 @@ def zzz_chain(bx, bz, n, boundary="periodic"):
     """Dense matrix of -sum_i (bx X_i + bz Z_i + Z_i Z_{i+1} Z_{i+2})."""
     if n > 16:
         raise ValueError("dense chain limited to 16 sites")
-    dim = 2 ** n
-    out = np.diag(zzz_diagonal(n, boundary).astype(complex))
-    z = _z_patterns(n)
-    j = np.arange(dim)
-    out[j, j] -= bz * z.sum(axis=1)
-    for i in range(n):
-        mask = 1 << (n - 1 - i)
-        out[j ^ mask, j] -= bx
-    return out
+    return zzz_chain_sparse(bx, bz, n, boundary).toarray()
 
 
 def zzz_chain_sparse(bx, bz, n, boundary="periodic"):
@@ -227,8 +224,8 @@ class DualityScan:
     argmin_bx: float
 
 
-def duality_scan(bx_grid, n, boundary="periodic", k=8):
-    """Gap curve of the transverse-field three-spin chain.
+def duality_scan(bx_grid, n, k=8):
+    """Gap curve of the periodic transverse-field three-spin chain.
 
     The scanned gap is E4 - E0, the first excitation above the fourfold
     pattern manifold of the ordered phase (for 3 | n the manifold stays
@@ -240,16 +237,15 @@ def duality_scan(bx_grid, n, boundary="periodic", k=8):
     The spectra are symmetry-resolved (``chain_levels``): the sublattice
     flips P01, P12 commute with the chain only when every triple of the
     ring holds two flipped sites, which needs a periodic chain with
-    3 | n.  They split it into four blocks of dimension 2**(n-2), and the
-    three non-trivial ones, related by translation, each carry the same
+    3 | n, so the scan has no open-boundary form.  The flips split the
+    chain into four blocks of dimension 2**(n-2), and the three
+    non-trivial ones, related by translation, each carry the same
     levels, so every level of one of them counts three times.  Each
     distinct field value is solved once, so b = 1 and pairs such as
     0.8 and 1.25 = 1/0.8 share their solve with E0(1/b).
     """
     if n % 3:
         raise ValueError("chain length must be a multiple of 3")
-    if boundary != "periodic":
-        raise ValueError("duality scan is defined for periodic chains")
     bx_grid = np.asarray(bx_grid, dtype=float)
     solved = {}
 

@@ -196,16 +196,10 @@ def cmd_chain(args, config):
 def cmd_chiral(args, config):
     magnitude = float(_setting(args, config, "j_mag", 0.05))
     scale = float(_setting(args, config, "u", 1.0))
-    from .hubbard import build_h0, build_v, hilbert_basis, make_triangle, \
-        projector_single_occupancy
+    from .hubbard import derive, make_triangle
     from .perturb import h_eff_up_to_third, pauli_decompose
     params = closedform.chirality_point_params(magnitude, scale)
-    graph = make_triangle()
-    basis = hilbert_basis(graph, params)
-    h0 = build_h0(basis, params)
-    v = build_v(basis, graph, params)
-    m = projector_single_occupancy(basis)
-    h = h_eff_up_to_third(h0, v, m)
+    h = h_eff_up_to_third(*derive(make_triangle(), params))
     dec = pauli_decompose(h)
     matrix = h.matrix.copy()
     zeeman = {}

@@ -20,8 +20,7 @@ import scipy.linalg as la
 from . import closedform
 from .adiabatic import adiabatic_eliminate, truncated_series
 from .fock import Species, Statistics
-from .hubbard import HubbardParams, build_h0, build_v, hilbert_basis, \
-    make_triangle, projector_single_occupancy
+from .hubbard import HubbardParams, derive, make_triangle
 from .perturb import h_eff_second, h_eff_third, pauli_decompose
 from .raman import SU2Rotation, covariance_check
 
@@ -58,10 +57,7 @@ def audit_couplings(params, variant):
 
 
 def engine_decomposition(graph, params):
-    basis = hilbert_basis(graph, params)
-    h0 = build_h0(basis, params)
-    v = build_v(basis, graph, params)
-    m = projector_single_occupancy(basis)
+    h0, v, m = derive(graph, params)
     h2 = h_eff_second(h0, v, m)
     h3 = h_eff_third(h0, v, m)
     return (h0, v, m), h2, h3, pauli_decompose(h2 + h3)
@@ -111,13 +107,20 @@ class DrawResult:
 
 def run_triangle_draw(params, variant="certified", u_scale=1.0,
                       j_over_u=None):
-    """Audit one parameter draw: engine vs formulas vs elimination."""
+    """Audit one parameter draw: engine vs formulas vs elimination.
+
+    ``j_over_u`` defaults to the largest |J| over the smallest nonzero
+    collision energy of the draw, since the fourth-order tail that both
+    tolerances bound grows as J^4 / U_min^3.
+    """
     graph = make_triangle()
     warnings = []
     if j_over_u is None:
         mags = [abs(params.j(l, s)) for l in range(3)
                 for s in (Species.UP, Species.DOWN)]
-        j_over_u = max(mags) / u_scale
+        u_min = min(abs(u) for u in (params.u_upup, params.u_dndn,
+                                     params.u_updn) if u)
+        j_over_u = max(mags) / u_min
     if j_over_u > HARD_REGIME_LIMIT:
         raise ValueError("tunneling beyond the perturbative hard cap")
     if j_over_u > SOFT_REGIME_LIMIT:
@@ -157,10 +160,7 @@ def scaling_ladder(statistics, j_over_u_values, u_scale=1.0, jd_ratio=0.5):
             u_updn=u_scale,
             u_upup=None if statistics is Statistics.FERMION else u_scale,
             u_dndn=None if statistics is Statistics.FERMION else u_scale)
-        basis = hilbert_basis(graph, params)
-        h0 = build_h0(basis, params)
-        v = build_v(basis, graph, params)
-        m = projector_single_occupancy(basis)
+        h0, v, m = derive(graph, params)
         h2 = h_eff_second(h0, v, m)
         h3 = h_eff_third(h0, v, m)
         exact = adiabatic_eliminate(h0, v, m)
@@ -187,15 +187,11 @@ def covariance_section(n_draws, seed, j_up=0.05, j_dn=0.03, u_scale=1.0,
     species-blind collision energies; unequal-U residuals are recorded
     as data, not asserted."""
     rng = np.random.default_rng(seed)
-    graph = make_triangle()
     params = HubbardParams.uniform(Statistics.BOSON, 3, j_up * u_scale,
                                    j_dn * u_scale, u_updn=u_scale,
                                    u_upup=u_ratios[0] * u_scale,
                                    u_dndn=u_ratios[1] * u_scale)
-    basis = hilbert_basis(graph, params)
-    h0 = build_h0(basis, params)
-    v = build_v(basis, graph, params)
-    m = projector_single_occupancy(basis)
+    h0, v, m = derive(make_triangle(), params)
     draws = []
     for _ in range(n_draws):
         g = SU2Rotation(phi=float(rng.uniform(0, 2 * math.pi)),

@@ -347,3 +347,11 @@ def projector_single_occupancy(basis):
         if all(sum(state.site_occupations(s)) == 1 for s in range(basis.n_sites)):
             picks.append(k)
     return np.array(picks, dtype=int)
+
+
+def derive(graph, params):
+    """Collision operator, tunneling operator and the positions of the
+    single-occupancy block M, on the working basis of a lattice."""
+    basis = hilbert_basis(graph, params)
+    return (build_h0(basis, params), build_v(basis, graph, params),
+            projector_single_occupancy(basis))

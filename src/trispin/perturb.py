@@ -12,9 +12,11 @@ running over the multiply-occupied complement.  Dropping the usual
 cross terms of degenerate perturbation theory is justified by
 P_M V P_M = 0, which is asserted at runtime.
 
-The block is returned in spin order: position k of the matrix is the
-n-qubit configuration whose bit i (big-endian) is 0 for an up atom on
-site i and 1 for a down atom.
+Every result is in spin order: position k of a block is the n-qubit
+configuration whose bit i (big-endian) is 0 for an up atom on site i
+and 1 for a down atom.  ``partition`` is the one place that splits the
+basis into M and F and puts M in that order; the exact elimination
+(``trispin.adiabatic``) uses the same split.
 """
 
 from __future__ import annotations
@@ -40,15 +42,6 @@ class SpinMap:
     basis: object
     m_indices: np.ndarray
     spin_to_fock: np.ndarray   # spin index -> basis position
-    fock_to_spin: dict         # basis position -> spin index
-
-    @property
-    def n_sites(self):
-        return self.basis.n_sites
-
-    def spin_label(self, k):
-        n = self.n_sites
-        return "".join("ud"[(k >> (n - 1 - i)) & 1] for i in range(n))
 
 
 def spin_map(basis, m_indices):
@@ -72,8 +65,7 @@ def spin_map(basis, m_indices):
         if spin_to_fock[k] != -1:
             raise ValueError("duplicate spin configuration in M")
         spin_to_fock[k] = pos
-    return SpinMap(basis, np.asarray(m_indices, dtype=int), spin_to_fock,
-                   {int(p): int(k) for k, p in enumerate(spin_to_fock)})
+    return SpinMap(basis, np.asarray(m_indices, dtype=int), spin_to_fock)
 
 
 @dataclass
@@ -95,36 +87,68 @@ class EffectiveHamiltonian:
                                     self.provenance)
 
 
-def _split_blocks(h0, v, m_indices):
+@dataclass
+class Partition:
+    """Tunneling blocks and collision energies of the M/F split.
+
+    ``m`` lists the basis positions of M in spin order and ``f`` those of
+    the multiply-occupied rest in basis order; the V blocks and energies
+    are indexed the same way.  The blocks are views of one dense copy of
+    V, so a caller may change them in place but must not share them.
+    """
+
+    m: np.ndarray
+    f: np.ndarray
+    vmm: np.ndarray
+    vmf: np.ndarray
+    vff: np.ndarray
+    em: np.ndarray
+    ef: np.ndarray
+
+    @property
+    def energy_scale(self):
+        """max(1, largest |collision energy|): the scale of zero tests."""
+        return max(1.0, np.abs(self.em).max(initial=0.0),
+                   np.abs(self.ef).max(initial=0.0))
+
+
+def partition(h0, v, m_indices):
+    """Split H0 and V into the single-occupancy block M, in spin order,
+    and its complement F, densifying V once."""
     dim = h0.dim
-    m = np.asarray(m_indices, dtype=int)
-    f = np.setdiff1d(np.arange(dim), m)
+    m = spin_map(h0.basis, m_indices).spin_to_fock
+    in_f = np.ones(dim, dtype=bool)
+    in_f[m] = False
+    f = np.flatnonzero(in_f)
+    # scatter the nonzeros of V straight into the order (M, F)
+    position = np.empty(dim, dtype=int)
+    position[np.concatenate([m, f])] = np.arange(dim)
+    mat = v.mat.tocsr()
+    vd = np.zeros((dim, dim), dtype=mat.dtype)
+    np.add.at(vd, (np.repeat(position, np.diff(mat.indptr)),
+                   position[mat.indices]), mat.data)
+    k = len(m)
     energies = h0.diagonal().real
-    scale = max(1.0, np.abs(energies).max())
-    if np.abs(energies[m]).max(initial=0.0) > 1e-12 * scale:
+    return Partition(m, f, vd[:k, :k], vd[:k, k:], vd[k:, k:],
+                     energies[m], energies[f])
+
+
+def _engine_partition(h0, v, m_indices):
+    """The partition, with the conditions that orders 2 and 3 rely on."""
+    p = partition(h0, v, m_indices)
+    scale = p.energy_scale
+    if np.abs(p.em).max(initial=0.0) > 1e-12 * scale:
         raise ValueError("block M is not at zero collision energy")
-    vd = v.mat.toarray()
-    vmf = vd[np.ix_(m, f)]
-    vff = vd[np.ix_(f, f)]
-    vmm = vd[np.ix_(m, m)]
-    if vmm.size and np.abs(vmm).max() > 1e-13 * max(1.0, np.abs(vd).max()):
+    if p.vmm.size and (np.abs(p.vmm).max()
+                       > 1e-13 * max(1.0, abs(v.mat).max())):
         raise ValueError("tunneling does not vanish inside the "
                          "single-occupancy block")
-    ef = energies[f]
-    reach1 = np.abs(vmf).sum(axis=0) > 0
-    reach2 = reach1 | ((np.abs(vff[reach1, :]).sum(axis=0)) > 0)
+    reach1 = np.abs(p.vmf).sum(axis=0) > 0
+    reach2 = reach1 | ((np.abs(p.vff[reach1, :]).sum(axis=0)) > 0)
     for reach in (reach1, reach2):
-        if np.any(np.abs(ef[reach]) < 1e-12 * scale):
+        if np.any(np.abs(p.ef[reach]) < 1e-12 * scale):
             raise DegenerateIntermediateError("degenerate intermediate state")
-    return m, f, vmf, vff, ef
-
-
-def to_spin_order(block, smap, m):
-    """Reorder a block indexed like ``m`` into spin order."""
-    position = np.empty(len(smap.basis), dtype=int)
-    position[m] = np.arange(len(m))
-    perm = position[smap.spin_to_fock]
-    return block[np.ix_(perm, perm)]
+    return p
 
 
 def _check_hermitian(mat, what):
@@ -136,20 +160,16 @@ def _check_hermitian(mat, what):
 
 def h_eff_second(h0, v, m_indices):
     """Superexchange block: hop out of M and straight back."""
-    m, f, vmf, vff, ef = _split_blocks(h0, v, m_indices)
-    block = -(vmf / ef) @ vmf.conj().T
-    smap = spin_map(h0.basis, m_indices)
-    block = to_spin_order(block, smap, m)
+    p = _engine_partition(h0, v, m_indices)
+    block = -(p.vmf / p.ef) @ p.vmf.conj().T
     _check_hermitian(block, "second-order effective Hamiltonian")
     return EffectiveHamiltonian(block, order="2")
 
 
 def h_eff_third(h0, v, m_indices):
     """Two-intermediate processes; three-spin terms originate here."""
-    m, f, vmf, vff, ef = _split_blocks(h0, v, m_indices)
-    block = (vmf / ef) @ vff @ (vmf.conj().T / ef[:, None])
-    smap = spin_map(h0.basis, m_indices)
-    block = to_spin_order(block, smap, m)
+    p = _engine_partition(h0, v, m_indices)
+    block = (p.vmf / p.ef) @ p.vff @ (p.vmf.conj().T / p.ef[:, None])
     _check_hermitian(block, "third-order effective Hamiltonian")
     return EffectiveHamiltonian(block, order="3")
 
@@ -161,12 +181,11 @@ def h_eff_up_to_third(h0, v, m_indices):
 def cross_second(h0, va, vb, m_indices):
     """Bilinear cross term of the order-2 map: engine(Va + Vb) order-2
     minus the two diagonal parts."""
-    m, f, vamf, _, ef = _split_blocks(h0, va, m_indices)
-    _, _, vbmf, _, _ = _split_blocks(h0, vb, m_indices)
-    block = -(vamf / ef) @ vbmf.conj().T - (vbmf / ef) @ vamf.conj().T
-    smap = spin_map(h0.basis, m_indices)
-    return EffectiveHamiltonian(to_spin_order(block, smap, m), order="2",
-                                provenance="cross")
+    pa = _engine_partition(h0, va, m_indices)
+    pb = _engine_partition(h0, vb, m_indices)
+    ef = pa.ef
+    block = -(pa.vmf / ef) @ pb.vmf.conj().T - (pb.vmf / ef) @ pa.vmf.conj().T
+    return EffectiveHamiltonian(block, order="2", provenance="cross")
 
 
 @dataclass
@@ -245,7 +264,8 @@ def pauli_decompose(h):
 
 
 def _interaction_picture_block(h0, v, m, t):
-    """P exp(-i(H0+V)t) P in spin order, via exact diagonalization."""
+    """P exp(-i(H0+V)t) P on the basis positions m, via exact
+    diagonalization."""
     h_full = (h0.mat + v.mat).toarray()
     evals, evecs = la.eigh(h_full)
     u_full = (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
@@ -293,11 +313,9 @@ def validate_by_evolution(h0, v, m_indices, h_eff, t):
     operator-norm residual scales as (J/U)^4 * Ut when the tunneling is
     scaled down at fixed Ut.
     """
-    m, f, vmf, vff, ef = _split_blocks(h0, v, m_indices)
-    smap = spin_map(h0.basis, m_indices)
-
-    exact = to_spin_order(_interaction_picture_block(h0, v, m, t), smap, m)
-    wiggle = to_spin_order(_oscillatory_second(vmf, ef, t)
-                           + _oscillatory_third(vmf, vff, ef, t), smap, m)
+    p = _engine_partition(h0, v, m_indices)
+    exact = _interaction_picture_block(h0, v, p.m, t)
+    wiggle = (_oscillatory_second(p.vmf, p.ef, t)
+              + _oscillatory_third(p.vmf, p.vff, p.ef, t))
     reference = la.expm(-1j * h_eff.matrix * t)
     return la.norm(exact - wiggle - reference, 2)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from trispin import chainlab, pauli
+from trispin import chainlab, closedform, pauli
 from trispin.fock import Species, Statistics
 from trispin.hubbard import (HubbardParams, build_h0, build_v, hilbert_basis,
                              make_zigzag, projector_single_occupancy,
@@ -108,6 +108,22 @@ def test_zzz_sparse_matches_dense():
     h_dense = chainlab.zzz_chain(0.7, 0.2, 6)
     h_sparse = chainlab.zzz_chain_sparse(0.7, 0.2, 6).toarray()
     assert np.abs(h_dense - h_sparse).max() <= 1e-14
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "open"])
+@pytest.mark.parametrize("n", [5, 6])
+def test_zzz_sparse_matches_term_list(n, boundary):
+    # independent construction: Pauli strings of an explicit term list,
+    # with the open-boundary triples that leave the chain dropped
+    bx, bz = 0.7, 0.2
+    spec = closedform.SpinHamiltonianSpec(n, boundary)
+    for i in range(n):
+        spec.add("X", i, -bx)
+        spec.add("Z", i, -bz)
+        spec.add("ZZZ", i, -1.0)
+    expected = closedform.build_spin_hamiltonian(spec)
+    h = chainlab.zzz_chain_sparse(bx, bz, n, boundary).toarray()
+    assert np.abs(h - expected).max() <= 1e-14
 
 
 def test_duality_scan_small_chain():

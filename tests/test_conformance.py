@@ -47,6 +47,22 @@ def test_full_report_structure():
     assert max(d["residual"] for d in report["covariance_unequal_u"]) > 1e-9
 
 
+def test_draw_tolerances_use_lowest_collision_energy():
+    params = HubbardParams.uniform(Statistics.BOSON, 3, 0.04, 0.02,
+                                   u_updn=1.0, u_upup=0.8, u_dndn=1.2)
+    draw = run_triangle_draw(params)
+    assert draw.j_over_u == pytest.approx(0.05)
+    assert draw.tolerance == pytest.approx(formula_tolerance(0.05, 1.0))
+    fermion = run_triangle_draw(_uniform(Statistics.FERMION, 0.04))
+    assert fermion.j_over_u == pytest.approx(0.04)
+
+
+def test_verification_has_no_false_oracle_alarm_at_seed_4():
+    # seed 4 draws a bosonic triangle with U_min = 0.81 whose fourth-order
+    # tail exceeds the oracle tolerance taken at the cross channel U = 1
+    assert run_verification(seed=4)["ok"] is True
+
+
 def test_graph_round_trip():
     graph = make_zigzag(5)
     clone = graph_from_json(graph_to_json(graph))

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
+import scipy.linalg as la
 
 from trispin import pauli
-from trispin.fock import SectorSpec, Statistics, enumerate_basis
+from trispin.adiabatic import adiabatic_eliminate
+from trispin.fock import SectorSpec, Species, Statistics, enumerate_basis
 from trispin.hubbard import (Edge, HubbardParams, LatticeGraph, build_h0,
-                             build_v, hilbert_basis, make_triangle,
-                             projector_single_occupancy)
+                             build_v, derive, hilbert_basis, make_triangle,
+                             make_zigzag, projector_single_occupancy)
 from trispin.perturb import (DegenerateIntermediateError, h_eff_second,
-                             h_eff_third, h_eff_up_to_third, pauli_decompose,
-                             spin_map, validate_by_evolution)
+                             h_eff_third, h_eff_up_to_third, partition,
+                             pauli_decompose, spin_map, validate_by_evolution)
 
 U = 1.0
 PAIR = LatticeGraph(2, (Edge(0, 0, 1),), "pair")
@@ -59,6 +61,44 @@ def test_spin_map_requires_full_block():
     basis = enumerate_basis(2, Statistics.FERMION, SectorSpec(n_up=1, n_down=1))
     with pytest.raises(ValueError):
         spin_map(basis, np.arange(2))
+
+
+def _basis_order_reference(h0, v, m):
+    """Orders 2, 3 and the elimination computed on M in basis order, then
+    permuted into spin order."""
+    vd = v.to_dense()
+    hd = (h0.mat + v.mat).toarray()
+    f = np.setdiff1d(np.arange(h0.dim), m)
+    vmf, vff, ef = vd[np.ix_(m, f)], vd[np.ix_(f, f)], h0.diagonal().real[f]
+    h2 = -(vmf / ef) @ vmf.conj().T
+    h3 = (vmf / ef) @ vff @ (vmf.conj().T / ef[:, None])
+    hmf = hd[np.ix_(m, f)]
+    exact = hd[np.ix_(m, m)] - hmf @ la.solve(hd[np.ix_(f, f)], hmf.conj().T)
+    exact = 0.5 * (exact + exact.conj().T)
+    position = np.empty(h0.dim, dtype=int)
+    position[m] = np.arange(len(m))
+    perm = position[spin_map(h0.basis, m).spin_to_fock]
+    return [block[np.ix_(perm, perm)] for block in (h2, h3, exact)]
+
+
+@pytest.mark.parametrize("n, statistics", [
+    (4, Statistics.FERMION), (5, Statistics.FERMION), (4, Statistics.BOSON)])
+def test_partition_puts_m_in_spin_order(n, statistics):
+    graph = make_zigzag(n)
+    rng = np.random.default_rng(30 + n)
+    tun = {(e.link, s): complex(rng.uniform(0.02, 0.05),
+                                rng.uniform(-0.02, 0.02))
+           for e in graph.edges for s in Species}
+    u_same = {} if statistics is Statistics.FERMION else {
+        "u_upup": rng.uniform(0.8, 1.4), "u_dndn": rng.uniform(0.8, 1.4)}
+    params = HubbardParams(statistics, u_updn=1.0, tunneling=tun, **u_same)
+    h0, v, m = derive(graph, params)
+    assert np.array_equal(partition(h0, v, m).m,
+                          spin_map(h0.basis, m).spin_to_fock)
+    got = (h_eff_second(h0, v, m).matrix, h_eff_third(h0, v, m).matrix,
+           adiabatic_eliminate(h0, v, m).h_eff.matrix)
+    for block, want in zip(got, _basis_order_reference(h0, v, m)):
+        assert np.abs(block - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_pair_superexchange_matrix():
