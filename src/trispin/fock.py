@@ -6,6 +6,17 @@ one per species.  A state stores the flat occupation tuple
 index of (site, species) is ``2*site + species``.  That flat order is
 also the fermionic sign convention: the amplitude of a ladder operator
 on mode m picks up (-1)**(number of occupied modes preceding m).
+
+A ``Basis`` holds the same occupations twice.  ``states`` are the
+``FockState`` objects, the per-state reference that ``apply_ladder`` and
+``transfer`` act on.  ``occ`` is the integer array (dim x 2n) whose row
+k is ``states[k].occ``, and ``keys`` reads each row as one mixed-radix
+integer, mode 0 the most significant digit, with radix one more than
+the largest occupation in the basis.  Equal keys are equal tuples, and
+lexicographic order of the tuples is ascending key order, so the keys
+of an ``enumerate_basis`` basis are strictly increasing.  Operators are
+assembled from ``occ`` by array passes, and a moved state is found with
+``Basis.locate`` on its key instead of a dict lookup on a new tuple.
 """
 
 from __future__ import annotations
@@ -13,6 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+
+import numpy as np
 
 
 class Species(Enum):
@@ -103,17 +116,46 @@ class SectorSpec:
 
 @dataclass
 class Basis:
-    """Ordered sector basis with an exact state -> position map."""
+    """Ordered sector basis with an exact state -> position map.
+
+    ``occ``, ``radix``, ``place`` (the key weight of each mode) and
+    ``keys`` are derived from ``states`` (see the module docstring); a
+    sector whose keys would not fit in int64 raises ``ValueError``.
+    """
 
     states: list
     statistics: Statistics
     n_sites: int
     sector: SectorSpec
     index: dict = field(repr=False, default=None)
+    occ: np.ndarray = field(init=False, repr=False, compare=False)
+    radix: int = field(init=False, repr=False, compare=False)
+    place: np.ndarray = field(init=False, repr=False, compare=False)
+    keys: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.index is None:
             self.index = {state.occ: k for k, state in enumerate(self.states)}
+        n_modes = 2 * self.n_sites
+        self.occ = np.array([state.occ for state in self.states],
+                            dtype=np.int64).reshape(-1, n_modes)
+        self.radix = max(2, int(self.occ.max(initial=0)) + 1)
+        if self.radix ** n_modes - 1 > np.iinfo(np.int64).max:
+            raise ValueError(f"occupation keys overflow int64: radix "
+                             f"{self.radix} over {n_modes} modes")
+        # key weight of each mode, mode 0 the most significant
+        self.place = self.radix ** np.arange(n_modes - 1, -1, -1,
+                                             dtype=np.int64)
+        self.keys = self.occ @ self.place
+        self._key_order = np.argsort(self.keys, kind="stable")
+        self._sorted_keys = self.keys[self._key_order]
+
+    def locate(self, keys):
+        """Basis positions of occupation keys, -1 where a key is absent."""
+        slot = np.searchsorted(self._sorted_keys, keys)
+        slot = np.minimum(slot, len(self._sorted_keys) - 1)
+        found = self._sorted_keys[slot] == keys
+        return np.where(found, self._key_order[slot], -1)
 
     def __len__(self):
         return len(self.states)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .fock import Species, Statistics, SectorSpec, enumerate_basis, transfer
+from .fock import Species, Statistics, SectorSpec, enumerate_basis
 
 Edge = namedtuple("Edge", ["link", "frm", "to"])
 
@@ -210,19 +210,30 @@ def site_energy(n_up, n_dn, params):
 
 
 def build_h0(basis, params):
-    """Diagonal collision operator; single-occupancy states sit at 0."""
+    """Diagonal collision operator; single-occupancy states sit at 0.
+
+    Summed site by site over ``basis.occ`` with the operations of
+    ``site_energy`` in their order; a channel that does not fire adds
+    a signed zero, which leaves every sum unchanged.
+    """
+    occ = basis.occ
     diag = np.zeros(len(basis))
-    for k, state in enumerate(basis.states):
-        total = 0.0
-        for site in range(basis.n_sites):
-            nu, nd = state.site_occupations(site)
-            e = site_energy(nu, nd, params)
-            if math.isinf(e):
-                raise ValueError(
-                    "infinite energy state in basis; use fermionic statistics "
-                    "or finite U")
-            total += e
-        diag[k] = total
+    for site in range(basis.n_sites):
+        up, dn = occ[:, 2 * site], occ[:, 2 * site + 1]
+        channels = ((params.u_upup, up > 1), (params.u_dndn, dn > 1),
+                    (params.u_updn, (up > 0) & (dn > 0)))
+        if any(math.isinf(u) and hit.any() for u, hit in channels):
+            raise ValueError(
+                "infinite energy state in basis; use fermionic statistics "
+                "or finite U")
+        energy = np.zeros(len(basis))
+        if not math.isinf(params.u_upup):
+            energy += 0.5 * params.u_upup * up * (up - 1)
+        if not math.isinf(params.u_dndn):
+            energy += 0.5 * params.u_dndn * dn * (dn - 1)
+        if not math.isinf(params.u_updn):
+            energy += params.u_updn * up * dn
+        diag += energy
     mat = sp.diags(diag.astype(complex), format="csr")
     return SparseOperator(mat, basis, hermitian=True,
                           meta={"kind": "collision", "params": params})
@@ -233,23 +244,17 @@ def build_v_mixed(basis, graph, hop_matrices, mode_order="standard"):
 
     ``hop_matrices[link][t, f]`` multiplies -a(from, t)^dag a(to, f); the
     Hermitian conjugate move is added automatically.
+
+    Each move (edge, t, f, direction) with a nonzero J is one array pass
+    over ``basis.occ``: amplitudes and fermionic signs come from the
+    occupation columns and their prefix sums, and the targets are found
+    by key (``Basis.locate``).  A move with a nonzero amplitude whose
+    target is not in the basis is dropped and counted in
+    ``meta["dropped_moves"]``: for the exclusion sentinels that is the
+    exact infinite-U projection, under a finite ``site_cap`` it is a
+    truncation.
     """
-    rows, cols, vals = [], [], []
-    species = (Species.UP, Species.DOWN)
-
-    def push(moved, col, coeff):
-        if moved is None:
-            return
-        out, amp = moved
-        # moves leaving the sector basis are projected out; for the
-        # exclusion sentinels this is the exact infinite-U limit
-        pos = basis.index.get(out.occ)
-        if pos is None:
-            return
-        rows.append(pos)
-        cols.append(col)
-        vals.append(coeff * amp)
-
+    pairs = []
     for edge in graph.edges:
         kmat = hop_matrices.get(edge.link)
         if kmat is None or not np.any(kmat):
@@ -260,19 +265,61 @@ def build_v_mixed(basis, graph, hop_matrices, mode_order="standard"):
                 j = complex(kmat[t, f])
                 if j == 0:
                     continue
-                for col, state in enumerate(basis.states):
-                    push(transfer(state, edge.frm, species[t],
-                                  edge.to, species[f], mode_order), col, -j)
-                    push(transfer(state, edge.to, species[f],
-                                  edge.frm, species[t], mode_order), col,
-                         -j.conjugate())
+                # the move to -> from with -J, and its reverse with -J*
+                pairs.append((np.array([2 * edge.to + f, 2 * edge.frm + t]),
+                              np.array([2 * edge.frm + t, 2 * edge.to + f]),
+                              np.array([-j, -j.conjugate()])))
+    occ = basis.occ
+    fermions = basis.statistics is Statistics.FERMION
+    if fermions:
+        if mode_order not in ("standard", "reversed"):
+            raise ValueError(f"unknown mode order {mode_order!r}")
+        # occupied modes in front of each mode in the standard order; the
+        # sign of a(to)^dag a(frm) counts the occupied modes strictly
+        # between the two, so it is the same in either mode order
+        ahead = np.cumsum(occ, axis=1) - occ
+    rows, cols = [np.zeros(0, int)], [np.zeros(0, int)]
+    vals = [np.zeros(0, complex)]
+    dropped = 0
+    for frm, to, coeff in pairs:
+        n_from, n_to = occ[:, frm], occ[:, to]
+        live = n_from > 0
+        if fermions:
+            live &= n_to == 0
+        # state by state, forward before reverse: the order of the
+        # per-state loop this replaces, so that duplicates from parallel
+        # links sum in the same order
+        col, way = np.nonzero(live)
+        n_from, n_to = n_from[col, way], n_to[col, way]
+        frm, to = frm[way], to[way]
+        # a target digit past the largest occupation is in no basis state
+        # and would carry into the next mode's digit
+        fits = n_to + 1 < basis.radix
+        row = np.full(len(col), -1)
+        row[fits] = basis.locate(basis.keys[col[fits]]
+                                 - basis.place[frm[fits]]
+                                 + basis.place[to[fits]])
+        keep = row >= 0
+        dropped += len(keep) - int(np.count_nonzero(keep))
+        col, way, frm, to = col[keep], way[keep], frm[keep], to[keep]
+        if fermions:
+            # less the atom just removed when it sat in front of `to`
+            odd = (ahead[col, frm] + ahead[col, to] - (frm < to)) % 2
+            amp = np.where(odd, -1.0, 1.0)
+        else:
+            amp = np.sqrt(n_from[keep]) * np.sqrt(n_to[keep] + 1)
+        rows.append(row[keep])
+        cols.append(col)
+        vals.append(coeff[way] * amp)
     dim = len(basis)
-    mat = sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim), dtype=complex)
-    op = SparseOperator(mat, basis, hermitian=True,
-                        meta={"kind": "tunneling", "graph": graph,
-                              "hop_matrices": dict(hop_matrices),
-                              "mode_order": mode_order})
-    return op
+    mat = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows),
+                                                np.concatenate(cols))),
+                        shape=(dim, dim), dtype=complex)
+    return SparseOperator(mat, basis, hermitian=True,
+                          meta={"kind": "tunneling", "graph": graph,
+                                "hop_matrices": dict(hop_matrices),
+                                "mode_order": mode_order,
+                                "dropped_moves": dropped})
 
 
 def build_v(basis, graph, params, mode_order="standard"):
@@ -342,11 +389,8 @@ def projector_single_occupancy(basis):
     per site; this block is isomorphic to an n-qubit spin space."""
     if basis.sector.total != basis.n_sites:
         raise ValueError("single-occupancy subspace needs one atom per site")
-    picks = []
-    for k, state in enumerate(basis.states):
-        if all(sum(state.site_occupations(s)) == 1 for s in range(basis.n_sites)):
-            picks.append(k)
-    return np.array(picks, dtype=int)
+    per_site = basis.occ[:, 0::2] + basis.occ[:, 1::2]
+    return np.flatnonzero((per_site == 1).all(axis=1))
 
 
 def derive(graph, params):

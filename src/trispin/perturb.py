@@ -39,33 +39,25 @@ class DegenerateIntermediateError(ValueError):
 class SpinMap:
     """Bijection between the M block of a Fock basis and spin configurations."""
 
-    basis: object
-    m_indices: np.ndarray
     spin_to_fock: np.ndarray   # spin index -> basis position
 
 
 def spin_map(basis, m_indices):
-    """Order the single-occupancy states as n-qubit configurations."""
+    """Order the single-occupancy states as n-qubit configurations: the
+    bit of site i (big-endian) is its down occupation."""
     n = basis.n_sites
     if len(m_indices) != 2 ** n:
         raise ValueError("single-occupancy block is not a full spin space")
-    spin_to_fock = np.full(2 ** n, -1, dtype=int)
-    for pos in m_indices:
-        state = basis.states[pos]
-        k = 0
-        for site in range(n):
-            nu, nd = state.site_occupations(site)
-            if (nu, nd) == (1, 0):
-                bit = 0
-            elif (nu, nd) == (0, 1):
-                bit = 1
-            else:
-                raise ValueError("state in M is not singly occupied")
-            k |= bit << (n - 1 - site)
-        if spin_to_fock[k] != -1:
-            raise ValueError("duplicate spin configuration in M")
-        spin_to_fock[k] = pos
-    return SpinMap(basis, np.asarray(m_indices, dtype=int), spin_to_fock)
+    m = np.asarray(m_indices, dtype=int)
+    up, dn = basis.occ[m, 0::2], basis.occ[m, 1::2]
+    if np.any(up + dn != 1):
+        raise ValueError("state in M is not singly occupied")
+    spin = dn @ (1 << np.arange(n - 1, -1, -1))
+    if np.any(np.bincount(spin, minlength=2 ** n) > 1):
+        raise ValueError("duplicate spin configuration in M")
+    spin_to_fock = np.empty(2 ** n, dtype=int)
+    spin_to_fock[spin] = m
+    return SpinMap(spin_to_fock)
 
 
 @dataclass

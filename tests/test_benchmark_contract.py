@@ -9,9 +9,9 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from trispin import conformance
+from trispin import adiabatic, conformance, hubbard, perturb
 from trispin.fock import Statistics
-from trispin.hubbard import HubbardParams, make_triangle
+from trispin.hubbard import HubbardParams, make_triangle, make_zigzag
 from trispin.perturb import PauliDecomposition
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -36,3 +36,29 @@ def test_engine_decomposition_returns_pauli_terms():
     params = HubbardParams.uniform(Statistics.FERMION, 3, 0.04, 0.03)
     dec = conformance.engine_decomposition(make_triangle(), params)[3]
     assert isinstance(dec, PauliDecomposition)
+
+
+def test_traced_facts_read_real_results():
+    """Every count hook of the tracer evaluates, on a real call of its
+    function (fermionic zig-zag, n = 4), to a non-negative int."""
+    graph = make_zigzag(4)
+    params = HubbardParams.uniform(Statistics.FERMION, graph.n_links, 0.04,
+                                   0.03)
+    basis = hubbard.hilbert_basis(graph, params)
+    h0 = hubbard.build_h0(basis, params)
+    v = hubbard.build_v(basis, graph, params)
+    m = hubbard.projector_single_occupancy(basis)
+    calls = {
+        "hubbard.build_h0": (hubbard.build_h0, (basis, params)),
+        "hubbard.build_v": (hubbard.build_v, (basis, graph, params)),
+        "adiabatic.adiabatic_eliminate": (adiabatic.adiabatic_eliminate,
+                                          (h0, v, m)),
+        "perturb.h_eff_second": (perturb.h_eff_second, (h0, v, m)),
+        "perturb.h_eff_third": (perturb.h_eff_third, (h0, v, m)),
+    }
+    facts = _load_tracing().FACTS
+    assert set(facts) == set(calls)
+    for name, (count, hook) in facts.items():
+        fn, args = calls[name]
+        value = hook(args, fn(*args))
+        assert isinstance(value, int) and value >= 0, (name, count, value)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from trispin.fock import (ANNIHILATE, CREATE, FockState, SectorSpec,
+from trispin.fock import (ANNIHILATE, CREATE, Basis, FockState, SectorSpec,
                           Species, Statistics, apply_ladder, enumerate_basis,
                           hop)
 
@@ -161,3 +161,40 @@ def test_reversed_mode_order_signs_stay_unit():
             assert np.array_equal(c, a.conj().T)
             anti = a @ c + c @ a
             assert np.abs(anti - np.eye(len(states))).max() <= 1e-14
+
+
+@pytest.mark.parametrize("n_sites, statistics, sector", [
+    (3, Statistics.BOSON, SectorSpec(n_total=3)),
+    (3, Statistics.BOSON, SectorSpec(n_total=4, site_cap=2)),
+    (3, Statistics.BOSON, SectorSpec(n_total=3,
+                                     forbid_same_species_doubles=True)),
+    (4, Statistics.FERMION, SectorSpec(n_up=2, n_down=2)),
+    (5, Statistics.FERMION, SectorSpec(n_total=5,
+                                       forbid_cross_occupancy=True)),
+])
+def test_occupation_array_and_keys(n_sites, statistics, sector):
+    basis = enumerate_basis(n_sites, statistics, sector)
+    assert basis.occ.tolist() == [list(s.occ) for s in basis.states]
+    assert np.all(np.diff(basis.keys) > 0)
+    assert np.array_equal(basis.locate(basis.keys), np.arange(len(basis)))
+    for k, state in enumerate(basis.states):
+        assert basis.position(state) == k
+        assert basis.keys[k] == sum(n * basis.radix ** (2 * n_sites - 1 - m)
+                                    for m, n in enumerate(state.occ))
+
+
+def test_locate_hand_built_basis_in_any_order():
+    lexicographic = enumerate_basis(2, Statistics.BOSON, SectorSpec(n_total=2))
+    states = lexicographic.states[::-1]
+    basis = Basis(states, Statistics.BOSON, 2, lexicographic.sector)
+    assert np.array_equal(basis.locate(lexicographic.keys),
+                          np.arange(len(states))[::-1])
+    # (0, 0, 0, 1) holds one atom and (2, 2, 2, 2) sorts after every key
+    absent = np.array([(0, 0, 0, 1), (2, 2, 2, 2)]) @ basis.place
+    assert basis.locate(absent).tolist() == [-1, -1]
+
+
+def test_occupation_keys_overflow_rejected():
+    crowded = FockState((12,) + (0,) * 23, Statistics.BOSON)
+    with pytest.raises(ValueError, match="overflow int64"):
+        Basis([crowded], Statistics.BOSON, 12, SectorSpec(n_total=12))

@@ -1,13 +1,20 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
-from trispin.fock import SectorSpec, Species, Statistics, enumerate_basis
-from trispin.hubbard import (HubbardParams, build_h0, build_v, hilbert_basis,
+from trispin.fock import (Basis, FockState, SectorSpec, Species, Statistics,
+                          enumerate_basis, transfer)
+from trispin.hubbard import (Edge, HubbardParams, LatticeGraph, build_h0,
+                             build_v, build_v_mixed, hilbert_basis,
                              make_graph, make_triangle, make_triangular_patch,
                              make_zigzag, projector_single_occupancy,
                              site_energy, zigzag_longitudinal_links)
+from trispin.raman import SU2Rotation, rotate_tunneling
 
 
 def test_triangle_edges():
@@ -184,3 +191,207 @@ def test_fermionic_triangle_projector():
     params = HubbardParams.uniform(Statistics.FERMION, 3, 0.1, 0.1, u_updn=1.0)
     basis = hilbert_basis(tri, params)
     assert len(projector_single_occupancy(basis)) == 8
+
+
+# Per-state references: the loops over FockState tuples, fock.transfer
+# and the basis.index dict that the array passes over basis.occ replace.
+
+def _reference_v(basis, graph, hop_matrices, mode_order="standard"):
+    """V as a CSR matrix, and the number of moves with a nonzero
+    amplitude whose target is not in the basis."""
+    rows, cols, vals = [], [], []
+    dropped = 0
+    species = (Species.UP, Species.DOWN)
+
+    def push(moved, col, coeff):
+        nonlocal dropped
+        if moved is None:
+            return
+        out, amp = moved
+        pos = basis.index.get(out.occ)
+        if pos is None:
+            dropped += 1
+            return
+        rows.append(pos)
+        cols.append(col)
+        vals.append(coeff * amp)
+
+    for edge in graph.edges:
+        kmat = hop_matrices.get(edge.link)
+        if kmat is None or not np.any(kmat):
+            continue
+        kmat = np.asarray(kmat)
+        for t in range(2):
+            for f in range(2):
+                j = complex(kmat[t, f])
+                if j == 0:
+                    continue
+                for col, state in enumerate(basis.states):
+                    push(transfer(state, edge.frm, species[t],
+                                  edge.to, species[f], mode_order), col, -j)
+                    push(transfer(state, edge.to, species[f],
+                                  edge.frm, species[t], mode_order), col,
+                         -j.conjugate())
+    dim = len(basis)
+    mat = sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim), dtype=complex)
+    return mat, dropped
+
+
+def _reference_h0_diagonal(basis, params):
+    diag = np.zeros(len(basis))
+    for k, state in enumerate(basis.states):
+        total = 0.0
+        for site in range(basis.n_sites):
+            total += site_energy(*state.site_occupations(site), params)
+        diag[k] = total
+    return diag
+
+
+def _reference_single_occupancy(basis):
+    return np.array([k for k, state in enumerate(basis.states)
+                     if all(sum(state.site_occupations(s)) == 1
+                            for s in range(basis.n_sites))], dtype=int)
+
+
+def _assert_same_v(op, basis, graph, hop_matrices, mode_order="standard"):
+    want, dropped = _reference_v(basis, graph, hop_matrices, mode_order)
+    got = op.mat
+    assert got.indptr.dtype == want.indptr.dtype
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.data, want.data)
+    assert op.meta["dropped_moves"] == dropped
+    return dropped
+
+
+def _species_diagonal_hops(graph, params):
+    return {e.link: np.diag([params.j(e.link, Species.UP),
+                             params.j(e.link, Species.DOWN)])
+            for e in graph.edges}
+
+
+def _random_params(graph, statistics, rng):
+    tun = {(e.link, s): complex(rng.uniform(0.02, 0.05),
+                                rng.uniform(-0.02, 0.02))
+           for e in graph.edges for s in Species}
+    if statistics is Statistics.FERMION:
+        return HubbardParams(statistics, u_updn=1.0, tunneling=tun)
+    return HubbardParams(statistics, u_upup=rng.uniform(0.8, 1.4),
+                         u_dndn=rng.uniform(0.8, 1.4), u_updn=1.0,
+                         tunneling=tun)
+
+
+@pytest.mark.parametrize("graph, statistics", [
+    *[(make_zigzag(n), Statistics.FERMION) for n in (4, 5, 6, 7)],
+    *[(make_zigzag(n), Statistics.BOSON) for n in (4, 5)],
+    (make_triangle(), Statistics.FERMION),
+    (make_triangle(), Statistics.BOSON),
+], ids=lambda x: getattr(x, "geometry", getattr(x, "value", None)))
+def test_v_h0_and_m_equal_per_state_references(graph, statistics):
+    rng = np.random.default_rng(graph.n_sites)
+    params = _random_params(graph, statistics, rng)
+    basis = hilbert_basis(graph, params)
+    hops = _species_diagonal_hops(graph, params)
+    v = build_v(basis, graph, params)
+    assert _assert_same_v(v, basis, graph, hops) == 0
+    reversed_v = build_v(basis, graph, params, mode_order="reversed")
+    _assert_same_v(reversed_v, basis, graph, hops, "reversed")
+    assert np.array_equal(build_h0(basis, params).diagonal().real,
+                          _reference_h0_diagonal(basis, params))
+    m = projector_single_occupancy(basis)
+    assert m.dtype == _reference_single_occupancy(basis).dtype
+    assert np.array_equal(m, _reference_single_occupancy(basis))
+
+
+@pytest.mark.parametrize("statistics", list(Statistics))
+def test_rotated_species_mixing_v_equals_reference(statistics):
+    tri = make_triangle()
+    rng = np.random.default_rng(11)
+    params = _random_params(tri, statistics, rng)
+    basis = hilbert_basis(tri, params)
+    v = build_v(basis, tri, params)
+    g = SU2Rotation(0.4, 0.9)
+    rotated = rotate_tunneling(v, g)
+    gm = g.matrix
+    hops = {link: gm.conj().T @ kmat @ gm
+            for link, kmat in _species_diagonal_hops(tri, params).items()}
+    _assert_same_v(rotated, basis, tri, hops)
+
+
+@pytest.mark.parametrize("statistics, sector, dropped", [
+    (Statistics.BOSON, SectorSpec(n_total=4, site_cap=2), 120),
+    (Statistics.BOSON, SectorSpec(n_total=3, forbid_cross_occupancy=True),
+     96),
+    (Statistics.BOSON, SectorSpec(n_total=3,
+                                  forbid_same_species_doubles=True), 96),
+    (Statistics.BOSON, SectorSpec(n_total=3), 0),
+    (Statistics.FERMION, SectorSpec(n_total=3, forbid_cross_occupancy=True),
+     48),
+    (Statistics.FERMION, SectorSpec(n_total=3), 0),
+])
+def test_dropped_moves_counted(statistics, sector, dropped):
+    """Moves that leave a truncated or excluding sector are counted."""
+    tri = make_triangle()
+    basis = enumerate_basis(3, statistics, sector)
+    hops = {link: np.ones((2, 2)) for link in range(3)}
+    for mode_order in ("standard", "reversed"):
+        v = build_v_mixed(basis, tri, hops, mode_order)
+        assert _assert_same_v(v, basis, tri, hops, mode_order) == dropped
+
+
+def test_hand_built_basis_equals_reference():
+    """States out of order and with mixed atom numbers.  Moving the atom
+    of mode 0 onto the full mode 2 of (1, 0, 1, 0) would carry a key
+    digit into (0, 1, 0, 0); the move must be dropped instead."""
+    states = [FockState(occ, Statistics.BOSON) for occ in
+              ((1, 0, 1, 0), (0, 1, 0, 0), (0, 0, 1, 1), (1, 0, 0, 0))]
+    basis = Basis(states, Statistics.BOSON, 2, SectorSpec(n_total=2))
+    assert basis.radix == 2
+    graph = _pair_graph()
+    hops = {0: np.array([[0.3, 0.1j], [0.2, -0.4]])}
+    v = build_v_mixed(basis, graph, hops)
+    assert _assert_same_v(v, basis, graph, hops) > 0
+
+
+def test_unknown_mode_order_rejected():
+    basis = enumerate_basis(3, Statistics.FERMION, SectorSpec(n_total=3))
+    hops = {link: np.eye(2) for link in range(3)}
+    with pytest.raises(ValueError, match="unknown mode order"):
+        build_v_mixed(basis, make_triangle(), hops, "sideways")
+
+
+@st.composite
+def _v_cases(draw):
+    n_sites = draw(st.integers(3, 4))
+    pairs = list(itertools.combinations(range(n_sites), 2))
+    # a pair may repeat: parallel links put duplicate entries into V
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1,
+                           max_size=len(pairs) + 1))
+    edges = tuple(Edge(link, *(pair if draw(st.booleans()) else pair[::-1]))
+                  for link, pair in enumerate(chosen))
+    graph = LatticeGraph(n_sites, edges, "drawn")
+    statistics = draw(st.sampled_from(list(Statistics)))
+    n_total = draw(st.integers(1, n_sites + 1))
+    sector = SectorSpec(
+        n_total=n_total,
+        site_cap=draw(st.sampled_from([None, 1, 2])),
+        forbid_cross_occupancy=draw(st.booleans()),
+        forbid_same_species_doubles=draw(st.booleans()))
+    entry = st.one_of(st.just(0.0), st.floats(-1.0, 1.0))
+    hops = {e.link: np.array([[complex(draw(entry), draw(entry))
+                               for _ in range(2)] for _ in range(2)])
+            for e in edges}
+    mode_order = draw(st.sampled_from(["standard", "reversed"]))
+    return graph, statistics, sector, hops, mode_order
+
+
+@settings(max_examples=60, deadline=None)
+@given(_v_cases())
+def test_v_matches_per_state_reference_property(case):
+    graph, statistics, sector, hops, mode_order = case
+    try:
+        basis = enumerate_basis(graph.n_sites, statistics, sector)
+    except ValueError:
+        reject()
+    v = build_v_mixed(basis, graph, hops, mode_order)
+    _assert_same_v(v, basis, graph, hops, mode_order)
