@@ -24,7 +24,7 @@ from .closedform import (CouplingSet, SpinHamiltonianSpec,
 from .raman import (SU2Rotation, rotate_tunneling, spin_rotation_matrix,
                     covariance_check, hop_matrix)
 from .chainlab import (SpectrumReport, diagonalize, chirality_operator,
-                       zzz_chain, zzz_chain_sparse, duality_scan,
+                       zzz_chain_sparse, duality_scan,
                        detect_nnn_terms, zzz_ground_space_bruteforce,
                        circulating_state)
 

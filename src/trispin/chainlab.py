@@ -15,7 +15,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import pauli
-from .closedform import EPSILON_PATTERNS
+from .closedform import EPSILON_PATTERNS, check_boundary
 from .perturb import PauliDecomposition
 
 DENSE_LIMIT = 2 ** 16
@@ -98,13 +98,12 @@ def extremal_eigenvalues(h_sparse, k=6):
 def chirality_operator(n_sites, triangles=((0, 1, 2),)):
     """Sum of mixed products sigma_i . (sigma_j x sigma_k) over oriented
     triangles; odd vertex permutations flip the sign."""
-    dim = 2 ** n_sites
-    out = np.zeros((dim, dim), dtype=complex)
+    coeffs = {}
     for (i, j, k) in triangles:
         for pattern, sign in EPSILON_PATTERNS:
             string = pauli.embed(pattern, (i, j, k), n_sites)
-            out += sign * pauli.string_matrix(string)
-    return out
+            coeffs[string] = coeffs.get(string, 0.0) + sign
+    return pauli.pauli_sum(coeffs, n_sites)
 
 
 def circulating_state(n_down_positions, omega):
@@ -124,6 +123,7 @@ def _z_patterns(n):
 
 def zzz_diagonal(n, boundary="periodic"):
     """Diagonal of -sum_i Z_i Z_{i+1} Z_{i+2} over all configurations."""
+    check_boundary(boundary)
     z = _z_patterns(n)
     count = n if boundary == "periodic" else n - 2
     diag = np.zeros(2 ** n)
@@ -132,14 +132,8 @@ def zzz_diagonal(n, boundary="periodic"):
     return diag
 
 
-def zzz_chain(bx, bz, n, boundary="periodic"):
-    """Dense matrix of -sum_i (bx X_i + bz Z_i + Z_i Z_{i+1} Z_{i+2})."""
-    if n > 16:
-        raise ValueError("dense chain limited to 16 sites")
-    return zzz_chain_sparse(bx, bz, n, boundary).toarray()
-
-
 def zzz_chain_sparse(bx, bz, n, boundary="periodic"):
+    """Sparse matrix of -sum_i (bx X_i + bz Z_i + Z_i Z_{i+1} Z_{i+2})."""
     dim = 2 ** n
     j = np.arange(dim)
     diag = zzz_diagonal(n, boundary) - bz * _z_patterns(n).sum(axis=1)

@@ -119,6 +119,9 @@ def _grid(config, args, axis):
     lo = float(_setting(args, config, f"{axis}_min", 0.0))
     hi = float(_setting(args, config, f"{axis}_max", required=True))
     steps = int(_setting(args, config, f"{axis}_steps", required=True))
+    if steps < 1:
+        raise UsageError(f"--{axis.replace('_', '-')}-steps must be at "
+                         "least 1")
     return [lo + (hi - lo) * k / (steps - 1) if steps > 1 else lo
             for k in range(steps)]
 
@@ -173,6 +176,10 @@ def cmd_chain(args, config):
     lo = float(_setting(args, config, "bx_min", 0.5))
     hi = float(_setting(args, config, "bx_max", 1.5))
     step = float(_setting(args, config, "bx_step", 0.05))
+    if step <= 0:
+        raise UsageError("--bx-step must be positive")
+    if lo > hi:
+        raise UsageError("--bx-min must not exceed --bx-max")
     count = int(round((hi - lo) / step)) + 1
     grid = [lo + k * step for k in range(count)]
     scan = chainlab.duality_scan(np.asarray(grid), n)
@@ -201,12 +208,8 @@ def cmd_chiral(args, config):
     params = closedform.chirality_point_params(magnitude, scale)
     h = h_eff_up_to_third(*derive(make_triangle(), params))
     dec = pauli_decompose(h)
-    matrix = h.matrix.copy()
-    zeeman = {}
-    for site in range(3):
-        string = "".join("Z" if k == site else "I" for k in range(3))
-        zeeman[string] = dec[string]
-        matrix -= dec[string] * pauli.string_matrix(string)
+    zeeman = {s: dec[s] for s in ("ZII", "IZI", "IIZ")}
+    matrix = h.matrix - pauli.pauli_sum(zeeman, 3)
     report = chainlab.diagonalize(matrix, k=2)
     tau4 = magnitude ** 3 / scale ** 2
     ground = report.eigenvectors

@@ -27,17 +27,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import pauli
 from .fock import Species, Statistics
 
 EPSILON_PATTERNS = (("XYZ", 1.0), ("YZX", 1.0), ("ZXY", 1.0),
                     ("XZY", -1.0), ("ZYX", -1.0), ("YXZ", -1.0))
 
-# Expected coefficients below this fraction of the largest one are
-# summation roundoff of the Pauli decomposition, not couplings.
-ROUNDOFF_CUT = 1e-12
+
+def check_boundary(boundary):
+    """Reject a chain boundary rule other than "periodic" or "open"."""
+    if boundary not in ("periodic", "open"):
+        raise ValueError(f"unknown boundary {boundary!r}; expected "
+                         "'periodic' or 'open'")
 
 
 @dataclass
@@ -276,20 +277,19 @@ class SpinHamiltonianSpec:
     boundary: str = "periodic"
     terms: list = field(default_factory=list)
 
+    def __post_init__(self):
+        check_boundary(self.boundary)
+
     def add(self, pattern, offset, coeff):
         if coeff != 0.0:
             self.terms.append((pattern, offset, coeff))
 
 
-def build_spin_hamiltonian(spec, return_dropped=False):
-    """Dense matrix of a term list under the boundary rule.
-
-    Open-boundary terms that fall off the edge are dropped (and
-    returned when ``return_dropped`` is set), never an error.
-    """
+def _summed_strings(spec):
+    """String -> summed coefficient map of a term list under its
+    boundary rule, and the open-boundary terms that fall off the edge."""
     n = spec.n_sites
-    dim = 2 ** n
-    out = np.zeros((dim, dim), dtype=complex)
+    coeffs = {}
     dropped = []
     for pattern, offset, coeff in spec.terms:
         sites = [offset + k for k in range(len(pattern))]
@@ -299,7 +299,18 @@ def build_spin_hamiltonian(spec, return_dropped=False):
             dropped.append((pattern, offset, coeff))
             continue
         string = pauli.embed(pattern, sites, n)
-        out += coeff * pauli.string_matrix(string)
+        coeffs[string] = coeffs.get(string, 0.0) + coeff
+    return coeffs, dropped
+
+
+def build_spin_hamiltonian(spec, return_dropped=False):
+    """Dense matrix of a term list under the boundary rule.
+
+    Open-boundary terms that fall off the edge are dropped (and
+    returned when ``return_dropped`` is set), never an error.
+    """
+    coeffs, dropped = _summed_strings(spec)
+    out = pauli.pauli_sum(coeffs, spec.n_sites)
     if return_dropped:
         return out, dropped
     return out
@@ -359,9 +370,7 @@ def coupling_matrix(couplings):
 
 
 def expected_string_coefficients(couplings):
-    """Exact Pauli-string coefficients implied by a coupling set, without
-    the roundoff strings below ``ROUNDOFF_CUT`` times the largest one."""
-    from .perturb import pauli_decompose
-    dec = pauli_decompose(coupling_matrix(couplings))
-    scale = max(abs(c) for c in dec.coeffs.values())
-    return dec.nonzero(ROUNDOFF_CUT * scale)
+    """Pauli-string coefficients implied by a coupling set: its term list
+    summed per string, without the strings that cancel exactly."""
+    coeffs, _ = _summed_strings(triangle_spin_spec(couplings))
+    return {s: c for s, c in coeffs.items() if c != 0}

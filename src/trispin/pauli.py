@@ -2,6 +2,8 @@
 
 Strings are written with site 0 leftmost; the matching spin basis index
 is big-endian, bit 0 of the leftmost site, with 0 = up and 1 = down.
+In mask form a string is P = i^#Y X^x Z^z, with x the bit mask of its
+X/Y sites and z that of its Z/Y sites; site i is bit n - 1 - i.
 """
 
 from __future__ import annotations
@@ -18,17 +20,10 @@ PAULI = {
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
 
-# permutation/phase form: letter -> (bit flip, phase(bit))
-_ACTION = {
-    "I": (0, (1.0, 1.0)),
-    "X": (1, (1.0, 1.0)),
-    "Y": (1, (1j, -1j)),
-    "Z": (0, (1.0, -1.0)),
-}
-
 
 def string_matrix(string):
-    """Dense matrix of an n-letter Pauli string."""
+    """Dense matrix of an n-letter Pauli string as a Kronecker product:
+    the reference that ``pauli_sum`` is tested against."""
     out = np.array([[1.0 + 0j]])
     for letter in string:
         out = np.kron(out, PAULI[letter])
@@ -50,57 +45,60 @@ def all_strings(n_sites):
         yield "".join(letters)
 
 
+def _mask_form(codes):
+    """Masks ``x``, ``z`` and ``phase = i^#Y`` of strings given as rows
+    of letter codes 0..3 = I, X, Y, Z (Y = i X Z gives the phase)."""
+    bits = 1 << np.arange(codes.shape[1] - 1, -1, -1)
+    x = ((codes == 1) | (codes == 2)) @ bits
+    z = (codes >= 2) @ bits
+    phase = np.array([1, 1j, -1, -1j])[(codes == 2).sum(axis=1) % 4]
+    return x, z, phase
+
+
 @functools.lru_cache(maxsize=None)
 def string_masks(n_sites):
     """Bit-mask form of ``all_strings(n_sites)``, in the same order.
 
-    Returns ``(strings, x, z, phase)``: the tuple of strings and, per
-    string, its X/Y bit mask ``x``, its Z/Y bit mask ``z`` and
-    ``phase = i^#Y``, so that P = phase * X^x Z^z with Y = i X Z.  The
-    arrays are read-only; the result is cached per ``n_sites``.
+    Returns ``(strings, x, z, phase)``; the arrays are read-only and the
+    result is cached per ``n_sites``.
     """
-    shifts = np.arange(n_sites - 1, -1, -1)   # site i is bit n - 1 - i
+    shifts = np.arange(n_sites - 1, -1, -1)
     # letter of site i in string s: base-4 digit, 0..3 = I, X, Y, Z
     digits = (np.arange(4 ** n_sites)[:, None] >> (2 * shifts)) & 3
-    x = ((digits == 1) | (digits == 2)) @ (1 << shifts)
-    z = (digits >= 2) @ (1 << shifts)
-    phase = np.array([1, 1j, -1, -1j])[(digits == 2).sum(axis=1) % 4]
-    letters = np.frombuffer(b"IXYZ", dtype="S1")[digits]
-    words = letters.view(f"S{n_sites}").ravel() if n_sites else [b""]
-    strings = tuple(np.asarray(words).astype(str).tolist())
+    x, z, phase = _mask_form(digits)
+    strings = tuple(all_strings(n_sites))
     for arr in (x, z, phase):
         arr.flags.writeable = False
     return strings, x, z, phase
 
 
-def string_action(string):
-    """Return (flip_mask, phase_fn) so that P|j> = phase(j)|j ^ mask>."""
-    n = len(string)
-    mask = 0
-    flips = []
-    for site, letter in enumerate(string):
-        bit = n - 1 - site
-        flip, phases = _ACTION[letter]
-        if flip:
-            mask |= 1 << bit
-        flips.append((bit, phases))
+def pauli_sum(coeffs, n_sites):
+    """Dense matrix of sum_s c_s P_s for a string -> coefficient map.
 
-    def phase(j):
-        p = 1.0 + 0j
-        for bit, phases in flips:
-            p *= phases[(j >> bit) & 1]
-        return p
-
-    return mask, phase
+    P|k> = i^#Y (-1)^(z.k) |k ^ x>, so string s puts c_s i^#Y (-1)^(z.k)
+    at [k ^ x, k]; the strings sharing a flip mask x are summed at once.
+    """
+    dim = 2 ** n_sites
+    out = np.zeros((dim, dim), dtype=complex)
+    codes = np.array([["IXYZ".index(ch) for ch in s] for s in coeffs],
+                     dtype=np.int64).reshape(len(coeffs), n_sites)
+    x, z, phase = _mask_form(codes)
+    weights = phase * np.array(list(coeffs.values()), dtype=complex)
+    k = np.arange(dim)
+    parity = np.zeros(1, dtype=np.int64)   # bit parity of 0 .. dim - 1
+    for _ in range(n_sites):
+        parity = np.concatenate([parity, 1 - parity])
+    for flip in np.unique(x):
+        pick = x == flip
+        signs = 1 - 2 * parity[z[pick, None] & k]
+        out[k ^ flip, k] += weights[pick] @ signs
+    return out
 
 
 def string_trace_with(string, matrix):
-    """Tr(P M) evaluated without forming the string matrix."""
-    mask, phase = string_action(string)
-    dim = matrix.shape[0]
-    # sum_j <j|P M|j> = sum_j phase(j') M[j', j] with j' = j ^ mask
-    total = 0.0 + 0j
-    for j in range(dim):
-        jp = j ^ mask
-        total += phase(jp) * matrix[jp, j]
-    return total
+    """Tr(P M) with P the Kronecker-product matrix of the string.
+
+    Independent of the mask form, so it serves as the reference for
+    ``perturb.pauli_decompose``.
+    """
+    return np.sum(string_matrix(string) * np.asarray(matrix).T)

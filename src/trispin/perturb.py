@@ -194,12 +194,7 @@ class PauliDecomposition:
         return {s: c for s, c in self.coeffs.items() if abs(c) > tol}
 
     def reconstruct(self):
-        dim = 2 ** self.n_sites
-        out = np.zeros((dim, dim), dtype=complex)
-        for string, coeff in self.coeffs.items():
-            if coeff != 0:
-                out += coeff * pauli.string_matrix(string)
-        return out
+        return pauli.pauli_sum(self.coeffs, self.n_sites)
 
     def weight(self, string):
         """Number of non-identity letters."""

@@ -1,10 +1,12 @@
-"""The names the benchmark's tracer binds must exist in the package.
+"""The names the benchmark's tracer and worker use must exist in the
+package.
 
-``perfbench/tracing.py`` is loaded by path and left unchanged, so a
-deleted or renamed traced function fails here rather than in a
-benchmark run.
+``perfbench/tracing.py`` and ``perfbench/worker.py`` are read by path and
+left unchanged, so a deleted or renamed function fails here rather than
+in a benchmark run.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -14,7 +16,12 @@ from trispin.fock import Statistics
 from trispin.hubbard import HubbardParams, make_triangle, make_zigzag
 from trispin.perturb import PauliDecomposition
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
+WORKER = PERFBENCH / "worker.py"
+# package modules the worker imports by name and reads attributes of
+WORKER_MODULES = ("adiabatic", "chainlab", "cli", "closedform",
+                  "conformance", "hubbard", "perturb")
 
 
 def _load_tracing():
@@ -29,6 +36,19 @@ def test_traced_targets_resolve():
     missing = [f"{module}.{name}" for module, name in _load_tracing().TARGETS
                if not callable(getattr(
                    importlib.import_module(f"trispin.{module}"), name, None))]
+    assert missing == []
+
+
+def test_worker_attributes_resolve():
+    tree = ast.parse(WORKER.read_text())
+    read = {(node.value.id, node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in WORKER_MODULES}
+    assert {module for module, _ in read} == set(WORKER_MODULES)
+    missing = sorted(f"{module}.{name}" for module, name in read
+                     if not hasattr(importlib.import_module(
+                         f"trispin.{module}"), name))
     assert missing == []
 
 

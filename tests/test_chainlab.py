@@ -61,7 +61,7 @@ def test_chirality_ground_states_are_circulating_patterns():
 
 
 def test_zzz_chain_ground_manifold():
-    h = chainlab.zzz_chain(0.0, 0.0, 6)
+    h = chainlab.zzz_chain_sparse(0.0, 0.0, 6).toarray()
     report = chainlab.diagonalize(h)
     assert report.ground_energy == pytest.approx(-6.0)
     assert report.ground_degeneracy == 4
@@ -90,7 +90,7 @@ def test_zzz_chain_period_three_patterns():
 def test_zzz_chain_frustrated_length():
     # the aligned state always satisfies every triple, but the three
     # period-3 patterns do not wrap when 3 does not divide n
-    h = chainlab.zzz_chain(0.0, 0.0, 5)
+    h = chainlab.zzz_chain_sparse(0.0, 0.0, 5).toarray()
     report = chainlab.diagonalize(h)
     assert report.ground_energy == pytest.approx(-5.0)
     assert report.ground_degeneracy == 1
@@ -98,16 +98,10 @@ def test_zzz_chain_frustrated_length():
 
 def test_zzz_chain_paramagnetic_limit():
     n = 6
-    h = chainlab.zzz_chain(30.0, 0.0, n)
+    h = chainlab.zzz_chain_sparse(30.0, 0.0, n).toarray()
     _, evecs = np.linalg.eigh(h)
     plus = np.full(2 ** n, 1.0 / np.sqrt(2 ** n))
     assert abs(plus @ evecs[:, 0]) ** 2 >= 0.99
-
-
-def test_zzz_sparse_matches_dense():
-    h_dense = chainlab.zzz_chain(0.7, 0.2, 6)
-    h_sparse = chainlab.zzz_chain_sparse(0.7, 0.2, 6).toarray()
-    assert np.abs(h_dense - h_sparse).max() <= 1e-14
 
 
 @pytest.mark.parametrize("boundary", ["periodic", "open"])
@@ -124,6 +118,15 @@ def test_zzz_sparse_matches_term_list(n, boundary):
     expected = closedform.build_spin_hamiltonian(spec)
     h = chainlab.zzz_chain_sparse(bx, bz, n, boundary).toarray()
     assert np.abs(h - expected).max() <= 1e-14
+
+
+@pytest.mark.parametrize("build", [
+    lambda boundary: chainlab.zzz_diagonal(6, boundary),
+    lambda boundary: chainlab.zzz_chain_sparse(0.7, 0.2, 6, boundary),
+], ids=["zzz_diagonal", "zzz_chain_sparse"])
+def test_unknown_boundary_rejected(build):
+    with pytest.raises(ValueError, match="unknown boundary 'periodc'"):
+        build("periodc")
 
 
 def test_duality_scan_small_chain():

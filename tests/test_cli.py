@@ -65,6 +65,23 @@ def test_scan_hard_cap(capsys):
     assert "hard cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args, message", [
+    (["chain", "--bx-step", "0"], "--bx-step must be positive"),
+    (["chain", "--bx-step", "-0.1"], "--bx-step must be positive"),
+    (["chain", "--bx-min", "1.2", "--bx-max", "0.8"],
+     "--bx-min must not exceed --bx-max"),
+    (["scan", "--family", "fermionic", "--j-up-max", "0.05",
+      "--j-up-steps", "0", "--j-dn-max", "0.05", "--j-dn-steps", "2"],
+     "--j-up-steps must be at least 1"),
+], ids=["zero-step", "negative-step", "min-above-max", "zero-steps"])
+def test_bad_grid_is_a_usage_error(capsys, args, message):
+    # rejected with exit 2 before any output is written
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_scan_fermionic_symmetric_diagonal_kills_mu3(capsys):
     code = main(["scan", "--family", "fermionic", "--u", "1",
                  "--j-up-min", "0.02", "--j-up-max", "0.08",

@@ -165,6 +165,11 @@ def test_build_spin_hamiltonian_drops_open_boundary_terms():
     assert np.allclose(matrix, 0.5 * pauli.string_matrix("ZII"))
 
 
+def test_unknown_boundary_rejected():
+    with pytest.raises(ValueError, match="unknown boundary 'periodc'"):
+        closedform.SpinHamiltonianSpec(3, "periodc")
+
+
 def test_fermionic_exchange_annihilates_aligned_state():
     params = _uniform_params(Statistics.FERMION, 0.08, 0.05)
     cs = closedform.fermionic_couplings(params)
@@ -266,7 +271,7 @@ def test_engine_agreement_over_random_draws():
             assert worst <= tol
 
 
-def test_expected_strings_drop_only_roundoff():
+def test_expected_strings_match_decomposition():
     rng = np.random.default_rng(3)
     sets = [
         closedform.fermionic_couplings(
@@ -281,12 +286,14 @@ def test_expected_strings_drop_only_roundoff():
         closedform.rotated_xy_couplings(0.1, U),
         closedform.CouplingSet("chirality", {"tau4": 0.7}),
     ]
-    dropped = 0
     for cs in sets:
+        # the summed term list against the decomposition of its matrix,
+        # which carries only summation roundoff on the other strings
+        expected = closedform.expected_string_coefficients(cs)
+        tol = 1e-15 * max(abs(c) for c in expected.values())
         coeffs = pauli_decompose(closedform.coupling_matrix(cs)).coeffs
-        cut = closedform.ROUNDOFF_CUT * max(abs(c) for c in coeffs.values())
-        kept = closedform.expected_string_coefficients(cs)
-        assert kept == {s: c for s, c in coeffs.items() if abs(c) > cut}
-        dropped += sum(0 < abs(c) <= cut for c in coeffs.values())
-    # the complex bosonic set carries a roundoff string that the cut removes
-    assert dropped > 0
+        for string, c in expected.items():
+            assert abs(coeffs[string] - c) <= tol, (cs.family, string)
+        for string, c in coeffs.items():
+            if string not in expected:
+                assert abs(c) <= tol, (cs.family, string)

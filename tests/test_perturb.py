@@ -220,6 +220,29 @@ def test_pauli_reconstruction_and_parseval(n):
     assert power == pytest.approx(np.linalg.norm(m, "fro") ** 2, rel=1e-13)
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_pauli_sum_matches_kron_products(n):
+    rng = np.random.default_rng(300 + n)
+    strings = list(pauli.all_strings(n))
+    terms = [(s, complex(rng.normal(), rng.normal()))
+             for s in rng.choice(strings, min(len(strings), 40),
+                                 replace=False)]
+    # embedded patterns that land on one string more than once
+    terms += [(pauli.embed("Y", (site,), n), 0.3 + 0.1j)
+              for site in range(n)] * 2
+    if n > 1:
+        terms += [(pauli.embed("XY", (0, n - 1), n), 0.5 - 0.25j),
+                  (pauli.embed("YX", (n - 1, 0), n), -0.5j)]
+    coeffs = {}
+    for string, c in terms:
+        coeffs[string] = coeffs.get(string, 0.0) + c
+    reference = sum(c * pauli.string_matrix(s) for s, c in terms)
+    tol = 1e-14 * sum(abs(c) for c in coeffs.values())
+    assert np.abs(pauli.pauli_sum(coeffs, n) - reference).max() <= tol
+    assert np.array_equal(pauli.pauli_sum({}, n),
+                          np.zeros((2 ** n, 2 ** n)))
+
+
 def test_json_records_sorted():
     dec = pauli_decompose(pauli.string_matrix("XZ"))
     records = dec.to_json_records()
