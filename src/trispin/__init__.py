@@ -9,8 +9,8 @@ from .hubbard import (LatticeGraph, HubbardParams, SparseOperator,
                       make_triangular_patch, hilbert_basis, sector_for,
                       build_h0, build_v, build_v_mixed, derive,
                       projector_single_occupancy, zigzag_longitudinal_links)
-from .perturb import (EffectiveHamiltonian, PauliDecomposition, SpinMap,
-                      Partition, spin_map, partition, h_eff_second,
+from .perturb import (EffectiveHamiltonian, PauliDecomposition, Partition,
+                      spin_map, partition, h_eff_second,
                       h_eff_third, h_eff_up_to_third, cross_second,
                       pauli_decompose, validate_by_evolution,
                       DegenerateIntermediateError)

@@ -67,6 +67,11 @@ def _triangle_params(family, j_up, j_dn, u_upup, u_dndn, u_updn):
 
 
 def _couplings_for(family, j_up, j_dn, u_upup, u_dndn, u_updn):
+    if family == "rotated_xy":
+        return closedform.rotated_xy_couplings(j_up, u_updn)
+    # every other family is a scan family derived from HubbardParams
+    if family not in SCAN_COLUMNS:
+        raise UsageError(f"unknown family {family!r}")
     if family in ("complex_bosonic", "complex_fermionic"):
         j_up, j_dn = 1j * j_up, 1j * j_dn
     params = _triangle_params(family, j_up, j_dn, u_upup, u_dndn, u_updn)
@@ -74,11 +79,7 @@ def _couplings_for(family, j_up, j_dn, u_upup, u_dndn, u_updn):
         return closedform.bosonic_couplings(params)
     if family == "fermionic":
         return closedform.fermionic_couplings(params)
-    if family in ("complex_bosonic", "complex_fermionic"):
-        return closedform.complex_tunneling_couplings(params)
-    if family == "rotated_xy":
-        return closedform.rotated_xy_couplings(j_up, u_updn)
-    raise UsageError(f"unknown family {family!r}")
+    return closedform.complex_tunneling_couplings(params)
 
 
 def cmd_couplings(args, config):
@@ -137,7 +138,11 @@ def cmd_scan(args, config):
     u_dndn = float(u_dndn) if u_dndn is not None else None
     ups = _grid(config, args, "j_up")
     dns = _grid(config, args, "j_dn")
-    scale = min(abs(u) for u in (u_upup, u_dndn, u_updn) if u)
+    energies = [abs(u) for u in (u_upup, u_dndn, u_updn) if u]
+    if not energies:
+        raise UsageError("scan needs a nonzero collision energy to bound "
+                         "J/U")
+    scale = min(energies)
     peak = max(max(map(abs, ups)), max(map(abs, dns))) / scale
     if peak > HARD_CAP:
         raise UsageError(
@@ -173,6 +178,8 @@ def cmd_verify(args, config):
 
 def cmd_chain(args, config):
     n = int(_setting(args, config, "sites", 12))
+    if n < 1 or n % 3:
+        raise UsageError("--sites must be a positive multiple of 3")
     lo = float(_setting(args, config, "bx_min", 0.5))
     hi = float(_setting(args, config, "bx_max", 1.5))
     step = float(_setting(args, config, "bx_step", 0.05))

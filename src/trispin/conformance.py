@@ -105,10 +105,11 @@ class DrawResult:
         }
 
 
-def run_triangle_draw(params, variant="certified", u_scale=1.0,
+def run_triangle_draw(params, variants=("certified",), u_scale=1.0,
                       j_over_u=None):
     """Audit one parameter draw: engine vs formulas vs elimination.
 
+    One ``DrawResult`` per variant, all from one derivation.
     ``j_over_u`` defaults to the largest |J| over the smallest nonzero
     collision energy of the draw, since the fourth-order tail that both
     tolerances bound grows as J^4 / U_min^3.
@@ -126,14 +127,17 @@ def run_triangle_draw(params, variant="certified", u_scale=1.0,
     if j_over_u > SOFT_REGIME_LIMIT:
         warnings.append(f"perturbative-regime warning: J/U = {j_over_u:.3g}")
     ops, h2, h3, engine_dec = engine_decomposition(graph, params)
-    couplings = audit_couplings(params, variant)
-    expected = closedform.expected_string_coefficients(couplings)
-    tol = formula_tolerance(j_over_u, u_scale)
-    entries, n_fail = _compare_strings(engine_dec, expected, tol)
     exact = adiabatic_eliminate(*ops)
-    residual = la.norm(exact.h_eff.matrix - (h2.matrix + h3.matrix), 2)
-    return DrawResult(couplings.family, j_over_u, tol, entries, n_fail,
-                      float(residual), warnings)
+    residual = float(la.norm(exact.h_eff.matrix - (h2.matrix + h3.matrix), 2))
+    tol = formula_tolerance(j_over_u, u_scale)
+    results = []
+    for variant in variants:
+        couplings = audit_couplings(params, variant)
+        expected = closedform.expected_string_coefficients(couplings)
+        entries, n_fail = _compare_strings(engine_dec, expected, tol)
+        results.append(DrawResult(couplings.family, j_over_u, tol, entries,
+                                  n_fail, residual, list(warnings)))
+    return results
 
 
 def random_triangle_params(statistics, rng, j_scale, u_scale=1.0,
@@ -214,8 +218,8 @@ def run_verification(n_draws=20, seed=2024, j_over_u=0.05,
             params = random_triangle_params(
                 statistics, rng, j_over_u,
                 u_ratios=(rng.uniform(0.8, 1.4), rng.uniform(0.8, 1.4)))
-            certified = run_triangle_draw(params, "certified")
-            audit = run_triangle_draw(params, "printed")
+            certified, audit = run_triangle_draw(params,
+                                                 ("certified", "printed"))
             if certified.adiabatic_vs_engine > oracle_tolerance(
                     certified.j_over_u, 1.0):
                 report["hard_failures"].append({

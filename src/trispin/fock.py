@@ -7,16 +7,16 @@ index of (site, species) is ``2*site + species``.  That flat order is
 also the fermionic sign convention: the amplitude of a ladder operator
 on mode m picks up (-1)**(number of occupied modes preceding m).
 
-A ``Basis`` holds the same occupations twice.  ``states`` are the
-``FockState`` objects, the per-state reference that ``apply_ladder`` and
-``transfer`` act on.  ``occ`` is the integer array (dim x 2n) whose row
-k is ``states[k].occ``, and ``keys`` reads each row as one mixed-radix
-integer, mode 0 the most significant digit, with radix one more than
-the largest occupation in the basis.  Equal keys are equal tuples, and
-lexicographic order of the tuples is ascending key order, so the keys
-of an ``enumerate_basis`` basis are strictly increasing.  Operators are
+A ``Basis`` is its occupation array: ``occ`` (dim x 2n) holds one state
+per row, and ``keys`` reads each row as one mixed-radix integer, mode 0
+the most significant digit, with radix one more than the largest
+occupation in the basis.  Equal keys are equal rows, and lexicographic
+order of the rows is ascending key order, so the keys of an
+``enumerate_basis`` basis are strictly increasing.  Operators are
 assembled from ``occ`` by array passes, and a moved state is found with
-``Basis.locate`` on its key instead of a dict lookup on a new tuple.
+``Basis.locate`` on its key.  ``FockState`` with ``apply_ladder``,
+``transfer`` and ``hop``, in either fermionic mode order, is the
+per-state reference that the array passes are tested against.
 """
 
 from __future__ import annotations
@@ -114,31 +114,25 @@ class SectorSpec:
         return self.n_up + self.n_down
 
 
-@dataclass
+@dataclass(eq=False)
 class Basis:
-    """Ordered sector basis with an exact state -> position map.
-
-    ``occ``, ``radix``, ``place`` (the key weight of each mode) and
-    ``keys`` are derived from ``states`` (see the module docstring); a
-    sector whose keys would not fit in int64 raises ``ValueError``.
+    """Ordered sector basis: ``occ`` (rows of occupations, stored as
+    int64) and, derived from it, ``radix``, ``place`` (the key weight of
+    each mode) and ``keys``.  Keys that would overflow int64 raise
+    ``ValueError``.
     """
 
-    states: list
+    occ: np.ndarray = field(repr=False)
     statistics: Statistics
     n_sites: int
     sector: SectorSpec
-    index: dict = field(repr=False, default=None)
-    occ: np.ndarray = field(init=False, repr=False, compare=False)
-    radix: int = field(init=False, repr=False, compare=False)
-    place: np.ndarray = field(init=False, repr=False, compare=False)
-    keys: np.ndarray = field(init=False, repr=False, compare=False)
+    radix: int = field(init=False, repr=False)
+    place: np.ndarray = field(init=False, repr=False)
+    keys: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.index is None:
-            self.index = {state.occ: k for k, state in enumerate(self.states)}
         n_modes = 2 * self.n_sites
-        self.occ = np.array([state.occ for state in self.states],
-                            dtype=np.int64).reshape(-1, n_modes)
+        self.occ = np.asarray(self.occ, dtype=np.int64).reshape(-1, n_modes)
         self.radix = max(2, int(self.occ.max(initial=0)) + 1)
         if self.radix ** n_modes - 1 > np.iinfo(np.int64).max:
             raise ValueError(f"occupation keys overflow int64: radix "
@@ -150,6 +144,12 @@ class Basis:
         self._key_order = np.argsort(self.keys, kind="stable")
         self._sorted_keys = self.keys[self._key_order]
 
+    @property
+    def states(self):
+        """The rows as ``FockState`` objects, built on every read."""
+        return [FockState(tuple(row), self.statistics)
+                for row in self.occ.tolist()]
+
     def locate(self, keys):
         """Basis positions of occupation keys, -1 where a key is absent."""
         slot = np.searchsorted(self._sorted_keys, keys)
@@ -158,18 +158,20 @@ class Basis:
         return np.where(found, self._key_order[slot], -1)
 
     def __len__(self):
-        return len(self.states)
+        return len(self.occ)
 
     @property
     def dim(self):
-        return len(self.states)
-
-    def position(self, state):
-        return self.index[state.occ]
+        return len(self.occ)
 
 
 def enumerate_basis(n_sites, statistics, sector):
     """Enumerate all states of a sector in lexicographic occupation order.
+
+    Rows grow one mode at a time: a partial row branches into the
+    ascending occupations of the next mode that the later modes, at most
+    ``cap`` each, can still complete.  Each mode keeps only its digits
+    and parent rows; the full rows are read back from the last mode.
 
     Raises ``ValueError("empty basis")`` when the sector admits no
     states (e.g. more fermions than available modes).
@@ -181,44 +183,37 @@ def enumerate_basis(n_sites, statistics, sector):
         sector.site_cap if sector.site_cap is not None else total)
     n_modes = 2 * n_sites
 
-    states = []
-    occ = [0] * n_modes
-
-    def remaining_possible(mode, need):
-        # crude budget bound: every remaining mode can hold up to `cap`
-        return need <= cap * (n_modes - mode)
-
-    def emit():
-        state = FockState(tuple(occ), statistics)
-        if sector.n_up is not None:
-            if state.n_up != sector.n_up or state.n_down != sector.n_down:
-                return
-        if sector.forbid_cross_occupancy:
-            for site in range(n_sites):
-                if occ[2 * site] > 0 and occ[2 * site + 1] > 0:
-                    return
-        if sector.forbid_same_species_doubles:
-            if any(n > 1 for n in occ):
-                return
-        states.append(state)
-
-    def recurse(mode, placed):
-        if mode == n_modes:
-            if placed == total:
-                emit()
-            return
+    placed = np.zeros(1, dtype=np.int64)
+    digits, parents = [], []
+    for mode in range(n_modes):
         need = total - placed
-        if not remaining_possible(mode, need):
-            return
-        for n in range(0, min(cap, need) + 1):
-            occ[mode] = n
-            recurse(mode + 1, placed + n)
-        occ[mode] = 0
+        low = np.maximum(need - cap * (n_modes - mode - 1), 0)
+        count = np.maximum(np.minimum(need, cap) - low + 1, 0)
+        parent = np.repeat(np.arange(len(placed)), count)
+        # rank among the siblings plus the lowest digit
+        digit = (np.arange(len(parent)) - (np.cumsum(count) - count)[parent]
+                 + low[parent])
+        placed = placed[parent] + digit
+        digits.append(digit)
+        parents.append(parent)
+    occ = np.empty((len(placed), n_modes), dtype=np.int64)
+    row = np.arange(len(placed))
+    for mode in range(n_modes - 1, -1, -1):
+        occ[:, mode] = digits[mode][row]
+        row = parents[mode][row]
 
-    recurse(0, 0)
-    if not states:
+    up, dn = occ[:, 0::2], occ[:, 1::2]
+    keep = np.ones(len(occ), dtype=bool)
+    if sector.n_up is not None:
+        keep &= (up.sum(axis=1) == sector.n_up) \
+            & (dn.sum(axis=1) == sector.n_down)
+    if sector.forbid_cross_occupancy:
+        keep &= ~((up > 0) & (dn > 0)).any(axis=1)
+    if sector.forbid_same_species_doubles:
+        keep &= ~(occ > 1).any(axis=1)
+    if not keep.any():
         raise ValueError("empty basis")
-    return Basis(states=states, statistics=statistics, n_sites=n_sites,
+    return Basis(occ=occ[keep], statistics=statistics, n_sites=n_sites,
                  sector=sector)
 
 

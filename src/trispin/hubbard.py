@@ -43,9 +43,6 @@ class LatticeGraph:
     def n_links(self):
         return len(self.edges)
 
-    def chain_distance(self, edge):
-        return abs(edge.frm - edge.to)
-
 
 def make_triangle():
     """Three sites on a ring; link j joins sites j and j+1 mod 3."""
@@ -239,7 +236,7 @@ def build_h0(basis, params):
                           meta={"kind": "collision", "params": params})
 
 
-def build_v_mixed(basis, graph, hop_matrices, mode_order="standard"):
+def build_v_mixed(basis, graph, hop_matrices):
     """Tunneling operator from per-link 2x2 species hopping matrices.
 
     ``hop_matrices[link][t, f]`` multiplies -a(from, t)^dag a(to, f); the
@@ -272,8 +269,6 @@ def build_v_mixed(basis, graph, hop_matrices, mode_order="standard"):
     occ = basis.occ
     fermions = basis.statistics is Statistics.FERMION
     if fermions:
-        if mode_order not in ("standard", "reversed"):
-            raise ValueError(f"unknown mode order {mode_order!r}")
         # occupied modes in front of each mode in the standard order; the
         # sign of a(to)^dag a(frm) counts the occupied modes strictly
         # between the two, so it is the same in either mode order
@@ -318,11 +313,10 @@ def build_v_mixed(basis, graph, hop_matrices, mode_order="standard"):
     return SparseOperator(mat, basis, hermitian=True,
                           meta={"kind": "tunneling", "graph": graph,
                                 "hop_matrices": dict(hop_matrices),
-                                "mode_order": mode_order,
                                 "dropped_moves": dropped})
 
 
-def build_v(basis, graph, params, mode_order="standard"):
+def build_v(basis, graph, params):
     """Species-diagonal tunneling operator from HubbardParams."""
     hop_matrices = {}
     for edge in graph.edges:
@@ -330,7 +324,7 @@ def build_v(basis, graph, params, mode_order="standard"):
         kmat[0, 0] = params.j(edge.link, Species.UP)
         kmat[1, 1] = params.j(edge.link, Species.DOWN)
         hop_matrices[edge.link] = kmat
-    op = build_v_mixed(basis, graph, hop_matrices, mode_order)
+    op = build_v_mixed(basis, graph, hop_matrices)
     op.meta["params"] = params
     return op
 

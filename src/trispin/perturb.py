@@ -35,16 +35,10 @@ class DegenerateIntermediateError(ValueError):
     """An intermediate state reachable from M has zero collision energy."""
 
 
-@dataclass
-class SpinMap:
-    """Bijection between the M block of a Fock basis and spin configurations."""
-
-    spin_to_fock: np.ndarray   # spin index -> basis position
-
-
 def spin_map(basis, m_indices):
-    """Order the single-occupancy states as n-qubit configurations: the
-    bit of site i (big-endian) is its down occupation."""
+    """Order the single-occupancy states as n-qubit configurations:
+    entry k is the basis position of configuration k, whose bit i
+    (big-endian) is the down occupation of site i."""
     n = basis.n_sites
     if len(m_indices) != 2 ** n:
         raise ValueError("single-occupancy block is not a full spin space")
@@ -57,7 +51,7 @@ def spin_map(basis, m_indices):
         raise ValueError("duplicate spin configuration in M")
     spin_to_fock = np.empty(2 ** n, dtype=int)
     spin_to_fock[spin] = m
-    return SpinMap(spin_to_fock)
+    return spin_to_fock
 
 
 @dataclass
@@ -108,7 +102,7 @@ def partition(h0, v, m_indices):
     """Split H0 and V into the single-occupancy block M, in spin order,
     and its complement F, densifying V once."""
     dim = h0.dim
-    m = spin_map(h0.basis, m_indices).spin_to_fock
+    m = spin_map(h0.basis, m_indices)
     in_f = np.ones(dim, dtype=bool)
     in_f[m] = False
     f = np.flatnonzero(in_f)

@@ -74,8 +74,7 @@ def rotate_tunneling(v, g, basis=None, j_plus=None, j_minus=None):
         else:
             diag = kmat
         rotated[link] = gm.conj().T @ diag @ gm
-    return build_v_mixed(basis, graph, rotated,
-                         v.meta.get("mode_order", "standard"))
+    return build_v_mixed(basis, graph, rotated)
 
 
 def spin_rotation_matrix(g, n_sites):

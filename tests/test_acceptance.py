@@ -97,10 +97,9 @@ def test_criterion_3_fermionic_formula_conformance():
     audit_findings = 0
     for _ in range(20):
         params = random_triangle_params(Statistics.FERMION, rng, j_over_u)
-        certified = run_triangle_draw(params, "certified",
-                                      j_over_u=j_over_u)
+        certified, audit = run_triangle_draw(
+            params, ("certified", "printed"), j_over_u=j_over_u)
         assert certified.n_failed == 0, "certified couplings must match"
-        audit = run_triangle_draw(params, "printed", j_over_u=j_over_u)
         flagged = {e["pauli"] for e in audit.entries if not e["pass"]}
         assert flagged <= THREE_SPIN_STRINGS, (
             "only the three-spin sign findings may differ from the "
@@ -137,7 +136,7 @@ def test_criterion_4_bosonic_formula_conformance():
         params = random_triangle_params(
             Statistics.BOSON, rng, j_over_u,
             u_ratios=(rng.uniform(0.8, 1.4), rng.uniform(0.8, 1.4)))
-        draw = run_triangle_draw(params, "certified", j_over_u=j_over_u)
+        [draw] = run_triangle_draw(params, j_over_u=j_over_u)
         report_rows.append(draw.to_json_dict())
         worst_oracle = max(worst_oracle, draw.adiabatic_vs_engine)
         assert draw.n_failed == 0

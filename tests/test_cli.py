@@ -46,6 +46,32 @@ def test_couplings_bosonic_plateau_point(capsys):
     assert abs(payload["values"]["lambda1"][0]) < 2e-4
 
 
+def test_couplings_rotated_xy_needs_no_same_species_energies(capsys):
+    code = main(["couplings", "--family", "rotated_xy", "--j-up", "0.1",
+                 "--u", "1"])
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["family"] == "rotated_xy"
+    assert payload["values"]["nu3"] == pytest.approx(-5e-4)
+
+
+def test_couplings_unknown_family_exits_2(capsys):
+    code = main(["couplings", "--family", "nope", "--j-up", "0.1",
+                 "--u", "1"])
+    assert code == 2
+    assert "unknown family 'nope'" in capsys.readouterr().err
+
+
+def test_scan_with_zero_collision_energies_exits_2(capsys):
+    code = main(["scan", "--family", "bosonic", "--u", "0", "--uuu", "0",
+                 "--udd", "0", "--j-up-max", "0.05", "--j-up-steps", "2",
+                 "--j-dn-max", "0.05", "--j-dn-steps", "2"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "nonzero collision energy" in captured.err
+
+
 def test_scan_shape_and_header(capsys):
     code = main(["scan", "--family", "bosonic", "--uuu", "1", "--udd", "1",
                  "--u", "1", "--j-up-min", "0.01", "--j-up-max", "0.1",
@@ -73,7 +99,11 @@ def test_scan_hard_cap(capsys):
     (["scan", "--family", "fermionic", "--j-up-max", "0.05",
       "--j-up-steps", "0", "--j-dn-max", "0.05", "--j-dn-steps", "2"],
      "--j-up-steps must be at least 1"),
-], ids=["zero-step", "negative-step", "min-above-max", "zero-steps"])
+    (["chain", "--sites", "0"], "--sites must be a positive multiple of 3"),
+    (["chain", "--sites", "-3"], "--sites must be a positive multiple of 3"),
+    (["chain", "--sites", "4"], "--sites must be a positive multiple of 3"),
+], ids=["zero-step", "negative-step", "min-above-max", "zero-steps",
+        "zero-sites", "negative-sites", "sites-not-multiple-of-3"])
 def test_bad_grid_is_a_usage_error(capsys, args, message):
     # rejected with exit 2 before any output is written
     assert main(args) == 2

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from trispin import conformance
 from trispin.conformance import (formula_tolerance, oracle_tolerance,
                                  run_triangle_draw, run_verification,
                                  scaling_ladder)
@@ -20,7 +21,7 @@ def _uniform(statistics, j):
 def test_regime_guards():
     with pytest.raises(ValueError, match="hard cap"):
         run_triangle_draw(_uniform(Statistics.FERMION, 0.55))
-    draw = run_triangle_draw(_uniform(Statistics.FERMION, 0.4))
+    [draw] = run_triangle_draw(_uniform(Statistics.FERMION, 0.4))
     assert any("perturbative-regime" in w for w in draw.warnings)
 
 
@@ -50,11 +51,31 @@ def test_full_report_structure():
 def test_draw_tolerances_use_lowest_collision_energy():
     params = HubbardParams.uniform(Statistics.BOSON, 3, 0.04, 0.02,
                                    u_updn=1.0, u_upup=0.8, u_dndn=1.2)
-    draw = run_triangle_draw(params)
+    [draw] = run_triangle_draw(params)
     assert draw.j_over_u == pytest.approx(0.05)
     assert draw.tolerance == pytest.approx(formula_tolerance(0.05, 1.0))
-    fermion = run_triangle_draw(_uniform(Statistics.FERMION, 0.04))
+    [fermion] = run_triangle_draw(_uniform(Statistics.FERMION, 0.04))
     assert fermion.j_over_u == pytest.approx(0.04)
+
+
+def test_one_derivation_per_draw(monkeypatch):
+    """Both audit variants of a draw share one derivation: two draws, a
+    four-point ladder for each statistics and two covariance sections."""
+    calls = []
+    derive = conformance.derive
+    monkeypatch.setattr(conformance, "derive",
+                        lambda *args: calls.append(args) or derive(*args))
+    run_verification(n_draws=1, seed=11)
+    assert len(calls) == 2 + 2 * 4 + 2
+
+
+def test_draw_variants_share_the_engine():
+    params = HubbardParams.uniform(Statistics.FERMION, 3, 0.05, -0.02)
+    certified, printed = run_triangle_draw(params, ("certified", "printed"))
+    [alone] = run_triangle_draw(params, ("printed",))
+    assert printed.to_json_dict() == alone.to_json_dict()
+    assert printed.adiabatic_vs_engine == certified.adiabatic_vs_engine
+    assert certified.n_failed == 0 and printed.n_failed > 0
 
 
 def test_verification_has_no_false_oracle_alarm_at_seed_4():

@@ -38,7 +38,7 @@ def test_negative_cutoff_raises():
 def test_index_round_trip():
     basis = enumerate_basis(3, Statistics.BOSON, SectorSpec(n_total=3))
     for k, state in enumerate(basis.states):
-        assert basis.position(state) == k
+        assert basis.locate(np.array(state.occ) @ basis.place) == k
 
 
 def test_deterministic_lexicographic_order():
@@ -92,6 +92,14 @@ def test_out_of_range_site_raises():
     state = FockState((1, 0), Statistics.BOSON)
     with pytest.raises(ValueError):
         apply_ladder(state, 1, Species.UP, CREATE)
+
+
+def test_unknown_mode_order_rejected():
+    state = FockState((1, 0, 0, 0), Statistics.FERMION)
+    with pytest.raises(ValueError, match="unknown mode order"):
+        apply_ladder(state, 1, Species.UP, CREATE, "sideways")
+    with pytest.raises(ValueError, match="unknown mode order"):
+        hop(state, 0, 1, Species.UP, "sideways")
 
 
 def _full_fermion_space(n_sites):
@@ -174,27 +182,83 @@ def test_reversed_mode_order_signs_stay_unit():
 ])
 def test_occupation_array_and_keys(n_sites, statistics, sector):
     basis = enumerate_basis(n_sites, statistics, sector)
+    assert all(isinstance(s, FockState) and s.statistics is statistics
+               for s in basis.states)
     assert basis.occ.tolist() == [list(s.occ) for s in basis.states]
     assert np.all(np.diff(basis.keys) > 0)
     assert np.array_equal(basis.locate(basis.keys), np.arange(len(basis)))
     for k, state in enumerate(basis.states):
-        assert basis.position(state) == k
         assert basis.keys[k] == sum(n * basis.radix ** (2 * n_sites - 1 - m)
                                     for m, n in enumerate(state.occ))
 
 
 def test_locate_hand_built_basis_in_any_order():
     lexicographic = enumerate_basis(2, Statistics.BOSON, SectorSpec(n_total=2))
-    states = lexicographic.states[::-1]
-    basis = Basis(states, Statistics.BOSON, 2, lexicographic.sector)
+    basis = Basis(lexicographic.occ[::-1], Statistics.BOSON, 2,
+                  lexicographic.sector)
     assert np.array_equal(basis.locate(lexicographic.keys),
-                          np.arange(len(states))[::-1])
+                          np.arange(len(basis))[::-1])
     # (0, 0, 0, 1) holds one atom and (2, 2, 2, 2) sorts after every key
     absent = np.array([(0, 0, 0, 1), (2, 2, 2, 2)]) @ basis.place
     assert basis.locate(absent).tolist() == [-1, -1]
 
 
 def test_occupation_keys_overflow_rejected():
-    crowded = FockState((12,) + (0,) * 23, Statistics.BOSON)
+    crowded = [(12,) + (0,) * 23]
     with pytest.raises(ValueError, match="overflow int64"):
-        Basis([crowded], Statistics.BOSON, 12, SectorSpec(n_total=12))
+        Basis(crowded, Statistics.BOSON, 12, SectorSpec(n_total=12))
+
+
+def _brute_force_occ(n_sites, statistics, sector):
+    """Every occupation tuple of the sector, by filtering the full
+    product of per-mode occupations, in lexicographic order."""
+    total = sector.total
+    cap = 1 if statistics is Statistics.FERMION else (
+        total if sector.site_cap is None else sector.site_cap)
+    rows = []
+    for occ in itertools.product(range(cap + 1), repeat=2 * n_sites):
+        up, dn = occ[0::2], occ[1::2]
+        if sum(occ) != total:
+            continue
+        if sector.n_up is not None and (sum(up), sum(dn)) != (sector.n_up,
+                                                              sector.n_down):
+            continue
+        if sector.forbid_cross_occupancy and any(u and d
+                                                 for u, d in zip(up, dn)):
+            continue
+        if sector.forbid_same_species_doubles and max(occ) > 1:
+            continue
+        rows.append(list(occ))
+    return rows
+
+
+def _sectors(max_total):
+    for total in range(max_total + 1):
+        for cap in (None, 1, 2):
+            for cross in (False, True):
+                for doubles in (False, True):
+                    yield SectorSpec(n_total=total, site_cap=cap,
+                                     forbid_cross_occupancy=cross,
+                                     forbid_same_species_doubles=doubles)
+        for n_up in range(total + 1):
+            yield SectorSpec(n_up=n_up, n_down=total - n_up)
+
+
+@pytest.mark.parametrize("n_sites, statistics", [
+    *[(n, Statistics.BOSON) for n in (1, 2, 3)],
+    *[(n, Statistics.FERMION) for n in (1, 2, 3, 4, 5)],
+])
+def test_enumeration_equals_brute_force_filter(n_sites, statistics):
+    max_total = n_sites + 1 if statistics is Statistics.BOSON else 2 * n_sites
+    checked = 0
+    for sector in _sectors(max_total):
+        want = _brute_force_occ(n_sites, statistics, sector)
+        if not want:
+            with pytest.raises(ValueError, match="empty basis"):
+                enumerate_basis(n_sites, statistics, sector)
+            continue
+        basis = enumerate_basis(n_sites, statistics, sector)
+        assert basis.occ.dtype == np.int64
+        assert basis.occ.tolist() == want
+        checked += 1
+    assert checked > 0

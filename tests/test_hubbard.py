@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from trispin.fock import (Basis, FockState, SectorSpec, Species, Statistics,
+from trispin.fock import (Basis, SectorSpec, Species, Statistics,
                           enumerate_basis, transfer)
 from trispin.hubbard import (Edge, HubbardParams, LatticeGraph, build_h0,
                              build_v, build_v_mixed, hilbert_basis,
@@ -117,8 +117,8 @@ def test_two_site_pair_amplitude():
                                    u_updn=1.0, u_upup=1.0, u_dndn=1.0)
     basis = enumerate_basis(2, Statistics.BOSON, SectorSpec(n_up=2, n_down=0))
     v = build_v(basis, graph, params)
-    k20 = basis.index[(2, 0, 0, 0)]
-    k11 = basis.index[(1, 0, 1, 0)]
+    k20, k11 = basis.locate(np.array([(2, 0, 0, 0), (1, 0, 1, 0)])
+                            @ basis.place)
     assert v.to_dense()[k11, k20] == pytest.approx(-j * math.sqrt(2))
 
 
@@ -193,8 +193,9 @@ def test_fermionic_triangle_projector():
     assert len(projector_single_occupancy(basis)) == 8
 
 
-# Per-state references: the loops over FockState tuples, fock.transfer
-# and the basis.index dict that the array passes over basis.occ replace.
+# Per-state references: loops over FockState objects, fock.transfer and
+# a dict from occupation tuple to position, against which the array
+# passes over basis.occ are checked.
 
 def _reference_v(basis, graph, hop_matrices, mode_order="standard"):
     """V as a CSR matrix, and the number of moves with a nonzero
@@ -202,13 +203,15 @@ def _reference_v(basis, graph, hop_matrices, mode_order="standard"):
     rows, cols, vals = [], [], []
     dropped = 0
     species = (Species.UP, Species.DOWN)
+    states = basis.states
+    index = {state.occ: k for k, state in enumerate(states)}
 
     def push(moved, col, coeff):
         nonlocal dropped
         if moved is None:
             return
         out, amp = moved
-        pos = basis.index.get(out.occ)
+        pos = index.get(out.occ)
         if pos is None:
             dropped += 1
             return
@@ -226,7 +229,7 @@ def _reference_v(basis, graph, hop_matrices, mode_order="standard"):
                 j = complex(kmat[t, f])
                 if j == 0:
                     continue
-                for col, state in enumerate(basis.states):
+                for col, state in enumerate(states):
                     push(transfer(state, edge.frm, species[t],
                                   edge.to, species[f], mode_order), col, -j)
                     push(transfer(state, edge.to, species[f],
@@ -293,9 +296,8 @@ def test_v_h0_and_m_equal_per_state_references(graph, statistics):
     basis = hilbert_basis(graph, params)
     hops = _species_diagonal_hops(graph, params)
     v = build_v(basis, graph, params)
-    assert _assert_same_v(v, basis, graph, hops) == 0
-    reversed_v = build_v(basis, graph, params, mode_order="reversed")
-    _assert_same_v(reversed_v, basis, graph, hops, "reversed")
+    for mode_order in ("standard", "reversed"):
+        assert _assert_same_v(v, basis, graph, hops, mode_order) == 0
     assert np.array_equal(build_h0(basis, params).diagonal().real,
                           _reference_h0_diagonal(basis, params))
     m = projector_single_occupancy(basis)
@@ -315,7 +317,8 @@ def test_rotated_species_mixing_v_equals_reference(statistics):
     gm = g.matrix
     hops = {link: gm.conj().T @ kmat @ gm
             for link, kmat in _species_diagonal_hops(tri, params).items()}
-    _assert_same_v(rotated, basis, tri, hops)
+    for mode_order in ("standard", "reversed"):
+        _assert_same_v(rotated, basis, tri, hops, mode_order)
 
 
 @pytest.mark.parametrize("statistics, sector, dropped", [
@@ -334,8 +337,8 @@ def test_dropped_moves_counted(statistics, sector, dropped):
     tri = make_triangle()
     basis = enumerate_basis(3, statistics, sector)
     hops = {link: np.ones((2, 2)) for link in range(3)}
+    v = build_v_mixed(basis, tri, hops)
     for mode_order in ("standard", "reversed"):
-        v = build_v_mixed(basis, tri, hops, mode_order)
         assert _assert_same_v(v, basis, tri, hops, mode_order) == dropped
 
 
@@ -343,21 +346,13 @@ def test_hand_built_basis_equals_reference():
     """States out of order and with mixed atom numbers.  Moving the atom
     of mode 0 onto the full mode 2 of (1, 0, 1, 0) would carry a key
     digit into (0, 1, 0, 0); the move must be dropped instead."""
-    states = [FockState(occ, Statistics.BOSON) for occ in
-              ((1, 0, 1, 0), (0, 1, 0, 0), (0, 0, 1, 1), (1, 0, 0, 0))]
-    basis = Basis(states, Statistics.BOSON, 2, SectorSpec(n_total=2))
+    occ = [(1, 0, 1, 0), (0, 1, 0, 0), (0, 0, 1, 1), (1, 0, 0, 0)]
+    basis = Basis(occ, Statistics.BOSON, 2, SectorSpec(n_total=2))
     assert basis.radix == 2
     graph = _pair_graph()
     hops = {0: np.array([[0.3, 0.1j], [0.2, -0.4]])}
     v = build_v_mixed(basis, graph, hops)
     assert _assert_same_v(v, basis, graph, hops) > 0
-
-
-def test_unknown_mode_order_rejected():
-    basis = enumerate_basis(3, Statistics.FERMION, SectorSpec(n_total=3))
-    hops = {link: np.eye(2) for link in range(3)}
-    with pytest.raises(ValueError, match="unknown mode order"):
-        build_v_mixed(basis, make_triangle(), hops, "sideways")
 
 
 @st.composite
@@ -393,5 +388,5 @@ def test_v_matches_per_state_reference_property(case):
         basis = enumerate_basis(graph.n_sites, statistics, sector)
     except ValueError:
         reject()
-    v = build_v_mixed(basis, graph, hops, mode_order)
+    v = build_v_mixed(basis, graph, hops)
     _assert_same_v(v, basis, graph, hops, mode_order)

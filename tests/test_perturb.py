@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 import scipy.linalg as la
+import scipy.sparse as sp
 
-from trispin import pauli
+from trispin import fock, pauli
 from trispin.adiabatic import adiabatic_eliminate
-from trispin.fock import SectorSpec, Species, Statistics, enumerate_basis
-from trispin.hubbard import (Edge, HubbardParams, LatticeGraph, build_h0,
-                             build_v, derive, hilbert_basis, make_triangle,
-                             make_zigzag, projector_single_occupancy)
+from trispin.fock import (SectorSpec, Species, Statistics, enumerate_basis,
+                          hop)
+from trispin.hubbard import (Edge, HubbardParams, LatticeGraph,
+                             SparseOperator, build_h0, build_v, derive,
+                             hilbert_basis, make_triangle, make_zigzag,
+                             projector_single_occupancy)
 from trispin.perturb import (DegenerateIntermediateError, h_eff_second,
                              h_eff_third, h_eff_up_to_third, partition,
                              pauli_decompose, spin_map, validate_by_evolution)
@@ -28,8 +31,7 @@ def _pair_setup(j, statistics=Statistics.FERMION):
     return basis, h0, v, m
 
 
-def _triangle_setup(j_up, j_dn, statistics, u_upup=U, u_dndn=U, u_updn=U,
-                    mode_order="standard"):
+def _triangle_setup(j_up, j_dn, statistics, u_upup=U, u_dndn=U, u_updn=U):
     tri = make_triangle()
     if statistics is Statistics.FERMION:
         params = HubbardParams.uniform(statistics, 3, j_up, j_dn,
@@ -40,7 +42,7 @@ def _triangle_setup(j_up, j_dn, statistics, u_upup=U, u_dndn=U, u_updn=U,
                                        u_dndn=u_dndn)
     basis = hilbert_basis(tri, params)
     h0 = build_h0(basis, params)
-    v = build_v(basis, tri, params, mode_order=mode_order)
+    v = build_v(basis, tri, params)
     m = projector_single_occupancy(basis)
     return basis, h0, v, m
 
@@ -48,10 +50,10 @@ def _triangle_setup(j_up, j_dn, statistics, u_upup=U, u_dndn=U, u_updn=U,
 def test_spin_map_labels():
     basis, h0, v, m = _triangle_setup(0.1, 0.1, Statistics.BOSON)
     smap = spin_map(basis, m)
-    all_up = basis.states[smap.spin_to_fock[0]]
+    all_up = basis.states[smap[0]]
     assert all(all_up.site_occupations(i) == (1, 0) for i in range(3))
     # |up down down> sits at spin index 0b011 = 3
-    state = basis.states[smap.spin_to_fock[3]]
+    state = basis.states[smap[3]]
     assert state.site_occupations(0) == (1, 0)
     assert state.site_occupations(1) == (0, 1)
     assert state.site_occupations(2) == (0, 1)
@@ -77,7 +79,7 @@ def _basis_order_reference(h0, v, m):
     exact = 0.5 * (exact + exact.conj().T)
     position = np.empty(h0.dim, dtype=int)
     position[m] = np.arange(len(m))
-    perm = position[spin_map(h0.basis, m).spin_to_fock]
+    perm = position[spin_map(h0.basis, m)]
     return [block[np.ix_(perm, perm)] for block in (h2, h3, exact)]
 
 
@@ -93,8 +95,7 @@ def test_partition_puts_m_in_spin_order(n, statistics):
         "u_upup": rng.uniform(0.8, 1.4), "u_dndn": rng.uniform(0.8, 1.4)}
     params = HubbardParams(statistics, u_updn=1.0, tunneling=tun, **u_same)
     h0, v, m = derive(graph, params)
-    assert np.array_equal(partition(h0, v, m).m,
-                          spin_map(h0.basis, m).spin_to_fock)
+    assert np.array_equal(partition(h0, v, m).m, spin_map(h0.basis, m))
     got = (h_eff_second(h0, v, m).matrix, h_eff_third(h0, v, m).matrix,
            adiabatic_eliminate(h0, v, m).h_eff.matrix)
     for block, want in zip(got, _basis_order_reference(h0, v, m)):
@@ -136,7 +137,7 @@ def test_second_order_diagonal_against_enumeration_oracle():
     vd = v.to_dense()
     energies = h0.diagonal().real
     f = np.setdiff1d(np.arange(len(basis)), m)
-    pos = smap.spin_to_fock[0]          # |up up up>
+    pos = smap[0]                       # |up up up>
     amps = vd[f, pos]
     oracle = -np.sum(np.abs(amps) ** 2 / energies[f])
     engine = h_eff_second(h0, v, m).matrix[0, 0].real
@@ -300,15 +301,37 @@ def test_order_scaling_power_laws():
     assert n3a / n3b == pytest.approx(8.0, rel=1e-10)
 
 
+def _per_state_v(basis, graph, params, mode_order):
+    """V summed move by move with fock.hop in the given mode order."""
+    states = basis.states
+    index = {state.occ: k for k, state in enumerate(states)}
+    vd = np.zeros((len(states), len(states)), dtype=complex)
+    for edge in graph.edges:
+        for species in Species:
+            j = params.j(edge.link, species)
+            # the move edge.to -> edge.frm with -J, the reverse with -J*
+            for src, dst, amp in ((edge.to, edge.frm, -j),
+                                  (edge.frm, edge.to, -j.conjugate())):
+                for col, state in enumerate(states):
+                    moved = hop(state, src, dst, species, mode_order)
+                    if moved is not None and moved[0].occ in index:
+                        vd[index[moved[0].occ], col] += amp * moved[1]
+    return SparseOperator(sp.csr_matrix(vd), basis, hermitian=True)
+
+
 def test_mode_order_convention_independence():
+    """The effective model from build_v equals the one from V summed
+    state by state in either fermionic mode order."""
     for statistics in Statistics:
-        _, h0a, va, ma = _triangle_setup(0.08, 0.05, statistics)
-        _, h0b, vb, mb = _triangle_setup(0.08, 0.05, statistics,
-                                         mode_order="reversed")
-        da = pauli_decompose(h_eff_up_to_third(h0a, va, ma))
-        db = pauli_decompose(h_eff_up_to_third(h0b, vb, mb))
-        worst = max(abs(da[s] - db[s]) for s in da.coeffs)
-        assert worst <= 1e-12
+        basis, h0, v, m = _triangle_setup(0.08, 0.05, statistics)
+        params = v.meta["params"]
+        want = pauli_decompose(h_eff_up_to_third(h0, v, m))
+        for mode_order in ("standard", "reversed"):
+            ref = _per_state_v(basis, make_triangle(), params, mode_order)
+            got = pauli_decompose(h_eff_up_to_third(h0, ref, m))
+            strings = set(want.coeffs) | set(got.coeffs)
+            worst = max(abs(want[s] - got[s]) for s in strings)
+            assert worst <= 1e-12
 
 
 def test_evolution_validation_zero_coupling():
@@ -335,3 +358,25 @@ def test_evolution_validation_frozen_bound():
     heff = h_eff_up_to_third(h0, v, m)
     residual = validate_by_evolution(h0, v, m, heff, t=50.0)
     assert residual <= 3000 * j ** 4 * 50.0
+
+
+def test_pipeline_builds_no_per_state_objects(monkeypatch):
+    """Basis, H0, V, M, both orders, the Pauli decomposition and the
+    elimination run on the occupation array alone."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("FockState built on the pipeline")
+
+    monkeypatch.setattr(fock, "FockState", refuse)
+    zigzag = make_zigzag(4)
+    cases = [
+        (zigzag, HubbardParams.uniform(Statistics.FERMION, zigzag.n_links,
+                                       0.04, 0.03)),
+        (make_triangle(), HubbardParams.uniform(
+            Statistics.BOSON, 3, 0.04, 0.03, u_upup=1.1, u_dndn=1.2)),
+    ]
+    for graph, params in cases:
+        h0, v, m = derive(graph, params)
+        dec = pauli_decompose(h_eff_second(h0, v, m) + h_eff_third(h0, v, m))
+        exact = adiabatic_eliminate(h0, v, m)
+        assert dec.n_sites == graph.n_sites
+        assert exact.h_eff.matrix.shape == (2 ** graph.n_sites,) * 2
