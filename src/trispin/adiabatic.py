@@ -55,10 +55,10 @@ def _factor_fast_block(hff):
     return lu, (np.inf if rcond == 0 else 1.0 / rcond)
 
 
-def adiabatic_eliminate(h0, v, m_indices, cond_limit=COND_LIMIT):
+def adiabatic_eliminate(h0, v, m_indices):
     """Exact elimination of the fast block; returns the spin-ordered
     effective Hamiltonian and the estimated 1-norm condition number of
-    the fast block."""
+    the fast block, which must not exceed ``COND_LIMIT``."""
     p = partition(h0, v, m_indices)
     # H0 is diagonal: H_MM and H_FF are V's blocks plus the energies
     block = p.vmm
@@ -68,14 +68,14 @@ def adiabatic_eliminate(h0, v, m_indices, cond_limit=COND_LIMIT):
         hff = p.vff
         hff[np.diag_indices_from(hff)] += p.ef
         lu, cond = _factor_fast_block(hff)
-        if not np.isfinite(cond) or cond > cond_limit:
+        if not np.isfinite(cond) or cond > COND_LIMIT:
             raise ValueError(
                 "fast block not invertible; parameters too close to resonance")
         block = block - p.vmf @ la.lu_solve(lu, p.vmf.conj().T,
                                             check_finite=False)
     block = 0.5 * (block + block.conj().T)
-    heff = EffectiveHamiltonian(block, order="all", provenance="adiabatic")
-    return AdiabaticResult(heff, float(cond), (h0.dim, len(p.f), len(p.m)))
+    return AdiabaticResult(EffectiveHamiltonian(block), float(cond),
+                           (h0.dim, len(p.f), len(p.m)))
 
 
 def truncated_series(h0, v, m_indices, order=3):
@@ -83,17 +83,19 @@ def truncated_series(h0, v, m_indices, order=3):
 
     Order 2 reproduces the superexchange formula and order 3 adds the
     two-intermediate term; both must agree with the perturbative engine
-    to machine precision.
+    to machine precision.  No other order is computed.
     """
+    if order not in (2, 3):
+        raise ValueError(f"series order {order!r} not implemented; "
+                         "only orders 2 and 3 are")
     p = partition(h0, v, m_indices)
     ef = p.ef
     if np.any(np.abs(ef) < 1e-12 * p.energy_scale):
         raise ValueError("zero-energy fast state; series undefined")
     block = -(p.vmf / ef) @ p.vmf.conj().T
-    if order >= 3:
+    if order == 3:
         block = block + (p.vmf / ef) @ p.vff @ (p.vmf.conj().T / ef[:, None])
-    return EffectiveHamiltonian(block, order=f"<={order}",
-                                provenance="adiabatic-series")
+    return EffectiveHamiltonian(block)
 
 
 def series_compare(h0, v, m_indices):

@@ -218,7 +218,7 @@ class DualityScan:
     argmin_bx: float
 
 
-def duality_scan(bx_grid, n, k=8):
+def duality_scan(bx_grid, n):
     """Gap curve of the periodic transverse-field three-spin chain.
 
     The scanned gap is E4 - E0, the first excitation above the fourfold
@@ -246,7 +246,7 @@ def duality_scan(bx_grid, n, k=8):
     def levels(bx):
         bx = float(bx)
         if bx not in solved:
-            solved[bx] = chain_levels(bx, n, k)
+            solved[bx] = chain_levels(bx, n)
         return solved[bx]
 
     e0 = np.empty_like(bx_grid)

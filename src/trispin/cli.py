@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -51,8 +52,12 @@ def _setting(args, config, name, default=None, required=False):
     value = getattr(args, name, None)
     if value is None:
         value = config.get(name, default)
+    flag = f"--{name.replace('_', '-')}"
     if value is None and required:
-        raise UsageError(f"missing required setting --{name.replace('_', '-')}")
+        raise UsageError(f"missing required setting {flag}")
+    # inf stays valid: it is the exclusion sentinel of a collision channel
+    if isinstance(value, float) and math.isnan(value):
+        raise UsageError(f"{flag} must be a number, not NaN")
     return value
 
 
@@ -167,6 +172,8 @@ def cmd_scan(args, config):
 
 def cmd_verify(args, config):
     n_draws = int(_setting(args, config, "draws", 20))
+    if n_draws < 0:
+        raise UsageError("--draws must not be negative")
     seed = int(_setting(args, config, "seed", 2024))
     j_over_u = float(_setting(args, config, "j_over_u", 0.05))
     report = conformance.run_verification(n_draws=n_draws, seed=seed,
@@ -185,6 +192,9 @@ def cmd_chain(args, config):
     step = float(_setting(args, config, "bx_step", 0.05))
     if step <= 0:
         raise UsageError("--bx-step must be positive")
+    if lo <= 0:
+        raise UsageError("--bx-min must be positive: the duality compares "
+                         "b with 1/b")
     if lo > hi:
         raise UsageError("--bx-min must not exceed --bx-max")
     count = int(round((hi - lo) / step)) + 1
@@ -210,6 +220,9 @@ def cmd_chain(args, config):
 def cmd_chiral(args, config):
     magnitude = float(_setting(args, config, "j_mag", 0.05))
     scale = float(_setting(args, config, "u", 1.0))
+    if magnitude == 0:
+        raise UsageError("--j-mag must be nonzero: the spectrum is reported "
+                         "in units of tau4 = j_mag^3 / u^2")
     from .hubbard import derive, make_triangle
     from .perturb import h_eff_up_to_third, pauli_decompose
     params = closedform.chirality_point_params(magnitude, scale)
@@ -298,10 +311,7 @@ def main(argv=None):
     try:
         config = _load_config(args.config)
         return args.func(args, config)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

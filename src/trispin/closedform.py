@@ -178,7 +178,7 @@ def _uniform(js, what):
     return js[0]
 
 
-def complex_tunneling_couplings(params, statistics=None):
+def complex_tunneling_couplings(params):
     """Couplings for purely imaginary, link-uniform tunnelings.
 
     tau3 multiplies the per-link antisymmetric exchange
@@ -187,7 +187,6 @@ def complex_tunneling_couplings(params, statistics=None):
     outputs are real.  The cross-species channel may carry the inf
     sentinel (its inverse enters as zero).
     """
-    statistics = statistics or params.statistics
     ju_l, jd_l = _triangle_tunnelings(params)
     _require_imaginary(ju_l + jd_l, "triangle")
     ju = _uniform(ju_l, "complex-coupling")
@@ -195,7 +194,7 @@ def complex_tunneling_couplings(params, statistics=None):
     ju2, jd2 = (ju ** 2).real, (jd ** 2).real     # = -|J|^2
     sym_u = (1j * ju ** 2 * jd).real              # i J_up^2 J_dn
     sym_d = (1j * jd ** 2 * ju).real              # i J_dn^2 J_up
-    if statistics is Statistics.FERMION:
+    if params.statistics is Statistics.FERMION:
         u = params.u_updn
         if u == 0 or math.isinf(u):
             raise ValueError("fermionic complex couplings need finite U_updn")

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg as la
 
 from . import closedform
-from .adiabatic import adiabatic_eliminate, truncated_series
+from .adiabatic import adiabatic_eliminate, series_compare
 from .fock import Species, Statistics
 from .hubbard import HubbardParams, derive, make_triangle
 from .perturb import h_eff_second, h_eff_third, pauli_decompose
@@ -105,8 +105,7 @@ class DrawResult:
         }
 
 
-def run_triangle_draw(params, variants=("certified",), u_scale=1.0,
-                      j_over_u=None):
+def run_triangle_draw(params, variants=("certified",), j_over_u=None):
     """Audit one parameter draw: engine vs formulas vs elimination.
 
     One ``DrawResult`` per variant, all from one derivation.
@@ -129,7 +128,7 @@ def run_triangle_draw(params, variants=("certified",), u_scale=1.0,
     ops, h2, h3, engine_dec = engine_decomposition(graph, params)
     exact = adiabatic_eliminate(*ops)
     residual = float(la.norm(exact.h_eff.matrix - (h2.matrix + h3.matrix), 2))
-    tol = formula_tolerance(j_over_u, u_scale)
+    tol = formula_tolerance(j_over_u, 1.0)
     results = []
     for variant in variants:
         couplings = audit_couplings(params, variant)
@@ -140,42 +139,35 @@ def run_triangle_draw(params, variants=("certified",), u_scale=1.0,
     return results
 
 
-def random_triangle_params(statistics, rng, j_scale, u_scale=1.0,
-                           u_ratios=(1.0, 1.0)):
+def random_triangle_params(statistics, rng, j_scale, u_ratios=(1.0, 1.0)):
     tun = {}
     for link in range(3):
         tun[(link, Species.UP)] = complex(rng.uniform(-1, 1) * j_scale)
         tun[(link, Species.DOWN)] = complex(rng.uniform(-1, 1) * j_scale)
     if statistics is Statistics.FERMION:
-        return HubbardParams(statistics, u_updn=u_scale, tunneling=tun)
-    return HubbardParams(statistics, u_upup=u_ratios[0] * u_scale,
-                         u_dndn=u_ratios[1] * u_scale, u_updn=u_scale,
+        return HubbardParams(statistics, tunneling=tun)
+    return HubbardParams(statistics, u_upup=u_ratios[0], u_dndn=u_ratios[1],
                          tunneling=tun)
 
 
-def scaling_ladder(statistics, j_over_u_values, u_scale=1.0, jd_ratio=0.5):
-    """Adiabatic-vs-engine residual across a tunneling ladder; the
-    decrease should follow (J/U)^4 against the (J/U)^3 engine norm."""
+def scaling_ladder(statistics, j_over_u_values):
+    """Adiabatic-vs-engine residual across a tunneling ladder at U = 1 and
+    J_dn = J_up / 2; the decrease should follow (J/U)^4 against the
+    (J/U)^3 engine norm."""
     graph = make_triangle()
+    same_species = None if statistics is Statistics.FERMION else 1.0
     rows = []
     for s in j_over_u_values:
-        params = HubbardParams.uniform(
-            statistics, 3, s * u_scale, jd_ratio * s * u_scale,
-            u_updn=u_scale,
-            u_upup=None if statistics is Statistics.FERMION else u_scale,
-            u_dndn=None if statistics is Statistics.FERMION else u_scale)
-        h0, v, m = derive(graph, params)
-        h2 = h_eff_second(h0, v, m)
-        h3 = h_eff_third(h0, v, m)
-        exact = adiabatic_eliminate(h0, v, m)
-        series = truncated_series(h0, v, m, order=3)
-        engine = h2.matrix + h3.matrix
+        params = HubbardParams.uniform(statistics, 3, s, 0.5 * s,
+                                       u_upup=same_species,
+                                       u_dndn=same_species)
+        compared = series_compare(*derive(graph, params))
         rows.append({
             "j_over_u": s,
-            "residual": float(la.norm(exact.h_eff.matrix - engine, 2)),
-            "engine_third_norm": float(la.norm(h3.matrix, 2)),
-            "series_vs_engine": float(la.norm(series.matrix - engine, 2)),
-            "condition_number": exact.condition_number,
+            "residual": float(compared["adiabatic_vs_engine"]),
+            "engine_third_norm": float(compared["engine_third_norm"]),
+            "series_vs_engine": float(compared["series_vs_engine"]),
+            "condition_number": compared["condition_number"],
         })
     ratios = [r["residual"] / max(r["engine_third_norm"], 1e-300)
               for r in rows]
@@ -185,16 +177,13 @@ def scaling_ladder(statistics, j_over_u_values, u_scale=1.0, jd_ratio=0.5):
             "fitted_power": fitted}
 
 
-def covariance_section(n_draws, seed, j_up=0.05, j_dn=0.03, u_scale=1.0,
-                       u_ratios=(1.0, 1.0)):
-    """Covariance residuals for random rotations.  Exact only with
-    species-blind collision energies; unequal-U residuals are recorded
-    as data, not asserted."""
+def covariance_section(n_draws, seed, u_ratios=(1.0, 1.0)):
+    """Covariance residuals for random rotations at J_up = 0.05,
+    J_dn = 0.03 and U_updn = 1.  Exact only with species-blind collision
+    energies; unequal-U residuals are recorded as data, not asserted."""
     rng = np.random.default_rng(seed)
-    params = HubbardParams.uniform(Statistics.BOSON, 3, j_up * u_scale,
-                                   j_dn * u_scale, u_updn=u_scale,
-                                   u_upup=u_ratios[0] * u_scale,
-                                   u_dndn=u_ratios[1] * u_scale)
+    params = HubbardParams.uniform(Statistics.BOSON, 3, 0.05, 0.03,
+                                   u_upup=u_ratios[0], u_dndn=u_ratios[1])
     h0, v, m = derive(make_triangle(), params)
     draws = []
     for _ in range(n_draws):
@@ -207,8 +196,7 @@ def covariance_section(n_draws, seed, j_up=0.05, j_dn=0.03, u_scale=1.0,
     return draws
 
 
-def run_verification(n_draws=20, seed=2024, j_over_u=0.05,
-                     ladder=(0.08, 0.04, 0.02, 0.01)):
+def run_verification(n_draws=20, seed=2024, j_over_u=0.05):
     """Full cross-oracle report; hard failures are oracle disagreements,
     never formula mismatches (those are listed with replacements)."""
     rng = np.random.default_rng(seed)
@@ -233,7 +221,7 @@ def run_verification(n_draws=20, seed=2024, j_over_u=0.05,
                 "printed_variant": audit.to_json_dict(),
             })
     report["scaling"] = {
-        stats.value: scaling_ladder(stats, ladder)
+        stats.value: scaling_ladder(stats, (0.08, 0.04, 0.02, 0.01))
         for stats in (Statistics.FERMION, Statistics.BOSON)
     }
     report["covariance"] = covariance_section(10, seed + 1)

@@ -95,7 +95,10 @@ class SectorSpec:
     forbid_same_species_doubles: bool = False
 
     def __post_init__(self):
-        fixed_pair = self.n_up is not None and self.n_down is not None
+        if (self.n_up is None) != (self.n_down is None):
+            raise ValueError("sector must fix both n_up and n_down, "
+                             "or neither")
+        fixed_pair = self.n_up is not None
         if not fixed_pair and self.n_total is None:
             raise ValueError("sector must fix (n_up, n_down) or n_total")
         if fixed_pair and self.n_total is not None:

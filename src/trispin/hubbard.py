@@ -142,11 +142,11 @@ class HubbardParams:
         return cls(statistics, u_upup, u_dndn, u_updn, tun)
 
 
-def sector_for(params, n_sites, n_total=None):
-    """Sector of the full Hilbert space consistent with the collision
-    sentinels (one atom per site in total by default)."""
+def sector_for(params, n_sites):
+    """Sector of the full Hilbert space with one atom per site in total,
+    consistent with the collision sentinels."""
     return SectorSpec(
-        n_total=n_sites if n_total is None else n_total,
+        n_total=n_sites,
         forbid_cross_occupancy=math.isinf(params.u_updn),
         forbid_same_species_doubles=(
             params.statistics is Statistics.BOSON
@@ -154,10 +154,10 @@ def sector_for(params, n_sites, n_total=None):
     )
 
 
-def hilbert_basis(graph, params, n_total=None):
+def hilbert_basis(graph, params):
     """Enumerate the working basis for an effective-model computation."""
     return enumerate_basis(graph.n_sites, params.statistics,
-                           sector_for(params, graph.n_sites, n_total))
+                           sector_for(params, graph.n_sites))
 
 
 @dataclass
@@ -166,7 +166,6 @@ class SparseOperator:
 
     mat: sp.csr_matrix
     basis: object
-    hermitian: bool = False
     meta: dict = field(default_factory=dict)
 
     @property
@@ -182,8 +181,7 @@ class SparseOperator:
     def __add__(self, other):
         if other.basis is not self.basis:
             raise ValueError("operators live on different bases")
-        return SparseOperator(self.mat + other.mat, self.basis,
-                              self.hermitian and other.hermitian)
+        return SparseOperator(self.mat + other.mat, self.basis)
 
     def hermiticity_defect(self):
         return abs(self.mat - self.mat.getH()).max()
@@ -232,8 +230,7 @@ def build_h0(basis, params):
             energy += params.u_updn * up * dn
         diag += energy
     mat = sp.diags(diag.astype(complex), format="csr")
-    return SparseOperator(mat, basis, hermitian=True,
-                          meta={"kind": "collision", "params": params})
+    return SparseOperator(mat, basis, meta={"params": params})
 
 
 def build_v_mixed(basis, graph, hop_matrices):
@@ -310,8 +307,8 @@ def build_v_mixed(basis, graph, hop_matrices):
     mat = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows),
                                                 np.concatenate(cols))),
                         shape=(dim, dim), dtype=complex)
-    return SparseOperator(mat, basis, hermitian=True,
-                          meta={"kind": "tunneling", "graph": graph,
+    return SparseOperator(mat, basis,
+                          meta={"graph": graph,
                                 "hop_matrices": dict(hop_matrices),
                                 "dropped_moves": dropped})
 

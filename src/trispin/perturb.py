@@ -56,21 +56,12 @@ def spin_map(basis, m_indices):
 
 @dataclass
 class EffectiveHamiltonian:
-    """Dense spin-space matrix with its perturbative provenance."""
+    """Dense spin-space matrix of an effective Hamiltonian."""
 
     matrix: np.ndarray
-    order: str
-    provenance: str = "perturbative"
-
-    @property
-    def n_sites(self):
-        return int(round(np.log2(self.matrix.shape[0])))
 
     def __add__(self, other):
-        order = "+".join(sorted(set(self.order.split("+"))
-                                | set(other.order.split("+"))))
-        return EffectiveHamiltonian(self.matrix + other.matrix, order,
-                                    self.provenance)
+        return EffectiveHamiltonian(self.matrix + other.matrix)
 
 
 @dataclass
@@ -149,7 +140,7 @@ def h_eff_second(h0, v, m_indices):
     p = _engine_partition(h0, v, m_indices)
     block = -(p.vmf / p.ef) @ p.vmf.conj().T
     _check_hermitian(block, "second-order effective Hamiltonian")
-    return EffectiveHamiltonian(block, order="2")
+    return EffectiveHamiltonian(block)
 
 
 def h_eff_third(h0, v, m_indices):
@@ -157,7 +148,7 @@ def h_eff_third(h0, v, m_indices):
     p = _engine_partition(h0, v, m_indices)
     block = (p.vmf / p.ef) @ p.vff @ (p.vmf.conj().T / p.ef[:, None])
     _check_hermitian(block, "third-order effective Hamiltonian")
-    return EffectiveHamiltonian(block, order="3")
+    return EffectiveHamiltonian(block)
 
 
 def h_eff_up_to_third(h0, v, m_indices):
@@ -171,7 +162,7 @@ def cross_second(h0, va, vb, m_indices):
     pb = _engine_partition(h0, vb, m_indices)
     ef = pa.ef
     block = -(pa.vmf / ef) @ pb.vmf.conj().T - (pb.vmf / ef) @ pa.vmf.conj().T
-    return EffectiveHamiltonian(block, order="2", provenance="cross")
+    return EffectiveHamiltonian(block)
 
 
 @dataclass
@@ -189,10 +180,6 @@ class PauliDecomposition:
 
     def reconstruct(self):
         return pauli.pauli_sum(self.coeffs, self.n_sites)
-
-    def weight(self, string):
-        """Number of non-identity letters."""
-        return sum(1 for ch in string if ch != "I")
 
     def to_json_records(self):
         records = []

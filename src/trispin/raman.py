@@ -50,7 +50,7 @@ def hop_matrix(g, j_plus, j_minus):
     return gm.conj().T @ np.diag([j_plus, j_minus]) @ gm
 
 
-def rotate_tunneling(v, g, basis=None, j_plus=None, j_minus=None):
+def rotate_tunneling(v, g, j_plus=None, j_minus=None):
     """Rebuild a tunneling operator with every link rotated by g.
 
     ``v`` must have been produced by build_v / build_v_mixed so that its
@@ -63,7 +63,6 @@ def rotate_tunneling(v, g, basis=None, j_plus=None, j_minus=None):
     hops = v.meta.get("hop_matrices")
     if graph is None or hops is None:
         raise ValueError("operator does not carry tunneling metadata")
-    basis = basis if basis is not None else v.basis
     gm = g.matrix
     rotated = {}
     for link, kmat in hops.items():
@@ -74,7 +73,7 @@ def rotate_tunneling(v, g, basis=None, j_plus=None, j_minus=None):
         else:
             diag = kmat
         rotated[link] = gm.conj().T @ diag @ gm
-    return build_v_mixed(basis, graph, rotated)
+    return build_v_mixed(v.basis, graph, rotated)
 
 
 def spin_rotation_matrix(g, n_sites):

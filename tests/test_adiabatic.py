@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from trispin import adiabatic
 from trispin.adiabatic import (adiabatic_eliminate, series_compare,
                                truncated_series)
 from trispin.fock import Species, Statistics
@@ -48,11 +49,12 @@ def test_pair_fermion_exact_block():
                        atol=1e-15)
 
 
-def test_condition_limit_guard():
+def test_condition_limit_guard(monkeypatch):
     h0, v, m = _setup(make_triangle(), Statistics.BOSON, 0.05, 0.03,
                       u_updn=U, u_upup=U, u_dndn=U)
+    monkeypatch.setattr(adiabatic, "COND_LIMIT", 1.0)
     with pytest.raises(ValueError, match="fast block"):
-        adiabatic_eliminate(h0, v, m, cond_limit=1.0)
+        adiabatic_eliminate(h0, v, m)
 
 
 def _random_draw(graph, statistics, rng):
@@ -104,6 +106,14 @@ def test_truncated_series_matches_engine_exactly():
                       - engine2).max() <= 1e-12
         assert np.abs(truncated_series(h0, v, m, 3).matrix
                       - engine3).max() <= 1e-12
+
+
+@pytest.mark.parametrize("order", [0, 1, 4, 5])
+def test_truncated_series_rejects_uncomputed_orders(order):
+    h0, v, m = _setup(make_triangle(), Statistics.FERMION, 0.06, 0.03,
+                      u_updn=U)
+    with pytest.raises(ValueError, match="not implemented"):
+        truncated_series(h0, v, m, order)
 
 
 def test_series_compare_reports():

@@ -102,8 +102,20 @@ def test_scan_hard_cap(capsys):
     (["chain", "--sites", "0"], "--sites must be a positive multiple of 3"),
     (["chain", "--sites", "-3"], "--sites must be a positive multiple of 3"),
     (["chain", "--sites", "4"], "--sites must be a positive multiple of 3"),
+    (["chain", "--bx-min", "0"], "--bx-min must be positive"),
+    (["chain", "--bx-min", "-0.5"], "--bx-min must be positive"),
+    (["chiral", "--j-mag", "0"], "--j-mag must be nonzero"),
+    (["verify", "--draws", "-1"], "--draws must not be negative"),
+    (["scan", "--family", "fermionic", "--j-up-max", "nan",
+      "--j-up-steps", "3", "--j-dn-max", "0.05", "--j-dn-steps", "2"],
+     "--j-up-max must be a number, not NaN"),
+    (["scan", "--family", "fermionic", "--u", "nan", "--j-up-max", "0.05",
+      "--j-up-steps", "3", "--j-dn-max", "0.05", "--j-dn-steps", "2"],
+     "--uud must be a number, not NaN"),
 ], ids=["zero-step", "negative-step", "min-above-max", "zero-steps",
-        "zero-sites", "negative-sites", "sites-not-multiple-of-3"])
+        "zero-sites", "negative-sites", "sites-not-multiple-of-3",
+        "zero-bx-min", "negative-bx-min", "zero-j-mag", "negative-draws",
+        "nan-flag", "nan-energy"])
 def test_bad_grid_is_a_usage_error(capsys, args, message):
     # rejected with exit 2 before any output is written
     assert main(args) == 2
@@ -189,6 +201,31 @@ def test_config_file_with_flag_override(capsys, tmp_path):
     payload = json.loads(capsys.readouterr().out)
     # the flag overrides the config value: mu3 = (0.2^3)/2
     assert payload["values"]["mu3"] == pytest.approx(0.2 ** 3 / 2)
+
+
+def test_nan_config_setting_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"family": "fermionic", "uud": float("nan"),
+                                "j_up": 0.1}))
+    assert main(["--config", str(path), "couplings"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--uud must be a number, not NaN" in captured.err
+
+
+def test_infinite_cross_channel_stays_valid(capsys):
+    # inf is the exclusion sentinel of a collision channel, not a bad number
+    assert main(["couplings", "--family", "complex_bosonic", "--u", "inf",
+                 "--uuu", "1.2", "--udd", "0.9", "--j-up", "0.04",
+                 "--j-dn", "0.025"]) == 0
+    assert json.loads(capsys.readouterr().out)["values"]["tau2"] == 0.0
+
+
+def test_verify_without_draws_still_checks_the_oracles(capsys):
+    assert main(["verify", "--draws", "0"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["draws"] == [] and report["ok"] is True
+    assert set(report["scaling"]) == {"fermion", "boson"}
 
 
 def test_verify_small_run(capsys):

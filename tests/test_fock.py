@@ -30,6 +30,15 @@ def test_empty_sector_raises():
         enumerate_basis(2, Statistics.FERMION, SectorSpec(n_up=3, n_down=0))
 
 
+@pytest.mark.parametrize("sector", [dict(n_up=1, n_total=2),
+                                    dict(n_down=1, n_total=2)])
+def test_half_fixed_species_pair_rejected(sector):
+    # one species count beside n_total was an empty or a silently
+    # unconstrained sector
+    with pytest.raises(ValueError, match="both n_up and n_down"):
+        SectorSpec(**sector)
+
+
 def test_negative_cutoff_raises():
     with pytest.raises(ValueError):
         SectorSpec(n_total=2, site_cap=-1)

@@ -316,7 +316,7 @@ def _per_state_v(basis, graph, params, mode_order):
                     moved = hop(state, src, dst, species, mode_order)
                     if moved is not None and moved[0].occ in index:
                         vd[index[moved[0].occ], col] += amp * moved[1]
-    return SparseOperator(sp.csr_matrix(vd), basis, hermitian=True)
+    return SparseOperator(sp.csr_matrix(vd), basis)
 
 
 def test_mode_order_convention_independence():
