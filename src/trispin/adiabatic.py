@@ -10,22 +10,30 @@ Because the full fast block (including tunneling within it) is
 inverted, this resums the perturbative series to all orders and is an
 independent check of the order-2/3 engine.
 
-H_FF is factored once by LU.  Its condition number is LAPACK's ?gecon
-estimate of the 1-norm condition number kappa_1 from that factorisation.
-The estimate is a lower bound on kappa_1, in practice within a small
-factor of it; for Hermitian H_FF, kappa_1 bounds kappa_2 from above.
+H_FF is built as a sparse matrix from the partition's nonzeros and
+factored once by sparse LU (SuperLU, minimum-degree ordering of
+H_FF + H_FF^T, which fits its symmetric pattern).  H_FM is nonzero only
+on the states R one hop from M, so the solve runs against those rows
+alone and only their rows of the solution are used.  The condition
+number is a lower estimate of the 1-norm condition number kappa_1:
+||H_FF||_1 exactly, times Hager's estimate of ||H_FF^{-1}||_1 from the
+factors (Hager, SIAM J. Sci. Stat. Comput. 5, 311 (1984), in Higham's
+form, as LAPACK's ?gecon runs it).  In practice it is within a small
+factor of kappa_1; for Hermitian H_FF, kappa_1 bounds kappa_2 from
+above.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from .perturb import (EffectiveHamiltonian, h_eff_second, h_eff_third,
-                      partition)
+from .perturb import (EffectiveHamiltonian, _check_engine, _second_order,
+                      _third_order, partition)
 
 COND_LIMIT = 1e12
 
@@ -34,9 +42,9 @@ COND_LIMIT = 1e12
 class AdiabaticResult:
     """Eliminated Hamiltonian with the fast block's conditioning.
 
-    ``condition_number`` is LAPACK's 1-norm estimate of kappa_1(H_FF)
-    (``inf`` for a singular block, 0 without a fast block); for
-    Hermitian H_FF, kappa_1 >= kappa_2.
+    ``condition_number`` is a deterministic lower estimate of
+    kappa_1(H_FF) (``inf`` for a singular block, 0 without a fast
+    block); for Hermitian H_FF, kappa_1 >= kappa_2.
     """
 
     h_eff: EffectiveHamiltonian
@@ -44,38 +52,110 @@ class AdiabaticResult:
     dims: tuple   # (total, fast, slow)
 
 
+def _fast_block(p):
+    """H_FF = V_FF + diag(E_F) in canonical CSC form."""
+    k, nf = len(p.m), len(p.f)
+    inside_f = (p.rows >= k) & (p.cols >= k)
+    diag = np.arange(nf)
+    rows = np.concatenate([p.rows[inside_f] - k, diag])
+    cols = np.concatenate([p.cols[inside_f] - k, diag])
+    # assembled by hand: the COO route costs more than factoring the
+    # 48 x 48 fast block of a triangle
+    by_column = np.argsort(cols, kind="stable")
+    indptr = np.zeros(nf + 1, dtype=int)
+    np.cumsum(np.bincount(cols, minlength=nf), out=indptr[1:])
+    hff = sp.csc_matrix(
+        (np.concatenate([p.vals[inside_f], p.ef])[by_column],
+         rows[by_column], indptr), shape=(nf, nf))
+    hff.sum_duplicates()
+    return hff
+
+
+def _sign(y):
+    """y / |y| entrywise, 1 where y = 0."""
+    size = np.abs(y)
+    return np.divide(y, size, out=np.ones_like(y), where=size > 0)
+
+
+def _inverse_one_norm(lu, n, dtype):
+    """Hager's lower estimate of ||A^{-1}||_1 from the LU factors of A.
+
+    Deterministic: at most five pairs of solves from the start vector
+    (1, ..., 1) / n, then the alternating test vector of Higham's
+    refinement.  Returns ``inf`` once a solve leaves the finite range.
+    """
+    y = lu.solve(np.full(n, 1.0 / n, dtype=dtype))
+    est = np.abs(y).sum()
+    if not np.isfinite(est):
+        return np.inf
+    j = int(np.argmax(np.abs(lu.solve(_sign(y), trans="H"))))
+    for _ in range(4):
+        unit = np.zeros(n, dtype=dtype)
+        unit[j] = 1.0
+        y = lu.solve(unit)
+        column = np.abs(y).sum()
+        if not np.isfinite(column):
+            return np.inf
+        if column <= est:
+            break
+        est = column
+        z = np.abs(lu.solve(_sign(y), trans="H"))
+        j_last, j = j, int(np.argmax(z))
+        if z[j] == z[j_last]:
+            break
+    alternating = np.where(np.arange(n) % 2, -1.0, 1.0) * (
+        1.0 + np.arange(n) / max(n - 1, 1))
+    tail = 2.0 * np.abs(lu.solve(alternating.astype(dtype))).sum() / (3 * n)
+    return max(est, tail) if np.isfinite(tail) else np.inf
+
+
 def _factor_fast_block(hff):
-    """LU factors of H_FF and the 1-norm estimate of its condition."""
-    with warnings.catch_warnings():
-        # an exactly singular block is reported through rcond = 0
-        warnings.simplefilter("ignore", la.LinAlgWarning)
-        lu = la.lu_factor(hff, check_finite=False)
-    gecon, = la.get_lapack_funcs(("gecon",), (lu[0],))
-    rcond, _ = gecon(lu[0], np.abs(hff).sum(axis=0).max(), norm="1")
-    return lu, (np.inf if rcond == 0 else 1.0 / rcond)
+    """Sparse LU factors of H_FF and the 1-norm estimate of its
+    condition; ``None`` and ``inf`` for an exactly singular block."""
+    try:
+        lu = spla.splu(hff, permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError as exc:
+        if "singular" not in str(exc):
+            raise
+        return None, np.inf
+    n = hff.shape[0]
+    columns = np.repeat(np.arange(n), np.diff(hff.indptr))
+    norm = np.bincount(columns, weights=np.abs(hff.data), minlength=n).max()
+    return lu, norm * _inverse_one_norm(lu, n, hff.dtype)
+
+
+def _eliminate(p):
+    k = len(p.m)
+    # H0 is diagonal: H_MM and H_FF are V's blocks plus the energies
+    block = p.block(np.arange(k), np.arange(k))
+    block[np.diag_indices_from(block)] += p.em
+    cond = 0.0
+    if len(p.f):
+        hff = _fast_block(p)
+        lu, cond = _factor_fast_block(hff)
+        if not np.isfinite(cond) or cond > COND_LIMIT:
+            raise ValueError(
+                "fast block not invertible; parameters too close to resonance")
+        rhs = np.zeros((len(p.f), k), dtype=hff.dtype)
+        rhs[p.r] = p.vmr.conj().T
+        block = block - p.vmr @ lu.solve(rhs)[p.r]
+    block = 0.5 * (block + block.conj().T)
+    return AdiabaticResult(EffectiveHamiltonian(block), float(cond),
+                           (k + len(p.f), len(p.f), k))
 
 
 def adiabatic_eliminate(h0, v, m_indices):
     """Exact elimination of the fast block; returns the spin-ordered
     effective Hamiltonian and the estimated 1-norm condition number of
     the fast block, which must not exceed ``COND_LIMIT``."""
-    p = partition(h0, v, m_indices)
-    # H0 is diagonal: H_MM and H_FF are V's blocks plus the energies
-    block = p.vmm
-    block[np.diag_indices_from(block)] += p.em
-    cond = 0.0
-    if len(p.f):
-        hff = p.vff
-        hff[np.diag_indices_from(hff)] += p.ef
-        lu, cond = _factor_fast_block(hff)
-        if not np.isfinite(cond) or cond > COND_LIMIT:
-            raise ValueError(
-                "fast block not invertible; parameters too close to resonance")
-        block = block - p.vmf @ la.lu_solve(lu, p.vmf.conj().T,
-                                            check_finite=False)
-    block = 0.5 * (block + block.conj().T)
-    return AdiabaticResult(EffectiveHamiltonian(block), float(cond),
-                           (h0.dim, len(p.f), len(p.m)))
+    return _eliminate(partition(h0, v, m_indices))
+
+
+def _truncated(p, order):
+    if np.any(np.abs(p.ef) < 1e-12 * p.energy_scale):
+        raise ValueError("zero-energy fast state; series undefined")
+    block = _second_order(p)
+    return block + _third_order(p) if order == 3 else block
 
 
 def truncated_series(h0, v, m_indices, order=3):
@@ -88,31 +168,27 @@ def truncated_series(h0, v, m_indices, order=3):
     if order not in (2, 3):
         raise ValueError(f"series order {order!r} not implemented; "
                          "only orders 2 and 3 are")
-    p = partition(h0, v, m_indices)
-    ef = p.ef
-    if np.any(np.abs(ef) < 1e-12 * p.energy_scale):
-        raise ValueError("zero-energy fast state; series undefined")
-    block = -(p.vmf / ef) @ p.vmf.conj().T
-    if order == 3:
-        block = block + (p.vmf / ef) @ p.vff @ (p.vmf.conj().T / ef[:, None])
-    return EffectiveHamiltonian(block)
+    return _truncated(partition(h0, v, m_indices), order)
 
 
 def series_compare(h0, v, m_indices):
     """Residuals between the exact elimination, its truncated series and
-    the perturbative engine.  Requires the Neumann series to converge,
-    i.e. the tunneling norm within the fast block below the smallest
-    fast energy."""
+    the perturbative engine, all from one partition.  Requires the
+    Neumann series to converge, i.e. the tunneling norm within the fast
+    block below the smallest fast energy; that norm is the exact
+    2-norm of a dense copy of V_FF."""
     p = partition(h0, v, m_indices)
-    vff_norm = la.norm(p.vff, 2)
+    fast = len(p.m) + np.arange(len(p.f))
+    vff_norm = la.norm(p.block(fast, fast), 2)
     emin = np.abs(p.ef).min() if len(p.f) else np.inf
     if vff_norm >= emin:
         raise ValueError("tunneling too large: fast-block series does not "
                          f"converge (|V_FF| = {vff_norm:.3g} >= {emin:.3g})")
-    exact = adiabatic_eliminate(h0, v, m_indices)
-    h2 = h_eff_second(h0, v, m_indices)
-    h3 = h_eff_third(h0, v, m_indices)
-    series3 = truncated_series(h0, v, m_indices, order=3)
+    exact = _eliminate(p)
+    _check_engine(p)
+    h2 = _second_order(p)
+    h3 = _third_order(p)
+    series3 = _truncated(p, 3)
     engine = h2.matrix + h3.matrix
     return {
         "adiabatic_vs_engine": la.norm(exact.h_eff.matrix - engine, 2),

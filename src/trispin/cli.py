@@ -56,9 +56,17 @@ def _setting(args, config, name, default=None, required=False):
     if value is None and required:
         raise UsageError(f"missing required setting {flag}")
     # inf stays valid: it is the exclusion sentinel of a collision channel
-    if isinstance(value, float) and math.isnan(value):
+    if _is_nan(value):
         raise UsageError(f"{flag} must be a number, not NaN")
     return value
+
+
+def _is_nan(value):
+    """Whether the caller's float() would read the value as NaN."""
+    try:
+        return math.isnan(float(value))
+    except (TypeError, ValueError, OverflowError):
+        return False
 
 
 def _triangle_params(family, j_up, j_dn, u_upup, u_dndn, u_updn):
@@ -190,6 +198,10 @@ def cmd_chain(args, config):
     lo = float(_setting(args, config, "bx_min", 0.5))
     hi = float(_setting(args, config, "bx_max", 1.5))
     step = float(_setting(args, config, "bx_step", 0.05))
+    for flag, value in (("--bx-min", lo), ("--bx-max", hi),
+                        ("--bx-step", step)):
+        if not math.isfinite(value):
+            raise UsageError(f"{flag} must be finite")
     if step <= 0:
         raise UsageError("--bx-step must be positive")
     if lo <= 0:

@@ -8,9 +8,12 @@ states,
     H3[a, b] = + sum_{g, d} V[a, g] V[g, d] V[d, b] / (E[g] E[d])
 
 with a, b inside the single-occupancy block M (all at E = 0) and g, d
-running over the multiply-occupied complement.  Dropping the usual
+running over the multiply-occupied complement F.  Dropping the usual
 cross terms of degenerate perturbation theory is justified by
-P_M V P_M = 0, which is asserted at runtime.
+P_M V P_M = 0, which is asserted at runtime.  V[a, g] vanishes unless g
+is one hop from M, so both sums only visit that set R (288 of the 860
+states of F for the fermionic zig-zag chain of six sites) and run on
+the dense blocks V_MR and V_RR; V itself is never densified.
 
 Every result is in spin order: position k of a block is the n-qubit
 configuration whose bit i (big-endian) is 0 for an up atom on site i
@@ -22,6 +25,7 @@ basis into M and F and puts M in that order; the exact elimination
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as la
@@ -66,21 +70,25 @@ class EffectiveHamiltonian:
 
 @dataclass
 class Partition:
-    """Tunneling blocks and collision energies of the M/F split.
+    """Tunneling and collision energies of the M/F split, kept sparse.
 
     ``m`` lists the basis positions of M in spin order and ``f`` those of
-    the multiply-occupied rest in basis order; the V blocks and energies
-    are indexed the same way.  The blocks are views of one dense copy of
-    V, so a caller may change them in place but must not share them.
+    the multiply-occupied rest in basis order.  V's nonzeros are the
+    triples (``rows``, ``cols``, ``vals``) with positions in the order
+    (M, F): position k < len(m) is ``m[k]``, position len(m) + k is
+    ``f[k]``.  ``r`` lists the F states one hop from M, as positions
+    within F; orders 2 and 3 visit no other intermediate state, so they
+    run on the small dense blocks ``vmr`` = V_MR and ``vrr`` = V_RR.
     """
 
     m: np.ndarray
     f: np.ndarray
-    vmm: np.ndarray
-    vmf: np.ndarray
-    vff: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
     em: np.ndarray
     ef: np.ndarray
+    r: np.ndarray
 
     @property
     def energy_scale(self):
@@ -88,10 +96,36 @@ class Partition:
         return max(1.0, np.abs(self.em).max(initial=0.0),
                    np.abs(self.ef).max(initial=0.0))
 
+    @property
+    def er(self):
+        return self.ef[self.r]
+
+    def block(self, row_positions, col_positions):
+        """Dense block of V on the given (M, F)-order positions."""
+        dim = len(self.m) + len(self.f)
+        row_of = np.full(dim, -1)
+        row_of[row_positions] = np.arange(len(row_positions))
+        col_of = np.full(dim, -1)
+        col_of[col_positions] = np.arange(len(col_positions))
+        i, j = row_of[self.rows], col_of[self.cols]
+        keep = (i >= 0) & (j >= 0)
+        out = np.zeros((len(row_positions), len(col_positions)),
+                       dtype=self.vals.dtype)
+        np.add.at(out, (i[keep], j[keep]), self.vals[keep])
+        return out
+
+    @cached_property
+    def vmr(self):
+        return self.block(np.arange(len(self.m)), len(self.m) + self.r)
+
+    @cached_property
+    def vrr(self):
+        return self.block(len(self.m) + self.r, len(self.m) + self.r)
+
 
 def partition(h0, v, m_indices):
     """Split H0 and V into the single-occupancy block M, in spin order,
-    and its complement F, densifying V once."""
+    and its complement F, without densifying V."""
     dim = h0.dim
     m = spin_map(h0.basis, m_indices)
     in_f = np.ones(dim, dtype=bool)
@@ -101,30 +135,40 @@ def partition(h0, v, m_indices):
     position = np.empty(dim, dtype=int)
     position[np.concatenate([m, f])] = np.arange(dim)
     mat = v.mat.tocsr()
-    vd = np.zeros((dim, dim), dtype=mat.dtype)
-    np.add.at(vd, (np.repeat(position, np.diff(mat.indptr)),
-                   position[mat.indices]), mat.data)
+    rows = np.repeat(position, np.diff(mat.indptr))
+    cols = position[mat.indices]
     k = len(m)
+    reached = np.zeros(dim, dtype=bool)
+    reached[cols[(rows < k) & (cols >= k) & (mat.data != 0)]] = True
     energies = h0.diagonal().real
-    return Partition(m, f, vd[:k, :k], vd[:k, k:], vd[k:, k:],
-                     energies[m], energies[f])
+    return Partition(m, f, rows, cols, mat.data, energies[m], energies[f],
+                     np.flatnonzero(reached[k:]))
+
+
+def _check_engine(p):
+    """The conditions that orders 2 and 3 rely on."""
+    scale = p.energy_scale
+    if np.abs(p.em).max(initial=0.0) > 1e-12 * scale:
+        raise ValueError("block M is not at zero collision energy")
+    k = len(p.m)
+    size = np.abs(p.vals)
+    into_m = p.cols < k
+    if (size[(p.rows < k) & into_m].max(initial=0.0)
+            > 1e-13 * max(1.0, size.max(initial=0.0))):
+        raise ValueError("tunneling does not vanish inside the "
+                         "single-occupancy block")
+    # F states within two hops of M: R and the F states R hops to
+    reach = np.zeros(k + len(p.f), dtype=bool)
+    reach[k + p.r] = True
+    reach[p.cols[reach[p.rows] & ~into_m & (size > 0)]] = True
+    if np.any(np.abs(p.ef[reach[k:]]) < 1e-12 * scale):
+        raise DegenerateIntermediateError("degenerate intermediate state")
 
 
 def _engine_partition(h0, v, m_indices):
     """The partition, with the conditions that orders 2 and 3 rely on."""
     p = partition(h0, v, m_indices)
-    scale = p.energy_scale
-    if np.abs(p.em).max(initial=0.0) > 1e-12 * scale:
-        raise ValueError("block M is not at zero collision energy")
-    if p.vmm.size and (np.abs(p.vmm).max()
-                       > 1e-13 * max(1.0, abs(v.mat).max())):
-        raise ValueError("tunneling does not vanish inside the "
-                         "single-occupancy block")
-    reach1 = np.abs(p.vmf).sum(axis=0) > 0
-    reach2 = reach1 | ((np.abs(p.vff[reach1, :]).sum(axis=0)) > 0)
-    for reach in (reach1, reach2):
-        if np.any(np.abs(p.ef[reach]) < 1e-12 * scale):
-            raise DegenerateIntermediateError("degenerate intermediate state")
+    _check_engine(p)
     return p
 
 
@@ -135,20 +179,26 @@ def _check_hermitian(mat, what):
         raise ValueError(f"{what} lost hermiticity (defect {defect:.2e})")
 
 
-def h_eff_second(h0, v, m_indices):
-    """Superexchange block: hop out of M and straight back."""
-    p = _engine_partition(h0, v, m_indices)
-    block = -(p.vmf / p.ef) @ p.vmf.conj().T
+def _second_order(p):
+    block = -(p.vmr / p.er) @ p.vmr.conj().T
     _check_hermitian(block, "second-order effective Hamiltonian")
     return EffectiveHamiltonian(block)
 
 
-def h_eff_third(h0, v, m_indices):
-    """Two-intermediate processes; three-spin terms originate here."""
-    p = _engine_partition(h0, v, m_indices)
-    block = (p.vmf / p.ef) @ p.vff @ (p.vmf.conj().T / p.ef[:, None])
+def _third_order(p):
+    block = (p.vmr / p.er) @ p.vrr @ (p.vmr.conj().T / p.er[:, None])
     _check_hermitian(block, "third-order effective Hamiltonian")
     return EffectiveHamiltonian(block)
+
+
+def h_eff_second(h0, v, m_indices):
+    """Superexchange block: hop out of M and straight back."""
+    return _second_order(_engine_partition(h0, v, m_indices))
+
+
+def h_eff_third(h0, v, m_indices):
+    """Two-intermediate processes; three-spin terms originate here."""
+    return _third_order(_engine_partition(h0, v, m_indices))
 
 
 def h_eff_up_to_third(h0, v, m_indices):
@@ -160,8 +210,11 @@ def cross_second(h0, va, vb, m_indices):
     minus the two diagonal parts."""
     pa = _engine_partition(h0, va, m_indices)
     pb = _engine_partition(h0, vb, m_indices)
-    ef = pa.ef
-    block = -(pa.vmf / ef) @ pb.vmf.conj().T - (pb.vmf / ef) @ pa.vmf.conj().T
+    k = len(pa.m)
+    r = np.union1d(pa.r, pb.r)
+    a, b = (p.block(np.arange(k), k + r) for p in (pa, pb))
+    ef = pa.ef[r]
+    block = -(a / ef) @ b.conj().T - (b / ef) @ a.conj().T
     return EffectiveHamiltonian(block)
 
 
@@ -240,19 +293,19 @@ def _interaction_picture_block(h0, v, m, t):
     return u_full[np.ix_(m, m)]
 
 
-def _oscillatory_second(vmf, ef, t):
+def _oscillatory_second(vmr, er, t):
     """Non-growing part of the second-order Dyson term: these carry
     exp(-iEt)-type factors and average away over long times."""
-    w = (1.0 - np.exp(-1j * ef * t)) / ef ** 2
-    return -(vmf * w) @ vmf.conj().T
+    w = (1.0 - np.exp(-1j * er * t)) / er ** 2
+    return -(vmr * w) @ vmr.conj().T
 
 
-def _oscillatory_third(vmf, vff, ef, t):
+def _oscillatory_third(vmr, vrr, er, t):
     """Non-growing part of the third-order Dyson term."""
-    eg = ef[:, None]
-    ed = ef[None, :]
+    eg = er[:, None]
+    ed = er[None, :]
     omega = eg - ed
-    same = np.abs(omega) < 1e-12 * max(1.0, np.abs(ef).max())
+    same = np.abs(omega) < 1e-12 * max(1.0, np.abs(er).max(initial=0.0))
 
     def osc(e):
         return (1.0 - np.exp(-1j * e * t)) / (1j * e)
@@ -267,7 +320,7 @@ def _oscillatory_third(vmf, vff, ef, t):
                       np.nan_to_num(second_neq))
     integral = (first - second) / (1j * ed)
     kernel = 1j * (integral + t / (eg * ed))   # secular part removed
-    return vmf @ (kernel * vff) @ vmf.conj().T
+    return vmr @ (kernel * vrr) @ vmr.conj().T
 
 
 def validate_by_evolution(h0, v, m_indices, h_eff, t):
@@ -283,7 +336,7 @@ def validate_by_evolution(h0, v, m_indices, h_eff, t):
     """
     p = _engine_partition(h0, v, m_indices)
     exact = _interaction_picture_block(h0, v, p.m, t)
-    wiggle = (_oscillatory_second(p.vmf, p.ef, t)
-              + _oscillatory_third(p.vmf, p.vff, p.ef, t))
+    wiggle = (_oscillatory_second(p.vmr, p.er, t)
+              + _oscillatory_third(p.vmr, p.vrr, p.er, t))
     reference = la.expm(-1j * h_eff.matrix * t)
     return la.norm(exact - wiggle - reference, 2)

@@ -112,10 +112,13 @@ def test_scan_hard_cap(capsys):
     (["scan", "--family", "fermionic", "--u", "nan", "--j-up-max", "0.05",
       "--j-up-steps", "3", "--j-dn-max", "0.05", "--j-dn-steps", "2"],
      "--uud must be a number, not NaN"),
+    (["chain", "--bx-min", "0.5", "--bx-max", "0.5", "--bx-step", "inf"],
+     "--bx-step must be finite"),
+    (["chain", "--bx-max", "inf"], "--bx-max must be finite"),
 ], ids=["zero-step", "negative-step", "min-above-max", "zero-steps",
         "zero-sites", "negative-sites", "sites-not-multiple-of-3",
         "zero-bx-min", "negative-bx-min", "zero-j-mag", "negative-draws",
-        "nan-flag", "nan-energy"])
+        "nan-flag", "nan-energy", "infinite-bx-step", "infinite-bx-max"])
 def test_bad_grid_is_a_usage_error(capsys, args, message):
     # rejected with exit 2 before any output is written
     assert main(args) == 2
@@ -211,6 +214,21 @@ def test_nan_config_setting_is_a_usage_error(capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--uud must be a number, not NaN" in captured.err
+
+
+def test_nan_config_string_is_a_usage_error(capsys, tmp_path):
+    # the caller's float() would read "nan" as NaN; "inf" stays valid
+    path = tmp_path / "c.json"
+    config = {"family": "complex_bosonic", "uud": "nan", "uuu": 1.2,
+              "udd": 0.9, "j_up": 0.04, "j_dn": 0.025}
+    path.write_text(json.dumps(config))
+    assert main(["--config", str(path), "couplings"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--uud must be a number, not NaN" in captured.err
+    path.write_text(json.dumps(dict(config, uud="inf")))
+    assert main(["--config", str(path), "couplings"]) == 0
+    assert json.loads(capsys.readouterr().out)["values"]["tau2"] == 0.0
 
 
 def test_infinite_cross_channel_stays_valid(capsys):
