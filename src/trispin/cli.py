@@ -2,10 +2,10 @@
 verification and spin-model diagnostics.
 
 All physical quantities are expressed in units of a declared energy
-scale (by default the cross-species collision energy).  Scans are
-dispatched to a worker pool capped by TRISPIN_THREADS; output ordering
-is row-major over the grid regardless of scheduling, and floats are
-printed with 17 significant digits so identical configurations yield
+scale (by default the cross-species collision energy).  A scan
+evaluates its whole grid in one array pass of the closed forms; rows are
+row-major over the grid (j_up outer, j_dn inner), and floats are printed
+with 17 significant digits so identical configurations yield
 byte-identical files.
 
 Exit codes: 0 success, 1 hard invariant failure, 2 usage/config error.
@@ -16,9 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -119,16 +117,6 @@ SCAN_COLUMNS = {
 }
 
 
-def _scan_row(task):
-    family, j_up, j_dn, u_upup, u_dndn, u_updn = task
-    couplings = _couplings_for(family, j_up, j_dn, u_upup, u_dndn, u_updn)
-    values = []
-    for name in SCAN_COLUMNS[family]:
-        value = couplings[name]
-        values.append(value[0] if isinstance(value, tuple) else value)
-    return (j_up, j_dn, *values)
-
-
 def _grid(config, args, axis):
     lo = float(_setting(args, config, f"{axis}_min", 0.0))
     hi = float(_setting(args, config, f"{axis}_max", required=True))
@@ -151,7 +139,10 @@ def cmd_scan(args, config):
     u_dndn = float(u_dndn) if u_dndn is not None else None
     ups = _grid(config, args, "j_up")
     dns = _grid(config, args, "j_dn")
-    energies = [abs(u) for u in (u_upup, u_dndn, u_updn) if u]
+    # the fermionic families read only the cross channel
+    channels = ((u_updn,) if family.endswith("fermionic")
+                else (u_upup, u_dndn, u_updn))
+    energies = [abs(u) for u in channels if u]
     if not energies:
         raise UsageError("scan needs a nonzero collision energy to bound "
                          "J/U")
@@ -163,18 +154,17 @@ def cmd_scan(args, config):
     if peak > SOFT_CAP:
         print(f"# warning: J/U up to {peak:.3g} strains the perturbative "
               "regime", file=sys.stderr)
-    tasks = [(family, ju, jd, u_upup, u_dndn, u_updn)
-             for ju in ups for jd in dns]
-    workers = int(os.environ.get("TRISPIN_THREADS", "1"))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_scan_row, tasks, chunksize=64))
-    else:
-        rows = [_scan_row(t) for t in tasks]
+    j_up = np.repeat(ups, len(dns))
+    j_dn = np.tile(dns, len(ups))
+    couplings = _couplings_for(family, j_up, j_dn, u_upup, u_dndn, u_updn)
+    # per-link couplings are reported on link 0
+    columns = [j_up, j_dn] + [np.broadcast_to(couplings.link(name, 0),
+                                              j_up.shape)
+                              for name in SCAN_COLUMNS[family]]
     out = sys.stdout
     out.write("j_up,j_dn," + ",".join(SCAN_COLUMNS[family]) + "\n")
-    for row in rows:
-        out.write(",".join(_fmt(x) for x in row) + "\n")
+    for row in zip(*(column.tolist() for column in columns)):
+        out.write(",".join(map(_fmt, row)) + "\n")
     return 0
 
 

@@ -27,6 +27,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import pauli
 from .fock import Species, Statistics
 
@@ -43,7 +45,11 @@ def check_boundary(boundary):
 
 @dataclass
 class CouplingSet:
-    """Named effective couplings; per-link entries are 3-tuples."""
+    """Named effective couplings; per-link entries are 3-tuples.
+
+    Array-valued tunnelings give array-valued couplings, one entry per
+    point; a value the tunnelings do not enter stays a scalar.
+    """
 
     family: str
     values: dict
@@ -66,15 +72,22 @@ class CouplingSet:
 
 
 def _triangle_tunnelings(params):
+    """Per-link (up, down) tunnelings; complex scalars, or complex arrays
+    when the parameters carry arrays of amplitudes."""
     ju = [params.j(l, Species.UP) for l in range(3)]
     jd = [params.j(l, Species.DOWN) for l in range(3)]
     return ju, jd
 
 
 def _require_real(js, what):
-    if any(abs(j.imag) > 1e-14 * max(1.0, abs(j)) for j in js):
+    if any(np.any(abs(j.imag) > 1e-14 * np.maximum(1.0, abs(j))) for j in js):
         raise ValueError(f"{what} formulas require real tunnelings")
     return [j.real for j in js]
+
+
+def _square(x):
+    # libm pow, bit for bit CPython's float ** 2 (x * x can differ by 1 ULP)
+    return np.float_power(x, 2)
 
 
 def bosonic_couplings(params):
@@ -95,27 +108,28 @@ def bosonic_couplings(params):
               for j in _triangle_tunnelings(params))
     tu = ju[0] * ju[1] * ju[2]
     td = jd[0] * jd[1] * jd[2]
+    su, sd = [_square(j) for j in ju], [_square(j) for j in jd]
 
     def nxt(seq, j, k):
         return seq[(j + k) % 3]
 
     A = tuple(
         -tu * (3 / (2 * uu ** 2) + 1 / (2 * ud ** 2) + 1 / (ud * uu))
-        - ju[j] ** 2 * (1 / uu + 1 / (2 * ud))
+        - su[j] * (1 / uu + 1 / (2 * ud))
         - td * (3 / (2 * dd ** 2) + 1 / (2 * ud ** 2) + 1 / (ud * dd))
-        - jd[j] ** 2 * (1 / dd + 1 / (2 * ud))
+        - sd[j] * (1 / dd + 1 / (2 * ud))
         for j in range(3))
     B = tuple(
-        -(ju[j] ** 2 + nxt(ju, j, 2) ** 2) / uu
+        -(su[j] + nxt(su, j, 2)) / uu
         - tu / uu * (1 / ud + 9 / (2 * uu))
-        + (jd[j] ** 2 + nxt(jd, j, 2) ** 2) / dd
+        + (sd[j] + nxt(sd, j, 2)) / dd
         + td / dd * (1 / ud + 9 / (2 * dd))
         for j in range(3))
     lam1 = tuple(
         -tu * (9 / (2 * uu ** 2) - 1 / (2 * ud ** 2) - 1 / (ud * uu))
-        - ju[j] ** 2 * (1 / uu - 1 / (2 * ud))
+        - su[j] * (1 / uu - 1 / (2 * ud))
         - td * (9 / (2 * dd ** 2) - 1 / (2 * ud ** 2) - 1 / (ud * dd))
-        - jd[j] ** 2 * (1 / dd - 1 / (2 * ud))
+        - sd[j] * (1 / dd - 1 / (2 * ud))
         for j in range(3))
     lam2 = tuple(
         -jd[j] * nxt(ju, j, 1) * nxt(ju, j, 2)
@@ -152,7 +166,8 @@ def fermionic_couplings(params, three_spin_sign=1.0):
     ju, jd = (_require_real(j, "fermionic coupling")
               for j in _triangle_tunnelings(params))
 
-    mu1 = tuple(-(ju[j] ** 2 + jd[j] ** 2) / (2 * u) for j in range(3))
+    mu1 = tuple(-(_square(ju[j]) + _square(jd[j])) / (2 * u)
+                for j in range(3))
     mu2 = tuple(ju[j] * jd[j] / u for j in range(3))
     mu3 = three_spin_sign * (ju[0] * ju[1] * ju[2]
                              - jd[0] * jd[1] * jd[2]) / (2 * u ** 2)
@@ -167,13 +182,14 @@ def fermionic_couplings(params, three_spin_sign=1.0):
 
 
 def _require_imaginary(js, what):
-    if any(abs(j.real) > 1e-14 * max(1.0, abs(j)) for j in js):
+    if any(np.any(abs(j.real) > 1e-14 * np.maximum(1.0, abs(j))) for j in js):
         raise ValueError(
             f"complex-coupling formulas require purely imaginary J ({what})")
 
 
 def _uniform(js, what):
-    if max(abs(j - js[0]) for j in js) > 1e-14 * max(1.0, abs(js[0])):
+    tol = 1e-14 * np.maximum(1.0, abs(js[0]))
+    if any(np.any(abs(j - js[0]) > tol) for j in js):
         raise ValueError(f"{what} formulas require link-uniform tunnelings")
     return js[0]
 

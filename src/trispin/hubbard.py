@@ -122,7 +122,12 @@ class HubbardParams:
     tunneling: dict = field(default_factory=dict)
 
     def j(self, link, species):
-        return complex(self.tunneling.get((link, species), 0.0))
+        """The amplitude as a complex number, or a complex array when the
+        entry holds an array (cast like complex(), which keeps -0.0)."""
+        value = self.tunneling.get((link, species), 0.0)
+        if np.ndim(value) == 0:
+            return complex(value)
+        return np.asarray(value, dtype=complex)
 
     @classmethod
     def uniform(cls, statistics, n_links, j_up, j_dn, u_updn=1.0,
@@ -137,8 +142,8 @@ class HubbardParams:
                 raise ValueError("bosonic parameters need finite u_upup, u_dndn")
         tun = {}
         for link in range(n_links):
-            tun[(link, Species.UP)] = complex(j_up)
-            tun[(link, Species.DOWN)] = complex(j_dn)
+            tun[(link, Species.UP)] = j_up
+            tun[(link, Species.DOWN)] = j_dn
         return cls(statistics, u_upup, u_dndn, u_updn, tun)
 
 
@@ -324,55 +329,6 @@ def build_v(basis, graph, params):
     op = build_v_mixed(basis, graph, hop_matrices)
     op.meta["params"] = params
     return op
-
-
-def graph_to_json(graph):
-    return {
-        "n_sites": graph.n_sites,
-        "geometry": graph.geometry,
-        "edges": [[e.link, e.frm, e.to] for e in graph.edges],
-    }
-
-
-def graph_from_json(payload):
-    edges = tuple(Edge(*map(int, row)) for row in payload["edges"])
-    return LatticeGraph(int(payload["n_sites"]), edges,
-                        payload.get("geometry", "custom"))
-
-
-def params_to_json(params):
-    def enc(u):
-        return "inf" if math.isinf(u) else u
-
-    return {
-        "statistics": params.statistics.value,
-        "u_upup": enc(params.u_upup),
-        "u_dndn": enc(params.u_dndn),
-        "u_updn": enc(params.u_updn),
-        "tunneling": [
-            {"link": link, "species": species.name.lower(),
-             "re": j.real, "im": j.imag}
-            for (link, species), j in sorted(
-                ((k, complex(v)) for k, v in params.tunneling.items()),
-                key=lambda item: (item[0][0], item[0][1].value))
-        ],
-    }
-
-
-def params_from_json(payload):
-    def dec(u):
-        return math.inf if u == "inf" else float(u)
-
-    tunneling = {}
-    for row in payload.get("tunneling", []):
-        species = Species[row["species"].upper()]
-        tunneling[(int(row["link"]), species)] = complex(row["re"],
-                                                         row.get("im", 0.0))
-    return HubbardParams(Statistics(payload["statistics"]),
-                         u_upup=dec(payload["u_upup"]),
-                         u_dndn=dec(payload["u_dndn"]),
-                         u_updn=dec(payload["u_updn"]),
-                         tunneling=tunneling)
 
 
 def projector_single_occupancy(basis):

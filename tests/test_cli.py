@@ -91,6 +91,44 @@ def test_scan_hard_cap(capsys):
     assert "hard cap" in capsys.readouterr().err
 
 
+def test_fermionic_scan_cap_ignores_same_species_energies(capsys):
+    # the fermionic couplings read U_updn = 1 only, so J/U = 0.1 here
+    code = main(["scan", "--family", "fermionic", "--uuu", "0.05",
+                 "--udd", "0.05", "--u", "1", "--j-up-max", "0.1",
+                 "--j-up-steps", "2", "--j-dn-max", "0.1",
+                 "--j-dn-steps", "2"])
+    assert code == 0
+    captured = capsys.readouterr()
+    assert len(captured.out.splitlines()) == 5
+    assert "J/U" not in captured.err
+
+
+SCAN_GUARD_GRID = ["--j-up-min", "0.001", "--j-up-max", "0.1",
+                   "--j-up-steps", "26", "--j-dn-min", "0.001",
+                   "--j-dn-max", "0.1", "--j-dn-steps", "26",
+                   "--uuu", "1.1", "--udd", "0.9", "--u", "1"]
+
+
+@pytest.mark.parametrize("family", ["bosonic", "fermionic",
+                                    "complex_bosonic", "complex_fermionic"])
+def test_scan_rows_equal_pointwise_couplings(capsys, family):
+    # numpy's array ** 2 is x * x, which misses CPython's float ** 2 by
+    # 1 ULP on some tunnelings of this grid
+    assert main(["scan", "--family", family, *SCAN_GUARD_GRID]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    names = lines[0].split(",")[2:]
+    assert len(lines) == 1 + 26 * 26
+    for line in lines[1:]:
+        j_up, j_dn, *cells = line.split(",")
+        assert main(["couplings", "--family", family, "--j-up", j_up,
+                     "--j-dn", j_dn, "--uuu", "1.1", "--udd", "0.9",
+                     "--u", "1"]) == 0
+        values = json.loads(capsys.readouterr().out)["values"]
+        point = [values[n][0] if isinstance(values[n], list) else values[n]
+                 for n in names]
+        assert cells == [f"{x:.17g}" for x in point], line
+
+
 @pytest.mark.parametrize("args, message", [
     (["chain", "--bx-step", "0"], "--bx-step must be positive"),
     (["chain", "--bx-step", "-0.1"], "--bx-step must be positive"),

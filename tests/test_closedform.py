@@ -115,6 +115,25 @@ def test_complex_requires_imaginary_and_uniform():
         closedform.complex_tunneling_couplings(params)
 
 
+def test_guards_check_every_point_of_array_tunnelings():
+    j = np.array([0.02, 0.05, 0.1])
+    off = np.array([0, 0, 1e-3])     # only the last point is out of family
+
+    def params(j_up, j_dn):
+        return HubbardParams.uniform(Statistics.BOSON, 3, j_up, j_dn,
+                                     u_updn=U, u_upup=U, u_dndn=U)
+
+    with pytest.raises(ValueError, match="real"):
+        closedform.bosonic_couplings(params(j + 1j * off, j))
+    with pytest.raises(ValueError, match="purely imaginary"):
+        closedform.complex_tunneling_couplings(params(1j * j + off, 1j * j))
+    skewed = params(1j * j, 1j * j)
+    skewed.tunneling[(0, Species.UP)] = 1j * (j + off)
+    with pytest.raises(ValueError, match="uniform"):
+        closedform.complex_tunneling_couplings(skewed)
+    assert closedform.bosonic_couplings(params(j, j))["lambda3"].shape == (3,)
+
+
 def test_complex_fermionic_equal_couplings_keeps_chirality():
     # the flux through the triangle survives species-symmetric imaginary
     # tunneling: tau4 = -3 j^3 / U^2 (the audited transcription instead

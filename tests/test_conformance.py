@@ -1,14 +1,11 @@
-import math
-
 import pytest
 
 from trispin import conformance
 from trispin.conformance import (formula_tolerance, oracle_tolerance,
                                  run_triangle_draw, run_verification,
                                  scaling_ladder)
-from trispin.fock import Species, Statistics
-from trispin.hubbard import (HubbardParams, graph_from_json, graph_to_json,
-                             make_zigzag, params_from_json, params_to_json)
+from trispin.fock import Statistics
+from trispin.hubbard import HubbardParams
 
 
 def _uniform(statistics, j):
@@ -82,22 +79,3 @@ def test_verification_has_no_false_oracle_alarm_at_seed_4():
     # seed 4 draws a bosonic triangle with U_min = 0.81 whose fourth-order
     # tail exceeds the oracle tolerance taken at the cross channel U = 1
     assert run_verification(seed=4)["ok"] is True
-
-
-def test_graph_round_trip():
-    graph = make_zigzag(5)
-    clone = graph_from_json(graph_to_json(graph))
-    assert clone.n_sites == graph.n_sites
-    assert clone.edges == graph.edges
-    assert clone.geometry == graph.geometry
-
-
-def test_params_round_trip():
-    tun = {(0, Species.UP): 0.1 + 0.02j, (2, Species.DOWN): -0.05j}
-    params = HubbardParams(Statistics.BOSON, u_upup=1.2, u_dndn=math.inf,
-                           u_updn=1.0, tunneling=tun)
-    clone = params_from_json(params_to_json(params))
-    assert clone.statistics is Statistics.BOSON
-    assert clone.u_upup == params.u_upup
-    assert math.isinf(clone.u_dndn)
-    assert clone.tunneling == {k: complex(v) for k, v in tun.items()}
