@@ -2,13 +2,11 @@
 triangular geometries: perturbative engine, closed-form couplings,
 adiabatic-elimination oracle and spin-model diagnostics."""
 
-from .fock import (Species, Statistics, FockState, SectorSpec, Basis,
-                   enumerate_basis, apply_ladder, hop, transfer)
+from .fock import Species, Statistics, SectorSpec, Basis, enumerate_basis
 from .hubbard import (LatticeGraph, HubbardParams, SparseOperator,
-                      make_graph, make_triangle, make_zigzag,
-                      make_triangular_patch, hilbert_basis, sector_for,
-                      build_h0, build_v, build_v_mixed, derive,
-                      projector_single_occupancy, zigzag_longitudinal_links)
+                      make_triangle, make_zigzag, make_triangular_patch,
+                      hilbert_basis, sector_for, build_h0, build_v,
+                      build_v_mixed, derive, projector_single_occupancy)
 from .perturb import (EffectiveHamiltonian, PauliDecomposition, Partition,
                       spin_map, partition, h_eff_second,
                       h_eff_third, h_eff_up_to_third, cross_second,
@@ -19,10 +17,9 @@ from .closedform import (CouplingSet, SpinHamiltonianSpec,
                          bosonic_couplings, fermionic_couplings,
                          complex_tunneling_couplings, rotated_xy_couplings,
                          chirality_point_params, build_spin_hamiltonian,
-                         triangle_spin_spec, coupling_matrix,
-                         expected_string_coefficients)
+                         triangle_spin_spec, expected_string_coefficients)
 from .raman import (SU2Rotation, rotate_tunneling, spin_rotation_matrix,
-                    covariance_check, hop_matrix)
+                    covariance_check)
 from .chainlab import (SpectrumReport, diagonalize, chirality_operator,
                        zzz_chain_sparse, duality_scan,
                        detect_nnn_terms, zzz_ground_space_bruteforce,

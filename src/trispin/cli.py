@@ -225,6 +225,13 @@ def cmd_chiral(args, config):
     if magnitude == 0:
         raise UsageError("--j-mag must be nonzero: the spectrum is reported "
                          "in units of tau4 = j_mag^3 / u^2")
+    try:
+        tau4 = magnitude ** 3 / scale ** 2
+    except (ZeroDivisionError, OverflowError):
+        tau4 = math.inf
+    if tau4 == 0 or not math.isfinite(tau4):
+        raise UsageError("tau4 = j_mag^3 / u^2 must be finite and nonzero: "
+                         "the spectrum is reported in units of tau4")
     from .hubbard import derive, make_triangle
     from .perturb import h_eff_up_to_third, pauli_decompose
     params = closedform.chirality_point_params(magnitude, scale)
@@ -233,7 +240,6 @@ def cmd_chiral(args, config):
     zeeman = {s: dec[s] for s in ("ZII", "IZI", "IIZ")}
     matrix = h.matrix - pauli.pauli_sum(zeeman, 3)
     report = chainlab.diagonalize(matrix, k=2)
-    tau4 = magnitude ** 3 / scale ** 2
     ground = report.eigenvectors
     overlaps = {}
     for sector, positions in (("+1/2", (1, 2, 4)), ("-1/2", (6, 5, 3))):

@@ -302,33 +302,28 @@ class SpinHamiltonianSpec:
 
 def _summed_strings(spec):
     """String -> summed coefficient map of a term list under its
-    boundary rule, and the open-boundary terms that fall off the edge."""
+    boundary rule; open-boundary terms that fall off the edge are
+    dropped."""
     n = spec.n_sites
     coeffs = {}
-    dropped = []
     for pattern, offset, coeff in spec.terms:
         sites = [offset + k for k in range(len(pattern))]
         if spec.boundary == "periodic":
             sites = [s % n for s in sites]
         elif any(s >= n or s < 0 for s in sites):
-            dropped.append((pattern, offset, coeff))
             continue
         string = pauli.embed(pattern, sites, n)
         coeffs[string] = coeffs.get(string, 0.0) + coeff
-    return coeffs, dropped
+    return coeffs
 
 
-def build_spin_hamiltonian(spec, return_dropped=False):
+def build_spin_hamiltonian(spec):
     """Dense matrix of a term list under the boundary rule.
 
-    Open-boundary terms that fall off the edge are dropped (and
-    returned when ``return_dropped`` is set), never an error.
+    Open-boundary terms that fall off the edge are dropped, never an
+    error.
     """
-    coeffs, dropped = _summed_strings(spec)
-    out = pauli.pauli_sum(coeffs, spec.n_sites)
-    if return_dropped:
-        return out, dropped
-    return out
+    return pauli.pauli_sum(_summed_strings(spec), spec.n_sites)
 
 
 def triangle_spin_spec(couplings):
@@ -380,12 +375,8 @@ def triangle_spin_spec(couplings):
     return spec
 
 
-def coupling_matrix(couplings):
-    return build_spin_hamiltonian(triangle_spin_spec(couplings))
-
-
 def expected_string_coefficients(couplings):
     """Pauli-string coefficients implied by a coupling set: its term list
     summed per string, without the strings that cancel exactly."""
-    coeffs, _ = _summed_strings(triangle_spin_spec(couplings))
+    coeffs = _summed_strings(triangle_spin_spec(couplings))
     return {s: c for s, c in coeffs.items() if c != 0}

@@ -1,7 +1,7 @@
-"""Occupation-number states and ladder operators for two atomic species.
+"""Occupation-number bases for two atomic species.
 
 Sites are labeled 0..n_sites-1 and each site carries two internal modes,
-one per species.  A state stores the flat occupation tuple
+one per species.  A state is the flat occupation row
 ``(n_up[0], n_dn[0], n_up[1], n_dn[1], ...)`` so that the global mode
 index of (site, species) is ``2*site + species``.  That flat order is
 also the fermionic sign convention: the amplitude of a ladder operator
@@ -14,14 +14,12 @@ occupation in the basis.  Equal keys are equal rows, and lexicographic
 order of the rows is ascending key order, so the keys of an
 ``enumerate_basis`` basis are strictly increasing.  Operators are
 assembled from ``occ`` by array passes, and a moved state is found with
-``Basis.locate`` on its key.  ``FockState`` with ``apply_ladder``,
-``transfer`` and ``hop``, in either fermionic mode order, is the
-per-state reference that the array passes are tested against.
+``Basis.locate`` on its key.  The per-state reference they are tested
+against lives with the tests, in ``tests/fock_reference.py``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -36,44 +34,6 @@ class Species(Enum):
 class Statistics(Enum):
     BOSON = "boson"
     FERMION = "fermion"
-
-
-CREATE = "create"
-ANNIHILATE = "annihilate"
-
-
-@dataclass(frozen=True)
-class FockState:
-    """Occupation numbers of both species on every site.
-
-    ``occ`` is the flat tuple (up0, dn0, up1, dn1, ...); fermionic states
-    keep every entry at 0 or 1.
-    """
-
-    occ: tuple
-    statistics: Statistics
-
-    @property
-    def n_sites(self):
-        return len(self.occ) // 2
-
-    def occupation(self, site, species):
-        return self.occ[2 * site + species.value]
-
-    def site_occupations(self, site):
-        return self.occ[2 * site], self.occ[2 * site + 1]
-
-    @property
-    def n_up(self):
-        return sum(self.occ[0::2])
-
-    @property
-    def n_down(self):
-        return sum(self.occ[1::2])
-
-    def __str__(self):
-        sites = [f"({self.occ[2*i]},{self.occ[2*i+1]})" for i in range(self.n_sites)]
-        return "|" + " ".join(sites) + ">"
 
 
 @dataclass(frozen=True)
@@ -147,12 +107,6 @@ class Basis:
         self._key_order = np.argsort(self.keys, kind="stable")
         self._sorted_keys = self.keys[self._key_order]
 
-    @property
-    def states(self):
-        """The rows as ``FockState`` objects, built on every read."""
-        return [FockState(tuple(row), self.statistics)
-                for row in self.occ.tolist()]
-
     def locate(self, keys):
         """Basis positions of occupation keys, -1 where a key is absent."""
         slot = np.searchsorted(self._sorted_keys, keys)
@@ -218,73 +172,3 @@ def enumerate_basis(n_sites, statistics, sector):
         raise ValueError("empty basis")
     return Basis(occ=occ[keep], statistics=statistics, n_sites=n_sites,
                  sector=sector)
-
-
-def _fermion_sign(occ, mode, mode_order):
-    if mode_order == "standard":
-        preceding = sum(occ[:mode])
-    elif mode_order == "reversed":
-        preceding = sum(occ[mode + 1:])
-    else:
-        raise ValueError(f"unknown mode order {mode_order!r}")
-    return -1.0 if preceding % 2 else 1.0
-
-
-def apply_ladder(state, site, species, kind, mode_order="standard"):
-    """Apply a creation or annihilation operator to one mode.
-
-    Returns ``(new_state, amplitude)`` or ``None`` when the result
-    vanishes (annihilating an empty mode, creating on an occupied
-    fermionic mode).  Bosonic amplitudes are sqrt(n+1) / sqrt(n);
-    fermionic amplitudes are +-1 per the global mode-ordering sign.
-    """
-    if not 0 <= site < state.n_sites:
-        raise ValueError(f"site {site} out of range")
-    mode = 2 * site + species.value
-    n = state.occ[mode]
-    occ = list(state.occ)
-    if kind == CREATE:
-        if state.statistics is Statistics.FERMION:
-            if n == 1:
-                return None
-            occ[mode] = 1
-            amp = _fermion_sign(state.occ, mode, mode_order)
-        else:
-            occ[mode] = n + 1
-            amp = math.sqrt(n + 1)
-    elif kind == ANNIHILATE:
-        if n == 0:
-            return None
-        occ[mode] = n - 1
-        if state.statistics is Statistics.FERMION:
-            amp = _fermion_sign(state.occ, mode, mode_order)
-        else:
-            amp = math.sqrt(n)
-    else:
-        raise ValueError(f"unknown ladder kind {kind!r}")
-    return FockState(tuple(occ), state.statistics), amp
-
-
-def transfer(state, to_site, to_species, from_site, from_species,
-             mode_order="standard"):
-    """Move one atom between modes: create(to) after annihilate(from).
-
-    The composition order matters for fermionic signs and matches the
-    normal-ordered bilinear a(to)^dag a(from).
-    """
-    step = apply_ladder(state, from_site, from_species, ANNIHILATE, mode_order)
-    if step is None:
-        return None
-    mid, amp1 = step
-    step = apply_ladder(mid, to_site, to_species, CREATE, mode_order)
-    if step is None:
-        return None
-    out, amp2 = step
-    return out, amp1 * amp2
-
-
-def hop(state, from_site, to_site, species, mode_order="standard"):
-    """Species-preserving tunneling move between two sites."""
-    if from_site == to_site:
-        raise ValueError("hop requires distinct sites")
-    return transfer(state, to_site, species, from_site, species, mode_order)

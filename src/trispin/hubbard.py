@@ -63,11 +63,6 @@ def make_zigzag(n):
     return LatticeGraph(n, tuple(edges), f"zigzag_chain({n})")
 
 
-def zigzag_longitudinal_links(graph):
-    """Link ids of the (i, i+2) edges of a zig-zag chain."""
-    return [e.link for e in graph.edges if abs(e.to - e.frm) == 2]
-
-
 def make_triangular_patch(rows, cols):
     """Finite parallelogram patch of the triangular lattice.
 
@@ -90,20 +85,6 @@ def make_triangular_patch(rows, cols):
             if r + 1 < rows and c + 1 < cols:
                 edges.append(Edge(len(edges), site(r, c), site(r + 1, c + 1)))
     return LatticeGraph(rows * cols, tuple(edges), f"triangular_patch({rows},{cols})")
-
-
-def make_graph(spec):
-    """Build a lattice from a tag: 'triangle', ('zigzag_chain', n) or
-    ('triangular_patch', rows, cols)."""
-    if spec == "triangle":
-        return make_triangle()
-    if isinstance(spec, (tuple, list)):
-        tag = spec[0]
-        if tag == "zigzag_chain":
-            return make_zigzag(int(spec[1]))
-        if tag == "triangular_patch":
-            return make_triangular_patch(int(spec[1]), int(spec[2]))
-    raise ValueError(f"unknown lattice spec {spec!r}")
 
 
 @dataclass
@@ -177,44 +158,16 @@ class SparseOperator:
     def dim(self):
         return self.mat.shape[0]
 
-    def to_dense(self):
-        return self.mat.toarray()
-
     def diagonal(self):
         return self.mat.diagonal()
-
-    def __add__(self, other):
-        if other.basis is not self.basis:
-            raise ValueError("operators live on different bases")
-        return SparseOperator(self.mat + other.mat, self.basis)
-
-    def hermiticity_defect(self):
-        return abs(self.mat - self.mat.getH()).max()
-
-
-def site_energy(n_up, n_dn, params):
-    energy = 0.0
-    if n_up > 1:
-        if math.isinf(params.u_upup):
-            return math.inf
-        energy += 0.5 * params.u_upup * n_up * (n_up - 1)
-    if n_dn > 1:
-        if math.isinf(params.u_dndn):
-            return math.inf
-        energy += 0.5 * params.u_dndn * n_dn * (n_dn - 1)
-    if n_up and n_dn:
-        if math.isinf(params.u_updn):
-            return math.inf
-        energy += params.u_updn * n_up * n_dn
-    return energy
 
 
 def build_h0(basis, params):
     """Diagonal collision operator; single-occupancy states sit at 0.
 
-    Summed site by site over ``basis.occ`` with the operations of
-    ``site_energy`` in their order; a channel that does not fire adds
-    a signed zero, which leaves every sum unchanged.
+    Summed site by site over ``basis.occ``, channel by channel in the
+    order of the module formula; a channel that does not fire adds a
+    signed zero, which leaves every sum unchanged.
     """
     occ = basis.occ
     diag = np.zeros(len(basis))
@@ -235,7 +188,7 @@ def build_h0(basis, params):
             energy += params.u_updn * up * dn
         diag += energy
     mat = sp.diags(diag.astype(complex), format="csr")
-    return SparseOperator(mat, basis, meta={"params": params})
+    return SparseOperator(mat, basis)
 
 
 def build_v_mixed(basis, graph, hop_matrices):
@@ -326,9 +279,7 @@ def build_v(basis, graph, params):
         kmat[0, 0] = params.j(edge.link, Species.UP)
         kmat[1, 1] = params.j(edge.link, Species.DOWN)
         hop_matrices[edge.link] = kmat
-    op = build_v_mixed(basis, graph, hop_matrices)
-    op.meta["params"] = params
-    return op
+    return build_v_mixed(basis, graph, hop_matrices)
 
 
 def projector_single_occupancy(basis):

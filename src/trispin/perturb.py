@@ -234,14 +234,6 @@ class PauliDecomposition:
     def reconstruct(self):
         return pauli.pauli_sum(self.coeffs, self.n_sites)
 
-    def to_json_records(self):
-        records = []
-        for string in sorted(self.coeffs):
-            c = self.coeffs[string]
-            records.append({"pauli": string, "re": float(c.real),
-                            "im": float(c.imag)})
-        return records
-
 
 def _walsh_hadamard(a):
     """Unnormalised Walsh-Hadamard transform along the last axis of a

@@ -39,40 +39,22 @@ class SU2Rotation:
         phase = np.exp(1j * self.phi)
         return np.array([[c, phase * s], [s, -phase * c]])
 
-    def unitarity_defect(self):
-        g = self.matrix
-        return np.abs(g @ g.conj().T - np.eye(2)).max()
 
-
-def hop_matrix(g, j_plus, j_minus):
-    """Bare-mode hopping matrix of the rotated tunneling."""
-    gm = g.matrix
-    return gm.conj().T @ np.diag([j_plus, j_minus]) @ gm
-
-
-def rotate_tunneling(v, g, j_plus=None, j_minus=None):
+def rotate_tunneling(v, g):
     """Rebuild a tunneling operator with every link rotated by g.
 
     ``v`` must have been produced by build_v / build_v_mixed so that its
-    graph and hopping matrices are known.  By default the rotated rates
-    are identified with the diagonal of the original hopping matrices
-    (j_plus = J_up, j_minus = J_down per link); scalar overrides apply
-    to every link.
+    graph and hopping matrices are known.  The rotated rates are the
+    original hopping matrices (j_plus = J_up, j_minus = J_down per link
+    for a species-diagonal ``v``).
     """
     graph = v.meta.get("graph")
     hops = v.meta.get("hop_matrices")
     if graph is None or hops is None:
         raise ValueError("operator does not carry tunneling metadata")
     gm = g.matrix
-    rotated = {}
-    for link, kmat in hops.items():
-        kmat = np.asarray(kmat)
-        if j_plus is not None or j_minus is not None:
-            diag = np.diag([j_plus if j_plus is not None else kmat[0, 0],
-                            j_minus if j_minus is not None else kmat[1, 1]])
-        else:
-            diag = kmat
-        rotated[link] = gm.conj().T @ diag @ gm
+    rotated = {link: gm.conj().T @ np.asarray(kmat) @ gm
+               for link, kmat in hops.items()}
     return build_v_mixed(v.basis, graph, rotated)
 
 

@@ -21,13 +21,12 @@ from trispin import chainlab, closedform, pauli
 from trispin.conformance import (formula_tolerance, random_triangle_params,
                                  run_triangle_draw, scaling_ladder)
 from trispin.fock import SectorSpec, Species, Statistics, enumerate_basis
-from trispin.hubbard import (HubbardParams, build_h0, build_v, hilbert_basis,
-                             make_triangle, make_zigzag,
-                             projector_single_occupancy,
-                             zigzag_longitudinal_links)
+from trispin.hubbard import (HubbardParams, build_h0, build_v, build_v_mixed,
+                             hilbert_basis, make_triangle, make_zigzag,
+                             projector_single_occupancy)
 from trispin.perturb import (h_eff_up_to_third, pauli_decompose,
                              validate_by_evolution)
-from trispin.raman import SU2Rotation, covariance_check, rotate_tunneling
+from trispin.raman import SU2Rotation, covariance_check
 
 U = 1.0
 TWO_ROOT_THREE = 2 * math.sqrt(3.0)
@@ -158,8 +157,10 @@ def test_criterion_5_raman_covariance_and_rotated_xy():
                         theta=float(rng.uniform(0, math.pi)))
         worst = max(worst, covariance_check(h0, v, g, m))
     j = 0.05
-    v_rot = rotate_tunneling(v, SU2Rotation(0.0, math.pi / 4),
-                             j_plus=j, j_minus=0.0)
+    gm = SU2Rotation(0.0, math.pi / 4).matrix
+    k = gm.conj().T @ np.diag([j, 0.0]) @ gm
+    v_rot = build_v_mixed(v.basis, make_triangle(),
+                          {link: k for link in range(3)})
     dec = pauli_decompose(h_eff_up_to_third(h0, v_rot, m))
     tol = formula_tolerance(j, U)
     stated = {
@@ -266,8 +267,9 @@ def test_criterion_8_zigzag_nnn_terms():
     zz_peak = max(abs(c) for c in found.detected_zz.values())
     compensated_peak = max(abs(found.compensated[s])
                            for s in found.detected_zz)
-    for link in zigzag_longitudinal_links(graph):
-        tun[(link, Species.UP)] = 0.0
+    for edge in graph.edges:
+        if abs(edge.to - edge.frm) == 2:
+            tun[(edge.link, Species.UP)] = 0.0
     params = HubbardParams(Statistics.FERMION, u_updn=U, tunneling=tun)
     basis = hilbert_basis(graph, params)
     dec = pauli_decompose(h_eff_up_to_third(

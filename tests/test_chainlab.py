@@ -4,8 +4,7 @@ import pytest
 from trispin import chainlab, closedform, pauli
 from trispin.fock import Species, Statistics
 from trispin.hubbard import (HubbardParams, build_h0, build_v, hilbert_basis,
-                             make_zigzag, projector_single_occupancy,
-                             zigzag_longitudinal_links)
+                             make_zigzag, projector_single_occupancy)
 from trispin.perturb import h_eff_up_to_third, pauli_decompose
 
 
@@ -161,8 +160,9 @@ def _zigzag_engine_decomposition(deactivate_up_longitudinal=False):
         tun[(edge.link, Species.UP)] = complex(rng.uniform(0.02, 0.05))
         tun[(edge.link, Species.DOWN)] = complex(rng.uniform(0.02, 0.05))
     if deactivate_up_longitudinal:
-        for link in zigzag_longitudinal_links(graph):
-            tun[(link, Species.UP)] = 0.0
+        for edge in graph.edges:
+            if abs(edge.to - edge.frm) == 2:
+                tun[(edge.link, Species.UP)] = 0.0
     params = HubbardParams(Statistics.FERMION, u_updn=1.0, tunneling=tun)
     basis = hilbert_basis(graph, params)
     h0 = build_h0(basis, params)

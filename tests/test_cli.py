@@ -129,6 +129,9 @@ def test_scan_rows_equal_pointwise_couplings(capsys, family):
         assert cells == [f"{x:.17g}" for x in point], line
 
 
+TAU4_UNUSABLE = "tau4 = j_mag^3 / u^2 must be finite and nonzero"
+
+
 @pytest.mark.parametrize("args, message", [
     (["chain", "--bx-step", "0"], "--bx-step must be positive"),
     (["chain", "--bx-step", "-0.1"], "--bx-step must be positive"),
@@ -143,6 +146,10 @@ def test_scan_rows_equal_pointwise_couplings(capsys, family):
     (["chain", "--bx-min", "0"], "--bx-min must be positive"),
     (["chain", "--bx-min", "-0.5"], "--bx-min must be positive"),
     (["chiral", "--j-mag", "0"], "--j-mag must be nonzero"),
+    (["chiral", "--u", "inf"], TAU4_UNUSABLE),
+    (["chiral", "--u", "0"], TAU4_UNUSABLE),
+    (["chiral", "--j-mag", "1e-120"], TAU4_UNUSABLE),
+    (["chiral", "--j-mag", "1e200"], TAU4_UNUSABLE),
     (["verify", "--draws", "-1"], "--draws must not be negative"),
     (["scan", "--family", "fermionic", "--j-up-max", "nan",
       "--j-up-steps", "3", "--j-dn-max", "0.05", "--j-dn-steps", "2"],
@@ -155,7 +162,8 @@ def test_scan_rows_equal_pointwise_couplings(capsys, family):
     (["chain", "--bx-max", "inf"], "--bx-max must be finite"),
 ], ids=["zero-step", "negative-step", "min-above-max", "zero-steps",
         "zero-sites", "negative-sites", "sites-not-multiple-of-3",
-        "zero-bx-min", "negative-bx-min", "zero-j-mag", "negative-draws",
+        "zero-bx-min", "negative-bx-min", "zero-j-mag", "infinite-u",
+        "zero-u", "underflowing-tau4", "overflowing-tau4", "negative-draws",
         "nan-flag", "nan-energy", "infinite-bx-step", "infinite-bx-max"])
 def test_bad_grid_is_a_usage_error(capsys, args, message):
     # rejected with exit 2 before any output is written

@@ -177,9 +177,8 @@ def test_build_spin_hamiltonian_drops_open_boundary_terms():
     spec = closedform.SpinHamiltonianSpec(3, "open")
     spec.add("ZZ", 2, 1.0)   # falls off the edge
     spec.add("Z", 0, 0.5)
-    matrix, dropped = closedform.build_spin_hamiltonian(spec,
-                                                        return_dropped=True)
-    assert dropped == [("ZZ", 2, 1.0)]
+    assert spec.terms == [("ZZ", 2, 1.0), ("Z", 0, 0.5)]
+    matrix = closedform.build_spin_hamiltonian(spec)
     from trispin import pauli
     assert np.allclose(matrix, 0.5 * pauli.string_matrix("ZII"))
 
@@ -194,7 +193,8 @@ def test_fermionic_exchange_annihilates_aligned_state():
     cs = closedform.fermionic_couplings(params)
     only_mu1 = closedform.CouplingSet("fermionic", {
         "mu1": cs["mu1"], "mu2": (0.0,) * 3, "mu3": 0.0, "mu4": (0.0,) * 3})
-    matrix = closedform.coupling_matrix(only_mu1)
+    matrix = closedform.build_spin_hamiltonian(
+        closedform.triangle_spin_spec(only_mu1))
     aligned = np.zeros(8)
     aligned[0] = 1.0
     assert np.abs(matrix @ aligned).max() <= 1e-15
@@ -202,7 +202,8 @@ def test_fermionic_exchange_annihilates_aligned_state():
 
 def test_chirality_family_matches_chainlab_operator():
     cs = closedform.CouplingSet("chirality", {"tau4": 0.7})
-    matrix = closedform.coupling_matrix(cs)
+    matrix = closedform.build_spin_hamiltonian(
+        closedform.triangle_spin_spec(cs))
     assert np.abs(matrix - 0.7 * chirality_operator(3)).max() <= 1e-14
 
 
@@ -310,7 +311,9 @@ def test_expected_strings_match_decomposition():
         # which carries only summation roundoff on the other strings
         expected = closedform.expected_string_coefficients(cs)
         tol = 1e-15 * max(abs(c) for c in expected.values())
-        coeffs = pauli_decompose(closedform.coupling_matrix(cs)).coeffs
+        matrix = closedform.build_spin_hamiltonian(
+            closedform.triangle_spin_spec(cs))
+        coeffs = pauli_decompose(matrix).coeffs
         for string, c in expected.items():
             assert abs(coeffs[string] - c) <= tol, (cs.family, string)
         for string, c in coeffs.items():

@@ -5,12 +5,13 @@ import pytest
 
 from trispin import closedform
 from trispin.fock import Statistics
-from trispin.hubbard import (HubbardParams, build_h0, build_v, hilbert_basis,
-                             make_triangle, projector_single_occupancy)
+from trispin.hubbard import (HubbardParams, SparseOperator, build_h0, build_v,
+                             build_v_mixed, hilbert_basis, make_triangle,
+                             projector_single_occupancy)
 from trispin.perturb import (cross_second, h_eff_second, h_eff_up_to_third,
                              pauli_decompose)
-from trispin.raman import (SU2Rotation, covariance_check, hop_matrix,
-                           rotate_tunneling, spin_rotation_matrix)
+from trispin.raman import (SU2Rotation, covariance_check, rotate_tunneling,
+                           spin_rotation_matrix)
 
 U = 1.0
 
@@ -33,7 +34,7 @@ def test_rotation_matrix_form_and_unitarity():
     assert gm[0, 1] == pytest.approx(np.exp(0.7j) * math.sin(1.1))
     assert gm[1, 0] == pytest.approx(math.sin(1.1))
     assert gm[1, 1] == pytest.approx(-np.exp(0.7j) * math.cos(1.1))
-    assert g.unitarity_defect() <= 1e-14
+    assert np.abs(gm @ gm.conj().T - np.eye(2)).max() <= 1e-14
     assert SU2Rotation(0.0, math.pi / 2).matrix[0, 1] == pytest.approx(1.0)
 
 
@@ -59,8 +60,8 @@ def test_equal_rates_make_rotation_transparent():
 
 
 def test_half_pi_theta_swaps_species_roles():
-    g = SU2Rotation(phi=0.0, theta=math.pi / 2)
-    k = hop_matrix(g, 0.07, 0.02)
+    gm = SU2Rotation(phi=0.0, theta=math.pi / 2).matrix
+    k = gm.conj().T @ np.diag([0.07, 0.02]) @ gm
     assert np.allclose(k, np.diag([0.02, 0.07]), atol=1e-15)
 
 
@@ -98,8 +99,7 @@ def test_second_order_bilinearity_of_combined_tunnelings():
     h0, v, m = _setup()
     g = SU2Rotation(phi=0.4, theta=0.6)
     v_rot = rotate_tunneling(v, g)
-    combined = v + v_rot
-    combined.meta = dict(v.meta)
+    combined = SparseOperator(v.mat + v_rot.mat, v.basis)
     lhs = h_eff_second(h0, combined, m).matrix
     rhs = (h_eff_second(h0, v, m).matrix
            + h_eff_second(h0, v_rot, m).matrix
@@ -113,8 +113,10 @@ def test_rotated_xy_point_reproduces_couplings():
     # x-quantized chain
     h0, v, m = _setup()
     j = 0.05
-    g = SU2Rotation(phi=0.0, theta=math.pi / 4)
-    v_rot = rotate_tunneling(v, g, j_plus=j, j_minus=0.0)
+    gm = SU2Rotation(phi=0.0, theta=math.pi / 4).matrix
+    k = gm.conj().T @ np.diag([j, 0.0]) @ gm
+    v_rot = build_v_mixed(v.basis, make_triangle(),
+                          {link: k for link in range(3)})
     dec = pauli_decompose(h_eff_up_to_third(h0, v_rot, m))
     cs = closedform.rotated_xy_couplings(j, U)
     assert dec["III"].real == pytest.approx(3 * cs["A"], abs=1e-13)

@@ -28,7 +28,7 @@ def _dense_partition(h0, v, m):
     spin = spin_map(h0.basis, m)
     f = np.setdiff1d(np.arange(h0.dim), spin)
     order = np.concatenate([spin, f])
-    vd = v.to_dense()[np.ix_(order, order)]
+    vd = v.mat.toarray()[np.ix_(order, order)]
     energies = h0.diagonal().real
     k = len(spin)
     return vd[:k, :k], vd[:k, k:], vd[k:, k:], energies[spin], energies[f]
