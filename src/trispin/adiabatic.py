@@ -10,7 +10,7 @@ Because the full fast block (including tunneling within it) is
 inverted, this resums the perturbative series to all orders and is an
 independent check of the order-2/3 engine.
 
-H_FF is built as a sparse matrix from the partition's nonzeros and
+``eliminate`` takes the partition the engine reads; its sparse H_FF is
 factored once by sparse LU (SuperLU, minimum-degree ordering of
 H_FF + H_FF^T, which fits its symmetric pattern).  H_FM is nonzero only
 on the states R one hop from M, so the solve runs against those rows
@@ -31,11 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .perturb import (EffectiveHamiltonian, _check_engine, _second_order,
-                      _third_order, partition)
+from .perturb import (EffectiveHamiltonian, check_engine, partition,
+                      second_order, third_order)
 
 COND_LIMIT = 1e12
 
@@ -52,25 +51,6 @@ class AdiabaticResult:
     h_eff: EffectiveHamiltonian
     condition_number: float
     dims: tuple   # (total, fast, slow)
-
-
-def _fast_block(p):
-    """H_FF = V_FF + diag(E_F) in canonical CSC form."""
-    k, nf = len(p.m), len(p.f)
-    inside_f = (p.rows >= k) & (p.cols >= k)
-    diag = np.arange(nf)
-    rows = np.concatenate([p.rows[inside_f] - k, diag])
-    cols = np.concatenate([p.cols[inside_f] - k, diag])
-    # assembled by hand: the COO route costs more than factoring the
-    # 48 x 48 fast block of a triangle
-    by_column = np.argsort(cols, kind="stable")
-    indptr = np.zeros(nf + 1, dtype=int)
-    np.cumsum(np.bincount(cols, minlength=nf), out=indptr[1:])
-    hff = sp.csc_matrix(
-        (np.concatenate([p.vals[inside_f], p.ef])[by_column],
-         rows[by_column], indptr), shape=(nf, nf))
-    hff.sum_duplicates()
-    return hff
 
 
 def _factor_fast_block(hff):
@@ -91,14 +71,15 @@ def _factor_fast_block(hff):
     return lu, norm * spla.onenormest(inverse, t=1)
 
 
-def _eliminate(p):
+def eliminate(p):
+    """Exact elimination of the fast block of a partition."""
     k = len(p.m)
     # H0 is diagonal: H_MM and H_FF are V's blocks plus the energies
     block = p.block(np.arange(k), np.arange(k))
     block[np.diag_indices_from(block)] += p.em
     cond = 0.0
     if len(p.f):
-        hff = _fast_block(p)
+        hff = p.fast_block()
         lu, cond = _factor_fast_block(hff)
         if not np.isfinite(cond) or cond > COND_LIMIT:
             raise ValueError(
@@ -115,27 +96,36 @@ def adiabatic_eliminate(h0, v, m_indices):
     """Exact elimination of the fast block; returns the spin-ordered
     effective Hamiltonian and the estimated 1-norm condition number of
     the fast block, which must not exceed ``COND_LIMIT``."""
-    return _eliminate(partition(h0, v, m_indices))
+    return eliminate(partition(h0, v, m_indices))
 
 
-def _truncated(p, order):
+def _neumann(p, order):
+    """Partial sum of -V_MF (D + V_FF)^-1 V_FM, D = diag(E_F), over all of
+    F: -V_MF D^-1 V_FM, plus V_MF D^-1 V_FF D^-1 V_FM at order 3."""
     if np.any(np.abs(p.ef) < 1e-12 * p.energy_scale):
         raise ValueError("zero-energy fast state; series undefined")
-    block = _second_order(p)
-    return block + _third_order(p) if order == 3 else block
+    k = len(p.m)
+    vmf, vff = p.v[:k, k:], p.v[k:, k:]
+    term = p.v[k:, :k].toarray() / p.ef[:, None]   # D^-1 V_FM
+    block = -(vmf @ term)
+    for _ in range(order - 2):
+        term = -(vff @ term) / p.ef[:, None]
+        block = block - vmf @ term
+    return EffectiveHamiltonian(block)
 
 
 def truncated_series(h0, v, m_indices, order=3):
     """Neumann expansion of the fast-block inverse, truncated.
 
     Order 2 reproduces the superexchange formula and order 3 adds the
-    two-intermediate term; both must agree with the perturbative engine
-    to machine precision.  No other order is computed.
+    two-intermediate term; both run on all of F, without the engine's
+    reached set, and must agree with the perturbative engine to machine
+    precision.  No other order is computed.
     """
     if order not in (2, 3):
         raise ValueError(f"series order {order!r} not implemented; "
                          "only orders 2 and 3 are")
-    return _truncated(partition(h0, v, m_indices), order)
+    return _neumann(partition(h0, v, m_indices), order)
 
 
 def series_compare(h0, v, m_indices):
@@ -145,17 +135,17 @@ def series_compare(h0, v, m_indices):
     block below the smallest fast energy; that norm is the exact
     2-norm of a dense copy of V_FF."""
     p = partition(h0, v, m_indices)
-    fast = len(p.m) + np.arange(len(p.f))
-    vff_norm = la.norm(p.block(fast, fast), 2)
+    k = len(p.m)
+    vff_norm = la.norm(p.v[k:, k:].toarray(), 2)
     emin = np.abs(p.ef).min() if len(p.f) else np.inf
     if vff_norm >= emin:
         raise ValueError("tunneling too large: fast-block series does not "
                          f"converge (|V_FF| = {vff_norm:.3g} >= {emin:.3g})")
-    exact = _eliminate(p)
-    _check_engine(p)
-    h2 = _second_order(p)
-    h3 = _third_order(p)
-    series3 = _truncated(p, 3)
+    exact = eliminate(p)
+    check_engine(p)
+    h2 = second_order(p)
+    h3 = third_order(p)
+    series3 = _neumann(p, 3)
     engine = h2.matrix + h3.matrix
     return {
         "adiabatic_vs_engine": la.norm(exact.h_eff.matrix - engine, 2),

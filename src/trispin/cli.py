@@ -26,6 +26,9 @@ from .hubbard import HubbardParams
 
 SOFT_CAP = conformance.SOFT_REGIME_LIMIT
 HARD_CAP = conformance.HARD_REGIME_LIMIT
+# the chain spectra build 2^n x n spin patterns: 352 MB at n = 21,
+# 3.2 GB at the next multiple of 3
+CHAIN_MAX_SITES = 21
 
 
 class UsageError(Exception):
@@ -185,6 +188,8 @@ def cmd_chain(args, config):
     n = int(_setting(args, config, "sites", 12))
     if n < 1 or n % 3:
         raise UsageError("--sites must be a positive multiple of 3")
+    if n > CHAIN_MAX_SITES:
+        raise UsageError(f"--sites must not exceed {CHAIN_MAX_SITES}")
     lo = float(_setting(args, config, "bx_min", 0.5))
     hi = float(_setting(args, config, "bx_max", 1.5))
     step = float(_setting(args, config, "bx_step", 0.05))
@@ -199,7 +204,9 @@ def cmd_chain(args, config):
                          "b with 1/b")
     if lo > hi:
         raise UsageError("--bx-min must not exceed --bx-max")
-    count = int(round((hi - lo) / step)) + 1
+    # floor with a relative slack: no point beyond --bx-max, but a ratio
+    # such as 5.999999999999998 still counts as 6 steps
+    count = math.floor((hi - lo) / step * (1 + 1e-9)) + 1
     grid = [lo + k * step for k in range(count)]
     scan = chainlab.duality_scan(np.asarray(grid), n)
     out = sys.stdout

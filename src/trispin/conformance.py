@@ -18,10 +18,11 @@ import numpy as np
 import scipy.linalg as la
 
 from . import closedform
-from .adiabatic import adiabatic_eliminate, series_compare
+from .adiabatic import eliminate, series_compare
 from .fock import Species, Statistics
 from .hubbard import HubbardParams, derive, make_triangle
-from .perturb import h_eff_second, h_eff_third, pauli_decompose
+from .perturb import (check_engine, partition, pauli_decompose,
+                      second_order, third_order)
 from .raman import SU2Rotation, covariance_check
 
 SOFT_REGIME_LIMIT = 0.3
@@ -57,10 +58,10 @@ def audit_couplings(params, variant):
 
 
 def engine_decomposition(graph, params):
-    h0, v, m = derive(graph, params)
-    h2 = h_eff_second(h0, v, m)
-    h3 = h_eff_third(h0, v, m)
-    return (h0, v, m), h2, h3, pauli_decompose(h2 + h3)
+    """A derivation's partition, orders 2 and 3 and their Pauli terms."""
+    p = check_engine(partition(*derive(graph, params)))
+    h2, h3 = second_order(p), third_order(p)
+    return p, h2, h3, pauli_decompose(h2 + h3)
 
 
 def _compare_strings(engine_dec, expected, tol):
@@ -125,8 +126,8 @@ def run_triangle_draw(params, variants=("certified",), j_over_u=None):
         raise ValueError("tunneling beyond the perturbative hard cap")
     if j_over_u > SOFT_REGIME_LIMIT:
         warnings.append(f"perturbative-regime warning: J/U = {j_over_u:.3g}")
-    ops, h2, h3, engine_dec = engine_decomposition(graph, params)
-    exact = adiabatic_eliminate(*ops)
+    p, h2, h3, engine_dec = engine_decomposition(graph, params)
+    exact = eliminate(p)
     residual = float(la.norm(exact.h_eff.matrix - (h2.matrix + h3.matrix), 2))
     tol = formula_tolerance(j_over_u, 1.0)
     results = []

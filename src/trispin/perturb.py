@@ -18,8 +18,10 @@ the dense blocks V_MR and V_RR; V itself is never densified.
 Every result is in spin order: position k of a block is the n-qubit
 configuration whose bit i (big-endian) is 0 for an up atom on site i
 and 1 for a down atom.  ``partition`` is the one place that splits the
-basis into M and F and puts M in that order; the exact elimination
-(``trispin.adiabatic``) uses the same split.
+basis into M and F and puts M in that order; only this module reads how
+a ``Partition`` stores V.  Callers pass one partition to ``check_engine``,
+the orders and ``trispin.adiabatic.eliminate``; the ``(h0, v, m)``
+routes such as ``h_eff_second`` build their own.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg as la
+import scipy.sparse as sp
 
 from . import pauli
 
@@ -122,6 +125,31 @@ class Partition:
     def vrr(self):
         return self.block(len(self.m) + self.r, len(self.m) + self.r)
 
+    @cached_property
+    def v(self):
+        """V as a CSR matrix in the order (M, F)."""
+        dim = len(self.m) + len(self.f)
+        return sp.csr_matrix((self.vals, (self.rows, self.cols)),
+                             shape=(dim, dim))
+
+    def fast_block(self):
+        """H_FF = V_FF + diag(E_F) in canonical CSC form."""
+        k, nf = len(self.m), len(self.f)
+        inside_f = (self.rows >= k) & (self.cols >= k)
+        diag = np.arange(nf)
+        rows = np.concatenate([self.rows[inside_f] - k, diag])
+        cols = np.concatenate([self.cols[inside_f] - k, diag])
+        # assembled by hand: the COO route costs more than factoring the
+        # 48 x 48 fast block of a triangle
+        by_column = np.argsort(cols, kind="stable")
+        indptr = np.zeros(nf + 1, dtype=int)
+        np.cumsum(np.bincount(cols, minlength=nf), out=indptr[1:])
+        hff = sp.csc_matrix(
+            (np.concatenate([self.vals[inside_f], self.ef])[by_column],
+             rows[by_column], indptr), shape=(nf, nf))
+        hff.sum_duplicates()
+        return hff
+
 
 def partition(h0, v, m_indices):
     """Split H0 and V into the single-occupancy block M, in spin order,
@@ -145,8 +173,8 @@ def partition(h0, v, m_indices):
                      np.flatnonzero(reached[k:]))
 
 
-def _check_engine(p):
-    """The conditions that orders 2 and 3 rely on."""
+def check_engine(p):
+    """Check the conditions that orders 2 and 3 rely on; returns ``p``."""
     scale = p.energy_scale
     if np.abs(p.em).max(initial=0.0) > 1e-12 * scale:
         raise ValueError("block M is not at zero collision energy")
@@ -163,12 +191,6 @@ def _check_engine(p):
     reach[p.cols[reach[p.rows] & ~into_m & (size > 0)]] = True
     if np.any(np.abs(p.ef[reach[k:]]) < 1e-12 * scale):
         raise DegenerateIntermediateError("degenerate intermediate state")
-
-
-def _engine_partition(h0, v, m_indices):
-    """The partition, with the conditions that orders 2 and 3 rely on."""
-    p = partition(h0, v, m_indices)
-    _check_engine(p)
     return p
 
 
@@ -179,13 +201,13 @@ def _check_hermitian(mat, what):
         raise ValueError(f"{what} lost hermiticity (defect {defect:.2e})")
 
 
-def _second_order(p):
+def second_order(p):
     block = -(p.vmr / p.er) @ p.vmr.conj().T
     _check_hermitian(block, "second-order effective Hamiltonian")
     return EffectiveHamiltonian(block)
 
 
-def _third_order(p):
+def third_order(p):
     block = (p.vmr / p.er) @ p.vrr @ (p.vmr.conj().T / p.er[:, None])
     _check_hermitian(block, "third-order effective Hamiltonian")
     return EffectiveHamiltonian(block)
@@ -193,23 +215,24 @@ def _third_order(p):
 
 def h_eff_second(h0, v, m_indices):
     """Superexchange block: hop out of M and straight back."""
-    return _second_order(_engine_partition(h0, v, m_indices))
+    return second_order(check_engine(partition(h0, v, m_indices)))
 
 
 def h_eff_third(h0, v, m_indices):
     """Two-intermediate processes; three-spin terms originate here."""
-    return _third_order(_engine_partition(h0, v, m_indices))
+    return third_order(check_engine(partition(h0, v, m_indices)))
 
 
 def h_eff_up_to_third(h0, v, m_indices):
-    return h_eff_second(h0, v, m_indices) + h_eff_third(h0, v, m_indices)
+    p = check_engine(partition(h0, v, m_indices))
+    return second_order(p) + third_order(p)
 
 
 def cross_second(h0, va, vb, m_indices):
     """Bilinear cross term of the order-2 map: engine(Va + Vb) order-2
     minus the two diagonal parts."""
-    pa = _engine_partition(h0, va, m_indices)
-    pb = _engine_partition(h0, vb, m_indices)
+    pa = check_engine(partition(h0, va, m_indices))
+    pb = check_engine(partition(h0, vb, m_indices))
     k = len(pa.m)
     r = np.union1d(pa.r, pb.r)
     a, b = (p.block(np.arange(k), k + r) for p in (pa, pb))
@@ -326,7 +349,7 @@ def validate_by_evolution(h0, v, m_indices, h_eff, t):
     operator-norm residual scales as (J/U)^4 * Ut when the tunneling is
     scaled down at fixed Ut.
     """
-    p = _engine_partition(h0, v, m_indices)
+    p = check_engine(partition(h0, v, m_indices))
     exact = _interaction_picture_block(h0, v, p.m, t)
     wiggle = (_oscillatory_second(p.vmr, p.er, t)
               + _oscillatory_third(p.vmr, p.vrr, p.er, t))

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.linalg as la
 
 from .hubbard import build_v_mixed
-from .perturb import h_eff_second, h_eff_third
+from .perturb import check_engine, partition, second_order, third_order
 
 
 @dataclass(frozen=True)
@@ -72,11 +72,12 @@ def covariance_check(h0, v, g, m_indices):
     Exact (to roundoff) when the collision energies are species-blind;
     with unequal U's the returned residual is data, not an invariant.
     """
-    v_rot = rotate_tunneling(v, g)
+    rotated = check_engine(partition(h0, rotate_tunneling(v, g), m_indices))
+    bare = check_engine(partition(h0, v, m_indices))
     big_g = spin_rotation_matrix(g, h0.basis.n_sites)
     residual = 0.0
-    for engine in (h_eff_second, h_eff_third):
-        direct = engine(h0, v_rot, m_indices).matrix
-        sandwiched = big_g.conj().T @ engine(h0, v, m_indices).matrix @ big_g
+    for order in (second_order, third_order):
+        direct = order(rotated).matrix
+        sandwiched = big_g.conj().T @ order(bare).matrix @ big_g
         residual = max(residual, la.norm(direct - sandwiched, 2))
     return residual

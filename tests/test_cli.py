@@ -160,11 +160,14 @@ TAU4_UNUSABLE = "tau4 = j_mag^3 / u^2 must be finite and nonzero"
     (["chain", "--bx-min", "0.5", "--bx-max", "0.5", "--bx-step", "inf"],
      "--bx-step must be finite"),
     (["chain", "--bx-max", "inf"], "--bx-max must be finite"),
+    (["chain", "--sites", "24"], "--sites must not exceed 21"),
+    (["chain", "--sites", "300"], "--sites must not exceed 21"),
 ], ids=["zero-step", "negative-step", "min-above-max", "zero-steps",
         "zero-sites", "negative-sites", "sites-not-multiple-of-3",
         "zero-bx-min", "negative-bx-min", "zero-j-mag", "infinite-u",
         "zero-u", "underflowing-tau4", "overflowing-tau4", "negative-draws",
-        "nan-flag", "nan-energy", "infinite-bx-step", "infinite-bx-max"])
+        "nan-flag", "nan-energy", "infinite-bx-step", "infinite-bx-max",
+        "sites-24", "sites-300"])
 def test_bad_grid_is_a_usage_error(capsys, args, message):
     # rejected with exit 2 before any output is written
     assert main(args) == 2
@@ -226,6 +229,20 @@ def test_chain_csv_columns(capsys, tmp_path):
     assert len(lines) == 6
     payload = json.loads(summary.read_text())
     assert "argmin_bx" in payload and len(payload["duality_defect"]) == 5
+
+
+@pytest.mark.parametrize("grid, points", [
+    (["--bx-min", "0.5", "--bx-max", "0.58", "--bx-step", "0.05"], 2),
+    ([], 21),
+    (["--bx-min", "0.85", "--bx-max", "1.15"], 7),
+    (["--bx-min", "1.0", "--bx-max", "1.0"], 1),
+], ids=["overshoot", "default", "ratio-below-integer", "single-point"])
+def test_chain_grid_stops_at_bx_max(capsys, grid, points):
+    assert main(["chain", "--sites", "6", *grid]) == 0
+    rows = capsys.readouterr().out.strip().split("\n")[1:]
+    assert len(rows) == points
+    bx_max = float(grid[grid.index("--bx-max") + 1]) if grid else 1.5
+    assert float(rows[-1].split(",")[0]) <= bx_max * (1 + 1e-9)
 
 
 def test_chiral_report(capsys):

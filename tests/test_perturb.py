@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg as la
@@ -358,23 +361,24 @@ def test_evolution_validation_frozen_bound():
     assert residual <= 3000 * j ** 4 * 50.0
 
 
-def test_pipeline_builds_no_per_state_objects(monkeypatch):
-    """Basis, H0, V, M, both orders, the Pauli decomposition and the
-    elimination run on the occupation array alone."""
-    def refuse(*args, **kwargs):
-        raise AssertionError("FockState built on the pipeline")
-
-    monkeypatch.setattr(fock_reference, "FockState", refuse)
-    zigzag = make_zigzag(4)
-    cases = [
-        (zigzag, HubbardParams.uniform(Statistics.FERMION, zigzag.n_links,
-                                       0.04, 0.03)),
-        (make_triangle(), HubbardParams.uniform(
-            Statistics.BOSON, 3, 0.04, 0.03, u_upup=1.1, u_dndn=1.2)),
-    ]
-    for graph, params in cases:
-        h0, v, m = derive(graph, params)
-        dec = pauli_decompose(h_eff_second(h0, v, m) + h_eff_third(h0, v, m))
-        exact = adiabatic_eliminate(h0, v, m)
-        assert dec.n_sites == graph.n_sites
-        assert exact.h_eff.matrix.shape == (2 ** graph.n_sites,) * 2
+def test_src_imports_no_test_code():
+    """The package runs on the occupation arrays alone: no module of
+    ``src/trispin`` imports the per-state test oracle or anything under
+    ``tests``."""
+    package = Path(pauli.__file__).parent
+    sources = sorted(package.glob("*.py"))
+    assert len(sources) > 5
+    for source in sources:
+        tree = ast.parse(source.read_text(), filename=str(source))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = node.module or ""
+                names = [base] + [f"{base}.{a.name}" for a in node.names]
+            else:
+                continue
+            for name in names:
+                parts = name.split(".")
+                assert "fock_reference" not in parts and parts[0] != "tests", \
+                    f"{source.name} imports {name}"

@@ -6,6 +6,8 @@ estimate.  The package keeps V's nonzeros, runs the orders on the F
 states one hop from M and factors H_FF by sparse LU.
 """
 
+import dataclasses
+import sys
 import tracemalloc
 import warnings
 
@@ -16,11 +18,15 @@ import scipy.sparse as sp
 
 from trispin.adiabatic import (adiabatic_eliminate, series_compare,
                                truncated_series)
+from trispin.cli import main
+from trispin.conformance import random_triangle_params, run_triangle_draw
 from trispin.fock import Species, Statistics
 from trispin.hubbard import (HubbardParams, SparseOperator, build_v, derive,
                              make_triangle, make_zigzag)
 from trispin.perturb import (DegenerateIntermediateError, cross_second,
-                             h_eff_second, h_eff_third, partition, spin_map)
+                             h_eff_second, h_eff_third, h_eff_up_to_third,
+                             partition, spin_map)
+from trispin.raman import SU2Rotation, covariance_check
 
 
 def _dense_partition(h0, v, m):
@@ -227,16 +233,58 @@ def test_derivation_allocates_no_dense_sector_copy():
     assert peak < dense_copy / 4
 
 
-def test_series_compare_builds_one_partition(monkeypatch):
-    from trispin import adiabatic, perturb
+def _count_partitions(monkeypatch):
+    """Count ``perturb.partition`` calls through every module that binds
+    it."""
     calls = []
 
     def counted(*args):
         calls.append(args)
         return partition(*args)
 
-    monkeypatch.setattr(adiabatic, "partition", counted)
-    monkeypatch.setattr(perturb, "partition", counted)
-    h0, v, _, m = _case("triangle", 3, Statistics.BOSON)
-    series_compare(h0, v, m)
-    assert len(calls) == 1
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "trispin"
+                and getattr(module, "partition", None) is partition):
+            monkeypatch.setattr(module, "partition", counted)
+    return calls
+
+
+def _triangle_draw():
+    params = random_triangle_params(Statistics.BOSON,
+                                    np.random.default_rng(5), 0.05,
+                                    u_ratios=(1.1, 0.9))
+    run_triangle_draw(params, ("certified", "printed"))
+
+
+def _covariance():
+    h0, v, m = _bosonic_triangle()
+    covariance_check(h0, v, SU2Rotation(0.3, 0.7), m)
+
+
+@pytest.mark.parametrize("route, built", [
+    (_triangle_draw, 1),
+    (_covariance, 2),
+    (lambda: h_eff_up_to_third(*_bosonic_triangle()), 1),
+    (lambda: main(["chiral"]), 1),
+    (lambda: series_compare(*_bosonic_triangle()), 1),
+], ids=["run_triangle_draw", "covariance_check", "h_eff_up_to_third",
+        "chiral", "series_compare"])
+def test_routes_build_one_partition_per_tunneling(monkeypatch, route, built):
+    # one per V: covariance_check derives from the bare and the rotated V
+    calls = _count_partitions(monkeypatch)
+    route()
+    assert len(calls) == built
+
+
+def test_series_check_sees_a_reached_state_the_engine_skips(monkeypatch):
+    # the series runs on all of F, so an engine that loses one state of R
+    # no longer matches it
+    from trispin import adiabatic
+
+    def short_reach(*args):
+        p = partition(*args)
+        return dataclasses.replace(p, r=p.r[1:])
+
+    monkeypatch.setattr(adiabatic, "partition", short_reach)
+    report = series_compare(*_bosonic_triangle())
+    assert report["series_vs_engine"] > 1e-12
