@@ -13,17 +13,15 @@ from .perturb import (EffectiveHamiltonian, PauliDecomposition, Partition,
                       pauli_decompose, validate_by_evolution,
                       DegenerateIntermediateError)
 from .adiabatic import adiabatic_eliminate, truncated_series, series_compare
-from .closedform import (CouplingSet, SpinHamiltonianSpec,
-                         bosonic_couplings, fermionic_couplings,
+from .closedform import (CouplingSet, bosonic_couplings, fermionic_couplings,
                          complex_tunneling_couplings, rotated_xy_couplings,
                          chirality_point_params, build_spin_hamiltonian,
-                         triangle_spin_spec, expected_string_coefficients)
+                         triangle_strings, expected_string_coefficients)
 from .raman import (SU2Rotation, rotate_tunneling, spin_rotation_matrix,
                     covariance_check)
 from .chainlab import (SpectrumReport, diagonalize, chirality_operator,
                        zzz_chain_sparse, duality_scan,
-                       detect_nnn_terms, zzz_ground_space_bruteforce,
-                       circulating_state)
+                       detect_nnn_terms, circulating_state)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -1,8 +1,9 @@
 """Exact diagonalization and analysis of the derived spin models.
 
-Covers the three-spin Ising chain with transverse/longitudinal fields,
-its self-duality diagnostics, the triangle chirality operator and the
-detection of next-nearest-neighbour terms generated on zig-zag chains.
+Covers the periodic three-spin Ising chain with transverse/longitudinal
+fields, its self-duality diagnostics, the triangle chirality operator
+and the detection of next-nearest-neighbour terms generated on zig-zag
+chains.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import pauli
-from .closedform import EPSILON_PATTERNS, check_boundary
+from .closedform import EPSILON_PATTERNS
 from .perturb import PauliDecomposition
 
 DENSE_LIMIT = 2 ** 16
@@ -26,32 +27,11 @@ ARPACK_SEED = 2024
 @dataclass
 class SpectrumReport:
     eigenvalues: np.ndarray
-    clusters: list            # list of (value, multiplicity)
-    cluster_tol: float
     eigenvectors: np.ndarray | None = None
-
-    @property
-    def ground_energy(self):
-        return float(self.eigenvalues[0])
-
-    @property
-    def ground_degeneracy(self):
-        return self.clusters[0][1]
-
-
-def _cluster(eigenvalues, tol):
-    clusters = []
-    for e in eigenvalues:
-        if clusters and abs(e - clusters[-1][0]) <= tol:
-            value, count = clusters[-1]
-            clusters[-1] = (value, count + 1)
-        else:
-            clusters.append((float(e), 1))
-    return clusters
 
 
 def diagonalize(h, k=None):
-    """Full dense spectrum with degeneracy clustering.
+    """Full dense spectrum, ascending.
 
     ``k`` keeps the lowest-k eigenvectors in the report.  Input must be
     Hermitian; dimensions beyond 2**16 are rejected.
@@ -63,15 +43,7 @@ def diagonalize(h, k=None):
     if np.abs(h - h.conj().T).max() > 1e-12 * scale:
         raise ValueError("non-Hermitian input")
     evals, evecs = la.eigh(h)
-    norm = max(abs(evals[0]), abs(evals[-1]), 1e-300)
-    tol = CLUSTER_TOL_FACTOR * norm
-    report = SpectrumReport(
-        eigenvalues=evals,
-        clusters=_cluster(evals, tol),
-        cluster_tol=tol,
-        eigenvectors=evecs[:, :k] if k is not None else None,
-    )
-    return report
+    return SpectrumReport(evals, evecs[:, :k] if k is not None else None)
 
 
 def extremal_eigenvalues(h_sparse, k=6):
@@ -82,9 +54,12 @@ def extremal_eigenvalues(h_sparse, k=6):
     wanted level of a block with signed hops).
 
     When a degenerate level straddles the k-th place, ARPACK can miss one
-    of its copies and return a later level as the k-th value.  A caller
-    that reads all k values asks for a margin of extra levels, as
-    ``chain_levels`` does.
+    of its copies and return a later level as the k-th value.  Asking
+    for a few extra levels does not cure this: on the full n = 12 chain
+    with k = 8, margins 0-1 miss a copy at b = 0.7 where 2-4 keep it, and
+    margin 3 misses one at b = 1.3 where 1, 2 and 4 keep it.  A caller
+    that reads all k values splits off the degeneracies by symmetry
+    first, as ``chain_levels`` does, and is tested against dense solves.
     """
     v0 = np.random.default_rng(ARPACK_SEED).uniform(-1.0, 1.0,
                                                     h_sparse.shape[0])
@@ -121,22 +96,22 @@ def _z_patterns(n):
     return 1 - 2 * ((j[:, None] >> (n - 1 - np.arange(n))) & 1)
 
 
-def zzz_diagonal(n, boundary="periodic"):
-    """Diagonal of -sum_i Z_i Z_{i+1} Z_{i+2} over all configurations."""
-    check_boundary(boundary)
+def zzz_diagonal(n):
+    """Diagonal of the periodic -sum_i Z_i Z_{i+1} Z_{i+2} over all
+    configurations."""
     z = _z_patterns(n)
-    count = n if boundary == "periodic" else n - 2
     diag = np.zeros(2 ** n)
-    for i in range(count):
+    for i in range(n):
         diag -= z[:, i] * z[:, (i + 1) % n] * z[:, (i + 2) % n]
     return diag
 
 
-def zzz_chain_sparse(bx, bz, n, boundary="periodic"):
-    """Sparse matrix of -sum_i (bx X_i + bz Z_i + Z_i Z_{i+1} Z_{i+2})."""
+def zzz_chain_sparse(bx, bz, n):
+    """Sparse matrix of the periodic chain
+    -sum_i (bx X_i + bz Z_i + Z_i Z_{i+1} Z_{i+2})."""
     dim = 2 ** n
     j = np.arange(dim)
-    diag = zzz_diagonal(n, boundary) - bz * _z_patterns(n).sum(axis=1)
+    diag = zzz_diagonal(n) - bz * _z_patterns(n).sum(axis=1)
     rows, cols, vals = [j], [j], [diag.astype(float)]
     for i in range(n):
         mask = 1 << (n - 1 - i)
@@ -199,14 +174,6 @@ def chain_levels(bx, n, k=8):
     return np.sort(np.concatenate([trivial, np.repeat(flipped, 3)]))[:k]
 
 
-def zzz_ground_space_bruteforce(n, boundary="periodic"):
-    """Configurations minimizing the bare three-spin chain: every
-    consecutive triple product +1 (exact diagonal enumeration)."""
-    diag = zzz_diagonal(n, boundary)
-    e0 = diag.min()
-    return e0, np.flatnonzero(diag == e0)
-
-
 @dataclass
 class DualityScan:
     bx_values: np.ndarray
@@ -230,8 +197,7 @@ def duality_scan(bx_grid, n):
 
     The spectra are symmetry-resolved (``chain_levels``): the sublattice
     flips P01, P12 commute with the chain only when every triple of the
-    ring holds two flipped sites, which needs a periodic chain with
-    3 | n, so the scan has no open-boundary form.  The flips split the
+    ring holds two flipped sites, which needs 3 | n.  The flips split the
     chain into four blocks of dimension 2**(n-2), and the three
     non-trivial ones, related by translation, each carry the same
     levels, so every level of one of them counts three times.  Each

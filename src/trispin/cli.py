@@ -22,13 +22,20 @@ import numpy as np
 
 from . import chainlab, closedform, conformance, pauli
 from .fock import Statistics
-from .hubbard import HubbardParams
+from .hubbard import HubbardParams, derive, make_triangle
+from .perturb import h_eff_up_to_third, pauli_decompose
 
 SOFT_CAP = conformance.SOFT_REGIME_LIMIT
 HARD_CAP = conformance.HARD_REGIME_LIMIT
 # the chain spectra build 2^n x n spin patterns: 352 MB at n = 21,
 # 3.2 GB at the next multiple of 3
 CHAIN_MAX_SITES = 21
+# grid sizes are counted before any grid is built: a chain point costs
+# up to two spectra (b and 1/b), about 0.1 s at n = 12, so 10^4 points
+# already take a quarter of an hour; a scan holds about 0.6 kB per point
+# while its array pass runs, 0.6 GB for a 1000 x 1000 grid
+CHAIN_MAX_POINTS = 10_000
+SCAN_MAX_STEPS = 1000
 
 
 class UsageError(Exception):
@@ -123,10 +130,16 @@ SCAN_COLUMNS = {
 def _grid(config, args, axis):
     lo = float(_setting(args, config, f"{axis}_min", 0.0))
     hi = float(_setting(args, config, f"{axis}_max", required=True))
-    steps = int(_setting(args, config, f"{axis}_steps", required=True))
+    flag = f"--{axis.replace('_', '-')}-steps"
+    steps = _setting(args, config, f"{axis}_steps", required=True)
+    try:
+        steps = int(steps)
+    except OverflowError:
+        raise UsageError(f"{flag} must be finite")
     if steps < 1:
-        raise UsageError(f"--{axis.replace('_', '-')}-steps must be at "
-                         "least 1")
+        raise UsageError(f"{flag} must be at least 1")
+    if steps > SCAN_MAX_STEPS:
+        raise UsageError(f"{flag} must not exceed {SCAN_MAX_STEPS}")
     return [lo + (hi - lo) * k / (steps - 1) if steps > 1 else lo
             for k in range(steps)]
 
@@ -206,8 +219,11 @@ def cmd_chain(args, config):
         raise UsageError("--bx-min must not exceed --bx-max")
     # floor with a relative slack: no point beyond --bx-max, but a ratio
     # such as 5.999999999999998 still counts as 6 steps
-    count = math.floor((hi - lo) / step * (1 + 1e-9)) + 1
-    grid = [lo + k * step for k in range(count)]
+    spans = (hi - lo) / step * (1 + 1e-9)
+    if not spans < CHAIN_MAX_POINTS:
+        raise UsageError(f"the --bx grid must not exceed {CHAIN_MAX_POINTS} "
+                         "points")
+    grid = [lo + k * step for k in range(math.floor(spans) + 1)]
     scan = chainlab.duality_scan(np.asarray(grid), n)
     out = sys.stdout
     out.write("parameter,E0,E1,gap,degeneracy0\n")
@@ -239,8 +255,6 @@ def cmd_chiral(args, config):
     if tau4 == 0 or not math.isfinite(tau4):
         raise UsageError("tau4 = j_mag^3 / u^2 must be finite and nonzero: "
                          "the spectrum is reported in units of tau4")
-    from .hubbard import derive, make_triangle
-    from .perturb import h_eff_up_to_third, pauli_decompose
     params = closedform.chirality_point_params(magnitude, scale)
     h = h_eff_up_to_third(*derive(make_triangle(), params))
     dec = pauli_decompose(h)

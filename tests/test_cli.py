@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from trispin.cli import main
+from trispin.cli import SCAN_MAX_STEPS, main
 
 
 def run_cli(args, env_extra=None, config=None, tmp_path=None):
@@ -162,18 +162,47 @@ TAU4_UNUSABLE = "tau4 = j_mag^3 / u^2 must be finite and nonzero"
     (["chain", "--bx-max", "inf"], "--bx-max must be finite"),
     (["chain", "--sites", "24"], "--sites must not exceed 21"),
     (["chain", "--sites", "300"], "--sites must not exceed 21"),
+    # counted before the grid is built: the first point count is not
+    # finite, the second 10^12
+    (["chain", "--sites", "6", "--bx-step", "5e-324"],
+     "the --bx grid must not exceed 10000 points"),
+    (["chain", "--sites", "6", "--bx-step", "1e-12"],
+     "the --bx grid must not exceed 10000 points"),
+    (["scan", "--family", "fermionic", "--j-up-max", "0.05",
+      "--j-up-steps", "1000000000000", "--j-dn-max", "0.05",
+      "--j-dn-steps", "2"], "--j-up-steps must not exceed 1000"),
 ], ids=["zero-step", "negative-step", "min-above-max", "zero-steps",
         "zero-sites", "negative-sites", "sites-not-multiple-of-3",
         "zero-bx-min", "negative-bx-min", "zero-j-mag", "infinite-u",
         "zero-u", "underflowing-tau4", "overflowing-tau4", "negative-draws",
         "nan-flag", "nan-energy", "infinite-bx-step", "infinite-bx-max",
-        "sites-24", "sites-300"])
+        "sites-24", "sites-300", "subnormal-bx-step", "tiny-bx-step",
+        "huge-steps"])
 def test_bad_grid_is_a_usage_error(capsys, args, message):
     # rejected with exit 2 before any output is written
     assert main(args) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+
+
+def test_infinite_config_steps_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "scan.json"
+    path.write_text('{"family": "fermionic", "j_up_max": 0.05, '
+                    '"j_up_steps": 1e999, "j_dn_max": 0.05, '
+                    '"j_dn_steps": 2}')
+    assert main(["--config", str(path), "scan"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--j-up-steps must be finite" in captured.err
+
+
+@pytest.mark.parametrize("ups, dns", [(50, 50), (SCAN_MAX_STEPS, 1)])
+def test_scan_grid_within_bound_passes(capsys, ups, dns):
+    assert main(["scan", "--family", "fermionic", "--j-up-max", "0.05",
+                 "--j-up-steps", str(ups), "--j-dn-max", "0.05",
+                 "--j-dn-steps", str(dns)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + ups * dns
 
 
 def test_scan_fermionic_symmetric_diagonal_kills_mu3(capsys):

@@ -173,37 +173,25 @@ def test_rotated_xy_values():
         closedform.rotated_xy_couplings(j, 0.0)
 
 
-def test_build_spin_hamiltonian_drops_open_boundary_terms():
-    spec = closedform.SpinHamiltonianSpec(3, "open")
-    spec.add("ZZ", 2, 1.0)   # falls off the edge
-    spec.add("Z", 0, 0.5)
-    assert spec.terms == [("ZZ", 2, 1.0), ("Z", 0, 0.5)]
-    matrix = closedform.build_spin_hamiltonian(spec)
-    from trispin import pauli
-    assert np.allclose(matrix, 0.5 * pauli.string_matrix("ZII"))
-
-
-def test_unknown_boundary_rejected():
-    with pytest.raises(ValueError, match="unknown boundary 'periodc'"):
-        closedform.SpinHamiltonianSpec(3, "periodc")
-
-
 def test_fermionic_exchange_annihilates_aligned_state():
     params = _uniform_params(Statistics.FERMION, 0.08, 0.05)
     cs = closedform.fermionic_couplings(params)
     only_mu1 = closedform.CouplingSet("fermionic", {
         "mu1": cs["mu1"], "mu2": (0.0,) * 3, "mu3": 0.0, "mu4": (0.0,) * 3})
-    matrix = closedform.build_spin_hamiltonian(
-        closedform.triangle_spin_spec(only_mu1))
+    matrix = closedform.build_spin_hamiltonian(only_mu1)
     aligned = np.zeros(8)
     aligned[0] = 1.0
     assert np.abs(matrix @ aligned).max() <= 1e-15
 
 
-def test_chirality_family_matches_chainlab_operator():
-    cs = closedform.CouplingSet("chirality", {"tau4": 0.7})
-    matrix = closedform.build_spin_hamiltonian(
-        closedform.triangle_spin_spec(cs))
+def _tau4_only(tau4):
+    return closedform.CouplingSet("complex_fermionic", {
+        "A": 0.0, "B": 0.0, "tau1": 0.0, "tau2": 0.0, "tau3": 0.0,
+        "tau4": tau4})
+
+
+def test_tau4_term_matches_chainlab_operator():
+    matrix = closedform.build_spin_hamiltonian(_tau4_only(0.7))
     assert np.abs(matrix - 0.7 * chirality_operator(3)).max() <= 1e-14
 
 
@@ -304,15 +292,14 @@ def test_expected_strings_match_decomposition():
         closedform.complex_tunneling_couplings(
             _uniform_params(Statistics.FERMION, 0.04j, 0.025j)),
         closedform.rotated_xy_couplings(0.1, U),
-        closedform.CouplingSet("chirality", {"tau4": 0.7}),
+        _tau4_only(0.7),
     ]
     for cs in sets:
         # the summed term list against the decomposition of its matrix,
         # which carries only summation roundoff on the other strings
         expected = closedform.expected_string_coefficients(cs)
         tol = 1e-15 * max(abs(c) for c in expected.values())
-        matrix = closedform.build_spin_hamiltonian(
-            closedform.triangle_spin_spec(cs))
+        matrix = closedform.build_spin_hamiltonian(cs)
         coeffs = pauli_decompose(matrix).coeffs
         for string, c in expected.items():
             assert abs(coeffs[string] - c) <= tol, (cs.family, string)
