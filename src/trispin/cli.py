@@ -27,15 +27,18 @@ from .perturb import h_eff_up_to_third, pauli_decompose
 
 SOFT_CAP = conformance.SOFT_REGIME_LIMIT
 HARD_CAP = conformance.HARD_REGIME_LIMIT
-# the chain spectra build 2^n x n spin patterns: 352 MB at n = 21,
-# 3.2 GB at the next multiple of 3
+# the largest allocation of a chain spectrum is the COO assembly of a
+# sector block, about 45 (n + 1) 2^(n-2) bytes: 0.5 GB at n = 21, 4.7 GB
+# at the next multiple of 3
 CHAIN_MAX_SITES = 21
 # grid sizes are counted before any grid is built: a chain point costs
-# up to two spectra (b and 1/b), about 0.1 s at n = 12, so 10^4 points
-# already take a quarter of an hour; a scan holds about 0.6 kB per point
-# while its array pass runs, 0.6 GB for a 1000 x 1000 grid
+# its spectrum and at most a ground-energy solve at 1/b, about 0.05 s at
+# n = 12, so 10^4 points already take eight minutes; a scan holds about
+# 0.17 kB per point in the arrays of its closed-form pass, 170 MB for a
+# 1000 x 1000 grid, and writes its rows SCAN_CHUNK_ROWS at a time
 CHAIN_MAX_POINTS = 10_000
 SCAN_MAX_STEPS = 1000
+SCAN_CHUNK_ROWS = 4096
 
 
 class UsageError(Exception):
@@ -179,8 +182,12 @@ def cmd_scan(args, config):
                               for name in SCAN_COLUMNS[family]]
     out = sys.stdout
     out.write("j_up,j_dn," + ",".join(SCAN_COLUMNS[family]) + "\n")
-    for row in zip(*(column.tolist() for column in columns)):
-        out.write(",".join(map(_fmt, row)) + "\n")
+    # the rows go out in chunks, so the Python floats of the whole grid
+    # never exist at once
+    for start in range(0, j_up.size, SCAN_CHUNK_ROWS):
+        chunk = slice(start, start + SCAN_CHUNK_ROWS)
+        for row in zip(*(column[chunk].tolist() for column in columns)):
+            out.write(",".join(map(_fmt, row)) + "\n")
     return 0
 
 

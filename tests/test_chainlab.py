@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from trispin import chainlab, pauli
 from trispin.fock import Species, Statistics
@@ -7,7 +8,7 @@ from trispin.hubbard import (HubbardParams, build_h0, build_v, hilbert_basis,
                              make_zigzag, projector_single_occupancy)
 from trispin.perturb import h_eff_up_to_third, pauli_decompose
 
-from spin_reference import zzz_ground_space_bruteforce
+from spin_reference import zzz_diagonal, zzz_ground_space_bruteforce
 
 
 def _ground_degeneracy(evals):
@@ -282,3 +283,57 @@ def test_duality_scan_solves_each_field_once(monkeypatch):
     built.clear()
     chainlab.duality_scan(np.array([0.8, 1.25]), 9)
     assert len(built) == 4
+
+
+def test_duality_scan_solves_off_grid_reciprocals_for_e0_alone(monkeypatch):
+    requested = []
+    solve = chainlab.extremal_eigenvalues
+
+    def counting(h, k=6):
+        requested.append(k)
+        return solve(h, k)
+
+    monkeypatch.setattr(chainlab, "extremal_eigenvalues", counting)
+    chainlab.duality_scan(np.array([0.9, 1.0]), 12)
+    # trivial then flipped block for each grid field, then 1/0.9; the
+    # reciprocal 1/1.0 is the grid field 1.0
+    assert requested == [8, 4, 8, 4, 1, 1]
+
+
+DEFAULT_GRID = 0.5 + 0.05 * np.arange(21)      # the defaults of ``chain``
+
+
+@pytest.mark.parametrize("n", [9, 12])
+def test_duality_defect_is_roundoff_on_the_default_grid(n):
+    scan = chainlab.duality_scan(DEFAULT_GRID, n)
+    assert scan.duality_defect.max() <= 1e-12
+    assert scan.duality_defect[np.flatnonzero(DEFAULT_GRID == 1.0)] == 0.0
+
+
+def _sector_from_full_diagonal(bx, n, chi01, chi12):
+    # the block assembled around the full-space pattern diagonal
+    dim = 2 ** (n - 2)
+    j = np.arange(dim)
+    bit = 1 << (n - 1 - np.arange(n))
+    sublattice = np.arange(n) % 3
+    p02 = bit[sublattice != 1].sum()
+    p12 = bit[sublattice != 0].sum()
+    masks = np.concatenate([[0, bit[0] ^ p02, bit[1] ^ p12], bit[2:]])
+    signs = np.concatenate([[chi01 * chi12, chi12], np.ones(n - 2)])
+    vals = np.empty((n + 1, dim))
+    vals[0] = zzz_diagonal(n)[:dim]
+    vals[1:] = -bx * signs[:, None]
+    return sp.csr_matrix((vals.ravel(), ((j ^ masks[:, None]).ravel(),
+                                         np.tile(j, n + 1))),
+                         shape=(dim, dim))
+
+
+@pytest.mark.parametrize("n", [3, 6, 9, 12, 15])
+def test_sector_arrays_equal_full_space_diagonal_reference(n):
+    for chi in SECTORS[:2]:
+        got = chainlab.zzz_chain_sector(0.83, n, *chi)
+        ref = _sector_from_full_diagonal(0.83, n, *chi)
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(got, name), getattr(ref, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+

@@ -1,24 +1,22 @@
+import hashlib
 import json
-import os
 import subprocess
 import sys
+import tracemalloc
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from trispin import cli
 from trispin.cli import SCAN_MAX_STEPS, main
 
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
-def run_cli(args, env_extra=None, config=None, tmp_path=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
-    cmd = [sys.executable, "-m", "trispin.cli"]
-    if config is not None:
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
-        cmd += ["--config", str(path)]
-    cmd += args
-    return subprocess.run(cmd, capture_output=True, text=True, env=env)
+
+def run_cli(args):
+    return subprocess.run([sys.executable, "-m", "trispin.cli", *args],
+                          capture_output=True, text=True)
 
 
 def test_couplings_fermionic_three_spin_value(capsys):
@@ -234,17 +232,64 @@ def test_scan_complex_families(capsys):
         assert len(lines) == 10
 
 
-def test_scan_determinism_across_worker_counts(tmp_path):
+def test_scan_repeated_runs_are_byte_identical():
     args = ["scan", "--family", "bosonic", "--uuu", "1.1", "--udd", "0.9",
             "--u", "1", "--j-up-min", "0.01", "--j-up-max", "0.12",
             "--j-up-steps", "12", "--j-dn-min", "0.0", "--j-dn-max", "0.12",
             "--j-dn-steps", "11"]
-    single = run_cli(args, {"TRISPIN_THREADS": "1"})
-    pooled = run_cli(args, {"TRISPIN_THREADS": "8"})
-    assert single.returncode == 0 and pooled.returncode == 0
-    assert single.stdout == pooled.stdout
-    again = run_cli(args, {"TRISPIN_THREADS": "8"})
-    assert again.stdout == pooled.stdout
+    first = run_cli(args)
+    again = run_cli(args)
+    assert first.returncode == 0 and again.returncode == 0
+    assert first.stdout == again.stdout
+    assert len(first.stdout.splitlines()) == 1 + 12 * 11
+
+
+class _DigestSink:
+    """A stdout that keeps only the digest and length of what it gets."""
+
+    def __init__(self):
+        self.digest = hashlib.md5()
+        self.size = 0
+
+    def write(self, text):
+        self.digest.update(text.encode())
+        self.size += len(text)
+
+    def flush(self):
+        pass
+
+
+def _scan_complex_bosonic(monkeypatch, steps):
+    sink = _DigestSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    code = main(["scan", "--family", "complex_bosonic", "--u", "1",
+                 "--uuu", "1.2", "--udd", "0.9", "--j-up-min", "0.001",
+                 "--j-up-max", "0.06", "--j-up-steps", str(steps),
+                 "--j-dn-min", "0.0", "--j-dn-max", "0.06",
+                 "--j-dn-steps", str(steps)])
+    assert code == 0
+    return sink
+
+
+def test_scan_rows_do_not_depend_on_the_chunk_size(monkeypatch):
+    whole = _scan_complex_bosonic(monkeypatch, 30)
+    monkeypatch.setattr(cli, "SCAN_CHUNK_ROWS", 7)
+    chunked = _scan_complex_bosonic(monkeypatch, 30)
+    assert chunked.size == whole.size > 0
+    assert chunked.digest.digest() == whole.digest.digest()
+
+
+def test_scan_memory_stays_with_the_array_pass(monkeypatch):
+    # a 300 x 300 scan peaks at about 15 MB of traced memory in the
+    # arrays of its closed-form pass; turning every column of the grid
+    # into Python floats at once added about 14 MB on top of that
+    tracemalloc.start()
+    try:
+        _scan_complex_bosonic(monkeypatch, 300)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
 
 
 def test_chain_csv_columns(capsys, tmp_path):
@@ -368,3 +413,23 @@ def test_chain_csv_repeats_byte_for_byte(capsys):
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
     assert len(outputs[0].splitlines()) == 6
+
+
+def test_chain_matches_the_benchmark_reference(capsys):
+    # the chain workload's check, on its light run: every value within
+    # 1e-9 relative of the committed reference, the degeneracy exact
+    assert main(["chain", "--sites", "12", "--bx-min", "0.85",
+                 "--bx-max", "1.15"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    ref_lines = (REFERENCE / "chain_n12.csv").read_text().splitlines()
+    assert lines[0] == ref_lines[0]
+    got = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+    ref = np.array([[float(x) for x in line.split(",")]
+                    for line in ref_lines[1:]])
+    rows = [int(np.argmin(np.abs(ref[:, 0] - bx))) for bx in got[:, 0]]
+    ref = ref[rows]
+    assert len(got) == 7
+    assert np.all(np.abs(got[:, 0] - ref[:, 0]) <= 1e-12)
+    assert np.array_equal(got[:, 4], ref[:, 4])
+    assert np.all(np.abs(got[:, 1:4] - ref[:, 1:4])
+                  <= 1e-9 * np.maximum(1.0, np.abs(ref[:, 1:4])))
