@@ -2,10 +2,10 @@
 triangular geometries: perturbative engine, closed-form couplings,
 adiabatic-elimination oracle and spin-model diagnostics."""
 
-from .fock import Species, Statistics, SectorSpec, Basis, enumerate_basis
+from .fock import Species, Statistics, Basis, enumerate_basis
 from .hubbard import (LatticeGraph, HubbardParams, SparseOperator,
                       make_triangle, make_zigzag, make_triangular_patch,
-                      hilbert_basis, sector_for, build_h0, build_v,
+                      hilbert_basis, build_h0, build_v,
                       build_v_mixed, derive, projector_single_occupancy)
 from .perturb import (EffectiveHamiltonian, PauliDecomposition, Partition,
                       spin_map, partition, h_eff_second,

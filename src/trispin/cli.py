@@ -3,10 +3,10 @@ verification and spin-model diagnostics.
 
 All physical quantities are expressed in units of a declared energy
 scale (by default the cross-species collision energy).  A scan
-evaluates its whole grid in one array pass of the closed forms; rows are
-row-major over the grid (j_up outer, j_dn inner), and floats are printed
-with 17 significant digits so identical configurations yield
-byte-identical files.
+evaluates its grid in array passes of the closed forms, one chunk of
+points at a time; rows are row-major over the grid (j_up outer, j_dn
+inner), and floats are printed with 17 significant digits so identical
+configurations yield byte-identical files.
 
 Exit codes: 0 success, 1 hard invariant failure, 2 usage/config error.
 """
@@ -33,12 +33,18 @@ HARD_CAP = conformance.HARD_REGIME_LIMIT
 CHAIN_MAX_SITES = 21
 # grid sizes are counted before any grid is built: a chain point costs
 # its spectrum and at most a ground-energy solve at 1/b, about 0.05 s at
-# n = 12, so 10^4 points already take eight minutes; a scan holds about
-# 0.17 kB per point in the arrays of its closed-form pass, 170 MB for a
-# 1000 x 1000 grid, and writes its rows SCAN_CHUNK_ROWS at a time
+# n = 12, so 10^4 points already take eight minutes; a scan evaluates
+# and writes SCAN_CHUNK_ROWS points at a time, about 1.4 MB traced at any
+# grid size, so its steps bound time and output: a 1000 x 1000 grid takes
+# about 11 s and writes 180 MB of CSV
 CHAIN_MAX_POINTS = 10_000
 SCAN_MAX_STEPS = 1000
 SCAN_CHUNK_ROWS = 4096
+# a verify draw takes about 5.3 ms and adds about 9 kB to the JSON report,
+# which is held whole until it is written: 10^4 draws per statistics run
+# about 2 minutes and report about 180 MB, and --draws 10^6 would run for
+# hours and hold tens of GB
+VERIFY_MAX_DRAWS = 10_000
 
 
 class UsageError(Exception):
@@ -70,6 +76,15 @@ def _setting(args, config, name, default=None, required=False):
     if _is_nan(value):
         raise UsageError(f"{flag} must be a number, not NaN")
     return value
+
+
+def _integer(args, config, name, default=None, required=False):
+    """An integer setting; a config value of 1e999 reads as infinity."""
+    value = _setting(args, config, name, default, required)
+    try:
+        return int(value)
+    except OverflowError:
+        raise UsageError(f"--{name.replace('_', '-')} must be finite")
 
 
 def _is_nan(value):
@@ -134,11 +149,7 @@ def _grid(config, args, axis):
     lo = float(_setting(args, config, f"{axis}_min", 0.0))
     hi = float(_setting(args, config, f"{axis}_max", required=True))
     flag = f"--{axis.replace('_', '-')}-steps"
-    steps = _setting(args, config, f"{axis}_steps", required=True)
-    try:
-        steps = int(steps)
-    except OverflowError:
-        raise UsageError(f"{flag} must be finite")
+    steps = _integer(args, config, f"{axis}_steps", required=True)
     if steps < 1:
         raise UsageError(f"{flag} must be at least 1")
     if steps > SCAN_MAX_STEPS:
@@ -173,29 +184,33 @@ def cmd_scan(args, config):
     if peak > SOFT_CAP:
         print(f"# warning: J/U up to {peak:.3g} strains the perturbative "
               "regime", file=sys.stderr)
-    j_up = np.repeat(ups, len(dns))
-    j_dn = np.tile(dns, len(ups))
-    couplings = _couplings_for(family, j_up, j_dn, u_upup, u_dndn, u_updn)
-    # per-link couplings are reported on link 0
-    columns = [j_up, j_dn] + [np.broadcast_to(couplings.link(name, 0),
-                                              j_up.shape)
-                              for name in SCAN_COLUMNS[family]]
+    ups, dns = np.asarray(ups), np.asarray(dns)
     out = sys.stdout
     out.write("j_up,j_dn," + ",".join(SCAN_COLUMNS[family]) + "\n")
-    # the rows go out in chunks, so the Python floats of the whole grid
-    # never exist at once
-    for start in range(0, j_up.size, SCAN_CHUNK_ROWS):
-        chunk = slice(start, start + SCAN_CHUNK_ROWS)
-        for row in zip(*(column[chunk].tolist() for column in columns)):
+    # the closed forms run one chunk of grid points at a time, so neither
+    # their arrays nor the Python floats of the whole grid exist at once
+    n_points = len(ups) * len(dns)
+    for start in range(0, n_points, SCAN_CHUNK_ROWS):
+        point = np.arange(start, min(start + SCAN_CHUNK_ROWS, n_points))
+        j_up, j_dn = ups[point // len(dns)], dns[point % len(dns)]
+        couplings = _couplings_for(family, j_up, j_dn, u_upup, u_dndn,
+                                   u_updn)
+        # per-link couplings are reported on link 0
+        columns = [j_up, j_dn] + [np.broadcast_to(couplings.link(name, 0),
+                                                  j_up.shape)
+                                  for name in SCAN_COLUMNS[family]]
+        for row in zip(*(column.tolist() for column in columns)):
             out.write(",".join(map(_fmt, row)) + "\n")
     return 0
 
 
 def cmd_verify(args, config):
-    n_draws = int(_setting(args, config, "draws", 20))
+    n_draws = _integer(args, config, "draws", 20)
     if n_draws < 0:
         raise UsageError("--draws must not be negative")
-    seed = int(_setting(args, config, "seed", 2024))
+    if n_draws > VERIFY_MAX_DRAWS:
+        raise UsageError(f"--draws must not exceed {VERIFY_MAX_DRAWS}")
+    seed = _integer(args, config, "seed", 2024)
     j_over_u = float(_setting(args, config, "j_over_u", 0.05))
     report = conformance.run_verification(n_draws=n_draws, seed=seed,
                                           j_over_u=j_over_u)
@@ -205,7 +220,7 @@ def cmd_verify(args, config):
 
 
 def cmd_chain(args, config):
-    n = int(_setting(args, config, "sites", 12))
+    n = _integer(args, config, "sites", 12)
     if n < 1 or n % 3:
         raise UsageError("--sites must be a positive multiple of 3")
     if n > CHAIN_MAX_SITES:

@@ -20,10 +20,20 @@ against lives with the tests, in ``tests/fock_reference.py``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
+
+
+# the enumeration traces about 400-450 bytes per state (178 MiB for the
+# 490,314 bosonic states at n = 8), so 10^6 states hold it near 0.4 GB; a
+# sector is counted before it is built, and the limit admits fermionic
+# n <= 11 and bosonic n <= 8, past every size in use (the 3 x 3 patch at
+# 48,620 states, bosonic n = 7 at 77,520), and refuses fermionic n = 12
+# (2,704,156) and bosonic n = 9 (3,124,550) before anything is allocated
+MAX_BASIS_STATES = 1_000_000
 
 
 class Species(Enum):
@@ -36,59 +46,17 @@ class Statistics(Enum):
     FERMION = "fermion"
 
 
-@dataclass(frozen=True)
-class SectorSpec:
-    """Conserved-number sector selecting a finite block of Fock space.
-
-    Either fix (n_up, n_down) or the total atom number.  ``site_cap``
-    bounds the per-site per-species occupation (fermions are capped at 1
-    regardless).  ``forbid_cross_occupancy`` drops every configuration
-    where some site hosts both species at once; this realizes an
-    infinite cross-species collision energy as an exact exclusion.
-    """
-
-    n_up: int | None = None
-    n_down: int | None = None
-    n_total: int | None = None
-    site_cap: int | None = None
-    forbid_cross_occupancy: bool = False
-    forbid_same_species_doubles: bool = False
-
-    def __post_init__(self):
-        if (self.n_up is None) != (self.n_down is None):
-            raise ValueError("sector must fix both n_up and n_down, "
-                             "or neither")
-        fixed_pair = self.n_up is not None
-        if not fixed_pair and self.n_total is None:
-            raise ValueError("sector must fix (n_up, n_down) or n_total")
-        if fixed_pair and self.n_total is not None:
-            if self.n_up + self.n_down != self.n_total:
-                raise ValueError("inconsistent sector: n_up + n_down != n_total")
-        for value in (self.n_up, self.n_down, self.n_total):
-            if value is not None and value < 0:
-                raise ValueError("negative atom number in sector")
-        if self.site_cap is not None and self.site_cap < 0:
-            raise ValueError("negative occupation cutoff")
-
-    @property
-    def total(self):
-        if self.n_total is not None:
-            return self.n_total
-        return self.n_up + self.n_down
-
-
 @dataclass(eq=False)
 class Basis:
-    """Ordered sector basis: ``occ`` (rows of occupations, stored as
-    int64) and, derived from it, ``radix``, ``place`` (the key weight of
-    each mode) and ``keys``.  Keys that would overflow int64 raise
-    ``ValueError``.
+    """Ordered basis: ``occ`` (rows of occupations, stored as int64)
+    and, derived from it, ``radix``, ``place`` (the key weight of each
+    mode) and ``keys``.  Any rows in any order make a basis; keys that
+    would overflow int64 raise ``ValueError``.
     """
 
     occ: np.ndarray = field(repr=False)
     statistics: Statistics
     n_sites: int
-    sector: SectorSpec
     radix: int = field(init=False, repr=False)
     place: np.ndarray = field(init=False, repr=False)
     keys: np.ndarray = field(init=False, repr=False)
@@ -122,28 +90,39 @@ class Basis:
         return len(self.occ)
 
 
-def enumerate_basis(n_sites, statistics, sector):
-    """Enumerate all states of a sector in lexicographic occupation order.
+def enumerate_basis(n_sites, statistics, forbid_cross_occupancy=False,
+                    forbid_same_species_doubles=False):
+    """The states of ``n_sites`` atoms on ``n_sites`` sites, in
+    lexicographic occupation order.
 
     Rows grow one mode at a time: a partial row branches into the
     ascending occupations of the next mode that the later modes, at most
     ``cap`` each, can still complete.  Each mode keeps only its digits
     and parent rows; the full rows are read back from the last mode.
+    Fermions, and bosons with ``forbid_same_species_doubles``, are capped
+    at one atom per mode; ``forbid_cross_occupancy`` then drops every
+    row where a site hosts both species.  Either exclusion realizes an
+    infinite collision energy exactly.
 
-    Raises ``ValueError("empty basis")`` when the sector admits no
-    states (e.g. more fermions than available modes).
+    The rows are counted before they are built, and a sector of more
+    than ``MAX_BASIS_STATES`` raises ``ValueError``.
     """
     if n_sites < 1:
         raise ValueError("need at least one site")
-    total = sector.total
-    cap = 1 if statistics is Statistics.FERMION else (
-        sector.site_cap if sector.site_cap is not None else total)
     n_modes = 2 * n_sites
+    capped = statistics is Statistics.FERMION or forbid_same_species_doubles
+    cap = 1 if capped else n_sites
+    # n atoms on 2n modes, at most one per mode or any number per mode
+    dim = (math.comb(n_modes, n_sites) if capped
+           else math.comb(n_modes + n_sites - 1, n_sites))
+    if dim > MAX_BASIS_STATES:
+        raise ValueError(f"sector of {dim} states exceeds the limit of "
+                         f"{MAX_BASIS_STATES}")
 
     placed = np.zeros(1, dtype=np.int64)
     digits, parents = [], []
     for mode in range(n_modes):
-        need = total - placed
+        need = n_sites - placed
         low = np.maximum(need - cap * (n_modes - mode - 1), 0)
         count = np.maximum(np.minimum(need, cap) - low + 1, 0)
         parent = np.repeat(np.arange(len(placed)), count)
@@ -158,17 +137,6 @@ def enumerate_basis(n_sites, statistics, sector):
     for mode in range(n_modes - 1, -1, -1):
         occ[:, mode] = digits[mode][row]
         row = parents[mode][row]
-
-    up, dn = occ[:, 0::2], occ[:, 1::2]
-    keep = np.ones(len(occ), dtype=bool)
-    if sector.n_up is not None:
-        keep &= (up.sum(axis=1) == sector.n_up) \
-            & (dn.sum(axis=1) == sector.n_down)
-    if sector.forbid_cross_occupancy:
-        keep &= ~((up > 0) & (dn > 0)).any(axis=1)
-    if sector.forbid_same_species_doubles:
-        keep &= ~(occ > 1).any(axis=1)
-    if not keep.any():
-        raise ValueError("empty basis")
-    return Basis(occ=occ[keep], statistics=statistics, n_sites=n_sites,
-                 sector=sector)
+    if forbid_cross_occupancy:
+        occ = occ[~((occ[:, 0::2] > 0) & (occ[:, 1::2] > 0)).any(axis=1)]
+    return Basis(occ=occ, statistics=statistics, n_sites=n_sites)

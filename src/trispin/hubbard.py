@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .fock import Species, Statistics, SectorSpec, enumerate_basis
+from .fock import Species, Statistics, enumerate_basis
 
 Edge = namedtuple("Edge", ["link", "frm", "to"])
 
@@ -92,7 +92,7 @@ class HubbardParams:
     """Collision energies and per-(link, species) tunneling amplitudes.
 
     ``math.inf`` in a collision channel means the corresponding double
-    occupancy is excluded exactly (see sector_for / hilbert_basis).
+    occupancy is excluded exactly (see hilbert_basis).
     Missing tunneling entries default to zero.
     """
 
@@ -128,22 +128,14 @@ class HubbardParams:
         return cls(statistics, u_upup, u_dndn, u_updn, tun)
 
 
-def sector_for(params, n_sites):
-    """Sector of the full Hilbert space with one atom per site in total,
-    consistent with the collision sentinels."""
-    return SectorSpec(
-        n_total=n_sites,
-        forbid_cross_occupancy=math.isinf(params.u_updn),
-        forbid_same_species_doubles=(
-            params.statistics is Statistics.BOSON
-            and (math.isinf(params.u_upup) or math.isinf(params.u_dndn))),
-    )
-
-
 def hilbert_basis(graph, params):
-    """Enumerate the working basis for an effective-model computation."""
-    return enumerate_basis(graph.n_sites, params.statistics,
-                           sector_for(params, graph.n_sites))
+    """The one-atom-per-site basis of a lattice, with the double
+    occupancies of every infinite collision channel excluded."""
+    return enumerate_basis(
+        graph.n_sites, params.statistics,
+        forbid_cross_occupancy=math.isinf(params.u_updn),
+        forbid_same_species_doubles=(math.isinf(params.u_upup)
+                                     or math.isinf(params.u_dndn)))
 
 
 @dataclass
@@ -203,8 +195,7 @@ def build_v_mixed(basis, graph, hop_matrices):
     by key (``Basis.locate``).  A move with a nonzero amplitude whose
     target is not in the basis is dropped and counted in
     ``meta["dropped_moves"]``: for the exclusion sentinels that is the
-    exact infinite-U projection, under a finite ``site_cap`` it is a
-    truncation.
+    exact infinite-U projection, on a truncated basis a truncation.
     """
     pairs = []
     for edge in graph.edges:
@@ -285,9 +276,9 @@ def build_v(basis, graph, params):
 def projector_single_occupancy(basis):
     """Positions of all states with exactly one atom (either species)
     per site; this block is isomorphic to an n-qubit spin space."""
-    if basis.sector.total != basis.n_sites:
-        raise ValueError("single-occupancy subspace needs one atom per site")
     per_site = basis.occ[:, 0::2] + basis.occ[:, 1::2]
+    if (per_site.sum(axis=1) != basis.n_sites).any():
+        raise ValueError("single-occupancy subspace needs one atom per site")
     return np.flatnonzero((per_site == 1).all(axis=1))
 
 

@@ -8,10 +8,11 @@ of m in the standard mode order, or behind it in the reversed one; the
 physics must not depend on that choice.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
-from trispin.fock import Statistics
+from trispin.fock import Basis, Statistics, enumerate_basis
 
 CREATE = "create"
 ANNIHILATE = "annihilate"
@@ -37,6 +38,42 @@ def fock_states(basis):
     """The rows of a basis as ``FockState`` objects."""
     return [FockState(tuple(row), basis.statistics)
             for row in basis.occ.tolist()]
+
+
+def sector_rows(n_sites, statistics, n_atoms, site_cap=None,
+                forbid_cross_occupancy=False,
+                forbid_same_species_doubles=False, n_up=None):
+    """Every occupation row of ``n_atoms`` atoms on the ``2 n_sites``
+    modes that the caps, exclusions and spin-up count admit, in
+    lexicographic order: each multiset of modes is placed, then
+    filtered."""
+    cap = site_cap if site_cap is not None else n_atoms
+    if statistics is Statistics.FERMION or forbid_same_species_doubles:
+        cap = 1
+    rows = []
+    for modes in itertools.combinations_with_replacement(range(2 * n_sites),
+                                                         n_atoms):
+        occ = [modes.count(mode) for mode in range(2 * n_sites)]
+        up, dn = occ[0::2], occ[1::2]
+        if max(occ) > cap:
+            continue
+        if forbid_cross_occupancy and any(u and d for u, d in zip(up, dn)):
+            continue
+        if n_up is not None and sum(up) != n_up:
+            continue
+        rows.append(occ)
+    return sorted(rows)
+
+
+def sector_basis(n_sites, statistics, n_atoms=None, site_cap=None,
+                 n_up=None, **exclusions):
+    """``enumerate_basis`` for one atom per site, and any other sector a
+    hand-built ``Basis`` on the rows of ``sector_rows``."""
+    if n_atoms in (None, n_sites) and site_cap is None and n_up is None:
+        return enumerate_basis(n_sites, statistics, **exclusions)
+    rows = sector_rows(n_sites, statistics, n_atoms, site_cap=site_cap,
+                       n_up=n_up, **exclusions)
+    return Basis(rows, statistics, n_sites)
 
 
 def _fermion_sign(occ, mode, mode_order):

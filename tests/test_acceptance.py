@@ -19,7 +19,7 @@ import numpy as np
 from trispin import chainlab, closedform, pauli
 from trispin.conformance import (formula_tolerance, random_triangle_params,
                                  run_triangle_draw, scaling_ladder)
-from trispin.fock import SectorSpec, Species, Statistics, enumerate_basis
+from trispin.fock import Species, Statistics, enumerate_basis
 from trispin.hubbard import (HubbardParams, build_h0, build_v, build_v_mixed,
                              hilbert_basis, make_triangle, make_zigzag,
                              projector_single_occupancy)
@@ -59,7 +59,7 @@ def _triangle(statistics, j_up, j_dn, uu=U, dd=U, ud=U):
 
 def test_criterion_1_state_counting():
     start = time.monotonic()
-    basis = enumerate_basis(3, Statistics.BOSON, SectorSpec(n_total=3))
+    basis = enumerate_basis(3, Statistics.BOSON)
     singles = projector_single_occupancy(basis)
     elapsed = time.monotonic() - start
     ok = len(basis) == 56 and len(singles) == 8 and elapsed < 1.0

@@ -149,6 +149,8 @@ TAU4_UNUSABLE = "tau4 = j_mag^3 / u^2 must be finite and nonzero"
     (["chiral", "--j-mag", "1e-120"], TAU4_UNUSABLE),
     (["chiral", "--j-mag", "1e200"], TAU4_UNUSABLE),
     (["verify", "--draws", "-1"], "--draws must not be negative"),
+    (["verify", "--draws", "10001"], "--draws must not exceed 10000"),
+    (["verify", "--draws", "1000000"], "--draws must not exceed 10000"),
     (["scan", "--family", "fermionic", "--j-up-max", "nan",
       "--j-up-steps", "3", "--j-dn-max", "0.05", "--j-dn-steps", "2"],
      "--j-up-max must be a number, not NaN"),
@@ -173,6 +175,7 @@ TAU4_UNUSABLE = "tau4 = j_mag^3 / u^2 must be finite and nonzero"
         "zero-sites", "negative-sites", "sites-not-multiple-of-3",
         "zero-bx-min", "negative-bx-min", "zero-j-mag", "infinite-u",
         "zero-u", "underflowing-tau4", "overflowing-tau4", "negative-draws",
+        "draws-above-limit", "million-draws",
         "nan-flag", "nan-energy", "infinite-bx-step", "infinite-bx-max",
         "sites-24", "sites-300", "subnormal-bx-step", "tiny-bx-step",
         "huge-steps"])
@@ -182,6 +185,18 @@ def test_bad_grid_is_a_usage_error(capsys, args, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+
+
+@pytest.mark.parametrize("command, setting", [
+    ("verify", "draws"), ("verify", "seed"), ("chain", "sites")])
+def test_infinite_config_count_is_a_usage_error(capsys, tmp_path, command,
+                                                setting):
+    path = tmp_path / "config.json"
+    path.write_text(f'{{"{setting}": 1e999}}')
+    assert main(["--config", str(path), command]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--{setting} must be finite" in captured.err
 
 
 def test_infinite_config_steps_is_a_usage_error(capsys, tmp_path):
@@ -279,17 +294,27 @@ def test_scan_rows_do_not_depend_on_the_chunk_size(monkeypatch):
     assert chunked.digest.digest() == whole.digest.digest()
 
 
-def test_scan_memory_stays_with_the_array_pass(monkeypatch):
-    # a 300 x 300 scan peaks at about 15 MB of traced memory in the
-    # arrays of its closed-form pass; turning every column of the grid
-    # into Python floats at once added about 14 MB on top of that
+def _scan_peak(monkeypatch, steps):
     tracemalloc.start()
     try:
-        _scan_complex_bosonic(monkeypatch, 300)
+        _scan_complex_bosonic(monkeypatch, steps)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 20e6
+    return peak
+
+
+def test_scan_memory_stays_with_the_array_pass(monkeypatch):
+    # a closed-form pass over the whole 300 x 300 grid peaked at about
+    # 15 MB of traced memory; turning every column of the grid into
+    # Python floats at once added about 14 MB on top of that
+    assert _scan_peak(monkeypatch, 300) < 20e6
+
+
+def test_scan_memory_follows_the_chunk(monkeypatch):
+    # the closed forms run one chunk of points at a time: about 1.4 MB
+    # traced at any grid size
+    assert _scan_peak(monkeypatch, 300) < 3e6
 
 
 def test_chain_csv_columns(capsys, tmp_path):

@@ -1,59 +1,68 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from trispin.fock import (Basis, SectorSpec, Species, Statistics,
-                          enumerate_basis)
+from trispin import fock
+from trispin.fock import Basis, Species, Statistics, enumerate_basis
 
 from fock_reference import (ANNIHILATE, CREATE, FockState, apply_ladder,
-                            fock_states, hop)
+                            fock_states, hop, sector_basis,
+                            sector_rows)
 
 
 def test_sector_counts():
-    assert len(enumerate_basis(3, Statistics.BOSON, SectorSpec(n_total=3))) == 56
+    assert len(enumerate_basis(3, Statistics.BOSON)) == 56
+    assert len(enumerate_basis(3, Statistics.FERMION)) == 20
+
+
+def test_oversized_sector_refused_before_allocating():
+    # C(32, 16) = 601,080,390 rows: counted, never built
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="601080390 states exceeds the "
+                                             "limit of 1000000"):
+            enumerate_basis(16, Statistics.FERMION)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
+def test_sector_limit_boundary(monkeypatch):
+    monkeypatch.setattr(fock, "MAX_BASIS_STATES", 20)
+    assert len(enumerate_basis(3, Statistics.FERMION)) == 20
+    # bosons capped at one atom per mode count C(6, 3) = 20 as well,
+    # before the cross-occupancy filter leaves 8
     assert len(enumerate_basis(3, Statistics.BOSON,
-                               SectorSpec(n_up=1, n_down=2))) == 18
-    assert len(enumerate_basis(3, Statistics.FERMION,
-                               SectorSpec(n_up=2, n_down=1))) == 9
-    assert len(enumerate_basis(3, Statistics.FERMION, SectorSpec(n_total=3))) == 20
+                               forbid_cross_occupancy=True,
+                               forbid_same_species_doubles=True)) == 8
+    with pytest.raises(ValueError, match="sector of 56 states exceeds the "
+                                         "limit of 20"):
+        enumerate_basis(3, Statistics.BOSON, forbid_cross_occupancy=True)
+    monkeypatch.setattr(fock, "MAX_BASIS_STATES", 19)
+    with pytest.raises(ValueError, match="sector of 20 states exceeds the "
+                                         "limit of 19"):
+        enumerate_basis(3, Statistics.FERMION)
 
 
 def test_single_occupancy_subspace_dimension():
-    basis = enumerate_basis(3, Statistics.BOSON, SectorSpec(n_total=3))
+    basis = enumerate_basis(3, Statistics.BOSON)
     singles = [s for s in fock_states(basis)
                if all(sum(s.site_occupations(i)) == 1 for i in range(3))]
     assert len(singles) == 8
 
 
-def test_empty_sector_raises():
-    with pytest.raises(ValueError, match="empty basis"):
-        enumerate_basis(2, Statistics.FERMION, SectorSpec(n_up=3, n_down=0))
-
-
-@pytest.mark.parametrize("sector", [dict(n_up=1, n_total=2),
-                                    dict(n_down=1, n_total=2)])
-def test_half_fixed_species_pair_rejected(sector):
-    # one species count beside n_total was an empty or a silently
-    # unconstrained sector
-    with pytest.raises(ValueError, match="both n_up and n_down"):
-        SectorSpec(**sector)
-
-
-def test_negative_cutoff_raises():
-    with pytest.raises(ValueError):
-        SectorSpec(n_total=2, site_cap=-1)
-
-
 def test_index_round_trip():
-    basis = enumerate_basis(3, Statistics.BOSON, SectorSpec(n_total=3))
+    basis = enumerate_basis(3, Statistics.BOSON)
     for k, state in enumerate(fock_states(basis)):
         assert basis.locate(np.array(state.occ) @ basis.place) == k
 
 
 def test_deterministic_lexicographic_order():
-    basis = enumerate_basis(2, Statistics.BOSON, SectorSpec(n_total=2))
+    basis = enumerate_basis(2, Statistics.BOSON)
     occs = [s.occ for s in fock_states(basis)]
     assert occs == sorted(occs)
 
@@ -141,7 +150,7 @@ def test_creation_is_adjoint_of_annihilation():
 
 
 def test_number_operator_reconstruction():
-    basis = enumerate_basis(2, Statistics.BOSON, SectorSpec(n_total=3))
+    basis = Basis(sector_rows(2, Statistics.BOSON, 3), Statistics.BOSON, 2)
     index = {s.occ: k for k, s in enumerate(fock_states(basis))}
     dim = len(basis)
     # a^dag a stays inside the sector: build it from composed moves
@@ -184,16 +193,14 @@ def test_reversed_mode_order_signs_stay_unit():
 
 
 @pytest.mark.parametrize("n_sites, statistics, sector", [
-    (3, Statistics.BOSON, SectorSpec(n_total=3)),
-    (3, Statistics.BOSON, SectorSpec(n_total=4, site_cap=2)),
-    (3, Statistics.BOSON, SectorSpec(n_total=3,
-                                     forbid_same_species_doubles=True)),
-    (4, Statistics.FERMION, SectorSpec(n_up=2, n_down=2)),
-    (5, Statistics.FERMION, SectorSpec(n_total=5,
-                                       forbid_cross_occupancy=True)),
+    (3, Statistics.BOSON, dict()),
+    (3, Statistics.BOSON, dict(n_atoms=4, site_cap=2)),
+    (3, Statistics.BOSON, dict(forbid_same_species_doubles=True)),
+    (4, Statistics.FERMION, dict(n_atoms=4, n_up=2)),
+    (5, Statistics.FERMION, dict(forbid_cross_occupancy=True)),
 ])
 def test_occupation_array_and_keys(n_sites, statistics, sector):
-    basis = enumerate_basis(n_sites, statistics, sector)
+    basis = sector_basis(n_sites, statistics, **sector)
     assert all(isinstance(s, FockState) and s.statistics is statistics
                for s in fock_states(basis))
     assert basis.occ.tolist() == [list(s.occ) for s in fock_states(basis)]
@@ -205,9 +212,8 @@ def test_occupation_array_and_keys(n_sites, statistics, sector):
 
 
 def test_locate_hand_built_basis_in_any_order():
-    lexicographic = enumerate_basis(2, Statistics.BOSON, SectorSpec(n_total=2))
-    basis = Basis(lexicographic.occ[::-1], Statistics.BOSON, 2,
-                  lexicographic.sector)
+    lexicographic = enumerate_basis(2, Statistics.BOSON)
+    basis = Basis(lexicographic.occ[::-1], Statistics.BOSON, 2)
     assert np.array_equal(basis.locate(lexicographic.keys),
                           np.arange(len(basis))[::-1])
     # (0, 0, 0, 1) holds one atom and (2, 2, 2, 2) sorts after every key
@@ -218,42 +224,7 @@ def test_locate_hand_built_basis_in_any_order():
 def test_occupation_keys_overflow_rejected():
     crowded = [(12,) + (0,) * 23]
     with pytest.raises(ValueError, match="overflow int64"):
-        Basis(crowded, Statistics.BOSON, 12, SectorSpec(n_total=12))
-
-
-def _brute_force_occ(n_sites, statistics, sector):
-    """Every occupation tuple of the sector, by filtering the full
-    product of per-mode occupations, in lexicographic order."""
-    total = sector.total
-    cap = 1 if statistics is Statistics.FERMION else (
-        total if sector.site_cap is None else sector.site_cap)
-    rows = []
-    for occ in itertools.product(range(cap + 1), repeat=2 * n_sites):
-        up, dn = occ[0::2], occ[1::2]
-        if sum(occ) != total:
-            continue
-        if sector.n_up is not None and (sum(up), sum(dn)) != (sector.n_up,
-                                                              sector.n_down):
-            continue
-        if sector.forbid_cross_occupancy and any(u and d
-                                                 for u, d in zip(up, dn)):
-            continue
-        if sector.forbid_same_species_doubles and max(occ) > 1:
-            continue
-        rows.append(list(occ))
-    return rows
-
-
-def _sectors(max_total):
-    for total in range(max_total + 1):
-        for cap in (None, 1, 2):
-            for cross in (False, True):
-                for doubles in (False, True):
-                    yield SectorSpec(n_total=total, site_cap=cap,
-                                     forbid_cross_occupancy=cross,
-                                     forbid_same_species_doubles=doubles)
-        for n_up in range(total + 1):
-            yield SectorSpec(n_up=n_up, n_down=total - n_up)
+        Basis(crowded, Statistics.BOSON, 12)
 
 
 @pytest.mark.parametrize("n_sites, statistics", [
@@ -261,16 +232,11 @@ def _sectors(max_total):
     *[(n, Statistics.FERMION) for n in (1, 2, 3, 4, 5)],
 ])
 def test_enumeration_equals_brute_force_filter(n_sites, statistics):
-    max_total = n_sites + 1 if statistics is Statistics.BOSON else 2 * n_sites
-    checked = 0
-    for sector in _sectors(max_total):
-        want = _brute_force_occ(n_sites, statistics, sector)
-        if not want:
-            with pytest.raises(ValueError, match="empty basis"):
-                enumerate_basis(n_sites, statistics, sector)
-            continue
-        basis = enumerate_basis(n_sites, statistics, sector)
+    for cross, doubles in itertools.product((False, True), repeat=2):
+        basis = enumerate_basis(n_sites, statistics,
+                                forbid_cross_occupancy=cross,
+                                forbid_same_species_doubles=doubles)
         assert basis.occ.dtype == np.int64
-        assert basis.occ.tolist() == want
-        checked += 1
-    assert checked > 0
+        assert basis.occ.tolist() == sector_rows(
+            n_sites, statistics, n_sites, forbid_cross_occupancy=cross,
+            forbid_same_species_doubles=doubles)

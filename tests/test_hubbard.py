@@ -7,15 +7,15 @@ import scipy.sparse as sp
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from trispin.fock import (Basis, SectorSpec, Species, Statistics,
-                          enumerate_basis)
+from trispin.fock import Basis, Species, Statistics, enumerate_basis
 from trispin.hubbard import (Edge, HubbardParams, LatticeGraph, build_h0,
                              build_v, build_v_mixed, hilbert_basis,
                              make_triangle, make_triangular_patch,
                              make_zigzag, projector_single_occupancy)
 from trispin.raman import SU2Rotation, rotate_tunneling
 
-from fock_reference import fock_states, site_energy, transfer
+from fock_reference import (fock_states, sector_basis, sector_rows,
+                            site_energy, transfer)
 
 
 def test_triangle_edges():
@@ -72,7 +72,7 @@ def test_h0_single_occupancy_is_zero():
 
 
 def test_h0_infinite_sentinel_rejected_for_bosons():
-    basis = enumerate_basis(1, Statistics.BOSON, SectorSpec(n_total=2))
+    basis = enumerate_basis(2, Statistics.BOSON)
     params = HubbardParams(Statistics.BOSON, u_upup=math.inf, u_dndn=1.0,
                            u_updn=1.0)
     with pytest.raises(ValueError, match="infinite energy state"):
@@ -98,7 +98,8 @@ def test_two_site_single_particle_hopping_matrix():
     j = 0.3
     params = HubbardParams.uniform(Statistics.BOSON, 1, j, 0.0,
                                    u_updn=1.0, u_upup=1.0, u_dndn=1.0)
-    basis = enumerate_basis(2, Statistics.BOSON, SectorSpec(n_up=1, n_down=0))
+    basis = Basis(sector_rows(2, Statistics.BOSON, 1, n_up=1),
+                  Statistics.BOSON, 2)
     v = build_v(basis, graph, params).mat.toarray()
     assert np.allclose(v, [[0, -j], [-j, 0]])
 
@@ -108,7 +109,8 @@ def test_two_site_pair_amplitude():
     j = 0.25
     params = HubbardParams.uniform(Statistics.BOSON, 1, j, 0.0,
                                    u_updn=1.0, u_upup=1.0, u_dndn=1.0)
-    basis = enumerate_basis(2, Statistics.BOSON, SectorSpec(n_up=2, n_down=0))
+    basis = Basis(sector_rows(2, Statistics.BOSON, 2, n_up=2),
+                  Statistics.BOSON, 2)
     v = build_v(basis, graph, params)
     k20, k11 = basis.locate(np.array([(2, 0, 0, 0), (1, 0, 1, 0)])
                             @ basis.place)
@@ -172,10 +174,11 @@ def test_projector_sizes_and_errors():
                                    u_updn=1.0, u_upup=1.0, u_dndn=1.0)
     basis = hilbert_basis(tri, params)
     assert len(projector_single_occupancy(basis)) == 8
-    pair = enumerate_basis(2, Statistics.BOSON, SectorSpec(n_up=1, n_down=1))
+    pair = Basis(sector_rows(2, Statistics.BOSON, 2, n_up=1),
+                 Statistics.BOSON, 2)
     assert len(projector_single_occupancy(pair)) == 2
-    bad = enumerate_basis(2, Statistics.BOSON, SectorSpec(n_total=3))
-    with pytest.raises(ValueError):
+    bad = Basis(sector_rows(2, Statistics.BOSON, 3), Statistics.BOSON, 2)
+    with pytest.raises(ValueError, match="needs one atom per site"):
         projector_single_occupancy(bad)
 
 
@@ -315,20 +318,17 @@ def test_rotated_species_mixing_v_equals_reference(statistics):
 
 
 @pytest.mark.parametrize("statistics, sector, dropped", [
-    (Statistics.BOSON, SectorSpec(n_total=4, site_cap=2), 120),
-    (Statistics.BOSON, SectorSpec(n_total=3, forbid_cross_occupancy=True),
-     96),
-    (Statistics.BOSON, SectorSpec(n_total=3,
-                                  forbid_same_species_doubles=True), 96),
-    (Statistics.BOSON, SectorSpec(n_total=3), 0),
-    (Statistics.FERMION, SectorSpec(n_total=3, forbid_cross_occupancy=True),
-     48),
-    (Statistics.FERMION, SectorSpec(n_total=3), 0),
+    (Statistics.BOSON, dict(n_atoms=4, site_cap=2), 120),
+    (Statistics.BOSON, dict(forbid_cross_occupancy=True), 96),
+    (Statistics.BOSON, dict(forbid_same_species_doubles=True), 96),
+    (Statistics.BOSON, dict(), 0),
+    (Statistics.FERMION, dict(forbid_cross_occupancy=True), 48),
+    (Statistics.FERMION, dict(), 0),
 ])
 def test_dropped_moves_counted(statistics, sector, dropped):
     """Moves that leave a truncated or excluding sector are counted."""
     tri = make_triangle()
-    basis = enumerate_basis(3, statistics, sector)
+    basis = sector_basis(3, statistics, **sector)
     hops = {link: np.ones((2, 2)) for link in range(3)}
     v = build_v_mixed(basis, tri, hops)
     for mode_order in ("standard", "reversed"):
@@ -340,7 +340,7 @@ def test_hand_built_basis_equals_reference():
     of mode 0 onto the full mode 2 of (1, 0, 1, 0) would carry a key
     digit into (0, 1, 0, 0); the move must be dropped instead."""
     occ = [(1, 0, 1, 0), (0, 1, 0, 0), (0, 0, 1, 1), (1, 0, 0, 0)]
-    basis = Basis(occ, Statistics.BOSON, 2, SectorSpec(n_total=2))
+    basis = Basis(occ, Statistics.BOSON, 2)
     assert basis.radix == 2
     graph = _pair_graph()
     hops = {0: np.array([[0.3, 0.1j], [0.2, -0.4]])}
@@ -359,9 +359,8 @@ def _v_cases(draw):
                   for link, pair in enumerate(chosen))
     graph = LatticeGraph(n_sites, edges, "drawn")
     statistics = draw(st.sampled_from(list(Statistics)))
-    n_total = draw(st.integers(1, n_sites + 1))
-    sector = SectorSpec(
-        n_total=n_total,
+    sector = dict(
+        n_atoms=draw(st.integers(1, n_sites + 1)),
         site_cap=draw(st.sampled_from([None, 1, 2])),
         forbid_cross_occupancy=draw(st.booleans()),
         forbid_same_species_doubles=draw(st.booleans()))
@@ -377,9 +376,9 @@ def _v_cases(draw):
 @given(_v_cases())
 def test_v_matches_per_state_reference_property(case):
     graph, statistics, sector, hops, mode_order = case
-    try:
-        basis = enumerate_basis(graph.n_sites, statistics, sector)
-    except ValueError:
+    rows = sector_rows(graph.n_sites, statistics, **sector)
+    if not rows:
         reject()
+    basis = Basis(rows, statistics, graph.n_sites)
     v = build_v_mixed(basis, graph, hops)
     _assert_same_v(v, basis, graph, hops, mode_order)

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 
 from trispin import pauli
 from trispin.adiabatic import adiabatic_eliminate
-from trispin.fock import SectorSpec, Species, Statistics, enumerate_basis
+from trispin.fock import Basis, Species, Statistics
 from trispin.hubbard import (Edge, HubbardParams, LatticeGraph,
                              SparseOperator, build_h0, build_v, derive,
                              hilbert_basis, make_triangle, make_zigzag,
@@ -67,7 +67,8 @@ def test_spin_map_labels():
 
 
 def test_spin_map_requires_full_block():
-    basis = enumerate_basis(2, Statistics.FERMION, SectorSpec(n_up=1, n_down=1))
+    basis = Basis(fock_reference.sector_rows(2, Statistics.FERMION, 2, n_up=1),
+                  Statistics.FERMION, 2)
     with pytest.raises(ValueError):
         spin_map(basis, np.arange(2))
 
