@@ -1,4 +1,4 @@
-"""All-orders oracle: eliminate the multiply-occupied block exactly.
+"""Zero-energy oracle: eliminate the multiply-occupied block exactly.
 
 Setting the amplitudes of the energetically distant states stationary
 turns the Schroedinger equation into a linear system for the fast block;
@@ -6,15 +6,27 @@ solving it at zero quasi-energy gives
 
     H_eff = H_MM - H_MF (H_FF)^{-1} H_FM,      H = H0 + V.
 
-Because the full fast block (including tunneling within it) is
-inverted, this resums the perturbative series to all orders and is an
-independent check of the order-2/3 engine.
+The full fast block, tunneling within it included, is inverted at the
+energy of M, so this sums the E = 0 Brillouin-Wigner series to all
+orders.  Through order 3 it equals the order-2/3 engine, of which it is
+an independent check; from order 4 on it differs from the exact
+low-energy effective Hamiltonian, whose levels sit at O(J^2/U) and not
+at 0, by O(J^4/U^3).
 
 ``eliminate`` takes the partition the engine reads; its sparse H_FF is
 factored once by sparse LU (SuperLU, minimum-degree ordering of
-H_FF + H_FF^T, which fits its symmetric pattern).  H_FM is nonzero only
-on the states R one hop from M, so the solve runs against those rows
-alone and only their rows of the solution are used.  The condition
+H_FF + H_FF^T, which fits its symmetric pattern), in real arithmetic
+when all of V is real (E_F always is); the result stays complex.  H_FM
+is nonzero only on the states R one hop from M, so the right-hand sides
+have rows only there and only those rows of the solution are used.  The
+connected components of V's pattern (without species mixing, the
+conserved (n_up, n_down) sectors) never couple, and neither do the LU
+factors of their blocks, so the M states of different components share
+one right-hand-side column: each takes its rank within its component
+as its column, the one solve takes max_b |M_b| columns instead of 2^n
+(20 instead of 64 for the fermionic zig-zag chain of six sites), and
+entry (a, b) of the correction is read from the column of b where a
+and b share a component and is zero elsewhere.  The condition
 number is a lower estimate of the 1-norm condition number kappa_1:
 ||H_FF||_1 exactly, times scipy's ``onenormest`` of ||H_FF^{-1}||_1
 through solves with the factors.  With one column (t = 1) that is
@@ -28,6 +40,7 @@ Hermitian H_FF, kappa_1 bounds kappa_2 from above.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.linalg as la
@@ -65,10 +78,21 @@ def _factor_fast_block(hff):
     n = hff.shape[0]
     columns = np.repeat(np.arange(n), np.diff(hff.indptr))
     norm = np.bincount(columns, weights=np.abs(hff.data), minlength=n).max()
+    # matmat given directly: scipy's default loops matvec over columns
+    adjoint = partial(lu.solve, trans="H")
     inverse = spla.LinearOperator(
-        (n, n), matvec=lu.solve, rmatvec=lambda x: lu.solve(x, trans="H"),
-        dtype=hff.dtype)
+        (n, n), matvec=lu.solve, rmatvec=adjoint, matmat=lu.solve,
+        rmatmat=adjoint, dtype=hff.dtype)
     return lu, norm * spla.onenormest(inverse, t=1)
+
+
+def _rank_in_component(labels):
+    """Rank of each state among the states of its component, in order."""
+    order = np.argsort(labels, kind="stable")
+    grouped = labels[order]
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order)) - np.searchsorted(grouped, grouped)
+    return rank
 
 
 def eliminate(p):
@@ -84,9 +108,16 @@ def eliminate(p):
         if not np.isfinite(cond) or cond > COND_LIMIT:
             raise ValueError(
                 "fast block not invertible; parameters too close to resonance")
-        rhs = np.zeros((len(p.f), k), dtype=hff.dtype)
-        rhs[p.r] = p.vmr.conj().T
-        block = block - p.vmr @ lu.solve(rhs)[p.r]
+        label = p.components()[:k]
+        column = _rank_in_component(label)
+        vmr = p.vmr if np.iscomplexobj(hff) else p.vmr.real
+        # the rows of V_MR that share a column have disjoint supports
+        packed = np.zeros((column.max() + 1, len(p.r)), dtype=vmr.dtype)
+        np.add.at(packed, column, vmr)
+        rhs = np.zeros((len(p.f), len(packed)), dtype=hff.dtype)
+        rhs[p.r] = packed.conj().T
+        solved = vmr @ lu.solve(rhs)[p.r]
+        block -= np.where(label[:, None] == label, solved[:, column], 0)
     block = 0.5 * (block + block.conj().T)
     return AdiabaticResult(EffectiveHamiltonian(block), float(cond),
                            (k + len(p.f), len(p.f), k))

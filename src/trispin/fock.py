@@ -91,40 +91,46 @@ class Basis:
 
 
 def enumerate_basis(n_sites, statistics, forbid_cross_occupancy=False,
-                    forbid_same_species_doubles=False):
+                    forbid_same_species_doubles=(False, False)):
     """The states of ``n_sites`` atoms on ``n_sites`` sites, in
     lexicographic occupation order.
 
     Rows grow one mode at a time: a partial row branches into the
-    ascending occupations of the next mode that the later modes, at most
-    ``cap`` each, can still complete.  Each mode keeps only its digits
+    ascending occupations of the next mode that the later modes, each
+    within its cap, can still complete.  Each mode keeps only its digits
     and parent rows; the full rows are read back from the last mode.
-    Fermions, and bosons with ``forbid_same_species_doubles``, are capped
-    at one atom per mode; ``forbid_cross_occupancy`` then drops every
-    row where a site hosts both species.  Either exclusion realizes an
-    infinite collision energy exactly.
+    Fermionic modes are capped at one atom, and so are the bosonic modes
+    of each species flagged in ``forbid_same_species_doubles`` (up,
+    down); ``forbid_cross_occupancy`` then drops every row where a site
+    hosts both species.  Either exclusion realizes an infinite collision
+    energy exactly.
 
     The rows are counted before they are built, and a sector of more
-    than ``MAX_BASIS_STATES`` raises ``ValueError``.
+    than ``MAX_BASIS_STATES`` raises ``ValueError``; with one species
+    capped, the count is the uncapped one, an upper bound.
     """
     if n_sites < 1:
         raise ValueError("need at least one site")
     n_modes = 2 * n_sites
-    capped = statistics is Statistics.FERMION or forbid_same_species_doubles
-    cap = 1 if capped else n_sites
+    fermions = statistics is Statistics.FERMION
+    no_up_doubles, no_dn_doubles = forbid_same_species_doubles
+    capped = (fermions or no_up_doubles, fermions or no_dn_doubles)
     # n atoms on 2n modes, at most one per mode or any number per mode
-    dim = (math.comb(n_modes, n_sites) if capped
+    dim = (math.comb(n_modes, n_sites) if all(capped)
            else math.comb(n_modes + n_sites - 1, n_sites))
     if dim > MAX_BASIS_STATES:
         raise ValueError(f"sector of {dim} states exceeds the limit of "
                          f"{MAX_BASIS_STATES}")
+    cap = np.tile(np.where(capped, 1, n_sites), n_sites)
+    # the atoms that the modes after each mode can hold
+    room = np.cumsum(cap[::-1])[::-1] - cap
 
     placed = np.zeros(1, dtype=np.int64)
     digits, parents = [], []
     for mode in range(n_modes):
         need = n_sites - placed
-        low = np.maximum(need - cap * (n_modes - mode - 1), 0)
-        count = np.maximum(np.minimum(need, cap) - low + 1, 0)
+        low = np.maximum(need - room[mode], 0)
+        count = np.maximum(np.minimum(need, cap[mode]) - low + 1, 0)
         parent = np.repeat(np.arange(len(placed)), count)
         # rank among the siblings plus the lowest digit
         digit = (np.arange(len(parent)) - (np.cumsum(count) - count)[parent]

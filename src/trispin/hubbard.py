@@ -134,8 +134,8 @@ def hilbert_basis(graph, params):
     return enumerate_basis(
         graph.n_sites, params.statistics,
         forbid_cross_occupancy=math.isinf(params.u_updn),
-        forbid_same_species_doubles=(math.isinf(params.u_upup)
-                                     or math.isinf(params.u_dndn)))
+        forbid_same_species_doubles=(math.isinf(params.u_upup),
+                                     math.isinf(params.u_dndn)))
 
 
 @dataclass

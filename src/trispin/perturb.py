@@ -103,6 +103,30 @@ class Partition:
     def er(self):
         return self.ef[self.r]
 
+    def components(self):
+        """Connected component of each (M, F) position under V's nonzero
+        pattern, labelled by its smallest position.
+
+        Without species mixing these are the (n_up, n_down) sectors.
+        Each pass lowers every label to the smallest label among itself
+        and its neighbours, then to the label of that label, so the
+        passes number about the logarithm of a component's diameter;
+        scipy's ``connected_components`` costs several times more at
+        triangle size.
+        """
+        ends = np.concatenate([self.rows, self.cols])
+        starts = np.concatenate([self.cols, self.rows])
+        label = np.arange(len(self.m) + len(self.f))
+        total = label.sum()
+        while True:
+            np.minimum.at(label, ends, label[starts])
+            label = label[label]
+            # labels only fall, so an unchanged sum is a fixed point
+            lowered = label.sum()
+            if lowered == total:
+                return label
+            total = lowered
+
     def block(self, row_positions, col_positions):
         """Dense block of V on the given (M, F)-order positions."""
         dim = len(self.m) + len(self.f)
@@ -133,20 +157,22 @@ class Partition:
                              shape=(dim, dim))
 
     def fast_block(self):
-        """H_FF = V_FF + diag(E_F) in canonical CSC form."""
+        """H_FF = V_FF + diag(E_F) in canonical CSC form, real when V is."""
         k, nf = len(self.m), len(self.f)
         inside_f = (self.rows >= k) & (self.cols >= k)
         diag = np.arange(nf)
         rows = np.concatenate([self.rows[inside_f] - k, diag])
         cols = np.concatenate([self.cols[inside_f] - k, diag])
         # assembled by hand: the COO route costs more than factoring the
-        # 48 x 48 fast block of a triangle
+        # 48 x 48 fast block of a triangle, and so does scipy's scan of
+        # 64-bit indices for a narrower type; SuperLU takes 32-bit ones
         by_column = np.argsort(cols, kind="stable")
-        indptr = np.zeros(nf + 1, dtype=int)
+        indptr = np.zeros(nf + 1, dtype=np.int32)
         np.cumsum(np.bincount(cols, minlength=nf), out=indptr[1:])
+        vals = self.vals if self.vals.imag.any() else self.vals.real
         hff = sp.csc_matrix(
-            (np.concatenate([self.vals[inside_f], self.ef])[by_column],
-             rows[by_column], indptr), shape=(nf, nf))
+            (np.concatenate([vals[inside_f], self.ef])[by_column],
+             rows[by_column].astype(np.int32), indptr), shape=(nf, nf))
         hff.sum_duplicates()
         return hff
 

@@ -42,20 +42,24 @@ def fock_states(basis):
 
 def sector_rows(n_sites, statistics, n_atoms, site_cap=None,
                 forbid_cross_occupancy=False,
-                forbid_same_species_doubles=False, n_up=None):
+                forbid_same_species_doubles=(False, False), n_up=None):
     """Every occupation row of ``n_atoms`` atoms on the ``2 n_sites``
     modes that the caps, exclusions and spin-up count admit, in
     lexicographic order: each multiset of modes is placed, then
-    filtered."""
+    filtered.  ``forbid_same_species_doubles`` flags (up, down)."""
     cap = site_cap if site_cap is not None else n_atoms
-    if statistics is Statistics.FERMION or forbid_same_species_doubles:
+    if statistics is Statistics.FERMION:
         cap = 1
+    no_up_doubles, no_dn_doubles = forbid_same_species_doubles
     rows = []
     for modes in itertools.combinations_with_replacement(range(2 * n_sites),
                                                          n_atoms):
         occ = [modes.count(mode) for mode in range(2 * n_sites)]
         up, dn = occ[0::2], occ[1::2]
         if max(occ) > cap:
+            continue
+        if ((no_up_doubles and max(up) > 1)
+                or (no_dn_doubles and max(dn) > 1)):
             continue
         if forbid_cross_occupancy and any(u and d for u, d in zip(up, dn)):
             continue

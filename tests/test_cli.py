@@ -294,27 +294,30 @@ def test_scan_rows_do_not_depend_on_the_chunk_size(monkeypatch):
     assert chunked.digest.digest() == whole.digest.digest()
 
 
-def _scan_peak(monkeypatch, steps):
-    tracemalloc.start()
-    try:
-        _scan_complex_bosonic(monkeypatch, steps)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+@pytest.fixture(scope="module")
+def scan_peak_300():
+    """Traced peak of one 300 x 300 scan, shared by the memory bounds."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        tracemalloc.start()
+        try:
+            _scan_complex_bosonic(monkeypatch, 300)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
     return peak
 
 
-def test_scan_memory_stays_with_the_array_pass(monkeypatch):
+def test_scan_memory_stays_with_the_array_pass(scan_peak_300):
     # a closed-form pass over the whole 300 x 300 grid peaked at about
     # 15 MB of traced memory; turning every column of the grid into
     # Python floats at once added about 14 MB on top of that
-    assert _scan_peak(monkeypatch, 300) < 20e6
+    assert scan_peak_300 < 20e6
 
 
-def test_scan_memory_follows_the_chunk(monkeypatch):
+def test_scan_memory_follows_the_chunk(scan_peak_300):
     # the closed forms run one chunk of points at a time: about 1.4 MB
     # traced at any grid size
-    assert _scan_peak(monkeypatch, 300) < 3e6
+    assert scan_peak_300 < 3e6
 
 
 def test_chain_csv_columns(capsys, tmp_path):

@@ -38,10 +38,16 @@ def test_sector_limit_boundary(monkeypatch):
     # before the cross-occupancy filter leaves 8
     assert len(enumerate_basis(3, Statistics.BOSON,
                                forbid_cross_occupancy=True,
-                               forbid_same_species_doubles=True)) == 8
+                               forbid_same_species_doubles=(True, True))) == 8
     with pytest.raises(ValueError, match="sector of 56 states exceeds the "
                                          "limit of 20"):
         enumerate_basis(3, Statistics.BOSON, forbid_cross_occupancy=True)
+    # one species capped: refused on the uncapped count, an upper bound
+    # on the 23 rows it would build
+    with pytest.raises(ValueError, match="sector of 56 states exceeds the "
+                                         "limit of 20"):
+        enumerate_basis(3, Statistics.BOSON, forbid_cross_occupancy=True,
+                        forbid_same_species_doubles=(True, False))
     monkeypatch.setattr(fock, "MAX_BASIS_STATES", 19)
     with pytest.raises(ValueError, match="sector of 20 states exceeds the "
                                          "limit of 19"):
@@ -195,7 +201,7 @@ def test_reversed_mode_order_signs_stay_unit():
 @pytest.mark.parametrize("n_sites, statistics, sector", [
     (3, Statistics.BOSON, dict()),
     (3, Statistics.BOSON, dict(n_atoms=4, site_cap=2)),
-    (3, Statistics.BOSON, dict(forbid_same_species_doubles=True)),
+    (3, Statistics.BOSON, dict(forbid_same_species_doubles=(True, True))),
     (4, Statistics.FERMION, dict(n_atoms=4, n_up=2)),
     (5, Statistics.FERMION, dict(forbid_cross_occupancy=True)),
 ])
@@ -232,7 +238,8 @@ def test_occupation_keys_overflow_rejected():
     *[(n, Statistics.FERMION) for n in (1, 2, 3, 4, 5)],
 ])
 def test_enumeration_equals_brute_force_filter(n_sites, statistics):
-    for cross, doubles in itertools.product((False, True), repeat=2):
+    # every combination, each same-species exclusion on its own too
+    for cross, *doubles in itertools.product((False, True), repeat=3):
         basis = enumerate_basis(n_sites, statistics,
                                 forbid_cross_occupancy=cross,
                                 forbid_same_species_doubles=doubles)

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from trispin.fock import Basis, Species, Statistics, enumerate_basis
 from trispin.hubbard import (Edge, HubbardParams, LatticeGraph, build_h0,
-                             build_v, build_v_mixed, hilbert_basis,
+                             build_v, build_v_mixed, derive, hilbert_basis,
                              make_triangle, make_triangular_patch,
                              make_zigzag, projector_single_occupancy)
+from trispin.perturb import h_eff_up_to_third, pauli_decompose
 from trispin.raman import SU2Rotation, rotate_tunneling
 
 from fock_reference import (fock_states, sector_basis, sector_rows,
@@ -77,6 +78,29 @@ def test_h0_infinite_sentinel_rejected_for_bosons():
                            u_updn=1.0)
     with pytest.raises(ValueError, match="infinite energy state"):
         build_h0(basis, params)
+
+
+def test_one_infinite_same_species_channel_excludes_only_its_doubles():
+    # bosonic triangle: U_upup = inf drops the up-up doubles alone (38 of
+    # 56 states), so the model matches U_upup = 1e9 up to O(J^2 / 1e9);
+    # with the down-down doubles dropped as well, ZII read 0 against
+    # 1.6069e-3
+    tri = make_triangle()
+    models = []
+    for u_upup in (math.inf, 1e9):
+        params = HubbardParams.uniform(Statistics.BOSON, 3, 0.04, 0.03,
+                                       u_upup=u_upup, u_dndn=1.2)
+        h0, v, m = derive(tri, params)
+        models.append((h0.dim, pauli_decompose(h_eff_up_to_third(h0, v, m))))
+    (dim_inf, exact), (dim_large, large) = models
+    assert (dim_inf, dim_large) == (38, 56)
+    # and U_dndn = inf caps the down modes alone
+    occ = hilbert_basis(tri, HubbardParams.uniform(
+        Statistics.BOSON, 3, 0.04, 0.03, u_upup=1.1, u_dndn=math.inf)).occ
+    assert (occ[:, 0::2].max(), occ[:, 1::2].max(), len(occ)) == (3, 1, 38)
+    assert exact["ZII"].real == pytest.approx(1.606875e-3, rel=1e-12)
+    gap = max(abs(exact[s] - large[s]) for s in exact.coeffs)
+    assert 0 < gap <= 10 * 0.04 ** 2 / 1e9
 
 
 def _pair_graph():
@@ -320,7 +344,7 @@ def test_rotated_species_mixing_v_equals_reference(statistics):
 @pytest.mark.parametrize("statistics, sector, dropped", [
     (Statistics.BOSON, dict(n_atoms=4, site_cap=2), 120),
     (Statistics.BOSON, dict(forbid_cross_occupancy=True), 96),
-    (Statistics.BOSON, dict(forbid_same_species_doubles=True), 96),
+    (Statistics.BOSON, dict(forbid_same_species_doubles=(True, True)), 96),
     (Statistics.BOSON, dict(), 0),
     (Statistics.FERMION, dict(forbid_cross_occupancy=True), 48),
     (Statistics.FERMION, dict(), 0),
@@ -363,7 +387,8 @@ def _v_cases(draw):
         n_atoms=draw(st.integers(1, n_sites + 1)),
         site_cap=draw(st.sampled_from([None, 1, 2])),
         forbid_cross_occupancy=draw(st.booleans()),
-        forbid_same_species_doubles=draw(st.booleans()))
+        forbid_same_species_doubles=(draw(st.booleans()),
+                                     draw(st.booleans())))
     entry = st.one_of(st.just(0.0), st.floats(-1.0, 1.0))
     hops = {e.link: np.array([[complex(draw(entry), draw(entry))
                                for _ in range(2)] for _ in range(2)])

@@ -26,7 +26,7 @@ from trispin.hubbard import (HubbardParams, SparseOperator, build_v, derive,
 from trispin.perturb import (DegenerateIntermediateError, cross_second,
                              h_eff_second, h_eff_third, h_eff_up_to_third,
                              partition, spin_map)
-from trispin.raman import SU2Rotation, covariance_check
+from trispin.raman import SU2Rotation, covariance_check, rotate_tunneling
 
 
 def _dense_partition(h0, v, m):
@@ -74,18 +74,32 @@ CASES = [("zigzag", 4, Statistics.FERMION), ("zigzag", 5, Statistics.FERMION),
          ("zigzag", 6, Statistics.FERMION), ("zigzag", 4, Statistics.BOSON),
          ("triangle", 3, Statistics.FERMION),
          ("triangle", 3, Statistics.BOSON)]
+# complex J on every case, the same J without imaginary parts (so H_FF is
+# factored in real arithmetic), and a Raman rotation of the triangles'
+# J, which mixes the species and joins every (n_up, n_down) sector
+TUNNELING = ([(*c, "complex") for c in CASES] + [(*c, "real") for c in CASES]
+             + [("triangle", 3, s, "raman") for s in Statistics])
+RAMAN = SU2Rotation(0.4, 0.9)
 
 
-def _case(geometry, n, statistics):
+def _case(geometry, n, statistics, tunneling="complex"):
     graph = make_triangle() if geometry == "triangle" else make_zigzag(n)
     rng = np.random.default_rng(40 + n)
-    h0, v, m = derive(graph, _params(graph, statistics, rng))
-    vb = build_v(h0.basis, graph, _params(graph, statistics, rng))
+    params = [_params(graph, statistics, rng) for _ in range(2)]
+    if tunneling == "real":
+        params = [dataclasses.replace(p, tunneling={
+            key: complex(j.real) for key, j in p.tunneling.items()})
+            for p in params]
+    h0, v, m = derive(graph, params[0])
+    vb = build_v(h0.basis, graph, params[1])
+    if tunneling == "raman":
+        v, vb = rotate_tunneling(v, RAMAN), rotate_tunneling(vb, RAMAN)
     return h0, v, vb, m
 
 
-@pytest.fixture(scope="module", params=CASES,
-                ids=[f"{g}-{n}-{s.value}" for g, n, s in CASES])
+@pytest.fixture(scope="module", params=TUNNELING,
+                ids=[f"{g}-{n}-{s.value}" + ("" if t == "complex" else f"-{t}")
+                     for g, n, s, t in TUNNELING])
 def case(request):
     return _case(*request.param)
 
@@ -115,13 +129,32 @@ def test_cross_second_matches_dense_reference(case):
 
 def test_elimination_matches_dense_reference(case):
     h0, v, _, m = case
+    # H_FF is real exactly when V is
+    assert (np.iscomplexobj(partition(h0, v, m).fast_block())
+            == bool(v.mat.data.imag.any()))
     want, gecon, hff = _dense_elimination(h0, v, m)
     result = adiabatic_eliminate(h0, v, m)
+    assert result.h_eff.matrix.dtype == complex
     _close(result.h_eff.matrix, want)
     assert result.dims == (h0.dim, h0.dim - len(m), len(m))
     kappa1 = np.linalg.cond(hff, 1)
     for estimate in (result.condition_number, gecon):
         assert kappa1 / 3 <= estimate <= kappa1 * (1 + 1e-12)
+
+
+def test_components_are_the_conserved_sectors():
+    graph = make_zigzag(6)
+    h0, v, m = derive(graph, HubbardParams.uniform(
+        Statistics.FERMION, graph.n_links, 0.04, 0.03))
+    p = partition(h0, v, m)
+    label = p.components()
+    n_up = h0.basis.occ[np.concatenate([p.m, p.f]), 0::2].sum(axis=1)
+    # the labels split the sector as n_up does: 7 parts for n_up = 0..6
+    assert len(np.unique(label)) == 7
+    assert len(np.unique(np.c_[label, n_up], axis=0)) == 7
+    h0, v, _, m = _case("triangle", 3, Statistics.BOSON, "raman")
+    assert np.array_equal(partition(h0, v, m).components(),
+                          np.zeros(h0.dim, dtype=int))
 
 
 @pytest.mark.parametrize("statistics", list(Statistics))
