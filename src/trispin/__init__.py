@@ -9,17 +9,16 @@ from .hubbard import (LatticeGraph, HubbardParams, SparseOperator,
                       build_v_mixed, derive, projector_single_occupancy)
 from .perturb import (EffectiveHamiltonian, PauliDecomposition, Partition,
                       spin_map, partition, h_eff_second,
-                      h_eff_third, h_eff_up_to_third, cross_second,
-                      pauli_decompose, validate_by_evolution,
+                      h_eff_third, h_eff_up_to_third, pauli_decompose,
                       DegenerateIntermediateError)
-from .adiabatic import adiabatic_eliminate, truncated_series, series_compare
+from .adiabatic import adiabatic_eliminate, series_compare
 from .closedform import (CouplingSet, bosonic_couplings, fermionic_couplings,
                          complex_tunneling_couplings, rotated_xy_couplings,
                          chirality_point_params, build_spin_hamiltonian,
                          triangle_strings, expected_string_coefficients)
 from .raman import (SU2Rotation, rotate_tunneling, spin_rotation_matrix,
                     covariance_check)
-from .chainlab import (SpectrumReport, diagonalize, chirality_operator,
+from .chainlab import (SpectrumReport, diagonalize,
                        zzz_chain_sparse, duality_scan,
                        detect_nnn_terms, circulating_state)
 

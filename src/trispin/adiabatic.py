@@ -132,31 +132,20 @@ def adiabatic_eliminate(h0, v, m_indices):
 
 def _neumann(p, order):
     """Partial sum of -V_MF (D + V_FF)^-1 V_FM, D = diag(E_F), over all of
-    F: -V_MF D^-1 V_FM, plus V_MF D^-1 V_FF D^-1 V_FM at order 3."""
+    F: -V_MF D^-1 V_FM at order 2, plus V_MF D^-1 V_FF D^-1 V_FM at
+    order 3.  It runs on the dense blocks V_MF, V_FM and ``p.vff``, not
+    on the states R one hop from M that the engine visits, so it checks
+    the engine's restriction to R."""
     if np.any(np.abs(p.ef) < 1e-12 * p.energy_scale):
         raise ValueError("zero-energy fast state; series undefined")
-    k = len(p.m)
-    vmf, vff = p.v[:k, k:], p.v[k:, k:]
-    term = p.v[k:, :k].toarray() / p.ef[:, None]   # D^-1 V_FM
+    m, f = np.arange(len(p.m)), len(p.m) + np.arange(len(p.f))
+    vmf = p.block(m, f)
+    term = p.block(f, m) / p.ef[:, None]   # D^-1 V_FM
     block = -(vmf @ term)
     for _ in range(order - 2):
-        term = -(vff @ term) / p.ef[:, None]
+        term = -(p.vff @ term) / p.ef[:, None]
         block = block - vmf @ term
     return EffectiveHamiltonian(block)
-
-
-def truncated_series(h0, v, m_indices, order=3):
-    """Neumann expansion of the fast-block inverse, truncated.
-
-    Order 2 reproduces the superexchange formula and order 3 adds the
-    two-intermediate term; both run on all of F, without the engine's
-    reached set, and must agree with the perturbative engine to machine
-    precision.  No other order is computed.
-    """
-    if order not in (2, 3):
-        raise ValueError(f"series order {order!r} not implemented; "
-                         "only orders 2 and 3 are")
-    return _neumann(partition(h0, v, m_indices), order)
 
 
 def series_compare(h0, v, m_indices):
@@ -164,10 +153,9 @@ def series_compare(h0, v, m_indices):
     the perturbative engine, all from one partition.  Requires the
     Neumann series to converge, i.e. the tunneling norm within the fast
     block below the smallest fast energy; that norm is the exact
-    2-norm of a dense copy of V_FF."""
+    2-norm of the dense V_FF that the series reads too."""
     p = partition(h0, v, m_indices)
-    k = len(p.m)
-    vff_norm = la.norm(p.v[k:, k:].toarray(), 2)
+    vff_norm = la.norm(p.vff, 2)
     emin = np.abs(p.ef).min() if len(p.f) else np.inf
     if vff_norm >= emin:
         raise ValueError("tunneling too large: fast-block series does not "

@@ -1,9 +1,9 @@
 """Exact diagonalization and analysis of the derived spin models.
 
 Covers the periodic three-spin Ising chain with transverse/longitudinal
-fields, its self-duality diagnostics, the triangle chirality operator
-and the detection of next-nearest-neighbour terms generated on zig-zag
-chains.
+fields, its self-duality diagnostics, the circulating states of a
+triangle and the detection of next-nearest-neighbour terms generated on
+zig-zag chains.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from . import pauli
-from .closedform import EPSILON_PATTERNS
 from .perturb import PauliDecomposition
 
 DENSE_LIMIT = 2 ** 16
@@ -68,17 +66,6 @@ def extremal_eigenvalues(h_sparse, k=6):
                     return_eigenvectors=False)
     ev.sort()
     return ev
-
-
-def chirality_operator(n_sites, triangles=((0, 1, 2),)):
-    """Sum of mixed products sigma_i . (sigma_j x sigma_k) over oriented
-    triangles; odd vertex permutations flip the sign."""
-    coeffs = {}
-    for (i, j, k) in triangles:
-        for pattern, sign in EPSILON_PATTERNS:
-            string = pauli.embed(pattern, (i, j, k), n_sites)
-            coeffs[string] = coeffs.get(string, 0.0) + sign
-    return pauli.pauli_sum(coeffs, n_sites)
 
 
 def circulating_state(n_down_positions, omega):

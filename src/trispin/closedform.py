@@ -254,26 +254,20 @@ def chirality_point_params(magnitude, scale=1.0):
                          u_updn=math.inf, tunneling=tun)
 
 
-def rotated_xy_couplings(j, u, nu3_variant="certified"):
+def rotated_xy_couplings(j, u):
     """Couplings of the x-quantized model produced when only one rotated
     internal state tunnels (rate ``j``) at equal collision energies.
 
     The string coefficients are B per single-site sigma^x, nu1 per link
-    and 3*nu3 on the triple product.  ``nu3_variant="printed"`` selects
-    the audit value nu3/3.
+    and 3*nu3 on the triple product.
     """
     if u == 0:
         raise ValueError("collision energy must be nonzero")
-    nu3 = -j ** 3 / (2 * u ** 2)
-    if nu3_variant == "printed":
-        nu3 = nu3 / 3.0
-    elif nu3_variant != "certified":
-        raise ValueError(f"unknown nu3 variant {nu3_variant!r}")
     return CouplingSet("rotated_xy", {
         "A": -1.5 * j ** 2 / u - 3 * j ** 3 / u ** 2,
         "B": -2 * j ** 2 / u - 5.5 * j ** 3 / u ** 2,
         "nu1": -0.5 * j ** 2 / u - 3 * j ** 3 / u ** 2,
-        "nu3": nu3,
+        "nu3": -j ** 3 / (2 * u ** 2),
     })
 
 

@@ -2,11 +2,11 @@
 
 The perturbative engine and the adiabatic elimination are the two
 authorities; closed-form coupling sets are audited against them string
-by string.  Audit variants (alternative transcriptions of the coupling
-lists that circulate with flipped three-spin signs or a rescaled
-triple-product coefficient) are evaluated alongside the certified
-formulas, and every discrepancy is recorded with the engine-derived
-replacement value instead of being patched silently.
+by string.  The "printed" audit variant (a transcription of the
+fermionic coupling list that circulates with both three-spin signs
+flipped; for bosons it is the certified list) is evaluated alongside
+the certified formulas, and every discrepancy is recorded with the
+engine-derived replacement value instead of being patched silently.
 """
 
 from __future__ import annotations

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg as la
 import scipy.sparse as sp
 
 from . import pauli
@@ -82,6 +81,9 @@ class Partition:
     ``f[k]``.  ``r`` lists the F states one hop from M, as positions
     within F; orders 2 and 3 visit no other intermediate state, so they
     run on the small dense blocks ``vmr`` = V_MR and ``vrr`` = V_RR.
+    V is assembled two ways: dense blocks (``block``, and ``vff`` = V_FF
+    for the series check of ``trispin.adiabatic``, which runs on all of
+    F) and the sparse H_FF that the elimination factors (``fast_block``).
     """
 
     m: np.ndarray
@@ -150,11 +152,9 @@ class Partition:
         return self.block(len(self.m) + self.r, len(self.m) + self.r)
 
     @cached_property
-    def v(self):
-        """V as a CSR matrix in the order (M, F)."""
-        dim = len(self.m) + len(self.f)
-        return sp.csr_matrix((self.vals, (self.rows, self.cols)),
-                             shape=(dim, dim))
+    def vff(self):
+        f = len(self.m) + np.arange(len(self.f))
+        return self.block(f, f)
 
     def fast_block(self):
         """H_FF = V_FF + diag(E_F) in canonical CSC form, real when V is."""
@@ -254,19 +254,6 @@ def h_eff_up_to_third(h0, v, m_indices):
     return second_order(p) + third_order(p)
 
 
-def cross_second(h0, va, vb, m_indices):
-    """Bilinear cross term of the order-2 map: engine(Va + Vb) order-2
-    minus the two diagonal parts."""
-    pa = check_engine(partition(h0, va, m_indices))
-    pb = check_engine(partition(h0, vb, m_indices))
-    k = len(pa.m)
-    r = np.union1d(pa.r, pb.r)
-    a, b = (p.block(np.arange(k), k + r) for p in (pa, pb))
-    ef = pa.ef[r]
-    block = -(a / ef) @ b.conj().T - (b / ef) @ a.conj().T
-    return EffectiveHamiltonian(block)
-
-
 @dataclass
 class PauliDecomposition:
     """Map from Pauli strings to coefficients, c_P = Tr(P H) / 2^n."""
@@ -323,61 +310,3 @@ def pauli_decompose(h):
     strings, x, z, phase = pauli.string_masks(n)
     values = phase * walsh[x, z] / dim
     return PauliDecomposition(n, dict(zip(strings, values)))
-
-
-def _interaction_picture_block(h0, v, m, t):
-    """P exp(-i(H0+V)t) P on the basis positions m, via exact
-    diagonalization."""
-    h_full = (h0.mat + v.mat).toarray()
-    evals, evecs = la.eigh(h_full)
-    u_full = (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
-    return u_full[np.ix_(m, m)]
-
-
-def _oscillatory_second(vmr, er, t):
-    """Non-growing part of the second-order Dyson term: these carry
-    exp(-iEt)-type factors and average away over long times."""
-    w = (1.0 - np.exp(-1j * er * t)) / er ** 2
-    return -(vmr * w) @ vmr.conj().T
-
-
-def _oscillatory_third(vmr, vrr, er, t):
-    """Non-growing part of the third-order Dyson term."""
-    eg = er[:, None]
-    ed = er[None, :]
-    omega = eg - ed
-    same = np.abs(omega) < 1e-12 * max(1.0, np.abs(er).max(initial=0.0))
-
-    def osc(e):
-        return (1.0 - np.exp(-1j * e * t)) / (1j * e)
-
-    # triple time-ordered integral of e^{-i eg t1} e^{i(eg-ed)t2} e^{i ed t3}
-    first = (t - osc(eg)) / (1j * eg)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        second_neq = (osc(ed) - osc(eg)) / (1j * omega)
-    g_equal = (-t * np.exp(-1j * eg * t) / (1j * eg)
-               + (1.0 - np.exp(-1j * eg * t)) / (1j * eg) ** 2)
-    second = np.where(same, np.broadcast_to(g_equal, omega.shape),
-                      np.nan_to_num(second_neq))
-    integral = (first - second) / (1j * ed)
-    kernel = 1j * (integral + t / (eg * ed))   # secular part removed
-    return vmr @ (kernel * vrr) @ vmr.conj().T
-
-
-def validate_by_evolution(h0, v, m_indices, h_eff, t):
-    """Residual between exact projected evolution and exp(-i H_eff t).
-
-    The exact propagator of H0 + V is evaluated in the interaction
-    picture and projected on M; the fast-rotating second- and
-    third-order components, which oscillate at the collision
-    frequencies instead of accumulating secular phase and are not part
-    of the effective description, are removed explicitly.  The returned
-    operator-norm residual scales as (J/U)^4 * Ut when the tunneling is
-    scaled down at fixed Ut.
-    """
-    p = check_engine(partition(h0, v, m_indices))
-    exact = _interaction_picture_block(h0, v, p.m, t)
-    wiggle = (_oscillatory_second(p.vmr, p.er, t)
-              + _oscillatory_third(p.vmr, p.vrr, p.er, t))
-    reference = la.expm(-1j * h_eff.matrix * t)
-    return la.norm(exact - wiggle - reference, 2)

@@ -1,6 +1,10 @@
-"""Exact-diagonal oracle of the bare periodic three-spin chain."""
+"""Exact-diagonal oracle of the bare periodic three-spin chain, and the
+triangle chirality operator."""
 
 import numpy as np
+
+from trispin import pauli
+from trispin.closedform import EPSILON_PATTERNS
 
 
 def zzz_diagonal(n):
@@ -20,3 +24,14 @@ def zzz_ground_space_bruteforce(n):
     diag = zzz_diagonal(n)
     e0 = diag.min()
     return e0, np.flatnonzero(diag == e0)
+
+
+def chirality_operator(n_sites, triangles=((0, 1, 2),)):
+    """Sum of mixed products sigma_i . (sigma_j x sigma_k) over oriented
+    triangles; odd vertex permutations flip the sign."""
+    coeffs = {}
+    for (i, j, k) in triangles:
+        for pattern, sign in EPSILON_PATTERNS:
+            string = pauli.embed(pattern, (i, j, k), n_sites)
+            coeffs[string] = coeffs.get(string, 0.0) + sign
+    return pauli.pauli_sum(coeffs, n_sites)

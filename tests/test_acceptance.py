@@ -23,10 +23,10 @@ from trispin.fock import Species, Statistics, enumerate_basis
 from trispin.hubbard import (HubbardParams, build_h0, build_v, build_v_mixed,
                              hilbert_basis, make_triangle, make_zigzag,
                              projector_single_occupancy)
-from trispin.perturb import (h_eff_up_to_third, pauli_decompose,
-                             validate_by_evolution)
+from trispin.perturb import h_eff_up_to_third, pauli_decompose
 from trispin.raman import SU2Rotation, covariance_check
 
+from evolution_reference import validate_by_evolution
 from spin_reference import zzz_ground_space_bruteforce
 
 U = 1.0

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from trispin import adiabatic
-from trispin.adiabatic import (adiabatic_eliminate, series_compare,
-                               truncated_series)
+from trispin.adiabatic import _neumann, adiabatic_eliminate, series_compare
 from trispin.fock import Species, Statistics
 from trispin.hubbard import (Edge, HubbardParams, LatticeGraph, build_h0,
                              build_v, hilbert_basis, make_triangle,
                              make_zigzag, projector_single_occupancy)
-from trispin.perturb import h_eff_second, h_eff_third
+from trispin.perturb import h_eff_second, h_eff_third, partition
 
 U = 1.0
 PAIR = LatticeGraph(2, (Edge(0, 0, 1),), "pair")
@@ -102,18 +101,9 @@ def test_truncated_series_matches_engine_exactly():
             u_dndn=None if statistics is Statistics.FERMION else 0.9)
         engine2 = h_eff_second(h0, v, m).matrix
         engine3 = engine2 + h_eff_third(h0, v, m).matrix
-        assert np.abs(truncated_series(h0, v, m, 2).matrix
-                      - engine2).max() <= 1e-12
-        assert np.abs(truncated_series(h0, v, m, 3).matrix
-                      - engine3).max() <= 1e-12
-
-
-@pytest.mark.parametrize("order", [0, 1, 4, 5])
-def test_truncated_series_rejects_uncomputed_orders(order):
-    h0, v, m = _setup(make_triangle(), Statistics.FERMION, 0.06, 0.03,
-                      u_updn=U)
-    with pytest.raises(ValueError, match="not implemented"):
-        truncated_series(h0, v, m, order)
+        p = partition(h0, v, m)
+        assert np.abs(_neumann(p, 2).matrix - engine2).max() <= 1e-12
+        assert np.abs(_neumann(p, 3).matrix - engine3).max() <= 1e-12
 
 
 def test_series_compare_reports():

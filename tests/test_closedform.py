@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from trispin import closedform
-from trispin.chainlab import chirality_operator
 from trispin.conformance import formula_tolerance, random_triangle_params
 from trispin.fock import Species, Statistics
 from trispin.hubbard import (HubbardParams, build_h0, build_v, hilbert_basis,
                              make_triangle, projector_single_occupancy)
 from trispin.perturb import h_eff_up_to_third, pauli_decompose
+
+from spin_reference import chirality_operator
 
 U = 1.0
 
@@ -167,8 +168,6 @@ def test_rotated_xy_values():
     assert cs["nu1"] == pytest.approx(-0.5 * j ** 2 / U - 3 * j ** 3 / U ** 2)
     assert cs["B"] == pytest.approx(-2e-2 * U - 5.5e-3 * U)
     assert cs["nu3"] == pytest.approx(-j ** 3 / (2 * U ** 2))
-    printed = closedform.rotated_xy_couplings(j, U, nu3_variant="printed")
-    assert printed["nu3"] == pytest.approx(-j ** 3 / (6 * U ** 2))
     with pytest.raises(ValueError):
         closedform.rotated_xy_couplings(j, 0.0)
 

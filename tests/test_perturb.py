@@ -15,9 +15,10 @@ from trispin.hubbard import (Edge, HubbardParams, LatticeGraph,
                              projector_single_occupancy)
 from trispin.perturb import (DegenerateIntermediateError, h_eff_second,
                              h_eff_third, h_eff_up_to_third, partition,
-                             pauli_decompose, spin_map, validate_by_evolution)
+                             pauli_decompose, spin_map)
 
 import fock_reference
+from evolution_reference import validate_by_evolution
 
 U = 1.0
 PAIR = LatticeGraph(2, (Edge(0, 0, 1),), "pair")
@@ -383,3 +384,54 @@ def test_src_imports_no_test_code():
                 parts = name.split(".")
                 assert "fock_reference" not in parts and parts[0] != "tests", \
                     f"{source.name} imports {name}"
+
+
+# public names that stay in src although no other module reaches them yet
+UNREFERENCED_PUBLIC = {
+    # the paper's two-dimensional triangular lattice, which the planned
+    # linked-cluster assembly and chiral patches (ROADMAP items 5, 9) use
+    "make_triangular_patch",
+}
+
+
+def _references(tree, strings):
+    """Names, attributes, imported names and (if ``strings``) string
+    constants in each top-level statement of a module."""
+    for statement in tree.body:
+        found = set()
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Name):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                found.update(alias.name for alias in node.names)
+            elif (strings and isinstance(node, ast.Constant)
+                  and isinstance(node.value, str)):
+                found.add(node.value)
+        yield statement, found
+
+
+def test_src_defines_no_unreferenced_public_code():
+    """Every public top-level function or class of ``src/trispin`` is
+    reached from outside its own definition by another part of the
+    package or by the benchmark (whose tracer names its targets as
+    strings); code that only tests call lives under ``tests``."""
+    package = Path(pauli.__file__).parent
+    sources = [s for s in sorted(package.glob("*.py"))
+               if s.name != "__init__.py"]
+    bench = sorted((package.parents[1] / "perfbench").glob("*.py"))
+    assert len(sources) > 5 and bench
+    defined, referenced = {}, set()
+    for source in sources + bench:
+        tree = ast.parse(source.read_text(), filename=str(source))
+        for statement, found in _references(tree, source in bench):
+            if (source in sources
+                    and isinstance(statement, (ast.FunctionDef, ast.ClassDef))
+                    and not statement.name.startswith("_")):
+                defined[statement.name] = source.stem
+                found = found - {statement.name}
+            referenced |= found
+    unreferenced = set(defined) - referenced
+    assert unreferenced == UNREFERENCED_PUBLIC, sorted(
+        f"{defined[name]}.{name}" for name in unreferenced)

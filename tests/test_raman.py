@@ -8,10 +8,11 @@ from trispin.fock import Statistics
 from trispin.hubbard import (HubbardParams, SparseOperator, build_h0, build_v,
                              build_v_mixed, hilbert_basis, make_triangle,
                              projector_single_occupancy)
-from trispin.perturb import (cross_second, h_eff_second, h_eff_up_to_third,
-                             pauli_decompose)
+from trispin.perturb import h_eff_second, h_eff_up_to_third, pauli_decompose
 from trispin.raman import (SU2Rotation, covariance_check, rotate_tunneling,
                            spin_rotation_matrix)
+
+from test_sparse_core import cross_second
 
 U = 1.0
 

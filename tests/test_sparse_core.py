@@ -3,7 +3,10 @@
 The references below densify V on the whole sector, run orders 2 and 3
 on all of F and eliminate F by a dense LU with LAPACK's ?gecon condition
 estimate.  The package keeps V's nonzeros, runs the orders on the F
-states one hop from M and factors H_FF by sparse LU.
+states one hop from M and factors H_FF by sparse LU.  ``cross_second``,
+the order-2 cross term of two tunnelings that the Raman bilinearity
+check reads, runs on the package's partitions and is checked against
+the dense reference here.
 """
 
 import dataclasses
@@ -16,16 +19,15 @@ import pytest
 import scipy.linalg as la
 import scipy.sparse as sp
 
-from trispin.adiabatic import (adiabatic_eliminate, series_compare,
-                               truncated_series)
+from trispin.adiabatic import _neumann, adiabatic_eliminate, series_compare
 from trispin.cli import main
 from trispin.conformance import random_triangle_params, run_triangle_draw
 from trispin.fock import Species, Statistics
 from trispin.hubbard import (HubbardParams, SparseOperator, build_v, derive,
                              make_triangle, make_zigzag)
-from trispin.perturb import (DegenerateIntermediateError, cross_second,
-                             h_eff_second, h_eff_third, h_eff_up_to_third,
-                             partition, spin_map)
+from trispin.perturb import (DegenerateIntermediateError, EffectiveHamiltonian,
+                             check_engine, h_eff_second, h_eff_third,
+                             h_eff_up_to_third, partition, spin_map)
 from trispin.raman import SU2Rotation, covariance_check, rotate_tunneling
 
 
@@ -46,6 +48,19 @@ def _dense_second(vmf, ef):
 
 def _dense_third(vmf, vff, ef):
     return (vmf / ef) @ vff @ (vmf.conj().T / ef[:, None])
+
+
+def cross_second(h0, va, vb, m_indices):
+    """Bilinear cross term of the order-2 map: engine(Va + Vb) order-2
+    minus the two diagonal parts, on the union of the two reached sets."""
+    pa = check_engine(partition(h0, va, m_indices))
+    pb = check_engine(partition(h0, vb, m_indices))
+    k = len(pa.m)
+    r = np.union1d(pa.r, pb.r)
+    a, b = (p.block(np.arange(k), k + r) for p in (pa, pb))
+    ef = pa.ef[r]
+    block = -(a / ef) @ b.conj().T - (b / ef) @ a.conj().T
+    return EffectiveHamiltonian(block)
 
 
 def _dense_elimination(h0, v, m):
@@ -115,8 +130,9 @@ def test_orders_match_dense_reference(case):
     want2, want3 = _dense_second(vmf, ef), _dense_third(vmf, vff, ef)
     _close(h_eff_second(h0, v, m).matrix, want2)
     _close(h_eff_third(h0, v, m).matrix, want3)
-    _close(truncated_series(h0, v, m, 2).matrix, want2)
-    _close(truncated_series(h0, v, m, 3).matrix, want2 + want3)
+    p = partition(h0, v, m)
+    _close(_neumann(p, 2).matrix, want2)
+    _close(_neumann(p, 3).matrix, want2 + want3)
 
 
 def test_cross_second_matches_dense_reference(case):
