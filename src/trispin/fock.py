@@ -16,11 +16,19 @@ order of the rows is ascending key order, so the keys of an
 assembled from ``occ`` by array passes, and a moved state is found with
 ``Basis.locate`` on its key.  The per-state reference they are tested
 against lives with the tests, in ``tests/fock_reference.py``.
+
+A basis is structure that does not depend on any coupling: its arrays
+are read-only, and ``Basis.moves`` keeps, per pair of modes, where one
+hopping atom takes every state and with which amplitude.  The table is
+built on first use and lives as long as the basis, so an operator
+assembled again on the same basis only scales those fixed amplitudes by
+its couplings.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -46,12 +54,22 @@ class Statistics(Enum):
     FERMION = "fermion"
 
 
+# One entry of a basis' move table: the nonzero moves of an atom between
+# two modes, forward (way 0) and back (way 1), state by state with the
+# forward move first.  ``rows`` are the target positions, ``cols`` the
+# source positions, ``amp`` the fermionic sign or the bosonic factor
+# sqrt(n_from) sqrt(n_to + 1), and ``dropped`` counts the moves whose
+# target is not in the basis.
+Moves = namedtuple("Moves", ["rows", "cols", "way", "amp", "dropped"])
+
+
 @dataclass(eq=False)
 class Basis:
     """Ordered basis: ``occ`` (rows of occupations, stored as int64)
     and, derived from it, ``radix``, ``place`` (the key weight of each
     mode) and ``keys``.  Any rows in any order make a basis; keys that
-    would overflow int64 raise ``ValueError``.
+    would overflow int64 raise ``ValueError``.  The arrays are read-only
+    views, so the move table cached on the basis cannot go stale.
     """
 
     occ: np.ndarray = field(repr=False)
@@ -60,6 +78,7 @@ class Basis:
     radix: int = field(init=False, repr=False)
     place: np.ndarray = field(init=False, repr=False)
     keys: np.ndarray = field(init=False, repr=False)
+    _moves: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         n_modes = 2 * self.n_sites
@@ -74,6 +93,9 @@ class Basis:
         self.keys = self.occ @ self.place
         self._key_order = np.argsort(self.keys, kind="stable")
         self._sorted_keys = self.keys[self._key_order]
+        for array in (self.occ, self.place, self.keys, self._key_order,
+                      self._sorted_keys):
+            array.flags.writeable = False
 
     def locate(self, keys):
         """Basis positions of occupation keys, -1 where a key is absent."""
@@ -81,6 +103,59 @@ class Basis:
         slot = np.minimum(slot, len(self._sorted_keys) - 1)
         found = self._sorted_keys[slot] == keys
         return np.where(found, self._key_order[slot], -1)
+
+    def moves(self, a, b):
+        """The ``Moves`` of one atom from mode ``a`` to mode ``b`` and
+        back, from the move table; built on the first request.
+
+        One array pass over ``occ``: amplitudes and fermionic signs come
+        from the occupation columns and the atoms in front of each mode,
+        and the targets are found by key (``locate``).
+        """
+        table = self._moves.get((a, b))
+        if table is None:
+            table = self._moves[(a, b)] = self._build_moves(a, b)
+        return table
+
+    def _build_moves(self, a, b):
+        frm, to = np.array([a, b]), np.array([b, a])
+        occ = self.occ
+        n_from, n_to = occ[:, frm], occ[:, to]
+        live = n_from > 0
+        fermions = self.statistics is Statistics.FERMION
+        if fermions:
+            live &= n_to == 0
+        # state by state, forward before reverse, so that duplicates
+        # from parallel links sum in the order of a per-state loop
+        col, way = np.nonzero(live)
+        n_from, n_to = n_from[col, way], n_to[col, way]
+        frm, to = frm[way], to[way]
+        # a target digit past the largest occupation is in no basis state
+        # and would carry into the next mode's digit
+        fits = n_to + 1 < self.radix
+        row = np.full(len(col), -1)
+        row[fits] = self.locate(self.keys[col[fits]] - self.place[frm[fits]]
+                                + self.place[to[fits]])
+        keep = row >= 0
+        col, way, frm, to = col[keep], way[keep], frm[keep], to[keep]
+        if fermions:
+            # the sign of a(to)^dag a(frm) counts the occupied modes
+            # strictly between the two, so it is the same in either mode
+            # order: the atoms in front of both, less the atom just
+            # removed when it sat in front of `to`
+            ahead = np.stack([occ[:, :a].sum(axis=1), occ[:, :b].sum(axis=1)],
+                             axis=1)
+            odd = (ahead[col, way] + ahead[col, 1 - way] - (frm < to)) % 2
+            amp = np.where(odd, -1.0, 1.0)
+        else:
+            amp = np.sqrt(n_from[keep]) * np.sqrt(n_to[keep] + 1)
+        # basis positions fit in 32 bits; `way` indexes the pair
+        # (coupling, conjugate coupling)
+        table = Moves(row[keep].astype(np.int32), col.astype(np.int32),
+                      way.astype(np.uint8), amp, len(keep) - int(keep.sum()))
+        for array in table[:4]:
+            array.flags.writeable = False
+        return table
 
     def __len__(self):
         return len(self.occ)

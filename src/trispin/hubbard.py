@@ -7,10 +7,19 @@ for the directed edge (from, to) the amplitude J multiplies the move
 to -> from, i.e. the term -J a(from)^dag a(to), and its conjugate the
 reverse move.  Infinite collision channels are never represented by
 large floats: they are enforced as exclusions at basis construction.
+
+Assembly is split into structure and values.  The structure depends only
+on the basis: ``hilbert_basis`` returns one shared basis per (n_sites,
+statistics, exclusions), and each tunneling move's targets, sources,
+signs and bosonic factors sit in that basis' move table
+(``Basis.moves``), built once.  A derivation then supplies the values:
+the collision energies of H0 and one coupling times the fixed amplitudes
+per move of V.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -128,14 +137,30 @@ class HubbardParams:
         return cls(statistics, u_upup, u_dndn, u_updn, tun)
 
 
+# shared bases kept for reuse, with their move tables; the least
+# recently used one is dropped first
+BASIS_CACHE_SIZE = 8
+
+
 def hilbert_basis(graph, params):
     """The one-atom-per-site basis of a lattice, with the double
-    occupancies of every infinite collision channel excluded."""
+    occupancies of every infinite collision channel excluded.
+
+    Equal (n_sites, statistics, exclusions) return the same read-only
+    basis, so its move table is built once for every derivation on it.
+    """
+    return _shared_basis(graph.n_sites, params.statistics,
+                         math.isinf(params.u_updn),
+                         (math.isinf(params.u_upup),
+                          math.isinf(params.u_dndn)))
+
+
+@functools.lru_cache(maxsize=BASIS_CACHE_SIZE)
+def _shared_basis(n_sites, statistics, forbid_cross_occupancy,
+                  forbid_same_species_doubles):
     return enumerate_basis(
-        graph.n_sites, params.statistics,
-        forbid_cross_occupancy=math.isinf(params.u_updn),
-        forbid_same_species_doubles=(math.isinf(params.u_upup),
-                                     math.isinf(params.u_dndn)))
+        n_sites, statistics, forbid_cross_occupancy=forbid_cross_occupancy,
+        forbid_same_species_doubles=forbid_same_species_doubles)
 
 
 @dataclass
@@ -179,7 +204,15 @@ def build_h0(basis, params):
         if not math.isinf(params.u_updn):
             energy += params.u_updn * up * dn
         diag += energy
-    mat = sp.diags(diag.astype(complex), format="csr")
+    # stored as sp.diags stores a diagonal (nonzero entries only, 32-bit
+    # indices), but built directly: at triangle size its DIA and COO
+    # steps cost more than the sums
+    stored = diag != 0
+    indptr = np.zeros(len(basis) + 1, dtype=np.int32)
+    np.cumsum(stored, out=indptr[1:])
+    mat = sp.csr_matrix((diag[stored].astype(complex),
+                         np.flatnonzero(stored).astype(np.int32), indptr),
+                        shape=(len(basis), len(basis)))
     return SparseOperator(mat, basis)
 
 
@@ -189,15 +222,18 @@ def build_v_mixed(basis, graph, hop_matrices):
     ``hop_matrices[link][t, f]`` multiplies -a(from, t)^dag a(to, f); the
     Hermitian conjugate move is added automatically.
 
-    Each move (edge, t, f, direction) with a nonzero J is one array pass
-    over ``basis.occ``: amplitudes and fermionic signs come from the
-    occupation columns and their prefix sums, and the targets are found
-    by key (``Basis.locate``).  A move with a nonzero amplitude whose
-    target is not in the basis is dropped and counted in
-    ``meta["dropped_moves"]``: for the exclusion sentinels that is the
-    exact infinite-U projection, on a truncated basis a truncation.
+    Each move (edge, t, f) with a nonzero J reads its targets, sources
+    and amplitudes from the basis' move table (``Basis.moves``) and
+    scales them by -J forward and -J* back; a zero J adds nothing, not
+    even explicit zeros, which would join conserved sectors in V's
+    pattern.  A move with a nonzero amplitude whose target is not in the
+    basis is dropped and counted in ``meta["dropped_moves"]``: for the
+    exclusion sentinels that is the exact infinite-U projection, on a
+    truncated basis a truncation.
     """
-    pairs = []
+    rows, cols = [np.zeros(0, np.int32)], [np.zeros(0, np.int32)]
+    vals = [np.zeros(0, complex)]
+    dropped = 0
     for edge in graph.edges:
         kmat = hop_matrices.get(edge.link)
         if kmat is None or not np.any(kmat):
@@ -209,49 +245,12 @@ def build_v_mixed(basis, graph, hop_matrices):
                 if j == 0:
                     continue
                 # the move to -> from with -J, and its reverse with -J*
-                pairs.append((np.array([2 * edge.to + f, 2 * edge.frm + t]),
-                              np.array([2 * edge.frm + t, 2 * edge.to + f]),
-                              np.array([-j, -j.conjugate()])))
-    occ = basis.occ
-    fermions = basis.statistics is Statistics.FERMION
-    if fermions:
-        # occupied modes in front of each mode in the standard order; the
-        # sign of a(to)^dag a(frm) counts the occupied modes strictly
-        # between the two, so it is the same in either mode order
-        ahead = np.cumsum(occ, axis=1) - occ
-    rows, cols = [np.zeros(0, int)], [np.zeros(0, int)]
-    vals = [np.zeros(0, complex)]
-    dropped = 0
-    for frm, to, coeff in pairs:
-        n_from, n_to = occ[:, frm], occ[:, to]
-        live = n_from > 0
-        if fermions:
-            live &= n_to == 0
-        # state by state, forward before reverse: the order of the
-        # per-state loop this replaces, so that duplicates from parallel
-        # links sum in the same order
-        col, way = np.nonzero(live)
-        n_from, n_to = n_from[col, way], n_to[col, way]
-        frm, to = frm[way], to[way]
-        # a target digit past the largest occupation is in no basis state
-        # and would carry into the next mode's digit
-        fits = n_to + 1 < basis.radix
-        row = np.full(len(col), -1)
-        row[fits] = basis.locate(basis.keys[col[fits]]
-                                 - basis.place[frm[fits]]
-                                 + basis.place[to[fits]])
-        keep = row >= 0
-        dropped += len(keep) - int(np.count_nonzero(keep))
-        col, way, frm, to = col[keep], way[keep], frm[keep], to[keep]
-        if fermions:
-            # less the atom just removed when it sat in front of `to`
-            odd = (ahead[col, frm] + ahead[col, to] - (frm < to)) % 2
-            amp = np.where(odd, -1.0, 1.0)
-        else:
-            amp = np.sqrt(n_from[keep]) * np.sqrt(n_to[keep] + 1)
-        rows.append(row[keep])
-        cols.append(col)
-        vals.append(coeff[way] * amp)
+                moves = basis.moves(2 * edge.to + f, 2 * edge.frm + t)
+                rows.append(moves.rows)
+                cols.append(moves.cols)
+                vals.append(np.array([-j, -j.conjugate()])[moves.way]
+                            * moves.amp)
+                dropped += moves.dropped
     dim = len(basis)
     mat = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows),
                                                 np.concatenate(cols))),

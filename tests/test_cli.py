@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -461,3 +462,25 @@ def test_chain_matches_the_benchmark_reference(capsys):
     assert np.array_equal(got[:, 4], ref[:, 4])
     assert np.all(np.abs(got[:, 1:4] - ref[:, 1:4])
                   <= 1e-9 * np.maximum(1.0, np.abs(ref[:, 1:4])))
+
+
+@pytest.mark.parametrize("argv", [["verify", "--draws", "1"], ["chiral"],
+                                  ["couplings", "--family", "bosonic",
+                                   "--uuu", "1.1", "--udd", "1.2", "--u", "1",
+                                   "--j-up", "0.05", "--j-dn", "0.03"]])
+def test_json_documents_are_json_dump_text_in_one_write(argv, monkeypatch):
+    writes = []
+
+    class Recorder(io.StringIO):
+        def write(self, text):
+            writes.append(text)
+            return super().write(text)
+
+    out = Recorder()
+    monkeypatch.setattr(sys, "stdout", out)
+    main(argv)
+    text = out.getvalue()
+    want = io.StringIO()
+    json.dump(json.loads(text), want, indent=2, sort_keys=True)
+    assert text == want.getvalue() + "\n"
+    assert len(writes) == 1

@@ -79,3 +79,22 @@ def test_verification_has_no_false_oracle_alarm_at_seed_4():
     # seed 4 draws a bosonic triangle with U_min = 0.81 whose fourth-order
     # tail exceeds the oracle tolerance taken at the cross channel U = 1
     assert run_verification(seed=4)["ok"] is True
+
+
+def test_bosonic_printed_variant_reuses_the_certified_audit(monkeypatch):
+    """For bosons the printed list is the certified one: one closed-form
+    evaluation and string comparison per draw, reported twice as copies."""
+    calls = []
+    expected = conformance.closedform.expected_string_coefficients
+    monkeypatch.setattr(conformance.closedform,
+                        "expected_string_coefficients",
+                        lambda c: calls.append(c) or expected(c))
+    bosons = _uniform(Statistics.BOSON, 0.04)
+    certified, printed = run_triangle_draw(bosons, ("certified", "printed"))
+    assert len(calls) == 1
+    assert printed.to_json_dict() == certified.to_json_dict()
+    assert printed.entries is not certified.entries
+    assert all(a is not b for a, b in zip(printed.entries, certified.entries))
+    run_triangle_draw(_uniform(Statistics.FERMION, 0.04),
+                      ("certified", "printed"))
+    assert len(calls) == 3

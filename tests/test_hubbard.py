@@ -7,6 +7,7 @@ import scipy.sparse as sp
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from trispin import hubbard
 from trispin.fock import Basis, Species, Statistics, enumerate_basis
 from trispin.hubbard import (Edge, HubbardParams, LatticeGraph, build_h0,
                              build_v, build_v_mixed, derive, hilbert_basis,
@@ -407,3 +408,108 @@ def test_v_matches_per_state_reference_property(case):
     basis = Basis(rows, statistics, graph.n_sites)
     v = build_v_mixed(basis, graph, hops)
     _assert_same_v(v, basis, graph, hops, mode_order)
+
+
+# Structure once per basis: the shared basis and its move table.
+
+def test_hilbert_basis_is_shared_per_sector():
+    tri = make_triangle()
+    bosons = HubbardParams.uniform(Statistics.BOSON, 3, 0.04, 0.03,
+                                   u_upup=1.1, u_dndn=1.2)
+    other = HubbardParams.uniform(Statistics.BOSON, 3, 0.01, 0.0,
+                                  u_updn=0.7, u_upup=0.9, u_dndn=1.4)
+    basis = hilbert_basis(tri, bosons)
+    assert hilbert_basis(tri, other) is basis
+    assert derive(tri, other)[1].basis is basis
+    no_up_doubles = HubbardParams.uniform(Statistics.BOSON, 3, 0.04, 0.03,
+                                          u_upup=math.inf, u_dndn=1.2)
+    no_cross = HubbardParams.uniform(Statistics.BOSON, 3, 0.04, 0.03,
+                                     u_updn=math.inf, u_upup=1.1,
+                                     u_dndn=1.2)
+    shared = {id(hilbert_basis(tri, p))
+              for p in (bosons, no_up_doubles, no_cross)}
+    assert len(shared) == 3
+    fermions = HubbardParams.uniform(Statistics.FERMION, 3, 0.04, 0.03)
+    assert hilbert_basis(tri, fermions) is not basis
+
+
+def test_shared_basis_arrays_are_read_only():
+    params = HubbardParams.uniform(Statistics.FERMION, 3, 0.04, 0.03)
+    basis = hilbert_basis(make_triangle(), params)
+    with pytest.raises(ValueError, match="read-only"):
+        basis.occ[0, 0] = 1
+    for array in (basis.keys, basis.place, *basis.moves(0, 2)[:4]):
+        assert not array.flags.writeable
+    # a hand-made basis freezes its own view, not the caller's rows
+    rows = basis.occ.copy()
+    Basis(rows, Statistics.FERMION, 3)
+    rows[0, 0] = rows[0, 0]
+
+
+def test_basis_cache_is_bounded():
+    sectors = [(n, statistics, cross)
+               for n in (1, 2, 3) for statistics in Statistics
+               for cross in (False, True)]
+    assert len(sectors) > hubbard.BASIS_CACHE_SIZE
+    for n, statistics, cross in sectors:
+        params = HubbardParams.uniform(
+            statistics, 0, 0.0, 0.0, u_updn=math.inf if cross else 1.0,
+            u_upup=None if statistics is Statistics.FERMION else 1.0,
+            u_dndn=None if statistics is Statistics.FERMION else 1.0)
+        basis = hilbert_basis(LatticeGraph(n, (), "sites"), params)
+        assert basis is hilbert_basis(LatticeGraph(n, (), "sites"), params)
+        cached = hubbard._shared_basis.cache_info().currsize
+        assert cached <= hubbard.BASIS_CACHE_SIZE
+
+
+def test_oversized_sector_error_is_not_cached():
+    graph = LatticeGraph(16, (), "sites")
+    params = HubbardParams.uniform(Statistics.FERMION, 0, 0.0, 0.0)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            hilbert_basis(graph, params)
+
+
+@pytest.mark.parametrize("statistics", list(Statistics))
+def test_move_table_reuse_equals_a_fresh_basis(statistics):
+    """Parameter sets applied in turn to one shared basis give the CSR
+    arrays and dropped-move counts of a build on a fresh copy of it,
+    whose move table starts empty."""
+    tri = make_triangle()
+    rng = np.random.default_rng(5)
+    params = _random_params(tri, statistics, rng)
+    one_zero = _random_params(tri, statistics, rng)
+    one_zero.tunneling[(1, Species.DOWN)] = 0.0
+    basis = hilbert_basis(tri, params)
+    g = SU2Rotation(0.7, 1.2)
+    steps = [
+        lambda b: build_v(b, tri, params),
+        lambda b: build_v(b, tri, one_zero),
+        lambda b: rotate_tunneling(build_v(b, tri, params), g),
+        lambda b: build_v_mixed(b, tri, {0: np.ones((2, 2))}),
+        lambda b: build_v(b, tri, params),
+    ]
+    for step in steps:
+        got = step(basis)
+        fresh = Basis(basis.occ.copy(), statistics, basis.n_sites)
+        want = step(fresh)
+        assert got.basis is basis and want.basis is fresh
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(got.mat, name), getattr(want.mat, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert got.meta["dropped_moves"] == want.meta["dropped_moves"]
+    # one table entry per link and species pair, keyed by the mode pair
+    assert {(2 * e.to + f, 2 * e.frm + t) for e in tri.edges
+            for t in range(2) for f in range(2)} <= set(basis._moves)
+
+
+def test_h0_csr_equals_scipy_diags():
+    for graph, statistics in ((make_triangle(), Statistics.BOSON),
+                              (make_zigzag(5), Statistics.FERMION)):
+        params = _random_params(graph, statistics, np.random.default_rng(3))
+        h0 = build_h0(hilbert_basis(graph, params), params).mat
+        want = sp.diags(h0.diagonal(), format="csr")
+        assert want.nnz < h0.shape[0]
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(h0, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from trispin import closedform
+from trispin import closedform, conformance, raman
 from trispin.fock import Statistics
 from trispin.hubbard import (HubbardParams, SparseOperator, build_h0, build_v,
                              build_v_mixed, hilbert_basis, make_triangle,
@@ -129,3 +129,28 @@ def test_rotated_xy_point_reproduces_couplings():
     assert dec["XXX"].real == pytest.approx(3 * cs["nu3"], abs=1e-13)
     others = {s: c for s, c in dec.nonzero(1e-12).items() if set(s) - {"I", "X"}}
     assert not others
+
+
+def test_covariance_section_builds_the_bare_partition_once(monkeypatch):
+    """Ten rotations against one unrotated model: ten rotated partitions
+    and one bare one."""
+    calls = []
+    partition = raman.partition
+    monkeypatch.setattr(raman, "partition",
+                        lambda *args: calls.append(args) or partition(*args))
+    draws = conformance.covariance_section(10, 3)
+    assert len(draws) == 10 and len(calls) == 11
+    assert max(d["residual"] for d in draws) <= 1e-11
+
+
+def test_covariance_check_rebuilds_for_other_operators():
+    h0, v, m = _setup()
+    g = SU2Rotation(phi=0.5, theta=0.8)
+    covariance_check(h0, v, g, m)
+    h0_u, v_u, m_u = _setup(uu=1.4, dd=0.8)
+    # the unequal-U model's own residual, not one against the last bare
+    # orders: the same value as from a check that follows another model
+    first = covariance_check(h0_u, v_u, g, m_u)
+    covariance_check(h0, v, SU2Rotation(0.1, 0.2), m)
+    assert covariance_check(h0_u, v_u, g, m_u) == first > 1e-6
+    assert covariance_check(h0, v, g, m) <= 1e-11
