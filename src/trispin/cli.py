@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 hard invariant failure, 2 usage/config error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -36,14 +37,14 @@ CHAIN_MAX_SITES = 21
 # n = 12, so 10^4 points already take eight minutes; a scan evaluates
 # and writes SCAN_CHUNK_ROWS points at a time, about 1.4 MB traced at any
 # grid size, so its steps bound time and output: a 1000 x 1000 grid takes
-# about 11 s and writes 180 MB of CSV
+# about 7.5 s (one core of a 2-core host) and writes 180 MB of CSV
 CHAIN_MAX_POINTS = 10_000
 SCAN_MAX_STEPS = 1000
 SCAN_CHUNK_ROWS = 4096
-# a verify draw takes about 5.3 ms and adds about 9 kB to the JSON report,
+# a verify draw takes about 2.5 ms and adds about 9 kB to the JSON report,
 # which is held whole until it is written: 10^4 draws per statistics run
-# about 2 minutes and report about 180 MB, and --draws 10^6 would run for
-# hours and hold tens of GB
+# about a minute and report about 180 MB, and --draws 10^6 would run for
+# over an hour and hold tens of GB
 VERIFY_MAX_DRAWS = 10_000
 
 
@@ -51,8 +52,11 @@ class UsageError(Exception):
     pass
 
 
-def _fmt(x):
-    return f"{x:.17g}"
+def _row_format(width):
+    """printf format of a CSV row of ``width`` floats, each written as
+    ``format(x, ".17g")`` writes it; one format per row costs less than
+    one call per float."""
+    return ",".join(["%.17g"] * width) + "\n"
 
 
 def _load_config(path):
@@ -193,6 +197,7 @@ def cmd_scan(args, config):
     ups, dns = np.asarray(ups), np.asarray(dns)
     out = sys.stdout
     out.write("j_up,j_dn," + ",".join(SCAN_COLUMNS[family]) + "\n")
+    row_format = _row_format(2 + len(SCAN_COLUMNS[family]))
     # the closed forms run one chunk of grid points at a time, so neither
     # their arrays nor the Python floats of the whole grid exist at once
     n_points = len(ups) * len(dns)
@@ -206,7 +211,7 @@ def cmd_scan(args, config):
                                                   j_up.shape)
                                   for name in SCAN_COLUMNS[family]]
         for row in zip(*(column.tolist() for column in columns)):
-            out.write(",".join(map(_fmt, row)) + "\n")
+            out.write(row_format % row)
     return 0
 
 
@@ -254,10 +259,10 @@ def cmd_chain(args, config):
     scan = chainlab.duality_scan(np.asarray(grid), n)
     out = sys.stdout
     out.write("parameter,E0,E1,gap,degeneracy0\n")
-    for i, bx in enumerate(scan.bx_values):
-        out.write(",".join([_fmt(bx), _fmt(scan.e0[i]), _fmt(scan.e1[i]),
-                            _fmt(scan.gap[i]),
-                            str(int(scan.ground_degeneracy[i]))]) + "\n")
+    for row in zip(scan.bx_values.tolist(), scan.e0.tolist(),
+                   scan.e1.tolist(), scan.gap.tolist(),
+                   scan.ground_degeneracy.tolist()):
+        out.write("%.17g,%.17g,%.17g,%.17g,%d\n" % row)
     summary_path = _setting(args, config, "summary")
     if summary_path:
         summary = {
@@ -309,7 +314,10 @@ def cmd_chiral(args, config):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process; it binds no command
+    function, so ``main`` finds ``cmd_<command>`` when it runs."""
     parser = argparse.ArgumentParser(
         prog="trispin",
         description="Effective spin models from two-species Hubbard "
@@ -325,7 +333,6 @@ def build_parser():
     p.add_argument("--uuu", type=float)
     p.add_argument("--udd", type=float)
     p.add_argument("--uud", dest="uud", type=float)
-    p.set_defaults(func=cmd_couplings)
 
     p = sub.add_parser("scan", help="coupling surfaces over a J grid")
     p.add_argument("--family")
@@ -337,13 +344,11 @@ def build_parser():
     p.add_argument("--u", dest="uud", type=float)
     p.add_argument("--uuu", type=float)
     p.add_argument("--udd", type=float)
-    p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("verify", help="cross-oracle conformance report")
     p.add_argument("--draws", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--j-over-u", dest="j_over_u", type=float)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("chain", help="duality gap scan of the three-spin chain")
     p.add_argument("--sites", type=int)
@@ -351,21 +356,23 @@ def build_parser():
     p.add_argument("--bx-max", dest="bx_max", type=float)
     p.add_argument("--bx-step", dest="bx_step", type=float)
     p.add_argument("--summary")
-    p.set_defaults(func=cmd_chain)
 
     p = sub.add_parser("chiral", help="chirality-point spectrum and overlaps")
     p.add_argument("--j-mag", dest="j_mag", type=float)
     p.add_argument("--u", dest="u", type=float)
-    p.set_defaults(func=cmd_chiral)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         config = _load_config(args.config)
-        return args.func(args, config)
+        # the module's names are read per call, so a wrapped or patched
+        # command is the one that runs
+        command = {"couplings": cmd_couplings, "scan": cmd_scan,
+                   "verify": cmd_verify, "chain": cmd_chain,
+                   "chiral": cmd_chiral}[args.command]
+        return command(args, config)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -22,7 +22,9 @@ are read-only, and ``Basis.moves`` keeps, per pair of modes, where one
 hopping atom takes every state and with which amplitude.  The table is
 built on first use and lives as long as the basis, so an operator
 assembled again on the same basis only scales those fixed amplitudes by
-its couplings.
+its couplings.  Beside it, ``Basis.plan`` keeps the structure that
+operators assembled from the table share, such as their sparse pattern,
+keyed by what it depends on.
 """
 
 from __future__ import annotations
@@ -42,6 +44,10 @@ import numpy as np
 # 48,620 states, bosonic n = 7 at 77,520), and refuses fermionic n = 12
 # (2,704,156) and bosonic n = 9 (3,124,550) before anything is allocated
 MAX_BASIS_STATES = 1_000_000
+# operator plans kept per basis (``Basis.plan``), the oldest dropped first:
+# a triangle derivation uses two, the species-diagonal V and its
+# Raman-rotated one
+PLANS_PER_BASIS = 16
 
 
 class Species(Enum):
@@ -79,6 +85,7 @@ class Basis:
     place: np.ndarray = field(init=False, repr=False)
     keys: np.ndarray = field(init=False, repr=False)
     _moves: dict = field(init=False, repr=False, default_factory=dict)
+    _plans: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         n_modes = 2 * self.n_sites
@@ -116,6 +123,18 @@ class Basis:
         if table is None:
             table = self._moves[(a, b)] = self._build_moves(a, b)
         return table
+
+    def plan(self, key, build):
+        """The operator plan kept under ``key``, made by
+        ``build(basis, key)`` on the first request; a basis keeps
+        ``PLANS_PER_BASIS`` of them."""
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = build(self, key)
+            if len(self._plans) >= PLANS_PER_BASIS:
+                del self._plans[next(iter(self._plans))]
+            self._plans[key] = plan
+        return plan
 
     def _build_moves(self, a, b):
         frm, to = np.array([a, b]), np.array([b, a])

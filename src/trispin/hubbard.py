@@ -165,11 +165,13 @@ def _shared_basis(n_sites, statistics, forbid_cross_occupancy,
 
 @dataclass
 class SparseOperator:
-    """Complex sparse matrix bound to a basis."""
+    """Complex sparse matrix bound to a basis; a tunneling operator built
+    by ``build_v_mixed`` also carries the ``Plan`` of its pattern."""
 
     mat: sp.csr_matrix
     basis: object
     meta: dict = field(default_factory=dict)
+    plan: object = field(default=None, repr=False)
 
     @property
     def dim(self):
@@ -177,6 +179,101 @@ class SparseOperator:
 
     def diagonal(self):
         return self.mat.diagonal()
+
+
+@dataclass(eq=False)
+class Gather:
+    """How scipy compresses a list of (major, minor) entries: the pattern
+    it stores (``indices``, ``indptr``) and the entries summed into each
+    stored slot, in its order.  ``first`` lists the entry that opens each
+    slot; each ``(slots, entries)`` of ``rest`` then adds one more entry
+    to some slots, so a slot of three entries sums as (a + b) + c, as
+    scipy sums duplicates."""
+
+    indices: np.ndarray
+    indptr: np.ndarray
+    first: np.ndarray
+    rest: tuple
+
+    def __call__(self, values):
+        """The stored data of the entries' ``values``."""
+        data = values[self.first]
+        for slots, entries in self.rest:
+            data[slots] += values[entries]
+        return data
+
+
+def compress(major, minor, n_major, n_minor):
+    """The ``Gather`` of scipy's COO -> CSR conversion (CSC with the roles
+    swapped) of the entries (``major``, ``minor``), found once per
+    pattern.  scipy groups the entries by ``major`` in their own order,
+    then sorts each group by ``minor`` with a sort that is not stable:
+    that sort, run here on the entry numbers, decides which of two equal
+    ``minor`` comes first, and so the order in which duplicates sum."""
+    counts = np.bincount(major, minlength=n_major)
+    indptr = np.zeros(n_major + 1, dtype=np.int32)
+    np.cumsum(counts, out=indptr[1:])
+    order = np.argsort(major, kind="stable")
+    probe = sp.csr_matrix((order, minor[order].astype(np.int32), indptr),
+                          shape=(n_major, n_minor))
+    probe.sort_indices()
+    order, minor = probe.data, probe.indices
+    group = np.repeat(np.arange(n_major), counts)
+    opens = np.ones(len(order), dtype=bool)
+    opens[1:] = (minor[1:] != minor[:-1]) | (group[1:] != group[:-1])
+    slot = np.cumsum(opens) - 1
+    rank = np.arange(len(order)) - np.flatnonzero(opens)[slot]
+    rest = tuple((slot[rank == k], order[rank == k])
+                 for k in range(1, rank.max(initial=0) + 1))
+    stored = np.zeros(n_major + 1, dtype=np.int32)
+    np.cumsum(np.bincount(group[opens], minlength=n_major), out=stored[1:])
+    gather = Gather(minor[opens], stored, order[opens], rest)
+    for array in (gather.indices, gather.indptr, gather.first,
+                  *(a for pair in rest for a in pair)):
+        array.flags.writeable = False
+    return gather
+
+
+@dataclass(eq=False)
+class Plan:
+    """The fixed structure of a tunneling operator on one basis.
+
+    ``gather`` stores V's entries as a CSR matrix: its pattern and, for
+    a plan of ``build_v_mixed``, how the value of every move lands in
+    it, move by move as the move table lists them (``term`` indexes the
+    couplings -J and -J* of the moves' families, ``amp`` holds the
+    amplitudes).  ``split`` is left to ``perturb.partition``: the M/F
+    structure it derives from the pattern, kept with the M it was
+    derived for.
+    """
+
+    gather: Gather
+    term: np.ndarray = None
+    amp: np.ndarray = None
+    dropped: int = 0
+    split: tuple = None
+
+
+def _move_plan(basis, families):
+    """The plan of V on ``basis`` for moves of the (mode, mode) pairs
+    ``families``, in this order."""
+    tables = [basis.moves(a, b) for a, b in families]
+    rows = np.concatenate([np.zeros(0, np.int32)] + [t.rows for t in tables])
+    cols = np.concatenate([np.zeros(0, np.int32)] + [t.cols for t in tables])
+    term = np.concatenate([np.zeros(0, np.intp)]
+                          + [2 * k + t.way for k, t in enumerate(tables)])
+    amp = np.concatenate([np.zeros(0)] + [t.amp for t in tables])
+    for array in (term, amp):
+        array.flags.writeable = False
+    return Plan(compress(rows, cols, len(basis), len(basis)), term, amp,
+                sum(t.dropped for t in tables))
+
+
+def pattern_plan(mat):
+    """The plan of an operator built without one, from its own CSR
+    pattern; it is not kept."""
+    rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+    return Plan(compress(rows, mat.indices, *mat.shape))
 
 
 def build_h0(basis, params):
@@ -222,18 +319,19 @@ def build_v_mixed(basis, graph, hop_matrices):
     ``hop_matrices[link][t, f]`` multiplies -a(from, t)^dag a(to, f); the
     Hermitian conjugate move is added automatically.
 
-    Each move (edge, t, f) with a nonzero J reads its targets, sources
-    and amplitudes from the basis' move table (``Basis.moves``) and
-    scales them by -J forward and -J* back; a zero J adds nothing, not
-    even explicit zeros, which would join conserved sectors in V's
-    pattern.  A move with a nonzero amplitude whose target is not in the
+    Each move (edge, t, f) with a nonzero J is a family of the basis'
+    move table (``Basis.moves``), scaled by -J forward and -J* back; a
+    zero J adds nothing, not even explicit zeros, which would join
+    conserved sectors in V's pattern.  The CSR pattern of one list of
+    live families is built once per basis (its ``Plan``, kept with the
+    basis), so a call only scales the fixed amplitudes and gathers them
+    into that pattern, summing duplicates from parallel links as scipy
+    does.  A move with a nonzero amplitude whose target is not in the
     basis is dropped and counted in ``meta["dropped_moves"]``: for the
     exclusion sentinels that is the exact infinite-U projection, on a
     truncated basis a truncation.
     """
-    rows, cols = [np.zeros(0, np.int32)], [np.zeros(0, np.int32)]
-    vals = [np.zeros(0, complex)]
-    dropped = 0
+    families, couplings = [], []
     for edge in graph.edges:
         kmat = hop_matrices.get(edge.link)
         if kmat is None or not np.any(kmat):
@@ -245,20 +343,19 @@ def build_v_mixed(basis, graph, hop_matrices):
                 if j == 0:
                     continue
                 # the move to -> from with -J, and its reverse with -J*
-                moves = basis.moves(2 * edge.to + f, 2 * edge.frm + t)
-                rows.append(moves.rows)
-                cols.append(moves.cols)
-                vals.append(np.array([-j, -j.conjugate()])[moves.way]
-                            * moves.amp)
-                dropped += moves.dropped
+                families.append((2 * edge.to + f, 2 * edge.frm + t))
+                couplings += (-j, -j.conjugate())
+    plan = basis.plan(tuple(families), _move_plan)
+    gather = plan.gather
+    data = gather(np.array(couplings, dtype=complex)[plan.term] * plan.amp)
     dim = len(basis)
-    mat = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows),
-                                                np.concatenate(cols))),
-                        shape=(dim, dim), dtype=complex)
+    mat = sp.csr_matrix((data, gather.indices, gather.indptr),
+                        shape=(dim, dim))
     return SparseOperator(mat, basis,
                           meta={"graph": graph,
                                 "hop_matrices": dict(hop_matrices),
-                                "dropped_moves": dropped})
+                                "dropped_moves": plan.dropped},
+                          plan=plan)
 
 
 def build_v(basis, graph, params):

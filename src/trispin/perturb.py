@@ -13,7 +13,13 @@ cross terms of degenerate perturbation theory is justified by
 P_M V P_M = 0, which is asserted at runtime.  V[a, g] vanishes unless g
 is one hop from M, so both sums only visit that set R (288 of the 860
 states of F for the fermionic zig-zag chain of six sites) and run on
-the dense blocks V_MR and V_RR; V itself is never densified.
+the dense block V_MR and the sparse V_RR, order 3 as
+(V_MR / E_R) (V_RR (V_MR^dag / E_R)); V itself is never densified.
+
+The structure of the split (the spin order of M, the (M, F) positions
+of V's entries, their components and the pattern of H_FF) depends only
+on V's pattern, so ``partition`` builds it once per pattern and keeps
+it on V's ``Plan``; a derivation then only reads its values.
 
 Every result is in spin order: position k of a block is the n-qubit
 configuration whose bit i (big-endian) is 0 for an up atom on site i
@@ -33,6 +39,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import pauli
+from .hubbard import compress, pattern_plan
 
 HERMITICITY_TOL = 1e-12
 
@@ -70,43 +77,52 @@ class EffectiveHamiltonian:
         return EffectiveHamiltonian(self.matrix + other.matrix)
 
 
-@dataclass
-class Partition:
-    """Tunneling and collision energies of the M/F split, kept sparse.
+@dataclass(eq=False)
+class Split:
+    """The M/F split of one pattern of V: structure only, so one split
+    serves every derivation that shares the pattern (``partition`` keeps
+    it on V's ``Plan``).
 
     ``m`` lists the basis positions of M in spin order and ``f`` those of
-    the multiply-occupied rest in basis order.  V's nonzeros are the
-    triples (``rows``, ``cols``, ``vals``) with positions in the order
-    (M, F): position k < len(m) is ``m[k]``, position len(m) + k is
-    ``f[k]``.  ``r`` lists the F states one hop from M, as positions
-    within F; orders 2 and 3 visit no other intermediate state, so they
-    run on the small dense blocks ``vmr`` = V_MR and ``vrr`` = V_RR.
-    V is assembled two ways: dense blocks (``block``, and ``vff`` = V_FF
-    for the series check of ``trispin.adiabatic``, which runs on all of
-    F) and the sparse H_FF that the elimination factors (``fast_block``).
+    the multiply-occupied rest in basis order.  ``rows`` and ``cols`` are
+    the positions of V's stored entries in the order (M, F): position
+    k < len(m) is ``m[k]``, position len(m) + k is ``f[k]``.  ``mf``
+    lists the entries of V_MF and ``mf_targets`` their F columns, from
+    which a partition reads which F states its values reach; ``ff``
+    lists the entries of V_FF.
     """
 
     m: np.ndarray
     f: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
-    vals: np.ndarray
-    em: np.ndarray
-    ef: np.ndarray
-    r: np.ndarray
 
-    @property
-    def energy_scale(self):
-        """max(1, largest |collision energy|): the scale of zero tests."""
-        return max(1.0, np.abs(self.em).max(initial=0.0),
-                   np.abs(self.ef).max(initial=0.0))
+    def __post_init__(self):
+        k = len(self.m)
+        self.mf = np.flatnonzero((self.rows < k) & (self.cols >= k))
+        self.mf_targets = self.cols[self.mf] - k
+        self.ff = np.flatnonzero((self.rows >= k) & (self.cols >= k))
+        for array in (self.m, self.f, self.rows, self.cols, self.mf,
+                      self.mf_targets, self.ff):
+            array.flags.writeable = False
 
-    @property
-    def er(self):
-        return self.ef[self.r]
+    @classmethod
+    def of_pattern(cls, basis, indptr, indices, m_indices):
+        """The split of the CSR pattern (``indptr``, ``indices``) of V on
+        ``basis`` with M at ``m_indices``."""
+        dim = len(basis)
+        m = spin_map(basis, m_indices)
+        in_f = np.ones(dim, dtype=bool)
+        in_f[m] = False
+        f = np.flatnonzero(in_f)
+        position = np.empty(dim, dtype=int)
+        position[np.concatenate([m, f])] = np.arange(dim)
+        return cls(m, f, np.repeat(position, np.diff(indptr)),
+                   position[indices])
 
-    def components(self):
-        """Connected component of each (M, F) position under V's nonzero
+    @cached_property
+    def labels(self):
+        """Connected component of each (M, F) position under V's
         pattern, labelled by its smallest position.
 
         Without species mixing these are the (n_up, n_down) sectors.
@@ -126,8 +142,72 @@ class Partition:
             # labels only fall, so an unchanged sum is a fixed point
             lowered = label.sum()
             if lowered == total:
+                label.flags.writeable = False
                 return label
             total = lowered
+
+    @cached_property
+    def hff(self):
+        """The ``Gather`` that stores the entries ``ff`` of V_FF, then the
+        energies of F on the diagonal, as H_FF in CSC form."""
+        k, nf = len(self.m), len(self.f)
+        diag = np.arange(nf)
+        rows = np.concatenate([self.rows[self.ff] - k, diag])
+        cols = np.concatenate([self.cols[self.ff] - k, diag])
+        return compress(cols, rows, nf, nf)
+
+
+@dataclass
+class Partition:
+    """Tunneling and collision energies of the M/F split, kept sparse.
+
+    ``split`` holds the structure (``m``, ``f`` and the (M, F) positions
+    ``rows`` and ``cols`` of V's entries, all read through this class),
+    ``vals`` the values of those entries.  ``r`` lists the F states one
+    nonzero hop from M, as positions within F; orders 2 and 3 visit no
+    other intermediate state, so they run on the small dense block
+    ``vmr`` = V_MR and the sparse ``vrr`` = V_RR.  V is assembled as
+    dense blocks (``block``, and ``vff`` = V_FF for the series check of
+    ``trispin.adiabatic``, which runs on all of F) and as the sparse
+    H_FF that the elimination factors (``fast_block``).
+    """
+
+    split: Split
+    vals: np.ndarray
+    em: np.ndarray
+    ef: np.ndarray
+    r: np.ndarray
+
+    @property
+    def m(self):
+        return self.split.m
+
+    @property
+    def f(self):
+        return self.split.f
+
+    @property
+    def rows(self):
+        return self.split.rows
+
+    @property
+    def cols(self):
+        return self.split.cols
+
+    @property
+    def energy_scale(self):
+        """max(1, largest |collision energy|): the scale of zero tests."""
+        return max(1.0, np.abs(self.em).max(initial=0.0),
+                   np.abs(self.ef).max(initial=0.0))
+
+    @property
+    def er(self):
+        return self.ef[self.r]
+
+    def components(self):
+        """Connected component of each (M, F) position under V's nonzero
+        pattern, labelled by its smallest position (``Split.labels``)."""
+        return self.split.labels
 
     def block(self, row_positions, col_positions):
         """Dense block of V on the given (M, F)-order positions."""
@@ -149,7 +229,20 @@ class Partition:
 
     @cached_property
     def vrr(self):
-        return self.block(len(self.m) + self.r, len(self.m) + self.r)
+        """V_RR in CSR form.  The entries of V inside F come row by row
+        and, within a row, column by column, in F order and so in R
+        order: those between two states of R are already sorted."""
+        k, nr = len(self.m), len(self.r)
+        in_r = np.full(len(self.f), -1)
+        in_r[self.r] = np.arange(nr)
+        inside = self.split.ff
+        i, j = in_r[self.rows[inside] - k], in_r[self.cols[inside] - k]
+        keep = (i >= 0) & (j >= 0)
+        indptr = np.zeros(nr + 1, dtype=np.int32)
+        np.cumsum(np.bincount(i[keep], minlength=nr), out=indptr[1:])
+        return sp.csr_matrix((self.vals[inside[keep]],
+                              j[keep].astype(np.int32), indptr),
+                             shape=(nr, nr))
 
     @cached_property
     def vff(self):
@@ -157,46 +250,51 @@ class Partition:
         return self.block(f, f)
 
     def fast_block(self):
-        """H_FF = V_FF + diag(E_F) in canonical CSC form, real when V is."""
-        k, nf = len(self.m), len(self.f)
-        inside_f = (self.rows >= k) & (self.cols >= k)
-        diag = np.arange(nf)
-        rows = np.concatenate([self.rows[inside_f] - k, diag])
-        cols = np.concatenate([self.cols[inside_f] - k, diag])
-        # assembled by hand: the COO route costs more than factoring the
-        # 48 x 48 fast block of a triangle, and so does scipy's scan of
-        # 64-bit indices for a narrower type; SuperLU takes 32-bit ones
-        by_column = np.argsort(cols, kind="stable")
-        indptr = np.zeros(nf + 1, dtype=np.int32)
-        np.cumsum(np.bincount(cols, minlength=nf), out=indptr[1:])
+        """H_FF = V_FF + diag(E_F) in canonical CSC form, real when V is.
+
+        The pattern comes from the split (``Split.hff``); the values are
+        gathered into it.  SuperLU takes the 32-bit indices as they are.
+        """
+        gather = self.split.hff
         vals = self.vals if self.vals.imag.any() else self.vals.real
-        hff = sp.csc_matrix(
-            (np.concatenate([vals[inside_f], self.ef])[by_column],
-             rows[by_column].astype(np.int32), indptr), shape=(nf, nf))
-        hff.sum_duplicates()
-        return hff
+        nf = len(self.f)
+        return sp.csc_matrix(
+            (gather(np.concatenate([vals[self.split.ff], self.ef])),
+             gather.indices, gather.indptr), shape=(nf, nf))
 
 
 def partition(h0, v, m_indices):
     """Split H0 and V into the single-occupancy block M, in spin order,
-    and its complement F, without densifying V."""
-    dim = h0.dim
-    m = spin_map(h0.basis, m_indices)
-    in_f = np.ones(dim, dtype=bool)
-    in_f[m] = False
-    f = np.flatnonzero(in_f)
-    # scatter the nonzeros of V straight into the order (M, F)
-    position = np.empty(dim, dtype=int)
-    position[np.concatenate([m, f])] = np.arange(dim)
+    and its complement F, without densifying V.
+
+    The structure of the split is kept on V's ``Plan`` with the M it was
+    made for, so a derivation on a kept pattern only reads its values;
+    a V built without a plan gets one from its own pattern, which is not
+    kept.
+    """
     mat = v.mat.tocsr()
-    rows = np.repeat(position, np.diff(mat.indptr))
-    cols = position[mat.indices]
-    k = len(m)
-    reached = np.zeros(dim, dtype=bool)
-    reached[cols[(rows < k) & (cols >= k) & (mat.data != 0)]] = True
+    plan = v.plan
+    if plan is None:
+        if not mat.has_canonical_format:
+            mat = mat.copy()
+            mat.sum_duplicates()
+        plan = pattern_plan(mat)
+    key = np.asarray(m_indices).tobytes()
+    kept = plan.split
+    if kept is not None and kept[0] == key and h0.basis is v.basis:
+        split = kept[1]
+    else:
+        split = Split.of_pattern(h0.basis, plan.gather.indptr,
+                                 plan.gather.indices, m_indices)
+        if h0.basis is v.basis:
+            plan.split = key, split
+    # R is read from the values: an entry that is stored but zero does
+    # not reach its F state
+    reached = np.zeros(len(split.f), dtype=bool)
+    reached[split.mf_targets[mat.data[split.mf] != 0]] = True
     energies = h0.diagonal().real
-    return Partition(m, f, rows, cols, mat.data, energies[m], energies[f],
-                     np.flatnonzero(reached[k:]))
+    return Partition(split, mat.data, energies[split.m], energies[split.f],
+                     np.flatnonzero(reached))
 
 
 def check_engine(p):
@@ -234,7 +332,7 @@ def second_order(p):
 
 
 def third_order(p):
-    block = (p.vmr / p.er) @ p.vrr @ (p.vmr.conj().T / p.er[:, None])
+    block = (p.vmr / p.er) @ (p.vrr @ (p.vmr.conj().T / p.er[:, None]))
     _check_hermitian(block, "third-order effective Hamiltonian")
     return EffectiveHamiltonian(block)
 

@@ -64,6 +64,6 @@ def validate_by_evolution(h0, v, m_indices, h_eff, t):
     p = check_engine(partition(h0, v, m_indices))
     exact = _interaction_picture_block(h0, v, p.m, t)
     wiggle = (_oscillatory_second(p.vmr, p.er, t)
-              + _oscillatory_third(p.vmr, p.vrr, p.er, t))
+              + _oscillatory_third(p.vmr, p.vrr.toarray(), p.er, t))
     reference = la.expm(-1j * h_eff.matrix * t)
     return la.norm(exact - wiggle - reference, 2)

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import io
 import json
@@ -484,3 +485,77 @@ def test_json_documents_are_json_dump_text_in_one_write(argv, monkeypatch):
     json.dump(json.loads(text), want, indent=2, sort_keys=True)
     assert text == want.getvalue() + "\n"
     assert len(writes) == 1
+
+
+# The fixed structure of a call is built once per process: the parser,
+# and one printf format per CSV row.
+
+DATA = Path(__file__).resolve().parent / "data"
+PINNED_GRID = ["--j-up-min", "-0.03", "--j-up-max", "0.09", "--j-up-steps",
+               "9", "--j-dn-min", "0.0", "--j-dn-max", "0.07",
+               "--j-dn-steps", "7", "--u", "1", "--uuu", "1.15", "--udd",
+               "0.85"]
+
+
+def _main_output(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("family", list(cli.SCAN_COLUMNS))
+def test_scan_csv_bytes_are_pinned(family, monkeypatch):
+    """A 9 x 7 grid in chunks of 7 points, against the bytes that the
+    per-float formatting of the earlier writer produced."""
+    monkeypatch.setattr(cli, "SCAN_CHUNK_ROWS", 7)
+    out = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["scan", "--family", family, *PINNED_GRID]) == 0
+    assert (out.getvalue().encode()
+            == (DATA / f"scan_{family}.csv").read_bytes())
+
+
+def test_row_format_writes_floats_as_format_17g():
+    values = (-0.0, 5e-324, 1e308, float("nan"), float("inf"),
+              float("-inf"), 0.1, -1 / 3)
+    want = ",".join(format(x, ".17g") for x in values) + "\n"
+    assert cli._row_format(len(values)) % values == want
+
+
+def test_calls_in_one_process_do_not_depend_on_earlier_calls():
+    scan = ["scan", "--family", "complex_bosonic", *PINNED_GRID]
+    with pytest.raises(SystemExit) as exc:
+        _main_output(["scan", "--j-up-steps", "many"])
+    assert exc.value.code == 2
+    assert _main_output(["scan", "--family", "bosonic", "--j-up-steps",
+                         "0", *PINNED_GRID[6:]])[0] == 2
+    first = _main_output(scan)
+    assert first[0] == 0
+    assert _main_output(["chiral"])[0] == 0
+    assert _main_output(["verify", "--draws", "1"])[0] == 0
+    assert _main_output(scan) == first
+
+
+def test_config_does_not_leak_into_the_next_call(capsys, tmp_path):
+    config = tmp_path / "scan.json"
+    config.write_text(json.dumps({
+        "family": "fermionic", "j_up_max": 0.05, "j_up_steps": 2,
+        "j_dn_max": 0.05, "j_dn_steps": 2}))
+    assert main(["--config", str(config), "scan"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 5
+    assert main(["scan"]) == 2
+    assert "missing required setting --family" in capsys.readouterr().err
+
+
+def test_the_command_is_looked_up_when_it_runs(capsys, monkeypatch):
+    assert main(["scan", "--family", "fermionic", "--j-up-max", "0.05",
+                 "--j-up-steps", "2", "--j-dn-max", "0.05",
+                 "--j-dn-steps", "2"]) == 0
+    capsys.readouterr()
+    seen = []
+    monkeypatch.setattr(cli, "cmd_scan",
+                        lambda args, config: seen.append(args.family) or 7)
+    assert main(["scan", "--family", "bosonic"]) == 7
+    assert seen == ["bosonic"]
+    assert capsys.readouterr().out == ""

@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from trispin import hubbard
+from trispin import fock, hubbard
 from trispin.fock import Basis, Species, Statistics, enumerate_basis
 from trispin.hubbard import (Edge, HubbardParams, LatticeGraph, build_h0,
                              build_v, build_v_mixed, derive, hilbert_basis,
@@ -513,3 +513,91 @@ def test_h0_csr_equals_scipy_diags():
         for name in ("data", "indices", "indptr"):
             a, b = getattr(h0, name), getattr(want, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+# One plan per basis and list of live move families: V's pattern and
+# how the moves' values gather into it.
+
+def _exclusion_params(graph, statistics, cross, up_doubles, dn_doubles, rng):
+    params = _random_params(graph, statistics, rng)
+    params.u_updn = math.inf if cross else 1.0
+    if up_doubles:
+        params.u_upup = math.inf
+    if dn_doubles:
+        params.u_dndn = math.inf
+    return params
+
+
+THREE_PARALLEL_LINKS = LatticeGraph(3, (Edge(0, 0, 1), Edge(1, 1, 0),
+                                        Edge(2, 0, 1), Edge(3, 1, 2),
+                                        Edge(4, 2, 0)), "three_parallel")
+
+
+@pytest.mark.parametrize("statistics", list(Statistics))
+@pytest.mark.parametrize("exclusions", list(itertools.product(
+    (False, True), repeat=3)), ids=lambda e: "".join("x" if x else "-"
+                                                      for x in e))
+@pytest.mark.parametrize("graph", [make_triangle(), make_zigzag(4),
+                                   make_zigzag(5), THREE_PARALLEL_LINKS],
+                         ids=lambda g: g.geometry)
+def test_planned_v_equals_per_state_reference(graph, statistics, exclusions):
+    """Built twice on the shared basis, the second time from the kept
+    plan, and Raman-rotated (all four species families live), V keeps
+    the CSR arrays of the per-state reference, duplicates of parallel
+    links summed in scipy's order included."""
+    rng = np.random.default_rng(len(graph.edges))
+    params = _exclusion_params(graph, statistics, *exclusions, rng)
+    try:
+        basis = hilbert_basis(graph, params)
+    except ValueError:
+        pytest.skip("no one-atom-per-site sector with these exclusions")
+    hops = _species_diagonal_hops(graph, params)
+    first = build_v(basis, graph, params)
+    again = build_v(basis, graph, params)
+    assert again.plan is first.plan
+    for v in (first, again):
+        _assert_same_v(v, basis, graph, hops)
+    g = SU2Rotation(0.4, 0.9)
+    rotated = rotate_tunneling(first, g)
+    gm = g.matrix
+    turned = {link: gm.conj().T @ kmat @ gm for link, kmat in hops.items()}
+    assert all(np.all(kmat != 0) for kmat in turned.values())
+    assert rotated.plan is not first.plan
+    _assert_same_v(rotated, basis, graph, turned)
+
+
+def test_three_parallel_links_sum_three_entries():
+    params = _random_params(THREE_PARALLEL_LINKS, Statistics.BOSON,
+                            np.random.default_rng(2))
+    v = build_v(hilbert_basis(THREE_PARALLEL_LINKS, params),
+                THREE_PARALLEL_LINKS, params)
+    # a slot of the links between sites 0 and 1 sums three entries
+    assert len(v.plan.gather.rest) == 2
+
+
+def test_a_zero_coupling_gets_its_own_pattern():
+    tri = make_triangle()
+    params = _random_params(tri, Statistics.FERMION, np.random.default_rng(4))
+    one_zero = _random_params(tri, Statistics.FERMION,
+                              np.random.default_rng(4))
+    one_zero.tunneling[(1, Species.DOWN)] = 0.0
+    basis = hilbert_basis(tri, params)
+    full, cut = build_v(basis, tri, params), build_v(basis, tri, one_zero)
+    assert cut.plan is not full.plan
+    assert cut.mat.nnz < full.mat.nnz
+    _assert_same_v(cut, basis, tri, _species_diagonal_hops(tri, one_zero))
+    assert build_v(basis, tri, params).plan is full.plan
+
+
+def test_plans_per_basis_are_bounded():
+    tri = make_triangle()
+    basis = Basis(hilbert_basis(tri, HubbardParams.uniform(
+        Statistics.FERMION, 3, 0.0, 0.0)).occ, Statistics.FERMION, 3)
+    for link in range(3):
+        for t, f in itertools.product(range(2), repeat=2):
+            kmat = np.zeros((2, 2))
+            kmat[t, f] = 1.0
+            for other in range(3):
+                build_v_mixed(basis, tri, {link: kmat,
+                                           other: np.eye(2) * (other + 2)})
+    assert len(basis._plans) == fock.PLANS_PER_BASIS

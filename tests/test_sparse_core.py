@@ -9,7 +9,9 @@ check reads, runs on the package's partitions and is checked against
 the dense reference here.
 """
 
+import contextlib
 import dataclasses
+import io
 import sys
 import tracemalloc
 import warnings
@@ -23,7 +25,8 @@ from trispin.adiabatic import _neumann, adiabatic_eliminate, series_compare
 from trispin.cli import main
 from trispin.conformance import random_triangle_params, run_triangle_draw
 from trispin.fock import Species, Statistics
-from trispin.hubbard import (HubbardParams, SparseOperator, build_v, derive,
+from trispin.hubbard import (Edge, HubbardParams, LatticeGraph, SparseOperator,
+                             build_v, build_v_mixed, derive,
                              make_triangle, make_zigzag)
 from trispin.perturb import (DegenerateIntermediateError, EffectiveHamiltonian,
                              check_engine, h_eff_second, h_eff_third,
@@ -337,3 +340,126 @@ def test_series_check_sees_a_reached_state_the_engine_skips(monkeypatch):
     monkeypatch.setattr(adiabatic, "partition", short_reach)
     report = series_compare(*_bosonic_triangle())
     assert report["series_vs_engine"] > 1e-12
+
+
+# The split is structure: kept on V's plan, built once per pattern.
+
+def _old_fast_block(p):
+    """H_FF assembled as before the split kept its pattern: COO entries
+    sorted by column, then scipy's sum_duplicates."""
+    k, nf = len(p.m), len(p.f)
+    inside = (p.rows >= k) & (p.cols >= k)
+    rows = np.concatenate([p.rows[inside] - k, np.arange(nf)])
+    cols = np.concatenate([p.cols[inside] - k, np.arange(nf)])
+    by_column = np.argsort(cols, kind="stable")
+    indptr = np.zeros(nf + 1, dtype=np.int32)
+    np.cumsum(np.bincount(cols, minlength=nf), out=indptr[1:])
+    vals = p.vals if p.vals.imag.any() else p.vals.real
+    hff = sp.csc_matrix(
+        (np.concatenate([vals[inside], p.ef])[by_column],
+         rows[by_column].astype(np.int32), indptr), shape=(nf, nf))
+    hff.sum_duplicates()
+    return hff
+
+
+def _same_arrays(a, b, names):
+    for name in names:
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+
+
+def test_partition_without_a_plan_equals_the_planned_one(case):
+    h0, v, _, m = case
+    planned = partition(h0, v, m)
+    bare = SparseOperator(v.mat.copy(), v.basis)
+    unplanned = partition(h0, bare, m)
+    assert bare.plan is None and unplanned.split is not planned.split
+    _same_arrays(planned, unplanned, ("m", "f", "rows", "cols", "vals",
+                                      "em", "ef", "r"))
+    assert np.array_equal(planned.components(), unplanned.components())
+    _same_arrays(planned.fast_block(), unplanned.fast_block(),
+                 ("data", "indices", "indptr"))
+    # the kept split serves the next derivation on the same pattern
+    assert partition(h0, v, m).split is planned.split
+
+
+def test_fast_block_equals_scipy_assembly(case):
+    h0, v, vb, m = case
+    for tunneling in (v, vb):
+        p = partition(h0, tunneling, m)
+        _same_arrays(p.fast_block(), _old_fast_block(p),
+                     ("data", "indices", "indptr"))
+
+
+def test_unplanned_duplicates_are_summed():
+    """A V stored with every entry split in two halves, out of column
+    order, splits as the V it sums to."""
+    h0, v, m = _bosonic_triangle()
+    coo = v.mat.tocoo()
+    half = coo.data / 2
+    order = np.argsort(np.tile(coo.row, 2), kind="stable")
+    halves = sp.csr_matrix(
+        (np.concatenate([half, coo.data - half])[order],
+         np.tile(coo.col, 2)[order], 2 * v.mat.indptr), shape=coo.shape)
+    assert not halves.has_canonical_format
+    got, want = partition(h0, SparseOperator(halves, v.basis), m), \
+        partition(h0, v, m)
+    _same_arrays(got, want, ("rows", "cols", "r"))
+    assert np.allclose(got.vals, want.vals, rtol=1e-15, atol=0)
+
+
+def test_plans_are_built_once_per_basis_and_families(monkeypatch):
+    """A ``verify --draws 2`` pass on fresh shared bases: every V plan and
+    every M/F split is built once, and no V lacks a plan."""
+    from trispin import hubbard, perturb
+    hubbard._shared_basis.cache_clear()
+    plans, splits, unplanned = [], [], []
+    move_plan, of_pattern = hubbard._move_plan, perturb.Split.of_pattern
+
+    def counted_plan(basis, families):
+        plans.append((id(basis), families))
+        return move_plan(basis, families)
+
+    def counted_split(*args):
+        splits.append(args)
+        return of_pattern(*args)
+
+    monkeypatch.setattr(hubbard, "_move_plan", counted_plan)
+    monkeypatch.setattr(perturb.Split, "of_pattern", counted_split)
+    monkeypatch.setattr(perturb, "pattern_plan",
+                        lambda mat: unplanned.append(mat))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["verify", "--draws", "2"]) == 0
+    # the species-diagonal V on the fermionic and on the bosonic triangle,
+    # and the Raman-rotated bosonic V of every covariance rotation
+    assert len(plans) == len(set(plans)) == 3
+    assert len(splits) == 3
+    assert unplanned == []
+
+
+def test_reached_states_are_read_from_the_values():
+    """Two parallel links with opposite J store exact zeros in V's kept
+    pattern; the states only they lead to are not in R."""
+    graph = LatticeGraph(3, (Edge(0, 0, 1), Edge(1, 0, 1), Edge(2, 1, 2),
+                             Edge(3, 2, 0)), "cancelling")
+    params = HubbardParams.uniform(Statistics.BOSON, 4, 0.04, 0.03,
+                                   u_upup=1.1, u_dndn=0.9)
+    h0, _, m = derive(graph, params)
+    hops = {link: np.diag([0.04, 0.03]) for link in range(4)}
+    hops[1] = -hops[0]
+    cancelled = build_v_mixed(h0.basis, graph, hops)
+    without = build_v_mixed(h0.basis, graph, {2: hops[2], 3: hops[3]})
+    assert (cancelled.mat.data == 0).any()
+    p = partition(h0, cancelled, m)
+    assert len(p.r) < len(np.unique(p.split.mf_targets))
+    assert np.array_equal(p.r, partition(h0, without, m).r)
+
+
+def test_kept_split_is_checked_against_m():
+    h0, v, m = _bosonic_triangle()
+    kept = partition(h0, v, m).split
+    reordered = partition(h0, v, m[::-1])
+    assert reordered.split is not kept
+    assert np.array_equal(reordered.m, kept.m)
+    with pytest.raises(ValueError, match="not a full spin space"):
+        partition(h0, v, m[:-1])
