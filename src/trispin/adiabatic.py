@@ -28,37 +28,40 @@ as its column, the one solve takes max_b |M_b| columns instead of 2^n
 entry (a, b) of the correction is read from the column of b where a
 and b share a component and is zero elsewhere.  The condition
 number is a lower estimate of the 1-norm condition number kappa_1:
-||H_FF||_1 exactly, times scipy's ``onenormest`` of ||H_FF^{-1}||_1
-through solves with the factors.  With one column (t = 1) that is
-Hager's iteration from the start vector (1, ..., 1) / n, without random
-columns, so the estimate is deterministic (Hager, SIAM J. Sci. Stat.
-Comput. 5, 311 (1984); Higham & Tisseur, SIAM J. Matrix Anal. Appl. 21,
-1185 (2000)).  In practice it is within a small factor of kappa_1; for
-Hermitian H_FF, kappa_1 bounds kappa_2 from above.
+||H_FF||_1 exactly, times an estimate of ||H_FF^{-1}||_1 through solves
+with the LU factors and their adjoint.  The estimate is Hager's
+iteration with one column (t = 1) from the start vector (1, ..., 1) / n,
+without random columns, so it is deterministic; it takes the steps of
+scipy's ``onenormest(..., t=1)`` in the same order and gives its bits
+(Hager, SIAM J. Sci. Stat. Comput. 5, 311 (1984); Higham & Tisseur,
+SIAM J. Matrix Anal. Appl. 21, 1185 (2000)).  In practice it is within
+a small factor of kappa_1; for Hermitian H_FF, kappa_1 bounds kappa_2
+from above.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
-import scipy.linalg as la
 import scipy.sparse.linalg as spla
 
 from .perturb import (EffectiveHamiltonian, check_engine, partition,
-                      second_order, third_order)
+                      second_order, spectral_norm, third_order)
 
 COND_LIMIT = 1e12
+# iterations of the 1-norm estimate, scipy's ``onenormest`` default
+ONENORMEST_ITMAX = 5
 
 
 @dataclass
 class AdiabaticResult:
     """Eliminated Hamiltonian with the fast block's conditioning.
 
-    ``condition_number`` is a deterministic lower estimate of
-    kappa_1(H_FF) (``inf`` for a singular block, 0 without a fast
-    block); for Hermitian H_FF, kappa_1 >= kappa_2.
+    ``condition_number`` is ||H_FF||_1 times the one-column Hager
+    estimate of ||H_FF^{-1}||_1 from the LU factors, a deterministic
+    lower estimate of kappa_1(H_FF) (``inf`` for a singular block, 0
+    without a fast block); for Hermitian H_FF, kappa_1 >= kappa_2.
     """
 
     h_eff: EffectiveHamiltonian
@@ -78,12 +81,40 @@ def _factor_fast_block(hff):
     n = hff.shape[0]
     columns = np.repeat(np.arange(n), np.diff(hff.indptr))
     norm = np.bincount(columns, weights=np.abs(hff.data), minlength=n).max()
-    # matmat given directly: scipy's default loops matvec over columns
-    adjoint = partial(lu.solve, trans="H")
-    inverse = spla.LinearOperator(
-        (n, n), matvec=lu.solve, rmatvec=adjoint, matmat=lu.solve,
-        rmatmat=adjoint, dtype=hff.dtype)
-    return lu, norm * spla.onenormest(inverse, t=1)
+    return lu, norm * _inverse_one_norm(lu, n)
+
+
+def _inverse_one_norm(lu, n):
+    """Lower estimate of ||A^{-1}||_1 from the LU factors of A: Hager's
+    iteration as scipy's ``_onenormest_core`` runs it at t = 1, step by
+    step, so the result has its bits.  (A block of one state gives the
+    exact value, as ``onenormest`` does by building the inverse.)"""
+    x = np.full(n, 1 / n)
+    s = np.zeros(n)
+    est_old, k, j = 0, 1, None
+    while True:
+        y = lu.solve(x)
+        est = np.abs(y).sum()
+        if k >= 2 and est <= est_old:
+            return est_old
+        est_old, s_old = est, s
+        if k > ONENORMEST_ITMAX:
+            return est
+        # sign(y), with sign(0) = 1; a sign vector parallel to the last
+        # one ends the iteration
+        s = y.copy()
+        s[s == 0] = 1
+        s /= np.abs(s)
+        if np.dot(s, s_old) == n:
+            return est
+        h = np.abs(lu.solve(s, trans="H"))
+        if k >= 2 and h.max() == h[j]:
+            return est
+        # the last of an unstable argsort, as scipy picks among ties
+        j = np.argsort(h)[-1]
+        x = np.zeros(n)
+        x[j] = 1
+        k += 1
 
 
 def _rank_in_component(labels):
@@ -155,7 +186,7 @@ def series_compare(h0, v, m_indices):
     block below the smallest fast energy; that norm is the exact
     2-norm of the dense V_FF that the series reads too."""
     p = partition(h0, v, m_indices)
-    vff_norm = la.norm(p.vff, 2)
+    vff_norm = spectral_norm(p.vff)
     emin = np.abs(p.ef).min() if len(p.f) else np.inf
     if vff_norm >= emin:
         raise ValueError("tunneling too large: fast-block series does not "
@@ -167,9 +198,9 @@ def series_compare(h0, v, m_indices):
     series3 = _neumann(p, 3)
     engine = h2.matrix + h3.matrix
     return {
-        "adiabatic_vs_engine": la.norm(exact.h_eff.matrix - engine, 2),
-        "series_vs_engine": la.norm(series3.matrix - engine, 2),
-        "engine_third_norm": la.norm(h3.matrix, 2),
+        "adiabatic_vs_engine": spectral_norm(exact.h_eff.matrix - engine),
+        "series_vs_engine": spectral_norm(series3.matrix - engine),
+        "engine_third_norm": spectral_norm(h3.matrix),
         "condition_number": exact.condition_number,
         "dims": exact.dims,
     }

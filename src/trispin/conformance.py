@@ -16,14 +16,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as la
 
 from . import closedform
 from .adiabatic import eliminate, series_compare
 from .fock import Species, Statistics
 from .hubbard import HubbardParams, derive, make_triangle
 from .perturb import (check_engine, partition, pauli_decompose,
-                      second_order, third_order)
+                      second_order, spectral_norm, third_order)
 from .raman import SU2Rotation, covariance_check
 
 SOFT_REGIME_LIMIT = 0.3
@@ -129,7 +128,8 @@ def run_triangle_draw(params, variants=("certified",), j_over_u=None):
         warnings.append(f"perturbative-regime warning: J/U = {j_over_u:.3g}")
     p, h2, h3, engine_dec = engine_decomposition(graph, params)
     exact = eliminate(p)
-    residual = float(la.norm(exact.h_eff.matrix - (h2.matrix + h3.matrix), 2))
+    residual = float(spectral_norm(exact.h_eff.matrix
+                                   - (h2.matrix + h3.matrix)))
     tol = formula_tolerance(j_over_u, 1.0)
     audited = {}
     results = []

@@ -24,7 +24,9 @@ built on first use and lives as long as the basis, so an operator
 assembled again on the same basis only scales those fixed amplitudes by
 its couplings.  Beside it, ``Basis.plan`` keeps the structure that
 operators assembled from the table share, such as their sparse pattern,
-keyed by what it depends on.
+keyed by what it depends on, and ``Basis.site_occupations`` and
+``Basis.single_occupancy`` hold the per-site occupations and the
+single-occupancy positions that collision energies and the M block read.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -135,6 +138,30 @@ class Basis:
                 del self._plans[next(iter(self._plans))]
             self._plans[key] = plan
         return plan
+
+    @cached_property
+    def site_occupations(self):
+        """The occupations of each species, (up, down), each laid out
+        (site, state); read-only, built on first use."""
+        columns = tuple(np.ascontiguousarray(self.occ[:, species::2].T)
+                        for species in (0, 1))
+        for array in columns:
+            array.flags.writeable = False
+        return columns
+
+    @cached_property
+    def single_occupancy(self):
+        """Positions of the states with exactly one atom (either species)
+        on every site, read-only, built on first use; ``ValueError``
+        unless every state holds one atom per site."""
+        up, dn = self.site_occupations
+        per_site = up + dn
+        if (per_site.sum(axis=0) != self.n_sites).any():
+            raise ValueError(
+                "single-occupancy subspace needs one atom per site")
+        positions = np.flatnonzero((per_site == 1).all(axis=0))
+        positions.flags.writeable = False
+        return positions
 
     def _build_moves(self, a, b):
         frm, to = np.array([a, b]), np.array([b, a])

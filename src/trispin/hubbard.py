@@ -279,28 +279,27 @@ def pattern_plan(mat):
 def build_h0(basis, params):
     """Diagonal collision operator; single-occupancy states sit at 0.
 
-    Summed site by site over ``basis.occ``, channel by channel in the
-    order of the module formula; a channel that does not fire adds a
-    signed zero, which leaves every sum unchanged.
+    The module formula runs on every site at once, on the basis' per-site
+    occupations (``Basis.site_occupations``), channel by channel in its
+    order; a channel that does not fire adds a signed zero, which leaves
+    every sum unchanged.  The sites are then summed in order, state by
+    state, as a loop over sites would sum them.
     """
-    occ = basis.occ
-    diag = np.zeros(len(basis))
-    for site in range(basis.n_sites):
-        up, dn = occ[:, 2 * site], occ[:, 2 * site + 1]
-        channels = ((params.u_upup, up > 1), (params.u_dndn, dn > 1),
-                    (params.u_updn, (up > 0) & (dn > 0)))
-        if any(math.isinf(u) and hit.any() for u, hit in channels):
-            raise ValueError(
-                "infinite energy state in basis; use fermionic statistics "
-                "or finite U")
-        energy = np.zeros(len(basis))
-        if not math.isinf(params.u_upup):
-            energy += 0.5 * params.u_upup * up * (up - 1)
-        if not math.isinf(params.u_dndn):
-            energy += 0.5 * params.u_dndn * dn * (dn - 1)
-        if not math.isinf(params.u_updn):
-            energy += params.u_updn * up * dn
-        diag += energy
+    up, dn = basis.site_occupations
+    if ((math.isinf(params.u_upup) and (up > 1).any())
+            or (math.isinf(params.u_dndn) and (dn > 1).any())
+            or (math.isinf(params.u_updn) and ((up > 0) & (dn > 0)).any())):
+        raise ValueError(
+            "infinite energy state in basis; use fermionic statistics "
+            "or finite U")
+    energy = np.zeros(up.shape)
+    if not math.isinf(params.u_upup):
+        energy += 0.5 * params.u_upup * up * (up - 1)
+    if not math.isinf(params.u_dndn):
+        energy += 0.5 * params.u_dndn * dn * (dn - 1)
+    if not math.isinf(params.u_updn):
+        energy += params.u_updn * up * dn
+    diag = np.add.reduce(energy, axis=0)
     # stored as sp.diags stores a diagonal (nonzero entries only, 32-bit
     # indices), but built directly: at triangle size its DIA and COO
     # steps cost more than the sums
@@ -371,11 +370,10 @@ def build_v(basis, graph, params):
 
 def projector_single_occupancy(basis):
     """Positions of all states with exactly one atom (either species)
-    per site; this block is isomorphic to an n-qubit spin space."""
-    per_site = basis.occ[:, 0::2] + basis.occ[:, 1::2]
-    if (per_site.sum(axis=1) != basis.n_sites).any():
-        raise ValueError("single-occupancy subspace needs one atom per site")
-    return np.flatnonzero((per_site == 1).all(axis=1))
+    per site; this block is isomorphic to an n-qubit spin space.  The
+    positions are fixed per basis and kept on it, read-only
+    (``Basis.single_occupancy``)."""
+    return basis.single_occupancy
 
 
 def derive(graph, params):

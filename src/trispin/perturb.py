@@ -325,6 +325,16 @@ def _check_hermitian(mat, what):
         raise ValueError(f"{what} lost hermiticity (defect {defect:.2e})")
 
 
+def spectral_norm(a):
+    """The 2-norm of a dense matrix, its largest singular value, with
+    the bits of ``scipy.linalg.norm(a, 2)`` but without its dispatch; a
+    non-finite entry raises ``ValueError`` as there."""
+    a = np.asarray_chkfinite(a)
+    if not a.size:
+        return np.float64(0.0)
+    return np.linalg.svd(a, compute_uv=False)[0]
+
+
 def second_order(p):
     block = -(p.vmr / p.er) @ p.vmr.conj().T
     _check_hermitian(block, "second-order effective Hamiltonian")

@@ -16,10 +16,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as la
 
 from .hubbard import build_v_mixed
-from .perturb import check_engine, partition, second_order, third_order
+from .perturb import (check_engine, partition, second_order, spectral_norm,
+                      third_order)
 
 
 @dataclass(frozen=True)
@@ -99,5 +99,5 @@ def covariance_check(h0, v, g, m_indices):
                            _bare_orders(h0, v, m_indices)):
         direct = order(rotated).matrix
         sandwiched = big_g.conj().T @ bare @ big_g
-        residual = max(residual, la.norm(direct - sandwiched, 2))
+        residual = max(residual, spectral_norm(direct - sandwiched))
     return residual

@@ -12,6 +12,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from trispin.fock import Basis, Statistics, enumerate_basis
 
 CREATE = "create"
@@ -153,3 +155,27 @@ def site_energy(n_up, n_dn, params):
             return math.inf
         energy += params.u_updn * n_up * n_dn
     return energy
+
+
+def h0_diagonal_by_site(basis, params):
+    """The collision diagonal summed site by site over ``basis.occ``,
+    channel by channel in the order of the module formula; ``ValueError``
+    for a state that an infinite channel excludes.  ``build_h0`` must
+    give these bits."""
+    occ = basis.occ
+    diag = np.zeros(len(basis))
+    for site in range(basis.n_sites):
+        up, dn = occ[:, 2 * site], occ[:, 2 * site + 1]
+        channels = ((params.u_upup, up > 1), (params.u_dndn, dn > 1),
+                    (params.u_updn, (up > 0) & (dn > 0)))
+        if any(math.isinf(u) and hit.any() for u, hit in channels):
+            raise ValueError("infinite energy state in basis")
+        energy = np.zeros(len(basis))
+        if not math.isinf(params.u_upup):
+            energy += 0.5 * params.u_upup * up * (up - 1)
+        if not math.isinf(params.u_dndn):
+            energy += 0.5 * params.u_dndn * dn * (dn - 1)
+        if not math.isinf(params.u_updn):
+            energy += params.u_updn * up * dn
+        diag += energy
+    return diag

@@ -1,13 +1,21 @@
+from functools import partial
+
 import numpy as np
 import pytest
+import scipy.linalg as la
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from trispin import adiabatic
-from trispin.adiabatic import _neumann, adiabatic_eliminate, series_compare
+from trispin.adiabatic import (_factor_fast_block, _inverse_one_norm,
+                               _neumann, adiabatic_eliminate, series_compare)
 from trispin.fock import Species, Statistics
 from trispin.hubbard import (Edge, HubbardParams, LatticeGraph, build_h0,
                              build_v, hilbert_basis, make_triangle,
                              make_zigzag, projector_single_occupancy)
-from trispin.perturb import h_eff_second, h_eff_third, partition
+from trispin.perturb import (h_eff_second, h_eff_third, partition,
+                             spectral_norm)
+from trispin.raman import SU2Rotation, rotate_tunneling
 
 U = 1.0
 PAIR = LatticeGraph(2, (Edge(0, 0, 1),), "pair")
@@ -56,9 +64,13 @@ def test_condition_limit_guard(monkeypatch):
         adiabatic_eliminate(h0, v, m)
 
 
-def _random_draw(graph, statistics, rng):
+def _random_draw(graph, statistics, rng, complex_tunneling=False):
     tun = {(e.link, s): complex(rng.uniform(0.02, 0.3))
            for e in graph.edges for s in Species}
+    if complex_tunneling:
+        # a phase per (link, species): flux through the triangles
+        tun = {key: j * np.exp(1j * rng.uniform(0, 2 * np.pi))
+               for key, j in tun.items()}
     u_same = {} if statistics is Statistics.FERMION else {
         "u_upup": rng.uniform(0.5, 1.5), "u_dndn": rng.uniform(0.5, 1.5)}
     params = HubbardParams(statistics, u_updn=rng.uniform(0.5, 1.5),
@@ -68,20 +80,153 @@ def _random_draw(graph, statistics, rng):
             projector_single_occupancy(basis))
 
 
-@pytest.mark.parametrize("n_sites, statistics", [
-    (3, Statistics.BOSON), (3, Statistics.FERMION), (4, Statistics.BOSON),
-    (4, Statistics.FERMION), (5, Statistics.FERMION)])
-def test_condition_number_estimates_one_norm_condition(n_sites, statistics):
+@pytest.mark.parametrize("n_sites, statistics, complex_tunneling", [
+    pytest.param(n, statistics, False, id=f"{n}-{statistics}")
+    for n, statistics in [(3, Statistics.BOSON), (3, Statistics.FERMION),
+                          (4, Statistics.BOSON), (4, Statistics.FERMION),
+                          (5, Statistics.FERMION)]] + [
+    pytest.param(n, statistics, True, id=f"{n}-{statistics}-complex")
+    for n, statistics in [(3, Statistics.BOSON), (3, Statistics.FERMION),
+                          (4, Statistics.FERMION)]])
+def test_condition_number_estimates_one_norm_condition(n_sites, statistics,
+                                                       complex_tunneling):
     # triangle and zig-zag chains; bosonic n = 5 (dim 2002) is too slow
     graph = make_triangle() if n_sites == 3 else make_zigzag(n_sites)
     rng = np.random.default_rng(7 + n_sites)
     for _ in range(3):
-        h0, v, m = _random_draw(graph, statistics, rng)
+        h0, v, m = _random_draw(graph, statistics, rng, complex_tunneling)
         f = np.setdiff1d(np.arange(h0.dim), m)
         hff = (h0.mat + v.mat).toarray()[np.ix_(f, f)]
+        assert (np.abs(hff.imag).max() > 0) == complex_tunneling
         kappa1 = np.linalg.cond(hff, 1)
         cond = adiabatic_eliminate(h0, v, m).condition_number
         assert kappa1 / 3 <= cond <= kappa1 * (1 + 1e-12)
+
+
+# The 1-norm estimate runs Hager's iteration on the LU factors directly;
+# it must give the bits of scipy's onenormest(t=1) on the same factors.
+
+def _onenormest(lu, n, dtype):
+    adjoint = partial(lu.solve, trans="H")
+    inverse = spla.LinearOperator(
+        (n, n), matvec=lu.solve, rmatvec=adjoint, matmat=lu.solve,
+        rmatmat=adjoint, dtype=dtype)
+    return spla.onenormest(inverse, t=1)
+
+
+def _fast_block(h0, v, m):
+    return partition(h0, v, m).fast_block()
+
+
+def _derivation_blocks():
+    """Fast blocks of the derivations in use: triangles of both
+    statistics, with real and with complex tunneling, a Raman-rotated
+    V, and zig-zag chains of four to six sites."""
+    kw = {Statistics.BOSON: {"u_upup": 1.1, "u_dndn": 0.9},
+          Statistics.FERMION: {}}
+    for statistics in Statistics:
+        for j_up, j_dn in ((0.05, 0.03), (0.05j, 0.03j)):
+            yield _fast_block(*_setup(make_triangle(), statistics, j_up,
+                                      j_dn, u_updn=U, **kw[statistics]))
+    h0, v, m = _setup(make_triangle(), Statistics.BOSON, 0.05, 0.02,
+                      u_updn=U, u_upup=U, u_dndn=U)
+    yield _fast_block(h0, rotate_tunneling(v, SU2Rotation(0.4, 0.9)), m)
+    for n in (4, 5, 6):
+        yield _fast_block(*_setup(make_zigzag(n), Statistics.FERMION, 0.04,
+                                  0.03, u_updn=U))
+    yield _fast_block(*_setup(make_zigzag(4), Statistics.BOSON, 0.04, 0.03,
+                              u_updn=U, u_upup=1.1, u_dndn=1.2))
+
+
+def test_inverse_one_norm_is_onenormest_on_derivation_blocks():
+    dtypes = set()
+    for hff in _derivation_blocks():
+        lu, cond = _factor_fast_block(hff)
+        n = hff.shape[0]
+        want = _onenormest(lu, n, hff.dtype)
+        assert _inverse_one_norm(lu, n).hex() == float(want).hex()
+        norm = np.abs(hff.toarray()).sum(axis=0).max()
+        assert cond == pytest.approx(norm * want, rel=1e-15)
+        dtypes.add(hff.dtype)
+    assert dtypes == {np.dtype(float), np.dtype(complex)}
+
+
+class _Solves:
+    """LU factors that record each solve: (trans, result)."""
+
+    def __init__(self, lu):
+        self.lu, self.calls = lu, []
+
+    def solve(self, rhs, trans="N"):
+        out = self.lu.solve(rhs, trans=trans)
+        self.calls.append((trans, out))
+        return out
+
+
+def _exit_of(calls):
+    """Which test of the iteration ended it, read off its solves."""
+    if calls[-1][0] == "H":
+        return "largest entry of h at the current index"
+    sums = [np.abs(y).sum() for trans, y in calls if trans == "N"]
+    if len(sums) >= 2 and sums[-1] <= sums[-2]:
+        return "estimate not increasing"
+    if len(sums) == adiabatic.ONENORMEST_ITMAX + 1:
+        return "more than itmax iterations"
+    return "parallel sign vectors"
+
+
+# found by search: Hager's iteration rarely runs into its iteration limit
+ITMAX_MATRIX = [[8, -3, 6, 2, -4, 1, 0, -2], [-3, 3, -2, -1, 1, 0, 0, -4],
+                [-4, -4, 2, 3, -3, 0, 2, -2], [-1, -4, -2, 10, 6, 6, 4, -4],
+                [-3, 0, 0, 0, 7, 4, 1, 1], [5, -3, -1, -3, 6, 9, -3, -2],
+                [-4, -1, -3, -3, -1, -1, 6, 4], [3, 3, -2, -5, 3, 6, 2, 3]]
+
+
+def _random_matrices():
+    rng = np.random.default_rng(11)
+    yield np.array(ITMAX_MATRIX, dtype=float)
+    yield np.array([[-2.0, 2.0], [3.0, -1.0]])
+    yield np.array([[5.0]])
+    yield 1j * np.array([[0.0, -3.0], [2.0, 1.0]])
+    for _ in range(300):
+        n = int(rng.integers(2, 12))
+        a = rng.integers(-3, 4, (n, n)).astype(float)
+        if rng.random() < 0.4:
+            a = rng.standard_normal((n, n))
+        if rng.random() < 0.3:
+            a = a + 1j * rng.standard_normal((n, n))
+        yield a
+
+
+def test_inverse_one_norm_is_onenormest_at_every_exit():
+    exits = set()
+    for a in _random_matrices():
+        block = sp.csc_matrix(a)
+        try:
+            lu = spla.splu(block, permc_spec="MMD_AT_PLUS_A")
+        except RuntimeError:
+            continue
+        n = a.shape[0]
+        solves = _Solves(lu)
+        got = _inverse_one_norm(solves, n)
+        assert got.hex() == float(_onenormest(lu, n, block.dtype)).hex()
+        exits.add(_exit_of(solves.calls))
+    assert exits == {"largest entry of h at the current index",
+                     "estimate not increasing", "more than itmax iterations",
+                     "parallel sign vectors"}
+
+
+def test_spectral_norm_is_scipy_norm_and_rejects_nan():
+    rng = np.random.default_rng(2)
+    for shape in ((8, 8), (5, 3), (1, 1), (0, 0)):
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        assert spectral_norm(a) == la.norm(a, 2)
+    bad = np.eye(3)
+    bad[1, 2] = np.nan
+    with pytest.raises(ValueError):
+        spectral_norm(bad)
+    with pytest.raises(ValueError):
+        spectral_norm(np.diag([1.0, np.inf]))
 
 
 def test_singular_fast_block_rejected():

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import json.encoder
 import subprocess
 import sys
 import tracemalloc
@@ -9,6 +10,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trispin import cli
 from trispin.cli import SCAN_MAX_STEPS, main
@@ -559,3 +563,74 @@ def test_the_command_is_looked_up_when_it_runs(capsys, monkeypatch):
     assert main(["scan", "--family", "bosonic"]) == 7
     assert seen == ["bosonic"]
     assert capsys.readouterr().out == ""
+
+
+# The JSON writer gives json.dumps(..., indent=2, sort_keys=True) byte for
+# byte, without the standard library's pure-Python encoder.
+
+_SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1e16, 0.1,
+                   float("nan"), float("inf"), float("-inf")]
+_JSON_TEXT = st.text(alphabet=st.one_of(
+    st.sampled_from('"\\/\x00\x01\x1f\x7f\n\r\té \U0001f600'),
+    st.characters()), max_size=8)
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(),
+    st.integers(min_value=-2 ** 300, max_value=2 ** 300),
+    st.floats(), st.sampled_from(_SPECIAL_FLOATS),
+    st.one_of(st.floats(), st.sampled_from(_SPECIAL_FLOATS)).map(np.float64),
+    _JSON_TEXT)
+_JSON_DOCUMENTS = st.recursive(
+    _JSON_SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(_JSON_TEXT, children, max_size=5)),
+    max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_DOCUMENTS)
+def test_json_text_is_json_dumps_text(document):
+    assert cli._json_text(document) == json.dumps(document, indent=2,
+                                                  sort_keys=True)
+
+
+def test_json_text_writes_scalar_keys_as_json_dumps():
+    for document in ({3: "a", -1: [], 2 ** 70: {}}, {0.5: 1, -0.0: 2},
+                     {True: 1, False: None}, {None: (1, 2.5)}):
+        assert cli._json_text(document) == json.dumps(document, indent=2,
+                                                      sort_keys=True)
+
+
+@pytest.mark.parametrize("document", [
+    np.int64(3), [1, np.int64(3)], {"a": np.int64(3)}, {1, 2},
+    {"a": [{"b": {1, 2}}]}, {np.int64(1): 2}, {"a": 1, 2: 3}, np.bool_(True)])
+def test_json_text_raises_type_error_where_json_dumps_does(document):
+    with pytest.raises(TypeError):
+        json.dumps(document, indent=2, sort_keys=True)
+    with pytest.raises(TypeError):
+        cli._json_text(document)
+
+
+def test_chain_summary_is_json_dump_text(tmp_path, capsys):
+    summary = tmp_path / "summary.json"
+    assert main(["chain", "--sites", "6", "--bx-min", "0.8", "--bx-max",
+                 "1.2", "--bx-step", "0.1", "--summary", str(summary)]) == 0
+    text = summary.read_text()
+    want = io.StringIO()
+    json.dump(json.loads(text), want, indent=2, sort_keys=True)
+    assert text == want.getvalue()
+
+
+def test_verify_runs_without_library_wrappers(monkeypatch, capsys):
+    # the condition estimate and the JSON report call neither scipy's
+    # onenormest and LinearOperator nor the stdlib's indented encoder
+    def refuse(*args, **kwargs):
+        raise AssertionError("library wrapper called")
+
+    for owner, name in ((spla, "onenormest"), (spla, "LinearOperator"),
+                        (json.encoder, "_make_iterencode")):
+        monkeypatch.setattr(owner, name, refuse)
+    assert main(["verify", "--draws", "1"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] is True

@@ -16,8 +16,8 @@ from trispin.hubbard import (Edge, HubbardParams, LatticeGraph, build_h0,
 from trispin.perturb import h_eff_up_to_third, pauli_decompose
 from trispin.raman import SU2Rotation, rotate_tunneling
 
-from fock_reference import (fock_states, sector_basis, sector_rows,
-                            site_energy, transfer)
+from fock_reference import (fock_states, h0_diagonal_by_site, sector_basis,
+                            sector_rows, site_energy, transfer)
 
 
 def test_triangle_edges():
@@ -601,3 +601,67 @@ def test_plans_per_basis_are_bounded():
                 build_v_mixed(basis, tri, {link: kmat,
                                            other: np.eye(2) * (other + 2)})
     assert len(basis._plans) == fock.PLANS_PER_BASIS
+
+
+# H0 reads the basis' per-site occupations: all sites at once, summed in
+# site order, with the bits of a loop over sites.
+
+H0_ENERGIES = (1.3, 0.0, -0.7, 2.25, -1e-3)
+
+
+@pytest.mark.parametrize("statistics", list(Statistics))
+@pytest.mark.parametrize("exclusions", list(itertools.product(
+    (False, True), repeat=3)), ids=lambda e: "".join("x" if x else "-"
+                                                      for x in e))
+def test_h0_equals_site_by_site_reference(statistics, exclusions):
+    cross, up_doubles, dn_doubles = exclusions
+    rng = np.random.default_rng(sum(2 ** k * x for k, x in
+                                    enumerate(exclusions)))
+    for n in range(3, 7):
+        basis = enumerate_basis(n, statistics, cross,
+                                (up_doubles, dn_doubles))
+        for k in range(3):
+            # zero, negative and random finite energies; inf where excluded
+            u = [H0_ENERGIES[(k + c) % len(H0_ENERGIES)] if k < 2
+                 else rng.uniform(-2, 2) for c in range(3)]
+            params = HubbardParams(
+                statistics, u_upup=math.inf if up_doubles else u[0],
+                u_dndn=math.inf if dn_doubles else u[1],
+                u_updn=math.inf if cross else u[2])
+            diag = h0_diagonal_by_site(basis, params)
+            stored = diag != 0
+            mat = build_h0(basis, params).mat
+            assert mat.data.tobytes() == diag[stored].astype(complex).tobytes()
+            assert np.array_equal(mat.indices, np.flatnonzero(stored))
+            assert np.array_equal(np.diff(mat.indptr), stored)
+
+
+@pytest.mark.parametrize("channel", ["u_upup", "u_dndn", "u_updn"])
+def test_h0_refuses_an_infinite_channel_that_fires(channel):
+    basis = enumerate_basis(3, Statistics.BOSON)
+    params = HubbardParams(Statistics.BOSON, u_upup=1.0, u_dndn=1.0,
+                           u_updn=1.0)
+    setattr(params, channel, math.inf)
+    with pytest.raises(ValueError, match="infinite energy state in basis; "
+                       "use fermionic statistics or finite U"):
+        build_h0(basis, params)
+    with pytest.raises(ValueError):
+        h0_diagonal_by_site(basis, params)
+
+
+@pytest.mark.parametrize("statistics", list(Statistics))
+def test_single_occupancy_is_cached_read_only(statistics):
+    graph = make_zigzag(4)
+    params = _random_params(graph, statistics, np.random.default_rng(5))
+    basis = hilbert_basis(graph, params)
+    m = projector_single_occupancy(basis)
+    assert projector_single_occupancy(basis) is m
+    assert not m.flags.writeable
+    fresh = Basis(basis.occ, statistics, basis.n_sites)
+    per_site = fresh.occ[:, 0::2] + fresh.occ[:, 1::2]
+    assert np.array_equal(m, np.flatnonzero((per_site == 1).all(axis=1)))
+    assert np.array_equal(projector_single_occupancy(fresh), m)
+    for column in basis.site_occupations:
+        assert not column.flags.writeable
+    with pytest.raises(ValueError):
+        m[0] = 1
