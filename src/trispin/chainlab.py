@@ -18,6 +18,10 @@ import scipy.sparse.linalg as spla
 from .perturb import PauliDecomposition
 
 DENSE_LIMIT = 2 ** 16
+# chain halves up to this size are solved densely: a dense eigvalsh
+# overtakes an eight-level Lanczos between 256 and 320 states (5.3 against
+# 6.9 ms at 256, 9.5 against 7.6 ms at 320, one BLAS thread)
+DENSE_HALF_DIM = 256
 CLUSTER_TOL_FACTOR = 1e-9
 ARPACK_SEED = 2024
 
@@ -58,10 +62,11 @@ def extremal_eigenvalues(h_sparse, k=6):
     margin 3 misses one at b = 1.3 where 1, 2 and 4 keep it.  A caller
     that reads all k values splits off the degeneracies by symmetry
     first, as ``chain_levels`` does, and is tested against dense solves.
+    The Krylov space holds 4k + 8 vectors, or the whole space if smaller.
     """
-    v0 = np.random.default_rng(ARPACK_SEED).uniform(-1.0, 1.0,
-                                                    h_sparse.shape[0])
-    ev = spla.eigsh(h_sparse, k=k, which="SA", ncv=max(4 * k + 8, 40),
+    dim = h_sparse.shape[0]
+    v0 = np.random.default_rng(ARPACK_SEED).uniform(-1.0, 1.0, dim)
+    ev = spla.eigsh(h_sparse, k=k, which="SA", ncv=min(4 * k + 8, dim),
                     tol=0, v0=v0.astype(h_sparse.dtype),
                     return_eigenvectors=False)
     ev.sort()
@@ -112,57 +117,112 @@ def zzz_chain_sparse(bx, bz, n):
                          shape=(dim, dim))
 
 
-def zzz_chain_sector(bx, n, chi01, chi12):
-    """Block of the periodic chain -sum_i (bx X_i + Z_i Z_{i+1} Z_{i+2})
-    in the sector where the sublattice flips P01, P12 have eigenvalues
-    chi01, chi12 = +-1.
+def mirror_permutation(n):
+    """Image of each sector representative j < 2**(n - 2) under the mirror
+    i -> (1 - i) mod n of the ring (see ``zzz_chain_half``).
+
+    The mirror swaps sites 0 and 1, so it keeps both up and permutes the
+    representatives among themselves; it is an involution."""
+    j = np.arange(2 ** (n - 2))
+    image = np.zeros_like(j)
+    for i in range(2, n):
+        image |= (j >> (n - 1 - i) & 1) << (n - 1 - (1 - i) % n)
+    return image
+
+
+def zzz_chain_half(bx, n, chi12, parity):
+    """Mirror-even (parity 1) or mirror-odd (parity -1) half of the block
+    of -sum_i (bx X_i + Z_i Z_{i+1} Z_{i+2}) in the sublattice-flip sector
+    P01 = 1, P12 = chi12.
 
     P_ab flips every site i with i mod 3 in {a, b}; for 3 | n each triple
     holds two flipped sites, so the flips commute with the chain and form
     Z2 x Z2 (P01 P12 = P02).  Each orbit has one configuration with sites
-    0 and 1 up, so the representatives are the integers j < 2**(n - 2)
-    and the real block has that dimension.  X_0 and X_1 leave that range
-    and are folded back by P02 and P12, which contributes their character.
+    0 and 1 up, so a sector is spanned by the flip-symmetrized states of
+    the representatives j < 2**(n - 2).  The mirror (``mirror_permutation``)
+    fixes P01 and swaps P12 with P02, which carry the same character when
+    P01 = 1, so it maps the state of j onto that of its image pi(j) with
+    no phase.  The even half is spanned by (|j> + |pi(j)>)/sqrt(2) for
+    j < pi(j) and by |j> for j = pi(j), the odd half by
+    (|j> - |pi(j)>)/sqrt(2) for j < pi(j); each has one row per smaller
+    orbit member j, in increasing order.  A hop from row j to state r lands on the column of r's orbit
+    with the sign of r in that column's vector, scaled by sqrt(2) into a
+    fixed point and by 1/sqrt(2) out of one.  Both halves are real and
+    symmetric bit for bit.  Hops that reach one column twice are kept as
+    two entries, which products and ``toarray`` add.
     """
     if n % 3:
         raise ValueError("sublattice flips need a multiple of 3 sites")
-    dim = 2 ** (n - 2)
-    j = np.arange(dim)
+    image = mirror_permutation(n)
+    j = np.arange(len(image))
+    rows = np.flatnonzero(j < image if parity < 0 else j <= image)
+    column = np.empty(len(image), dtype=np.int32)
+    column[rows] = column[image[rows]] = np.arange(len(rows))
+    # X_0 and X_1 leave the representatives and are folded back by P02
+    # and P12, which contributes their character
     bit = 1 << (n - 1 - np.arange(n))
     sublattice = np.arange(n) % 3
-    p02 = bit[sublattice != 1].sum()
-    p12 = bit[sublattice != 0].sum()
-    masks = np.concatenate([[0, bit[0] ^ p02, bit[1] ^ p12], bit[2:]])
-    signs = np.concatenate([[chi01 * chi12, chi12], np.ones(n - 2)])
-    vals = np.empty((n + 1, dim))
-    vals[0] = _zzz_diagonal(j, n)
-    vals[1:] = -bx * signs[:, None]
-    return sp.csr_matrix((vals.ravel(), ((j ^ masks[:, None]).ravel(),
-                                         np.tile(j, n + 1))),
-                         shape=(dim, dim))
+    masks = np.concatenate([[0, bit[0] ^ bit[sublattice != 1].sum(),
+                             bit[1] ^ bit[sublattice != 0].sum()], bit[2:]])
+    r = rows[:, None] ^ masks
+    vals = np.empty(r.shape)
+    vals[:, 0] = _zzz_diagonal(rows, n)
+    vals[:, 1:] = -bx
+    vals[:, 1:3] *= chi12
+    image_r = image[r]
+    if parity < 0:
+        vals[r > image_r] *= -1
+        keep = r != image_r
+        indptr = np.zeros(len(rows) + 1, dtype=np.int32)
+        np.cumsum(keep.sum(axis=1), out=indptr[1:])
+        return sp.csr_matrix((vals[keep], column[r[keep]], indptr),
+                             shape=(len(rows), len(rows)))
+    fixed_r = r == image_r
+    fixed_row = (image[rows] == rows)[:, None]
+    vals[fixed_r & ~fixed_row] *= np.sqrt(2.0)
+    vals[fixed_row & ~fixed_r] *= np.sqrt(0.5)
+    indptr = np.arange(0, r.size + 1, n + 1, dtype=np.int32)
+    return sp.csr_matrix((vals.ravel(), column[r].ravel(), indptr),
+                         shape=(len(rows), len(rows)))
 
 
 def chain_levels(bx, n, k=8):
     """Lowest-k levels of the periodic transverse-field three-spin chain,
-    merged from its sublattice-flip sectors (see ``zzz_chain_sector``).
+    merged from the mirror halves of its sublattice-flip sectors.
 
-    Translation by one site cycles P01 -> P12 -> P02, so the three
-    non-trivial sectors are isospectral and the spectrum is the trivial
-    block's plus three copies of one non-trivial block's.  That block
-    contributes ceil(k/3) + 1 levels for k > 1: the extra one covers a
-    copy of a momentum-degenerate level that ARPACK can miss inside the
-    block.  For k = 1 a missed copy cannot change the lowest value, so
-    each block contributes one level.  Blocks up to dimension 512 are
-    diagonalized densely.
+    The flips P01, P12 split the chain into four blocks of dimension
+    2**(n-2).  Translation by one site cycles P01 -> P12 -> P02, so the
+    three non-trivial blocks are isospectral and the spectrum is the
+    trivial block's plus three copies of one non-trivial block's.  The
+    mirror i -> (1 - i) mod n maps the trivial block (1, 1) and the
+    flipped block (1, -1) onto themselves and splits each into an even
+    and an odd half (``zzz_chain_half``).  It puts the two copies of each
+    +-q momentum pair into different halves, so no half carries a
+    degeneracy forced by symmetry that ARPACK could split.  Each trivial
+    half contributes k levels and each flipped half ceil(k/3), counted
+    three times.  Halves up to ``DENSE_HALF_DIM`` states are diagonalized
+    densely.
+
+    For k = 1 only the trivial even half is solved.  The hops -bx X_i
+    all have one sign and connect every configuration, so for bx > 0 the
+    ground state is unique with positive amplitudes (Perron-Frobenius).
+    The flips and the mirror permute configurations without a sign, so
+    they fix it.  For bx < 0 the same holds after the sign change
+    prod_i Z_i, which commutes with the flips and the mirror; at bx = 0
+    the all-up ground configuration lies in that half too.
     """
-    def lowest(h, count):
-        if h.shape[0] <= 512:
-            return np.linalg.eigvalsh(h.toarray())[:count]
-        return extremal_eigenvalues(h, k=count)
-
-    trivial = lowest(zzz_chain_sector(bx, n, 1, 1), k)
-    flipped = lowest(zzz_chain_sector(bx, n, 1, -1), -(-k // 3) + (k > 1))
-    return np.sort(np.concatenate([trivial, np.repeat(flipped, 3)]))[:k]
+    flipped = -(-k // 3)
+    halves = ((1, 1, k, 1), (1, -1, k, 1),
+              (-1, 1, flipped, 3), (-1, -1, flipped, 3))
+    levels = []
+    for chi12, parity, count, copies in halves[:1 if k == 1 else 4]:
+        h = zzz_chain_half(bx, n, chi12, parity)
+        if h.shape[0] <= DENSE_HALF_DIM:
+            lowest = np.linalg.eigvalsh(h.toarray())[:count]
+        else:
+            lowest = extremal_eigenvalues(h, k=count)
+        levels.append(np.repeat(lowest, copies))
+    return np.sort(np.concatenate(levels))[:k]
 
 
 @dataclass
@@ -192,10 +252,14 @@ def duality_scan(bx_grid, n):
     ring holds two flipped sites, which needs 3 | n.  The flips split the
     chain into four blocks of dimension 2**(n-2), and the three
     non-trivial ones, related by translation, each carry the same
-    levels, so every level of one of them counts three times.  Each
-    distinct grid field is solved once for its lowest eight levels; a
-    reciprocal 1/b that is a grid field too, such as b = 1 or 1.25 for
-    b = 0.8, reuses that solve, and any other is solved for E0 alone.
+    levels, so every level of one of them counts three times.  The
+    mirror i -> (1 - i) mod n splits the trivial block and one
+    non-trivial block into even and odd halves, four real blocks of
+    about 2**(n-3) states that are solved per field.  Each distinct grid
+    field is solved once for its lowest eight levels; a reciprocal 1/b
+    that is a grid field too, such as b = 1 or 1.25 for b = 0.8, reuses
+    that solve, and any other is solved for E0 alone, from the one half
+    that holds the ground state.
     """
     if n % 3:
         raise ValueError("chain length must be a multiple of 3")

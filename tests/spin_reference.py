@@ -1,9 +1,12 @@
-"""Exact-diagonal oracle of the bare periodic three-spin chain, and the
-triangle chirality operator."""
+"""Exact-diagonal oracle of the bare periodic three-spin chain, its
+unsplit sublattice-flip sector blocks, and the triangle chirality
+operator."""
 
 import numpy as np
+import scipy.sparse as sp
 
 from trispin import pauli
+from trispin.chainlab import _zzz_diagonal
 from trispin.closedform import EPSILON_PATTERNS
 
 
@@ -24,6 +27,37 @@ def zzz_ground_space_bruteforce(n):
     diag = zzz_diagonal(n)
     e0 = diag.min()
     return e0, np.flatnonzero(diag == e0)
+
+
+def zzz_chain_sector(bx, n, chi01, chi12):
+    """Block of the periodic chain -sum_i (bx X_i + Z_i Z_{i+1} Z_{i+2})
+    in the sector where the sublattice flips P01, P12 have eigenvalues
+    chi01, chi12 = +-1: the reference that ``chainlab.zzz_chain_half``
+    splits by the mirror.
+
+    P_ab flips every site i with i mod 3 in {a, b}; for 3 | n each triple
+    holds two flipped sites, so the flips commute with the chain and form
+    Z2 x Z2 (P01 P12 = P02).  Each orbit has one configuration with sites
+    0 and 1 up, so the representatives are the integers j < 2**(n - 2)
+    and the real block has that dimension.  X_0 and X_1 leave that range
+    and are folded back by P02 and P12, which contributes their character.
+    """
+    if n % 3:
+        raise ValueError("sublattice flips need a multiple of 3 sites")
+    dim = 2 ** (n - 2)
+    j = np.arange(dim)
+    bit = 1 << (n - 1 - np.arange(n))
+    sublattice = np.arange(n) % 3
+    p02 = bit[sublattice != 1].sum()
+    p12 = bit[sublattice != 0].sum()
+    masks = np.concatenate([[0, bit[0] ^ p02, bit[1] ^ p12], bit[2:]])
+    signs = np.concatenate([[chi01 * chi12, chi12], np.ones(n - 2)])
+    vals = np.empty((n + 1, dim))
+    vals[0] = _zzz_diagonal(j, n)
+    vals[1:] = -bx * signs[:, None]
+    return sp.csr_matrix((vals.ravel(), ((j ^ masks[:, None]).ravel(),
+                                         np.tile(j, n + 1))),
+                         shape=(dim, dim))
 
 
 def chirality_operator(n_sites, triangles=((0, 1, 2),)):

@@ -8,8 +8,8 @@ from trispin.hubbard import (HubbardParams, build_h0, build_v, hilbert_basis,
                              make_zigzag, projector_single_occupancy)
 from trispin.perturb import h_eff_up_to_third, pauli_decompose
 
-from spin_reference import (chirality_operator, zzz_diagonal,
-                            zzz_ground_space_bruteforce)
+from spin_reference import (chirality_operator, zzz_chain_sector,
+                            zzz_diagonal, zzz_ground_space_bruteforce)
 
 
 def _ground_degeneracy(evals):
@@ -208,7 +208,7 @@ SECTORS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 @pytest.mark.parametrize("n", [3, 6, 9, 12])
 def test_sector_dimensions_sum_to_full_space(n):
-    dims = [chainlab.zzz_chain_sector(0.9, n, *chi).shape[0]
+    dims = [zzz_chain_sector(0.9, n, *chi).shape[0]
             for chi in SECTORS]
     assert dims == [2 ** (n - 2)] * 4
     assert sum(dims) == 2 ** n
@@ -216,14 +216,14 @@ def test_sector_dimensions_sum_to_full_space(n):
 
 def test_sector_requires_multiple_of_three():
     with pytest.raises(ValueError):
-        chainlab.zzz_chain_sector(1.0, 8, 1, 1)
+        chainlab.zzz_chain_half(1.0, 8, 1, 1)
 
 
 @pytest.mark.parametrize("n", [6, 9])
 def test_nontrivial_sectors_are_isospectral(n):
     for bx in (0.6, 1.0, 1.4):
         spectra = [np.linalg.eigvalsh(
-            chainlab.zzz_chain_sector(bx, n, *chi).toarray())
+            zzz_chain_sector(bx, n, *chi).toarray())
             for chi in SECTORS]
         full = np.linalg.eigvalsh(chainlab.zzz_chain_sparse(bx, 0, n).toarray())
         assert np.abs(np.sort(np.concatenate(spectra)) - full).max() <= 1e-12
@@ -244,7 +244,7 @@ def test_merged_levels_match_full_space_lanczos(bx, k):
     # the full-space solve asks for k + 4 levels: at k = 8 it misses a
     # copy of the degenerate level in eighth place at b = 0.7 and 1.3.
     # At b = 0.95, k = 9 needs the third level of the non-trivial block,
-    # of which a three-level block solve misses a copy
+    # of which a three-level solve of the unsplit block missed a copy
     n = 12
     full = chainlab.extremal_eigenvalues(
         chainlab.zzz_chain_sparse(bx, 0, n), k=k + 4)[:k]
@@ -261,7 +261,7 @@ def test_merged_levels_match_dense_sector_blocks(bx):
     # is the dense spectrum of the trivial block and, three times, of a
     # non-trivial one
     n = 12
-    blocks = [np.linalg.eigvalsh(chainlab.zzz_chain_sector(bx, n, *chi)
+    blocks = [np.linalg.eigvalsh(zzz_chain_sector(bx, n, *chi)
                                  .toarray()) for chi in SECTORS[:2]]
     dense = np.sort(np.concatenate([blocks[0], np.repeat(blocks[1], 3)]))
     for k in (8, 9):
@@ -271,19 +271,19 @@ def test_merged_levels_match_dense_sector_blocks(bx):
 
 def test_duality_scan_solves_each_field_once(monkeypatch):
     built = []
-    sector = chainlab.zzz_chain_sector
+    half = chainlab.zzz_chain_half
 
-    def counting(bx, n, chi01, chi12):
-        built.append((bx, chi01, chi12))
-        return sector(bx, n, chi01, chi12)
+    def counting(bx, n, chi12, parity):
+        built.append((bx, chi12, parity))
+        return half(bx, n, chi12, parity)
 
-    monkeypatch.setattr(chainlab, "zzz_chain_sector", counting)
+    monkeypatch.setattr(chainlab, "zzz_chain_half", counting)
     scan = chainlab.duality_scan(np.array([1.0]), 12)
-    assert built == [(1.0, 1, 1), (1.0, 1, -1)]
+    assert built == [(1.0, 1, 1), (1.0, 1, -1), (1.0, -1, 1), (1.0, -1, -1)]
     assert scan.duality_defect[0] == 0.0
     built.clear()
     chainlab.duality_scan(np.array([0.8, 1.25]), 9)
-    assert len(built) == 4
+    assert len(built) == 8
 
 
 def test_duality_scan_solves_off_grid_reciprocals_for_e0_alone(monkeypatch):
@@ -296,9 +296,67 @@ def test_duality_scan_solves_off_grid_reciprocals_for_e0_alone(monkeypatch):
 
     monkeypatch.setattr(chainlab, "extremal_eigenvalues", counting)
     chainlab.duality_scan(np.array([0.9, 1.0]), 12)
-    # trivial then flipped block for each grid field, then 1/0.9; the
-    # reciprocal 1/1.0 is the grid field 1.0
-    assert requested == [8, 4, 8, 4, 1, 1]
+    # the trivial then the flipped block's even and odd halves for each
+    # grid field, then the trivial even half at 1/0.9; the reciprocal
+    # 1/1.0 is the grid field 1.0
+    assert requested == [8, 8, 3, 3, 8, 8, 3, 3, 1]
+
+
+@pytest.mark.parametrize("n", [6, 9, 12])
+def test_ground_level_lies_in_the_trivial_even_half(n):
+    # chain_levels(bx, n, 1) solves that half alone
+    for bx in (-0.8, 0.0, 0.3, 1.0, 2.5):
+        lowest = [np.linalg.eigvalsh(
+            chainlab.zzz_chain_half(bx, n, chi12, parity).toarray())[0]
+            for chi12 in (1, -1) for parity in (1, -1)]
+        assert lowest[0] <= min(lowest) + 1e-12 * abs(lowest[0])
+        assert chainlab.chain_levels(bx, n, 1)[0] == pytest.approx(
+            lowest[0], rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [3, 6, 9, 12, 15])
+def test_mirror_commutes_with_both_sector_blocks(n):
+    image = chainlab.mirror_permutation(n)
+    assert np.array_equal(image[image], np.arange(2 ** (n - 2)))
+    for chi in SECTORS[:2]:
+        block = zzz_chain_sector(0.83, n, *chi)
+        assert (block[image][:, image] != block).nnz == 0
+
+
+@pytest.mark.parametrize("n", [3, 6, 9, 12, 15])
+def test_mirror_half_dimensions_sum_to_the_sector(n):
+    image = chainlab.mirror_permutation(n)
+    fixed = int(np.sum(image == np.arange(2 ** (n - 2))))
+    for chi12 in (1, -1):
+        even, odd = (chainlab.zzz_chain_half(0.9, n, chi12, parity).shape
+                     for parity in (1, -1))
+        assert even[0] == even[1] and odd[0] == odd[1]
+        assert even[0] + odd[0] == 2 ** (n - 2)
+        assert even[0] - odd[0] == fixed
+
+
+@pytest.mark.parametrize("n", [6, 9, 12])
+def test_mirror_halves_merge_to_the_dense_sector_spectrum(n):
+    for bx in (0.6, 1.0, 1.4):
+        for chi in SECTORS[:2]:
+            halves = [chainlab.zzz_chain_half(bx, n, chi[1], parity).toarray()
+                      for parity in (1, -1)]
+            assert all(np.array_equal(h, h.T) for h in halves)
+            merged = np.sort(np.concatenate([np.linalg.eigvalsh(h)
+                                             for h in halves]))
+            dense = np.linalg.eigvalsh(zzz_chain_sector(bx, n, *chi).toarray())
+            assert np.abs(merged - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+@pytest.mark.parametrize("bx", [0.5, 0.7, 0.95, 1.0, 1.3, 1.5])
+def test_flipped_halves_have_no_degenerate_low_levels(bx):
+    # chain_levels takes ceil(k/3) = 3 levels of each flipped half for
+    # k = 8 or 9; neither they nor the next one are degenerate, so the
+    # solve has no copy of its last level to miss
+    for parity in (1, -1):
+        half = chainlab.zzz_chain_half(bx, 12, -1, parity)
+        levels = np.linalg.eigvalsh(half.toarray())[:4]
+        assert np.diff(levels).min() > 1e-3
 
 
 DEFAULT_GRID = 0.5 + 0.05 * np.arange(21)      # the defaults of ``chain``
@@ -332,7 +390,7 @@ def _sector_from_full_diagonal(bx, n, chi01, chi12):
 @pytest.mark.parametrize("n", [3, 6, 9, 12, 15])
 def test_sector_arrays_equal_full_space_diagonal_reference(n):
     for chi in SECTORS[:2]:
-        got = chainlab.zzz_chain_sector(0.83, n, *chi)
+        got = zzz_chain_sector(0.83, n, *chi)
         ref = _sector_from_full_diagonal(0.83, n, *chi)
         for name in ("data", "indices", "indptr"):
             a, b = getattr(got, name), getattr(ref, name)

@@ -450,23 +450,26 @@ def test_chain_csv_repeats_byte_for_byte(capsys):
 
 
 def test_chain_matches_the_benchmark_reference(capsys):
-    # the chain workload's check, on its light run: every value within
-    # 1e-9 relative of the committed reference, the degeneracy exact
-    assert main(["chain", "--sites", "12", "--bx-min", "0.85",
-                 "--bx-max", "1.15"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    ref_lines = (REFERENCE / "chain_n12.csv").read_text().splitlines()
-    assert lines[0] == ref_lines[0]
-    got = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
-    ref = np.array([[float(x) for x in line.split(",")]
-                    for line in ref_lines[1:]])
-    rows = [int(np.argmin(np.abs(ref[:, 0] - bx))) for bx in got[:, 0]]
-    ref = ref[rows]
-    assert len(got) == 7
-    assert np.all(np.abs(got[:, 0] - ref[:, 0]) <= 1e-12)
-    assert np.array_equal(got[:, 4], ref[:, 4])
-    assert np.all(np.abs(got[:, 1:4] - ref[:, 1:4])
-                  <= 1e-9 * np.maximum(1.0, np.abs(ref[:, 1:4])))
+    # the chain workload's check on both of its runs, the 7-point n = 12
+    # scan and n = 15 at b = 1: every value within 1e-9 relative of the
+    # committed reference, the degeneracy exact
+    for n, grid, points in ((12, ["0.85", "1.15"], 7), (15, ["1.0", "1.0"], 1)):
+        assert main(["chain", "--sites", str(n), "--bx-min", grid[0],
+                     "--bx-max", grid[1]]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        ref_lines = (REFERENCE / f"chain_n{n}.csv").read_text().splitlines()
+        assert lines[0] == ref_lines[0]
+        got = np.array([[float(x) for x in line.split(",")]
+                        for line in lines[1:]])
+        ref = np.array([[float(x) for x in line.split(",")]
+                        for line in ref_lines[1:]])
+        rows = [int(np.argmin(np.abs(ref[:, 0] - bx))) for bx in got[:, 0]]
+        ref = ref[rows]
+        assert len(got) == points
+        assert np.all(np.abs(got[:, 0] - ref[:, 0]) <= 1e-12)
+        assert np.array_equal(got[:, 4], ref[:, 4])
+        assert np.all(np.abs(got[:, 1:4] - ref[:, 1:4])
+                      <= 1e-9 * np.maximum(1.0, np.abs(ref[:, 1:4])))
 
 
 @pytest.mark.parametrize("argv", [["verify", "--draws", "1"], ["chiral"],
