@@ -9,7 +9,7 @@ from .hubbard import (LatticeGraph, HubbardParams, SparseOperator,
                       build_v_mixed, derive, projector_single_occupancy)
 from .perturb import (EffectiveHamiltonian, PauliDecomposition, Partition,
                       spin_map, partition, h_eff_second,
-                      h_eff_third, h_eff_up_to_third, pauli_decompose,
+                      h_eff_third, pauli_decompose,
                       DegenerateIntermediateError)
 from .adiabatic import adiabatic_eliminate, series_compare
 from .closedform import (CouplingSet, bosonic_couplings, fermionic_couplings,

@@ -139,7 +139,7 @@ def eliminate(p):
         if not np.isfinite(cond) or cond > COND_LIMIT:
             raise ValueError(
                 "fast block not invertible; parameters too close to resonance")
-        label = p.components()[:k]
+        label = p.split.labels[:k]
         column = _rank_in_component(label)
         vmr = p.vmr if np.iscomplexobj(hff) else p.vmr.real
         # the rows of V_MR that share a column have disjoint supports

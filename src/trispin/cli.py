@@ -24,8 +24,7 @@ import numpy as np
 
 from . import chainlab, closedform, conformance, pauli
 from .fock import Statistics
-from .hubbard import HubbardParams, derive, make_triangle
-from .perturb import h_eff_up_to_third, pauli_decompose
+from .hubbard import HubbardParams, make_triangle
 
 SOFT_CAP = conformance.SOFT_REGIME_LIMIT
 HARD_CAP = conformance.HARD_REGIME_LIMIT
@@ -369,10 +368,9 @@ def cmd_chiral(args, config):
         raise UsageError("tau4 = j_mag^3 / u^2 must be finite and nonzero: "
                          "the spectrum is reported in units of tau4")
     params = closedform.chirality_point_params(magnitude, scale)
-    h = h_eff_up_to_third(*derive(make_triangle(), params))
-    dec = pauli_decompose(h)
+    _, h2, h3, dec = conformance.engine_decomposition(make_triangle(), params)
     zeeman = {s: dec[s] for s in ("ZII", "IZI", "IIZ")}
-    matrix = h.matrix - pauli.pauli_sum(zeeman, 3)
+    matrix = h2.matrix + h3.matrix - pauli.pauli_sum(zeeman, 3)
     report = chainlab.diagonalize(matrix, k=2)
     ground = report.eigenvectors
     overlaps = {}

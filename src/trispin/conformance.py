@@ -195,15 +195,12 @@ def covariance_section(n_draws, seed, u_ratios=(1.0, 1.0)):
     params = HubbardParams.uniform(Statistics.BOSON, 3, 0.05, 0.03,
                                    u_upup=u_ratios[0], u_dndn=u_ratios[1])
     h0, v, m = derive(make_triangle(), params)
-    draws = []
-    for _ in range(n_draws):
-        g = SU2Rotation(phi=float(rng.uniform(0, 2 * math.pi)),
-                        theta=float(rng.uniform(0, math.pi)))
-        draws.append({
-            "phi": g.phi, "theta": g.theta,
-            "residual": float(covariance_check(h0, v, g, m)),
-        })
-    return draws
+    rotations = [SU2Rotation(phi=float(rng.uniform(0, 2 * math.pi)),
+                             theta=float(rng.uniform(0, math.pi)))
+                 for _ in range(n_draws)]
+    residuals = covariance_check(h0, v, rotations, m)
+    return [{"phi": g.phi, "theta": g.theta, "residual": float(residual)}
+            for g, residual in zip(rotations, residuals)]
 
 
 def run_verification(n_draws=20, seed=2024, j_over_u=0.05):

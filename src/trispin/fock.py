@@ -206,10 +206,6 @@ class Basis:
     def __len__(self):
         return len(self.occ)
 
-    @property
-    def dim(self):
-        return len(self.occ)
-
 
 def enumerate_basis(n_sites, statistics, forbid_cross_occupancy=False,
                     forbid_same_species_doubles=(False, False)):

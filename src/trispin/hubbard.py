@@ -166,7 +166,8 @@ def _shared_basis(n_sites, statistics, forbid_cross_occupancy,
 @dataclass
 class SparseOperator:
     """Complex sparse matrix bound to a basis; a tunneling operator built
-    by ``build_v_mixed`` also carries the ``Plan`` of its pattern."""
+    by ``build_v_mixed``, or partitioned once, also carries the ``Plan``
+    of its pattern."""
 
     mat: sp.csr_matrix
     basis: object
@@ -242,16 +243,16 @@ class Plan:
     a plan of ``build_v_mixed``, how the value of every move lands in
     it, move by move as the move table lists them (``term`` indexes the
     couplings -J and -J* of the moves' families, ``amp`` holds the
-    amplitudes).  ``split`` is left to ``perturb.partition``: the M/F
-    structure it derives from the pattern, kept with the M it was
-    derived for.
+    amplitudes).  ``split`` is the pattern's M/F ``perturb.Split``, the
+    one copy of it: ``perturb.partition`` builds it on first use, with M
+    the basis' single-occupancy block.
     """
 
     gather: Gather
     term: np.ndarray = None
     amp: np.ndarray = None
     dropped: int = 0
-    split: tuple = None
+    split: object = None
 
 
 def _move_plan(basis, families):
@@ -270,8 +271,8 @@ def _move_plan(basis, families):
 
 
 def pattern_plan(mat):
-    """The plan of an operator built without one, from its own CSR
-    pattern; it is not kept."""
+    """The plan of an operator built without one, from its own canonical
+    CSR pattern; ``perturb.partition`` keeps it on the operator."""
     rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
     return Plan(compress(rows, mat.indices, *mat.shape))
 

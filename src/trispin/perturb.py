@@ -16,18 +16,20 @@ states of F for the fermionic zig-zag chain of six sites) and run on
 the dense block V_MR and the sparse V_RR, order 3 as
 (V_MR / E_R) (V_RR (V_MR^dag / E_R)); V itself is never densified.
 
-The structure of the split (the spin order of M, the (M, F) positions
-of V's entries, their components and the pattern of H_FF) depends only
-on V's pattern, so ``partition`` builds it once per pattern and keeps
-it on V's ``Plan``; a derivation then only reads its values.
-
 Every result is in spin order: position k of a block is the n-qubit
 configuration whose bit i (big-endian) is 0 for an up atom on site i
-and 1 for a down atom.  ``partition`` is the one place that splits the
-basis into M and F and puts M in that order; only this module reads how
-a ``Partition`` stores V.  Callers pass one partition to ``check_engine``,
-the orders and ``trispin.adiabatic.eliminate``; the ``(h0, v, m)``
-routes such as ``h_eff_second`` build their own.
+and 1 for a down atom.  A valid M is always the basis' whole
+single-occupancy block, whose spin order does not depend on how a
+caller lists it, so the structure of the split (the spin order of M,
+the (M, F) positions of V's entries, their components and the pattern
+of H_FF) depends only on V's pattern.  Its one owner is V's ``Plan``:
+``partition`` builds the split there once, from the basis' own M
+(``Basis.single_occupancy``), and a derivation only reads its values;
+a V built without a plan gets one from its own pattern on first use.
+Only this module reads how a ``Partition`` stores V.  Callers pass one
+partition to ``check_engine``, the orders and
+``trispin.adiabatic.eliminate``; the ``(h0, v, m)`` routes such as
+``h_eff_second`` build their own on the same kept split.
 """
 
 from __future__ import annotations
@@ -107,11 +109,11 @@ class Split:
             array.flags.writeable = False
 
     @classmethod
-    def of_pattern(cls, basis, indptr, indices, m_indices):
+    def of_pattern(cls, basis, indptr, indices):
         """The split of the CSR pattern (``indptr``, ``indices``) of V on
-        ``basis`` with M at ``m_indices``."""
+        ``basis``, with M the basis' single-occupancy block."""
         dim = len(basis)
-        m = spin_map(basis, m_indices)
+        m = spin_map(basis, basis.single_occupancy)
         in_f = np.ones(dim, dtype=bool)
         in_f[m] = False
         f = np.flatnonzero(in_f)
@@ -204,11 +206,6 @@ class Partition:
     def er(self):
         return self.ef[self.r]
 
-    def components(self):
-        """Connected component of each (M, F) position under V's nonzero
-        pattern, labelled by its smallest position (``Split.labels``)."""
-        return self.split.labels
-
     def block(self, row_positions, col_positions):
         """Dense block of V on the given (M, F)-order positions."""
         dim = len(self.m) + len(self.f)
@@ -267,27 +264,30 @@ def partition(h0, v, m_indices):
     """Split H0 and V into the single-occupancy block M, in spin order,
     and its complement F, without densifying V.
 
-    The structure of the split is kept on V's ``Plan`` with the M it was
-    made for, so a derivation on a kept pattern only reads its values;
-    a V built without a plan gets one from its own pattern, which is not
-    kept.
+    H0 and V must share a basis: the same object or equal rows in the
+    same order, since H0's energies are read at V's positions.  The
+    split is kept on V's ``Plan``; a V built without a plan gets one
+    from its own pattern here and keeps it.  ``m_indices`` is checked
+    against the basis (``spin_map``) unless it is the basis' own
+    ``single_occupancy``; any valid M lists that block.
     """
+    basis = v.basis
+    if h0.basis is not basis and not np.array_equal(h0.basis.occ,
+                                                    basis.occ):
+        raise ValueError("H0 and V are not on the same basis")
+    if m_indices is not basis.single_occupancy:
+        spin_map(basis, m_indices)
     mat = v.mat.tocsr()
+    if not mat.has_canonical_format:
+        mat = mat.copy()
+        mat.sum_duplicates()
     plan = v.plan
     if plan is None:
-        if not mat.has_canonical_format:
-            mat = mat.copy()
-            mat.sum_duplicates()
-        plan = pattern_plan(mat)
-    key = np.asarray(m_indices).tobytes()
-    kept = plan.split
-    if kept is not None and kept[0] == key and h0.basis is v.basis:
-        split = kept[1]
-    else:
-        split = Split.of_pattern(h0.basis, plan.gather.indptr,
-                                 plan.gather.indices, m_indices)
-        if h0.basis is v.basis:
-            plan.split = key, split
+        plan = v.plan = pattern_plan(mat)
+    if plan.split is None:
+        plan.split = Split.of_pattern(basis, plan.gather.indptr,
+                                      plan.gather.indices)
+    split = plan.split
     # R is read from the values: an entry that is stored but zero does
     # not reach its F state
     reached = np.zeros(len(split.f), dtype=bool)
@@ -357,11 +357,6 @@ def h_eff_third(h0, v, m_indices):
     return third_order(check_engine(partition(h0, v, m_indices)))
 
 
-def h_eff_up_to_third(h0, v, m_indices):
-    p = check_engine(partition(h0, v, m_indices))
-    return second_order(p) + third_order(p)
-
-
 @dataclass
 class PauliDecomposition:
     """Map from Pauli strings to coefficients, c_P = Tr(P H) / 2^n."""
@@ -374,9 +369,6 @@ class PauliDecomposition:
 
     def nonzero(self, tol=1e-14):
         return {s: c for s, c in self.coeffs.items() if abs(c) > tol}
-
-    def reconstruct(self):
-        return pauli.pauli_sum(self.coeffs, self.n_sites)
 
 
 def _walsh_hadamard(a):

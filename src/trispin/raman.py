@@ -8,6 +8,10 @@ is species-blind (all U equal) the effective Hamiltonian transforms
 covariantly at every order:
 
     engine(K-tunneling) = G^dag engine(diag-tunneling) G,  G = g tensor^n.
+
+``covariance_check`` tests this relation for a list of rotations: it
+derives the unrotated model once and each rotated one from its own
+rebuilt tunneling, all on the same basis.
 """
 
 from __future__ import annotations
@@ -66,38 +70,27 @@ def spin_rotation_matrix(g, n_sites):
     return out
 
 
-# the unrotated side of the last covariance check: its (h0, v, m_indices)
-# and their orders 2 and 3; holding the three keeps the identity test sound
-_last_bare = None
+def covariance_check(h0, v, rotations, m_indices):
+    """Max residual over orders 2 and 3 of the covariance relation, one
+    per rotation g in ``rotations``, in order.
 
-
-def _bare_orders(h0, v, m_indices):
-    """Orders 2 and 3 of the unrotated model, built once while the same
-    (h0, v, m_indices) are checked against one rotation after another."""
-    global _last_bare
-    inputs = (h0, v, m_indices)
-    if _last_bare is None or any(a is not b for a, b
-                                 in zip(_last_bare[0], inputs)):
-        bare = check_engine(partition(h0, v, m_indices))
-        _last_bare = inputs, (second_order(bare).matrix,
-                              third_order(bare).matrix)
-    return _last_bare[1]
-
-
-def covariance_check(h0, v, g, m_indices):
-    """Max residual over orders 2 and 3 of the covariance relation.
-
-    Exact (to roundoff) when the collision energies are species-blind;
-    with unequal U's the returned residual is data, not an invariant.
-    The unrotated orders are reused from the previous call when it
-    checked the same operator objects, which are never changed in place.
+    The unrotated orders are derived once and compared with the orders
+    of every rotated tunneling.  Exact (to roundoff) when the collision
+    energies are species-blind; with unequal U's the residuals are data,
+    not an invariant.
     """
-    rotated = check_engine(partition(h0, rotate_tunneling(v, g), m_indices))
-    big_g = spin_rotation_matrix(g, h0.basis.n_sites)
-    residual = 0.0
-    for order, bare in zip((second_order, third_order),
-                           _bare_orders(h0, v, m_indices)):
-        direct = order(rotated).matrix
-        sandwiched = big_g.conj().T @ bare @ big_g
-        residual = max(residual, spectral_norm(direct - sandwiched))
-    return residual
+    bare = check_engine(partition(h0, v, m_indices))
+    bare_orders = [(order, order(bare).matrix)
+                   for order in (second_order, third_order)]
+    residuals = []
+    for g in rotations:
+        rotated = check_engine(partition(h0, rotate_tunneling(v, g),
+                                         m_indices))
+        big_g = spin_rotation_matrix(g, h0.basis.n_sites)
+        residual = 0.0
+        for order, matrix in bare_orders:
+            direct = order(rotated).matrix
+            sandwiched = big_g.conj().T @ matrix @ big_g
+            residual = max(residual, spectral_norm(direct - sandwiched))
+        residuals.append(residual)
+    return residuals

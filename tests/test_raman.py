@@ -8,10 +8,11 @@ from trispin.fock import Statistics
 from trispin.hubbard import (HubbardParams, SparseOperator, build_h0, build_v,
                              build_v_mixed, hilbert_basis, make_triangle,
                              projector_single_occupancy)
-from trispin.perturb import h_eff_second, h_eff_up_to_third, pauli_decompose
+from trispin.perturb import h_eff_second, pauli_decompose
 from trispin.raman import (SU2Rotation, covariance_check, rotate_tunneling,
                            spin_rotation_matrix)
 
+from engine_reference import h_eff_up_to_third
 from test_sparse_core import cross_second
 
 U = 1.0
@@ -68,16 +69,18 @@ def test_half_pi_theta_swaps_species_roles():
 
 def test_identity_rotation_zero_residual():
     h0, v, m = _setup()
-    assert covariance_check(h0, v, SU2Rotation(0.0, 0.0), m) <= 1e-13
+    [residual] = covariance_check(h0, v, [SU2Rotation(0.0, 0.0)], m)
+    assert residual <= 1e-13
 
 
 def test_covariance_random_rotations_equal_u():
     h0, v, m = _setup()
     rng = np.random.default_rng(9)
-    for _ in range(10):
-        g = SU2Rotation(phi=float(rng.uniform(0, 2 * math.pi)),
-                        theta=float(rng.uniform(0, math.pi)))
-        assert covariance_check(h0, v, g, m) <= 1e-11
+    rotations = [SU2Rotation(phi=float(rng.uniform(0, 2 * math.pi)),
+                             theta=float(rng.uniform(0, math.pi)))
+                 for _ in range(10)]
+    residuals = covariance_check(h0, v, rotations, m)
+    assert len(residuals) == 10 and max(residuals) <= 1e-11
 
 
 def test_phi_rotation_invariance_of_the_effective_model():
@@ -92,7 +95,7 @@ def test_phi_rotation_invariance_of_the_effective_model():
 def test_unequal_u_residual_is_data_not_invariant():
     h0, v, m = _setup(uu=1.4, dd=0.8)
     g = SU2Rotation(phi=0.5, theta=0.8)
-    residual = covariance_check(h0, v, g, m)
+    [residual] = covariance_check(h0, v, [g], m)
     assert residual > 1e-6   # genuinely broken, reported as data
 
 
@@ -146,11 +149,36 @@ def test_covariance_section_builds_the_bare_partition_once(monkeypatch):
 def test_covariance_check_rebuilds_for_other_operators():
     h0, v, m = _setup()
     g = SU2Rotation(phi=0.5, theta=0.8)
-    covariance_check(h0, v, g, m)
+    covariance_check(h0, v, [g], m)
     h0_u, v_u, m_u = _setup(uu=1.4, dd=0.8)
-    # the unequal-U model's own residual, not one against the last bare
-    # orders: the same value as from a check that follows another model
-    first = covariance_check(h0_u, v_u, g, m_u)
-    covariance_check(h0, v, SU2Rotation(0.1, 0.2), m)
-    assert covariance_check(h0_u, v_u, g, m_u) == first > 1e-6
-    assert covariance_check(h0, v, g, m) <= 1e-11
+    # the unequal-U model's own residual, not one against another model's
+    # bare orders: the same value as from a check that follows another
+    # model
+    [first] = covariance_check(h0_u, v_u, [g], m_u)
+    covariance_check(h0, v, [SU2Rotation(0.1, 0.2)], m)
+    assert covariance_check(h0_u, v_u, [g], m_u) == [first]
+    assert first > 1e-6
+    assert covariance_check(h0, v, [g], m)[0] <= 1e-11
+
+
+@pytest.mark.parametrize("uu, dd", [(U, U), (1.4, 0.8)])
+def test_covariance_check_of_a_list_equals_single_rotations(uu, dd):
+    h0, v, m = _setup(uu=uu, dd=dd)
+    g1, g2 = SU2Rotation(0.5, 0.8), SU2Rotation(2.9, 0.3)
+    pair = covariance_check(h0, v, [g1, g2], m)
+    singles = covariance_check(h0, v, [g1], m) + covariance_check(h0, v, [g2], m)
+    assert len(pair) == 2
+    assert np.array(pair).tobytes() == np.array(singles).tobytes()
+    assert covariance_check(h0, v, [], m) == []
+
+
+def test_verification_covariance_lists_the_rotations_in_draw_order():
+    seed = 11
+    rng = np.random.default_rng(seed + 1)
+    want = []
+    for _ in range(10):
+        phi = float(rng.uniform(0, 2 * math.pi))
+        want.append((phi, float(rng.uniform(0, math.pi))))
+    report = conformance.run_verification(n_draws=0, seed=seed)
+    assert [(d["phi"], d["theta"]) for d in report["covariance"]] == want
+    assert max(d["residual"] for d in report["covariance"]) <= 1e-11

@@ -23,14 +23,15 @@ import scipy.sparse as sp
 
 from trispin.adiabatic import _neumann, adiabatic_eliminate, series_compare
 from trispin.cli import main
-from trispin.conformance import random_triangle_params, run_triangle_draw
-from trispin.fock import Species, Statistics
+from trispin.conformance import (engine_decomposition, random_triangle_params,
+                                 run_triangle_draw)
+from trispin.fock import Basis, Species, Statistics
 from trispin.hubbard import (Edge, HubbardParams, LatticeGraph, SparseOperator,
-                             build_v, build_v_mixed, derive,
+                             build_h0, build_v, build_v_mixed, derive,
                              make_triangle, make_zigzag)
 from trispin.perturb import (DegenerateIntermediateError, EffectiveHamiltonian,
                              check_engine, h_eff_second, h_eff_third,
-                             h_eff_up_to_third, partition, spin_map)
+                             partition, spin_map)
 from trispin.raman import SU2Rotation, covariance_check, rotate_tunneling
 
 
@@ -166,13 +167,13 @@ def test_components_are_the_conserved_sectors():
     h0, v, m = derive(graph, HubbardParams.uniform(
         Statistics.FERMION, graph.n_links, 0.04, 0.03))
     p = partition(h0, v, m)
-    label = p.components()
+    label = p.split.labels
     n_up = h0.basis.occ[np.concatenate([p.m, p.f]), 0::2].sum(axis=1)
     # the labels split the sector as n_up does: 7 parts for n_up = 0..6
     assert len(np.unique(label)) == 7
     assert len(np.unique(np.c_[label, n_up], axis=0)) == 7
     h0, v, _, m = _case("triangle", 3, Statistics.BOSON, "raman")
-    assert np.array_equal(partition(h0, v, m).components(),
+    assert np.array_equal(partition(h0, v, m).split.labels,
                           np.zeros(h0.dim, dtype=int))
 
 
@@ -308,21 +309,25 @@ def _triangle_draw():
     run_triangle_draw(params, ("certified", "printed"))
 
 
-def _covariance():
+def _covariance(n_rotations):
     h0, v, m = _bosonic_triangle()
-    covariance_check(h0, v, SU2Rotation(0.3, 0.7), m)
+    covariance_check(h0, v, [SU2Rotation(0.3, 0.1 * k + 0.7)
+                             for k in range(n_rotations)], m)
 
 
 @pytest.mark.parametrize("route, built", [
     (_triangle_draw, 1),
-    (_covariance, 2),
-    (lambda: h_eff_up_to_third(*_bosonic_triangle()), 1),
+    (lambda: _covariance(1), 2),
+    (lambda: _covariance(3), 4),
+    (lambda: engine_decomposition(make_triangle(), HubbardParams.uniform(
+        Statistics.BOSON, 3, 0.05, 0.03, u_upup=1.1, u_dndn=0.9)), 1),
     (lambda: main(["chiral"]), 1),
     (lambda: series_compare(*_bosonic_triangle()), 1),
-], ids=["run_triangle_draw", "covariance_check", "h_eff_up_to_third",
-        "chiral", "series_compare"])
+], ids=["run_triangle_draw", "covariance_check", "covariance_check_3",
+        "engine_decomposition", "chiral", "series_compare"])
 def test_routes_build_one_partition_per_tunneling(monkeypatch, route, built):
-    # one per V: covariance_check derives from the bare and the rotated V
+    # one per V: covariance_check derives from the bare V once and from
+    # each rotated V
     calls = _count_partitions(monkeypatch)
     route()
     assert len(calls) == built
@@ -372,15 +377,19 @@ def test_partition_without_a_plan_equals_the_planned_one(case):
     h0, v, _, m = case
     planned = partition(h0, v, m)
     bare = SparseOperator(v.mat.copy(), v.basis)
+    assert bare.plan is None
     unplanned = partition(h0, bare, m)
-    assert bare.plan is None and unplanned.split is not planned.split
+    # the operator keeps the plan of its own pattern, with its own split
+    assert bare.plan is not None and unplanned.split is bare.plan.split
+    assert unplanned.split is not planned.split
     _same_arrays(planned, unplanned, ("m", "f", "rows", "cols", "vals",
                                       "em", "ef", "r"))
-    assert np.array_equal(planned.components(), unplanned.components())
+    assert np.array_equal(planned.split.labels, unplanned.split.labels)
     _same_arrays(planned.fast_block(), unplanned.fast_block(),
                  ("data", "indices", "indptr"))
     # the kept split serves the next derivation on the same pattern
     assert partition(h0, v, m).split is planned.split
+    assert partition(h0, bare, m).split is unplanned.split
 
 
 def test_fast_block_equals_scipy_assembly(case):
@@ -458,8 +467,34 @@ def test_reached_states_are_read_from_the_values():
 def test_kept_split_is_checked_against_m():
     h0, v, m = _bosonic_triangle()
     kept = partition(h0, v, m).split
-    reordered = partition(h0, v, m[::-1])
-    assert reordered.split is not kept
-    assert np.array_equal(reordered.m, kept.m)
+    # any valid M lists the basis' single-occupancy block, so a reordered
+    # copy shares the kept split
+    assert partition(h0, v, m[::-1].copy()).split is kept
     with pytest.raises(ValueError, match="not a full spin space"):
         partition(h0, v, m[:-1])
+    doubled = np.flatnonzero(h0.diagonal().real != 0)[0]
+    with pytest.raises(ValueError, match="not singly occupied"):
+        partition(h0, v, np.r_[m[:-1], doubled])
+    with pytest.raises(ValueError, match="duplicate spin configuration"):
+        partition(h0, v, np.r_[m[:-1], m[0]])
+    assert partition(h0, v, m).split is kept
+
+
+def test_h0_must_share_the_basis_of_v():
+    """H0's energies are read at V's positions: an H0 on the same states
+    in another order is refused, one on an equal copy of the basis is
+    read as on the basis itself."""
+    params = HubbardParams.uniform(Statistics.BOSON, 3, 0.05, 0.03,
+                                   u_upup=1.1, u_dndn=0.9)
+    h0, v, m = derive(make_triangle(), params)
+    basis = v.basis
+    f = np.setdiff1d(np.arange(len(basis)), m)
+    order = np.arange(len(basis))
+    order[f] = f[::-1]
+    shuffled = Basis(basis.occ[order], basis.statistics, basis.n_sites)
+    with pytest.raises(ValueError, match="not on the same basis"):
+        h_eff_second(build_h0(shuffled, params), v, m)
+    copy = Basis(basis.occ.copy(), basis.statistics, basis.n_sites)
+    want = h_eff_second(h0, v, m).matrix
+    assert h_eff_second(build_h0(copy, params), v, m).matrix.tobytes() \
+        == want.tobytes()
