@@ -47,7 +47,8 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .perturb import (EffectiveHamiltonian, check_engine, partition,
-                      second_order, spectral_norm, third_order)
+                      partition_with_m, second_order, spectral_norm,
+                      third_order)
 
 COND_LIMIT = 1e12
 # iterations of the 1-norm estimate, scipy's ``onenormest`` default
@@ -155,10 +156,10 @@ def eliminate(p):
 
 
 def adiabatic_eliminate(h0, v, m_indices):
-    """Exact elimination of the fast block; returns the spin-ordered
-    effective Hamiltonian and the estimated 1-norm condition number of
-    the fast block, which must not exceed ``COND_LIMIT``."""
-    return eliminate(partition(h0, v, m_indices))
+    """Exact elimination of the fast block (M checked as for
+    ``h_eff_second``): the spin-ordered effective Hamiltonian and the
+    1-norm condition estimate of the fast block, at most ``COND_LIMIT``."""
+    return eliminate(partition_with_m(h0, v, m_indices))
 
 
 def _neumann(p, order):
@@ -179,13 +180,13 @@ def _neumann(p, order):
     return EffectiveHamiltonian(block)
 
 
-def series_compare(h0, v, m_indices):
+def series_compare(h0, v):
     """Residuals between the exact elimination, its truncated series and
     the perturbative engine, all from one partition.  Requires the
     Neumann series to converge, i.e. the tunneling norm within the fast
     block below the smallest fast energy; that norm is the exact
     2-norm of the dense V_FF that the series reads too."""
-    p = partition(h0, v, m_indices)
+    p = partition(h0, v)
     vff_norm = spectral_norm(p.vff)
     emin = np.abs(p.ef).min() if len(p.f) else np.inf
     if vff_norm >= emin:

@@ -206,10 +206,11 @@ def _json_text(document, indent=""):
 
 
 def _print_json(document):
-    """The document as indented JSON with sorted keys (``_json_text``)
-    and a newline, in one write: ``json.dump`` writes a stream chunk by
-    chunk (about 10^5 writes for a ``verify`` report)."""
-    sys.stdout.write(_json_text(document) + "\n")
+    """The document as indented JSON with sorted keys (``_json_text``),
+    then a newline: two writes, where ``json.dump`` makes about 10^5 for
+    a ``verify`` report, and no copy of the text to join them."""
+    sys.stdout.write(_json_text(document))
+    sys.stdout.write("\n")
 
 
 def cmd_couplings(args, config):
@@ -276,7 +277,8 @@ def cmd_scan(args, config):
               "regime", file=sys.stderr)
     ups, dns = np.asarray(ups), np.asarray(dns)
     out = sys.stdout
-    out.write("j_up,j_dn," + ",".join(SCAN_COLUMNS[family]) + "\n")
+    # the header goes out with the first chunk: a refused grid writes none
+    text = "j_up,j_dn," + ",".join(SCAN_COLUMNS[family]) + "\n"
     row_format = _row_format(2 + len(SCAN_COLUMNS[family]))
     # the closed forms run one chunk of grid points at a time, so neither
     # their arrays nor the Python floats of the whole grid exist at once
@@ -290,8 +292,9 @@ def cmd_scan(args, config):
         columns = [j_up, j_dn] + [np.broadcast_to(couplings.link(name, 0),
                                                   j_up.shape)
                                   for name in SCAN_COLUMNS[family]]
-        for row in zip(*(column.tolist() for column in columns)):
-            out.write(row_format % row)
+        out.write(text + "".join([row_format % row for row in zip(
+            *(column.tolist() for column in columns))]))
+        text = ""
     return 0
 
 
@@ -337,6 +340,10 @@ def cmd_chain(args, config):
                          "points")
     grid = [lo + k * step for k in range(math.floor(spans) + 1)]
     scan = chainlab.duality_scan(np.asarray(grid), n)
+    if not np.isfinite([scan.e0, scan.e1, scan.gap,
+                        scan.duality_defect]).all():
+        raise UsageError("the --bx grid gives levels or duality defects "
+                         "that are not finite; keep b and 1/b in range")
     out = sys.stdout
     out.write("parameter,E0,E1,gap,degeneracy0\n")
     for row in zip(scan.bx_values.tolist(), scan.e0.tolist(),

@@ -14,7 +14,7 @@ the audit machinery):
   precision at every order-3 string;
 * fermionic mu3, mu4 carry the sign produced by the anticommuting
   exchange loops (the variant with both signs flipped circulates in
-  closed-form listings and is kept in the audit tables);
+  closed-form listings; ``trispin.conformance`` audits it);
 * for purely imaginary tunneling, the antisymmetric two-site exchange
   (sigma^x sigma^y - sigma^y sigma^x) and the three-site mixed-product
   term have the coefficients named tau3 and tau4 here; the fermionic
@@ -145,13 +145,10 @@ def bosonic_couplings(params):
     })
 
 
-def fermionic_couplings(params, three_spin_sign=1.0):
-    """Fermionic triangle couplings mu1..mu4 (collision channel U_updn).
-
-    ``three_spin_sign=-1`` selects the audit variant with both
-    three-spin couplings negated; the default carries the sign that the
-    anticommuting exchange loops actually produce.
-    """
+def fermionic_couplings(params):
+    """Fermionic triangle couplings mu1..mu4 (collision channel U_updn);
+    mu3 and mu4 carry the sign that the anticommuting exchange loops
+    produce."""
     if params.statistics is not Statistics.FERMION:
         raise ValueError("fermionic couplings need fermionic statistics")
     u = params.u_updn
@@ -163,10 +160,9 @@ def fermionic_couplings(params, three_spin_sign=1.0):
     mu1 = tuple(-(_square(ju[j]) + _square(jd[j])) / (2 * u)
                 for j in range(3))
     mu2 = tuple(ju[j] * jd[j] / u for j in range(3))
-    mu3 = three_spin_sign * (ju[0] * ju[1] * ju[2]
-                             - jd[0] * jd[1] * jd[2]) / (2 * u ** 2)
+    mu3 = (ju[0] * ju[1] * ju[2] - jd[0] * jd[1] * jd[2]) / (2 * u ** 2)
     mu4 = tuple(
-        -three_spin_sign * 3 / (2 * u ** 2)
+        -3 / (2 * u ** 2)
         * (ju[j] * ju[(j + 1) % 3] * jd[(j + 2) % 3]
            - jd[j] * jd[(j + 1) % 3] * ju[(j + 2) % 3])
         for j in range(3))

@@ -2,12 +2,12 @@
 
 The perturbative engine and the adiabatic elimination are the two
 authorities; closed-form coupling sets are audited against them string
-by string.  The "printed" audit variant (a transcription of the
-fermionic coupling list that circulates with both three-spin signs
-flipped; for bosons it is the certified list, so a bosonic draw reports
-a copy of its certified audit) is evaluated alongside the certified
-formulas, and every discrepancy is recorded with the engine-derived
-replacement value instead of being patched silently.
+by string.  The "printed" audit (the fermionic coupling list that
+circulates with both three-spin signs flipped: the certified mu3 and
+mu4 negated; for bosons it is the certified list, so a bosonic draw
+reports a copy of its certified audit) is evaluated alongside the
+certified formulas, and every discrepancy is recorded with the
+engine-derived replacement value instead of being patched silently.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .raman import SU2Rotation, covariance_check
 
 SOFT_REGIME_LIMIT = 0.3
 HARD_REGIME_LIMIT = 0.5
+SCALING_LADDER = (0.08, 0.04, 0.02, 0.01)
 
 
 def formula_tolerance(j_over_u, u_scale):
@@ -44,17 +45,13 @@ def oracle_tolerance(j_over_u, u_scale):
     return 200.0 * j_over_u ** 4 * u_scale
 
 
-def audit_couplings(params, variant):
-    """Coupling set for an audit variant of a family."""
-    if params.statistics is Statistics.FERMION:
-        if variant == "certified":
-            return closedform.fermionic_couplings(params)
-        if variant == "printed":
-            return closedform.fermionic_couplings(params, three_spin_sign=-1.0)
-    else:
-        if variant in ("certified", "printed"):
-            return closedform.bosonic_couplings(params)
-    raise ValueError(f"unknown audit variant {variant!r}")
+def printed_fermionic(certified):
+    """The fermionic coupling list as it circulates in print: the
+    certified set with both three-spin couplings, mu3 and mu4, negated."""
+    values = dict(certified.values)
+    values["mu3"] = -values["mu3"]
+    values["mu4"] = tuple(-x for x in values["mu4"])
+    return closedform.CouplingSet(certified.family, values)
 
 
 def engine_decomposition(graph, params):
@@ -106,22 +103,21 @@ class DrawResult:
         }
 
 
-def run_triangle_draw(params, variants=("certified",), j_over_u=None):
+def run_triangle_draw(params):
     """Audit one parameter draw: engine vs formulas vs elimination.
 
-    One ``DrawResult`` per variant, all from one derivation.
-    ``j_over_u`` defaults to the largest |J| over the smallest nonzero
-    collision energy of the draw, since the fourth-order tail that both
-    tolerances bound grows as J^4 / U_min^3.
+    Returns the ``DrawResult`` of the certified and of the printed
+    coupling set, both from one derivation.  Their J/U is the largest
+    |J| over the smallest nonzero collision energy of the draw, since
+    the fourth-order tail that both tolerances bound grows as
+    J^4 / U_min^3.
     """
     graph = make_triangle()
     warnings = []
-    if j_over_u is None:
-        mags = [abs(params.j(l, s)) for l in range(3)
-                for s in (Species.UP, Species.DOWN)]
-        u_min = min(abs(u) for u in (params.u_upup, params.u_dndn,
-                                     params.u_updn) if u)
-        j_over_u = max(mags) / u_min
+    j_max = max(abs(params.j(l, s)) for l in range(3) for s in Species)
+    u_min = min(abs(u) for u in (params.u_upup, params.u_dndn,
+                                 params.u_updn) if u)
+    j_over_u = j_max / u_min
     if j_over_u > HARD_REGIME_LIMIT:
         raise ValueError("tunneling beyond the perturbative hard cap")
     if j_over_u > SOFT_REGIME_LIMIT:
@@ -131,22 +127,20 @@ def run_triangle_draw(params, variants=("certified",), j_over_u=None):
     residual = float(spectral_norm(exact.h_eff.matrix
                                    - (h2.matrix + h3.matrix)))
     tol = formula_tolerance(j_over_u, 1.0)
-    audited = {}
-    results = []
-    for variant in variants:
+
+    def audit(couplings):
+        expected = closedform.expected_string_coefficients(couplings)
+        return couplings.family, *_compare_strings(engine_dec, expected, tol)
+
+    if params.statistics is Statistics.FERMION:
+        certified = closedform.fermionic_couplings(params)
+        audits = (audit(certified), audit(printed_fermionic(certified)))
+    else:
         # a bosonic draw's printed list is its certified one
-        same_as = ("certified" if variant == "printed"
-                   and params.statistics is Statistics.BOSON else variant)
-        if same_as not in audited:
-            couplings = audit_couplings(params, same_as)
-            expected = closedform.expected_string_coefficients(couplings)
-            audited[same_as] = (couplings.family,
-                                *_compare_strings(engine_dec, expected, tol))
-        family, entries, n_fail = audited[same_as]
-        results.append(DrawResult(family, j_over_u, tol,
-                                  [dict(e) for e in entries], n_fail,
-                                  residual, list(warnings)))
-    return results
+        audits = (audit(closedform.bosonic_couplings(params)),) * 2
+    return tuple(DrawResult(family, j_over_u, tol, [dict(e) for e in entries],
+                            n_fail, residual, list(warnings))
+                 for family, entries, n_fail in audits)
 
 
 def random_triangle_params(statistics, rng, j_scale, u_ratios=(1.0, 1.0)):
@@ -160,14 +154,14 @@ def random_triangle_params(statistics, rng, j_scale, u_ratios=(1.0, 1.0)):
                          tunneling=tun)
 
 
-def scaling_ladder(statistics, j_over_u_values):
-    """Adiabatic-vs-engine residual across a tunneling ladder at U = 1 and
-    J_dn = J_up / 2; the decrease should follow (J/U)^4 against the
-    (J/U)^3 engine norm."""
+def scaling_ladder(statistics):
+    """Adiabatic-vs-engine residual across the tunneling ladder
+    ``SCALING_LADDER`` at U = 1 and J_dn = J_up / 2; the decrease should
+    follow (J/U)^4 against the (J/U)^3 engine norm."""
     graph = make_triangle()
     same_species = None if statistics is Statistics.FERMION else 1.0
     rows = []
-    for s in j_over_u_values:
+    for s in SCALING_LADDER:
         params = HubbardParams.uniform(statistics, 3, s, 0.5 * s,
                                        u_upup=same_species,
                                        u_dndn=same_species)
@@ -181,7 +175,7 @@ def scaling_ladder(statistics, j_over_u_values):
         })
     ratios = [r["residual"] / max(r["engine_third_norm"], 1e-300)
               for r in rows]
-    xs = np.log(np.asarray(j_over_u_values))
+    xs = np.log(np.asarray(SCALING_LADDER))
     fitted = float(np.polyfit(xs, np.log(np.maximum(ratios, 1e-300)), 1)[0])
     return {"rows": rows, "relative_residuals": ratios,
             "fitted_power": fitted}
@@ -194,11 +188,11 @@ def covariance_section(n_draws, seed, u_ratios=(1.0, 1.0)):
     rng = np.random.default_rng(seed)
     params = HubbardParams.uniform(Statistics.BOSON, 3, 0.05, 0.03,
                                    u_upup=u_ratios[0], u_dndn=u_ratios[1])
-    h0, v, m = derive(make_triangle(), params)
+    h0, v = derive(make_triangle(), params)
     rotations = [SU2Rotation(phi=float(rng.uniform(0, 2 * math.pi)),
                              theta=float(rng.uniform(0, math.pi)))
                  for _ in range(n_draws)]
-    residuals = covariance_check(h0, v, rotations, m)
+    residuals = covariance_check(h0, v, rotations)
     return [{"phi": g.phi, "theta": g.theta, "residual": float(residual)}
             for g, residual in zip(rotations, residuals)]
 
@@ -213,8 +207,7 @@ def run_verification(n_draws=20, seed=2024, j_over_u=0.05):
             params = random_triangle_params(
                 statistics, rng, j_over_u,
                 u_ratios=(rng.uniform(0.8, 1.4), rng.uniform(0.8, 1.4)))
-            certified, audit = run_triangle_draw(params,
-                                                 ("certified", "printed"))
+            certified, audit = run_triangle_draw(params)
             if certified.adiabatic_vs_engine > oracle_tolerance(
                     certified.j_over_u, 1.0):
                 report["hard_failures"].append({
@@ -228,7 +221,7 @@ def run_verification(n_draws=20, seed=2024, j_over_u=0.05):
                 "printed_variant": audit.to_json_dict(),
             })
     report["scaling"] = {
-        stats.value: scaling_ladder(stats, (0.08, 0.04, 0.02, 0.01))
+        stats.value: scaling_ladder(stats)
         for stats in (Statistics.FERMION, Statistics.BOSON)
     }
     report["covariance"] = covariance_section(10, seed + 1)

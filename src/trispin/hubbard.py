@@ -378,8 +378,7 @@ def projector_single_occupancy(basis):
 
 
 def derive(graph, params):
-    """Collision operator, tunneling operator and the positions of the
-    single-occupancy block M, on the working basis of a lattice."""
+    """Collision operator and tunneling operator on the working basis of
+    a lattice; M is that basis' ``single_occupancy``."""
     basis = hilbert_basis(graph, params)
-    return (build_h0(basis, params), build_v(basis, graph, params),
-            projector_single_occupancy(basis))
+    return build_h0(basis, params), build_v(basis, graph, params)

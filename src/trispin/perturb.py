@@ -18,18 +18,17 @@ the dense block V_MR and the sparse V_RR, order 3 as
 
 Every result is in spin order: position k of a block is the n-qubit
 configuration whose bit i (big-endian) is 0 for an up atom on site i
-and 1 for a down atom.  A valid M is always the basis' whole
-single-occupancy block, whose spin order does not depend on how a
-caller lists it, so the structure of the split (the spin order of M,
-the (M, F) positions of V's entries, their components and the pattern
-of H_FF) depends only on V's pattern.  Its one owner is V's ``Plan``:
-``partition`` builds the split there once, from the basis' own M
-(``Basis.single_occupancy``), and a derivation only reads its values;
-a V built without a plan gets one from its own pattern on first use.
-Only this module reads how a ``Partition`` stores V.  Callers pass one
-partition to ``check_engine``, the orders and
-``trispin.adiabatic.eliminate``; the ``(h0, v, m)`` routes such as
-``h_eff_second`` build their own on the same kept split.
+and 1 for a down atom.  M is the basis' whole single-occupancy block
+(``Basis.single_occupancy``), so the structure of the split (the spin
+order of M, the (M, F) positions of V's entries, their components and
+the pattern of H_FF) depends only on V's pattern.  Its one owner is V's
+``Plan``: ``partition(h0, v)`` builds the split there once, and a
+derivation only reads its values; a V built without a plan gets one
+from its own pattern on first use.  Only this module reads how a
+``Partition`` stores V.  Callers pass one partition to
+``check_engine``, the orders and ``trispin.adiabatic.eliminate``; the
+``(h0, v, m)`` routes such as ``h_eff_second`` check M and build their
+own (``partition_with_m``).
 """
 
 from __future__ import annotations
@@ -50,14 +49,14 @@ class DegenerateIntermediateError(ValueError):
     """An intermediate state reachable from M has zero collision energy."""
 
 
-def spin_map(basis, m_indices):
-    """Order the single-occupancy states as n-qubit configurations:
+def spin_map(basis, m):
+    """Order the single-occupancy states ``m`` as n-qubit configurations:
     entry k is the basis position of configuration k, whose bit i
     (big-endian) is the down occupation of site i."""
     n = basis.n_sites
-    if len(m_indices) != 2 ** n:
+    if len(m) != 2 ** n:
         raise ValueError("single-occupancy block is not a full spin space")
-    m = np.asarray(m_indices, dtype=int)
+    m = np.asarray(m, dtype=int)
     up, dn = basis.occ[m, 0::2], basis.occ[m, 1::2]
     if np.any(up + dn != 1):
         raise ValueError("state in M is not singly occupied")
@@ -260,23 +259,19 @@ class Partition:
              gather.indices, gather.indptr), shape=(nf, nf))
 
 
-def partition(h0, v, m_indices):
-    """Split H0 and V into the single-occupancy block M, in spin order,
-    and its complement F, without densifying V.
+def partition(h0, v):
+    """Split H0 and V into the basis' single-occupancy block M, in spin
+    order, and its complement F, without densifying V.
 
     H0 and V must share a basis: the same object or equal rows in the
     same order, since H0's energies are read at V's positions.  The
     split is kept on V's ``Plan``; a V built without a plan gets one
-    from its own pattern here and keeps it.  ``m_indices`` is checked
-    against the basis (``spin_map``) unless it is the basis' own
-    ``single_occupancy``; any valid M lists that block.
+    from its own pattern here and keeps it.
     """
     basis = v.basis
     if h0.basis is not basis and not np.array_equal(h0.basis.occ,
                                                     basis.occ):
         raise ValueError("H0 and V are not on the same basis")
-    if m_indices is not basis.single_occupancy:
-        spin_map(basis, m_indices)
     mat = v.mat.tocsr()
     if not mat.has_canonical_format:
         mat = mat.copy()
@@ -347,14 +342,23 @@ def third_order(p):
     return EffectiveHamiltonian(block)
 
 
+def partition_with_m(h0, v, m_indices):
+    """``partition(h0, v)`` after checking ``m_indices`` (``spin_map``)
+    unless it is the basis' own ``single_occupancy``: any M that passes
+    lists that block, in an order that does not change the result."""
+    if m_indices is not v.basis.single_occupancy:
+        spin_map(v.basis, m_indices)
+    return partition(h0, v)
+
+
 def h_eff_second(h0, v, m_indices):
     """Superexchange block: hop out of M and straight back."""
-    return second_order(check_engine(partition(h0, v, m_indices)))
+    return second_order(check_engine(partition_with_m(h0, v, m_indices)))
 
 
 def h_eff_third(h0, v, m_indices):
     """Two-intermediate processes; three-spin terms originate here."""
-    return third_order(check_engine(partition(h0, v, m_indices)))
+    return third_order(check_engine(partition_with_m(h0, v, m_indices)))
 
 
 @dataclass

@@ -9,9 +9,9 @@ covariantly at every order:
 
     engine(K-tunneling) = G^dag engine(diag-tunneling) G,  G = g tensor^n.
 
-``covariance_check`` tests this relation for a list of rotations: it
-derives the unrotated model once and each rotated one from its own
-rebuilt tunneling, all on the same basis.
+``covariance_check(h0, v, rotations)`` tests this relation for a list
+of rotations: it derives the unrotated model once and each rotated one
+from its own rebuilt tunneling, all on the same basis.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ def spin_rotation_matrix(g, n_sites):
     return out
 
 
-def covariance_check(h0, v, rotations, m_indices):
+def covariance_check(h0, v, rotations):
     """Max residual over orders 2 and 3 of the covariance relation, one
     per rotation g in ``rotations``, in order.
 
@@ -79,13 +79,12 @@ def covariance_check(h0, v, rotations, m_indices):
     energies are species-blind; with unequal U's the residuals are data,
     not an invariant.
     """
-    bare = check_engine(partition(h0, v, m_indices))
+    bare = check_engine(partition(h0, v))
     bare_orders = [(order, order(bare).matrix)
                    for order in (second_order, third_order)]
     residuals = []
     for g in rotations:
-        rotated = check_engine(partition(h0, rotate_tunneling(v, g),
-                                         m_indices))
+        rotated = check_engine(partition(h0, rotate_tunneling(v, g)))
         big_g = spin_rotation_matrix(g, h0.basis.n_sites)
         residual = 0.0
         for order, matrix in bare_orders:

@@ -50,7 +50,7 @@ def _oscillatory_third(vmr, vrr, er, t):
     return vmr @ (kernel * vrr) @ vmr.conj().T
 
 
-def validate_by_evolution(h0, v, m_indices, h_eff, t):
+def validate_by_evolution(h0, v, h_eff, t):
     """Residual between exact projected evolution and exp(-i H_eff t).
 
     The exact propagator of H0 + V is evaluated in the interaction
@@ -61,7 +61,7 @@ def validate_by_evolution(h0, v, m_indices, h_eff, t):
     operator-norm residual scales as (J/U)^4 * Ut when the tunneling is
     scaled down at fixed Ut.
     """
-    p = check_engine(partition(h0, v, m_indices))
+    p = check_engine(partition(h0, v))
     exact = _interaction_picture_block(h0, v, p.m, t)
     wiggle = (_oscillatory_second(p.vmr, p.er, t)
               + _oscillatory_third(p.vmr, p.vrr.toarray(), p.er, t))

@@ -115,7 +115,7 @@ def _onenormest(lu, n, dtype):
 
 
 def _fast_block(h0, v, m):
-    return partition(h0, v, m).fast_block()
+    return partition(h0, v).fast_block()
 
 
 def _derivation_blocks():
@@ -246,25 +246,25 @@ def test_truncated_series_matches_engine_exactly():
             u_dndn=None if statistics is Statistics.FERMION else 0.9)
         engine2 = h_eff_second(h0, v, m).matrix
         engine3 = engine2 + h_eff_third(h0, v, m).matrix
-        p = partition(h0, v, m)
+        p = partition(h0, v)
         assert np.abs(_neumann(p, 2).matrix - engine2).max() <= 1e-12
         assert np.abs(_neumann(p, 3).matrix - engine3).max() <= 1e-12
 
 
 def test_series_compare_reports():
-    h0, v, m = _setup(make_triangle(), Statistics.BOSON, 0.05, 0.025,
+    h0, v, _ = _setup(make_triangle(), Statistics.BOSON, 0.05, 0.025,
                       u_updn=U, u_upup=U, u_dndn=U)
-    report = series_compare(h0, v, m)
+    report = series_compare(h0, v)
     assert report["series_vs_engine"] <= 1e-12
     assert report["adiabatic_vs_engine"] > 0
     assert report["condition_number"] < 1e3
 
 
 def test_non_convergent_regime_rejected():
-    h0, v, m = _setup(make_triangle(), Statistics.BOSON, 0.45, 0.45,
+    h0, v, _ = _setup(make_triangle(), Statistics.BOSON, 0.45, 0.45,
                       u_updn=U, u_upup=U, u_dndn=U)
     with pytest.raises(ValueError, match="does not converge"):
-        series_compare(h0, v, m)
+        series_compare(h0, v)
 
 
 def test_residual_scales_as_fourth_order():

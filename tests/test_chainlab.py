@@ -5,7 +5,7 @@ import scipy.sparse as sp
 from trispin import chainlab, pauli
 from trispin.fock import Species, Statistics
 from trispin.hubbard import (HubbardParams, build_h0, build_v, hilbert_basis,
-                             make_zigzag, projector_single_occupancy)
+                             make_zigzag)
 from trispin.perturb import pauli_decompose
 
 from engine_reference import h_eff_up_to_third
@@ -169,8 +169,7 @@ def _zigzag_engine_decomposition(deactivate_up_longitudinal=False):
     basis = hilbert_basis(graph, params)
     h0 = build_h0(basis, params)
     v = build_v(basis, graph, params)
-    m = projector_single_occupancy(basis)
-    return pauli_decompose(h_eff_up_to_third(h0, v, m)), graph
+    return pauli_decompose(h_eff_up_to_third(h0, v)), graph
 
 
 def test_detect_nnn_terms_generic_couplings():

@@ -76,6 +76,23 @@ def test_scan_with_zero_collision_energies_exits_2(capsys):
     assert "nonzero collision energy" in captured.err
 
 
+@pytest.mark.parametrize("family, energies, message", [
+    ("bosonic", ["--uuu", "0", "--udd", "1"], "finite and nonzero"),
+    ("bosonic", ["--uuu", "inf", "--udd", "1"], "finite and nonzero"),
+    ("complex_bosonic", ["--u", "0", "--uuu", "1", "--udd", "1"],
+     "cross channel must be nonzero"),
+], ids=["zero-same-species", "infinite-same-species", "complex-zero-cross"])
+def test_scan_refused_by_the_closed_forms_writes_nothing(capsys, family,
+                                                         energies, message):
+    code = main(["scan", "--family", family, *energies, "--j-up-max", "0.05",
+                 "--j-up-steps", "2", "--j-dn-max", "0.05",
+                 "--j-dn-steps", "2"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_scan_shape_and_header(capsys):
     code = main(["scan", "--family", "bosonic", "--uuu", "1", "--udd", "1",
                  "--u", "1", "--j-up-min", "0.01", "--j-up-max", "0.1",
@@ -339,6 +356,22 @@ def test_chain_csv_columns(capsys, tmp_path):
     assert "argmin_bx" in payload and len(payload["duality_defect"]) == 5
 
 
+# b = 1e308 overflows the chain's levels; at b = 5e-324 the levels are
+# finite but 1/b is not, and neither is the duality defect
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("bx", ["1e308", "5e-324"])
+def test_chain_refuses_a_grid_with_results_that_are_not_finite(
+        capsys, tmp_path, bx):
+    summary = tmp_path / "summary.json"
+    code = main(["chain", "--sites", "3", "--bx-min", bx, "--bx-max", bx,
+                 "--summary", str(summary)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not finite" in captured.err
+    assert not summary.exists()
+
+
 @pytest.mark.parametrize("grid, points", [
     (["--bx-min", "0.5", "--bx-max", "0.58", "--bx-step", "0.05"], 2),
     ([], 21),
@@ -491,7 +524,9 @@ def test_json_documents_are_json_dump_text_in_one_write(argv, monkeypatch):
     want = io.StringIO()
     json.dump(json.loads(text), want, indent=2, sort_keys=True)
     assert text == want.getvalue() + "\n"
-    assert len(writes) == 1
+    # the document in one write, not streamed chunk by chunk, then the
+    # newline, so the text is never copied to append it
+    assert writes == [want.getvalue(), "\n"]
 
 
 # The fixed structure of a call is built once per process: the parser,

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from trispin import closedform
-from trispin.conformance import formula_tolerance, random_triangle_params
+from trispin.conformance import (formula_tolerance, printed_fermionic,
+                                 random_triangle_params)
 from trispin.fock import Species, Statistics
 from trispin.hubbard import (HubbardParams, build_h0, build_v, hilbert_basis,
-                             make_triangle, projector_single_occupancy)
+                             make_triangle)
 from trispin.perturb import pauli_decompose
 
 from engine_reference import h_eff_up_to_third
@@ -78,9 +79,49 @@ def test_fermionic_single_species_values():
     # certified sign: the anticommuting exchange loop makes this +5e-4;
     # the audit transcription carries the opposite sign
     assert cs["mu3"] == pytest.approx(5e-4)
-    printed = closedform.fermionic_couplings(
-        _uniform_params(Statistics.FERMION, j, 0.0), three_spin_sign=-1.0)
-    assert printed["mu3"] == pytest.approx(-5e-4)
+    assert printed_fermionic(cs)["mu3"] == pytest.approx(-5e-4)
+
+
+def _transcribed_fermionic(params):
+    """The fermionic coupling list as it circulates in print, written
+    out: mu3 and mu4 carry the opposite sign of the certified ones."""
+    ju = [params.j(link, Species.UP).real for link in range(3)]
+    jd = [params.j(link, Species.DOWN).real for link in range(3)]
+    u = params.u_updn
+    return {
+        "mu1": tuple(-(ju[j] ** 2 + jd[j] ** 2) / (2 * u) for j in range(3)),
+        "mu2": tuple(ju[j] * jd[j] / u for j in range(3)),
+        "mu3": -(ju[0] * ju[1] * ju[2] - jd[0] * jd[1] * jd[2]) / (2 * u ** 2),
+        "mu4": tuple(3 / (2 * u ** 2)
+                     * (ju[j] * ju[(j + 1) % 3] * jd[(j + 2) % 3]
+                        - jd[j] * jd[(j + 1) % 3] * ju[(j + 2) % 3])
+                     for j in range(3)),
+    }
+
+
+def _bits(value):
+    return [float.hex(float(x)) for x in np.atleast_1d(value)]
+
+
+def test_printed_fermionic_set_is_the_transcribed_formulas():
+    """The audit's printed set, the certified one with mu3 and mu4
+    negated, has the bits of the transcribed formulas, signed zeros
+    included."""
+    rng = np.random.default_rng(23)
+    draws = [random_triangle_params(Statistics.FERMION, rng, 0.05)
+             for _ in range(200)]
+    symmetric = _uniform_params(Statistics.FERMION, 0.07, 0.07)
+    draws += [symmetric, _uniform_params(Statistics.FERMION, 0.1, 0.0)]
+    for params in draws:
+        printed = printed_fermionic(closedform.fermionic_couplings(params))
+        want = _transcribed_fermionic(params)
+        assert printed.family == "fermionic"
+        assert set(printed.values) == set(want)
+        for name, value in want.items():
+            assert _bits(printed[name]) == _bits(value), name
+    # species-symmetric tunneling: mu3 is +0.0 certified, -0.0 printed
+    mu3 = printed_fermionic(closedform.fermionic_couplings(symmetric))["mu3"]
+    assert mu3 == 0.0 and math.copysign(1.0, mu3) == -1.0
 
 
 def test_species_swap_symmetry_of_families():
@@ -267,8 +308,7 @@ def test_engine_agreement_over_random_draws():
             basis = hilbert_basis(tri, params)
             h0 = build_h0(basis, params)
             v = build_v(basis, tri, params)
-            m = projector_single_occupancy(basis)
-            dec = pauli_decompose(h_eff_up_to_third(h0, v, m))
+            dec = pauli_decompose(h_eff_up_to_third(h0, v))
             if statistics is Statistics.FERMION:
                 cs = closedform.fermionic_couplings(params)
             else:

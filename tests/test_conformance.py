@@ -18,8 +18,8 @@ def _uniform(statistics, j):
 def test_regime_guards():
     with pytest.raises(ValueError, match="hard cap"):
         run_triangle_draw(_uniform(Statistics.FERMION, 0.55))
-    [draw] = run_triangle_draw(_uniform(Statistics.FERMION, 0.4))
-    assert any("perturbative-regime" in w for w in draw.warnings)
+    for draw in run_triangle_draw(_uniform(Statistics.FERMION, 0.4)):
+        assert any("perturbative-regime" in w for w in draw.warnings)
 
 
 def test_tolerances_scale_with_fourth_power():
@@ -29,7 +29,9 @@ def test_tolerances_scale_with_fourth_power():
 
 
 def test_scaling_ladder_sections():
-    section = scaling_ladder(Statistics.BOSON, (0.06, 0.03))
+    section = scaling_ladder(Statistics.BOSON)
+    assert [r["j_over_u"] for r in section["rows"]] == [0.08, 0.04, 0.02,
+                                                        0.01]
     assert section["fitted_power"] >= 0.9
     assert all(r["condition_number"] < 1e3 for r in section["rows"])
 
@@ -48,11 +50,11 @@ def test_full_report_structure():
 def test_draw_tolerances_use_lowest_collision_energy():
     params = HubbardParams.uniform(Statistics.BOSON, 3, 0.04, 0.02,
                                    u_updn=1.0, u_upup=0.8, u_dndn=1.2)
-    [draw] = run_triangle_draw(params)
-    assert draw.j_over_u == pytest.approx(0.05)
-    assert draw.tolerance == pytest.approx(formula_tolerance(0.05, 1.0))
-    [fermion] = run_triangle_draw(_uniform(Statistics.FERMION, 0.04))
-    assert fermion.j_over_u == pytest.approx(0.04)
+    for draw in run_triangle_draw(params):
+        assert draw.j_over_u == pytest.approx(0.05)
+        assert draw.tolerance == pytest.approx(formula_tolerance(0.05, 1.0))
+    for fermion in run_triangle_draw(_uniform(Statistics.FERMION, 0.04)):
+        assert fermion.j_over_u == pytest.approx(0.04)
 
 
 def test_one_derivation_per_draw(monkeypatch):
@@ -68,9 +70,7 @@ def test_one_derivation_per_draw(monkeypatch):
 
 def test_draw_variants_share_the_engine():
     params = HubbardParams.uniform(Statistics.FERMION, 3, 0.05, -0.02)
-    certified, printed = run_triangle_draw(params, ("certified", "printed"))
-    [alone] = run_triangle_draw(params, ("printed",))
-    assert printed.to_json_dict() == alone.to_json_dict()
+    certified, printed = run_triangle_draw(params)
     assert printed.adiabatic_vs_engine == certified.adiabatic_vs_engine
     assert certified.n_failed == 0 and printed.n_failed > 0
 
@@ -90,11 +90,10 @@ def test_bosonic_printed_variant_reuses_the_certified_audit(monkeypatch):
                         "expected_string_coefficients",
                         lambda c: calls.append(c) or expected(c))
     bosons = _uniform(Statistics.BOSON, 0.04)
-    certified, printed = run_triangle_draw(bosons, ("certified", "printed"))
+    certified, printed = run_triangle_draw(bosons)
     assert len(calls) == 1
     assert printed.to_json_dict() == certified.to_json_dict()
     assert printed.entries is not certified.entries
     assert all(a is not b for a, b in zip(printed.entries, certified.entries))
-    run_triangle_draw(_uniform(Statistics.FERMION, 0.04),
-                      ("certified", "printed"))
+    run_triangle_draw(_uniform(Statistics.FERMION, 0.04))
     assert len(calls) == 3

@@ -92,8 +92,8 @@ def test_one_infinite_same_species_channel_excludes_only_its_doubles():
     for u_upup in (math.inf, 1e9):
         params = HubbardParams.uniform(Statistics.BOSON, 3, 0.04, 0.03,
                                        u_upup=u_upup, u_dndn=1.2)
-        h0, v, m = derive(tri, params)
-        models.append((h0.dim, pauli_decompose(h_eff_up_to_third(h0, v, m))))
+        h0, v = derive(tri, params)
+        models.append((h0.dim, pauli_decompose(h_eff_up_to_third(h0, v))))
     (dim_inf, exact), (dim_large, large) = models
     assert (dim_inf, dim_large) == (38, 56)
     # and U_dndn = inf caps the down modes alone

@@ -104,8 +104,9 @@ def test_partition_puts_m_in_spin_order(n, statistics):
     u_same = {} if statistics is Statistics.FERMION else {
         "u_upup": rng.uniform(0.8, 1.4), "u_dndn": rng.uniform(0.8, 1.4)}
     params = HubbardParams(statistics, u_updn=1.0, tunneling=tun, **u_same)
-    h0, v, m = derive(graph, params)
-    assert np.array_equal(partition(h0, v, m).m, spin_map(h0.basis, m))
+    h0, v = derive(graph, params)
+    m = projector_single_occupancy(h0.basis)
+    assert np.array_equal(partition(h0, v).m, spin_map(h0.basis, m))
     got = (h_eff_second(h0, v, m).matrix, h_eff_third(h0, v, m).matrix,
            adiabatic_eliminate(h0, v, m).h_eff.matrix)
     for block, want in zip(got, _basis_order_reference(h0, v, m)):
@@ -263,9 +264,9 @@ def test_hermiticity_of_orders():
 
 
 def test_total_z_spin_conserved_for_real_couplings():
-    basis, h0, v, m = _triangle_setup(0.09, 0.05, Statistics.BOSON,
+    basis, h0, v, _ = _triangle_setup(0.09, 0.05, Statistics.BOSON,
                                       u_upup=1.2, u_dndn=0.8)
-    h = h_eff_up_to_third(h0, v, m).matrix
+    h = h_eff_up_to_third(h0, v).matrix
     sz = sum(pauli.string_matrix("".join("Z" if k == i else "I"
                                          for k in range(3)))
              for i in range(3))
@@ -273,9 +274,9 @@ def test_total_z_spin_conserved_for_real_couplings():
 
 
 def test_xy_plane_rotation_symmetry_for_real_couplings():
-    basis, h0, v, m = _triangle_setup(0.09, 0.05, Statistics.BOSON,
+    basis, h0, v, _ = _triangle_setup(0.09, 0.05, Statistics.BOSON,
                                       u_upup=1.2, u_dndn=0.8)
-    dec = pauli_decompose(h_eff_up_to_third(h0, v, m))
+    dec = pauli_decompose(h_eff_up_to_third(h0, v))
     for j in range(3):
         xx = pauli.embed("XX", (j, (j + 1) % 3), 3)
         yy = pauli.embed("YY", (j, (j + 1) % 3), 3)
@@ -328,21 +329,21 @@ def test_mode_order_convention_independence():
     """The effective model from build_v equals the one from V summed
     state by state in either fermionic mode order."""
     for statistics in Statistics:
-        basis, h0, v, m = _triangle_setup(0.08, 0.05, statistics)
+        basis, h0, v, _ = _triangle_setup(0.08, 0.05, statistics)
         params = _triangle_params(0.08, 0.05, statistics)
-        want = pauli_decompose(h_eff_up_to_third(h0, v, m))
+        want = pauli_decompose(h_eff_up_to_third(h0, v))
         for mode_order in ("standard", "reversed"):
             ref = _per_state_v(basis, make_triangle(), params, mode_order)
-            got = pauli_decompose(h_eff_up_to_third(h0, ref, m))
+            got = pauli_decompose(h_eff_up_to_third(h0, ref))
             strings = set(want.coeffs) | set(got.coeffs)
             worst = max(abs(want[s] - got[s]) for s in strings)
             assert worst <= 1e-12
 
 
 def test_evolution_validation_zero_coupling():
-    basis, h0, v, m = _triangle_setup(0.0, 0.0, Statistics.BOSON)
-    heff = h_eff_up_to_third(h0, v, m)
-    assert validate_by_evolution(h0, v, m, heff, t=50.0) <= 1e-14
+    basis, h0, v, _ = _triangle_setup(0.0, 0.0, Statistics.BOSON)
+    heff = h_eff_up_to_third(h0, v)
+    assert validate_by_evolution(h0, v, heff, t=50.0) <= 1e-14
 
 
 def test_evolution_validation_fourth_order_scaling():
@@ -350,18 +351,18 @@ def test_evolution_validation_fourth_order_scaling():
     # residual by at least 12x (16x is the clean fourth-order factor)
     residuals = []
     for j in (0.02, 0.01):
-        basis, h0, v, m = _triangle_setup(j, 0.6 * j, Statistics.BOSON)
-        heff = h_eff_up_to_third(h0, v, m)
-        residuals.append(validate_by_evolution(h0, v, m, heff, t=50.0 / U))
+        basis, h0, v, _ = _triangle_setup(j, 0.6 * j, Statistics.BOSON)
+        heff = h_eff_up_to_third(h0, v)
+        residuals.append(validate_by_evolution(h0, v, heff, t=50.0 / U))
     assert residuals[0] / residuals[1] >= 12.0
 
 
 def test_evolution_validation_frozen_bound():
     # regression constant frozen from the measured J/U = 0.02 point
     j = 0.02
-    basis, h0, v, m = _triangle_setup(j, 0.6 * j, Statistics.BOSON)
-    heff = h_eff_up_to_third(h0, v, m)
-    residual = validate_by_evolution(h0, v, m, heff, t=50.0)
+    basis, h0, v, _ = _triangle_setup(j, 0.6 * j, Statistics.BOSON)
+    heff = h_eff_up_to_third(h0, v)
+    residual = validate_by_evolution(h0, v, heff, t=50.0)
     assert residual <= 3000 * j ** 4 * 50.0
 
 
