@@ -3,7 +3,11 @@
 Covers the periodic three-spin Ising chain with transverse/longitudinal
 fields, its self-duality diagnostics, the circulating states of a
 triangle and the detection of next-nearest-neighbour terms generated on
-zig-zag chains.
+zig-zag chains.  The transverse-field chain is solved on the real blocks
+of its symmetry group (``chain_blocks``): the sublattice flips, and on
+each solved flip sector the dihedral group of the translation by three
+sites and the mirror, resolved as in Sandvik, AIP Conf. Proc. 1297, 135
+(2010), with real semi-momentum states for the +-q pairs.
 """
 
 from __future__ import annotations
@@ -18,10 +22,10 @@ import scipy.sparse.linalg as spla
 from .perturb import PauliDecomposition
 
 DENSE_LIMIT = 2 ** 16
-# chain halves up to this size are solved densely: a dense eigvalsh
+# chain blocks up to this size are solved densely: a dense eigvalsh
 # overtakes an eight-level Lanczos between 256 and 320 states (5.3 against
 # 6.9 ms at 256, 9.5 against 7.6 ms at 320, one BLAS thread)
-DENSE_HALF_DIM = 256
+DENSE_BLOCK_DIM = 256
 CLUSTER_TOL_FACTOR = 1e-9
 ARPACK_SEED = 2024
 
@@ -117,111 +121,296 @@ def zzz_chain_sparse(bx, bz, n):
                          shape=(dim, dim))
 
 
-def mirror_permutation(n):
-    """Image of each sector representative j < 2**(n - 2) under the mirror
-    i -> (1 - i) mod n of the ring (see ``zzz_chain_half``).
+@dataclass(frozen=True)
+class _Orbits:
+    """Orbits of the sector representatives j < 2**(n - 2) under the
+    dihedral group D = <T^3, M> (see ``chain_blocks``) and the hops
+    between them, as the pairs (source, target) of orbits that a hop
+    from the source's representative connects.  Group element
+    g = p + L m, with L = n / 3, is T^(3p) M^m; on the sector (1, chi12)
+    a fold parity f gives the sign chi12**f."""
+    period: int
+    zzz: np.ndarray             # ZZZ diagonal of each orbit
+    stabilizer: np.ndarray      # (2L, R): g fixes the representative
+    stabilizer_folds: np.ndarray    # (2L, R): fold parity of g on it
+    pair: np.ndarray            # per hop (R n): its pair
+    element: np.ndarray         # per hop: the g taking it onto its
+                                # target's representative
+    folds: np.ndarray           # per hop: fold parity of the hop and g
+    first: np.ndarray           # (R + 1): first pair of each source
+    target: np.ndarray          # per pair, sorted by source then target
+    mirror: np.ndarray          # per pair: the pair (target, source)
 
-    The mirror swaps sites 0 and 1, so it keeps both up and permutes the
-    representatives among themselves; it is an involution."""
-    j = np.arange(2 ** (n - 2))
-    image = np.zeros_like(j)
+
+def _dihedral_orbits(n):
+    """Orbit tables of the representatives: each orbit is represented by
+    its smallest integer, which every member reaches by the first group
+    element that maps it there."""
+    period = n // 3
+    bit = 1 << (n - 1 - np.arange(n))
+    sublattice = np.arange(n) % 3
+    p01, p02, p12 = (int(bit[sublattice != a].sum()) for a in (2, 1, 0))
+    # sites 0 and 1 as bits (site 0 down, site 1 down) -> the flip that
+    # raises them again; one site down needs P02 or P12, of character chi12
+    fold = np.array([0, p12, p02, p01], dtype=np.int32)
+    j = np.arange(2 ** (n - 2), dtype=np.int32)
+    mirror = np.zeros_like(j)
     for i in range(2, n):
-        image |= (j >> (n - 1 - i) & 1) << (n - 1 - (1 - i) % n)
-    return image
+        mirror |= (j >> (n - 1 - i) & 1) << (n - 1 - (1 - i) % n)
+    image = np.empty((2 * period, len(j)), dtype=np.int32)
+    folds = np.empty(image.shape, dtype=np.int8)
+    for m, start in enumerate((j, mirror)):
+        x, f = start, np.zeros(len(j), dtype=np.int8)
+        for p in range(period):
+            image[p + m * period], folds[p + m * period] = x, f
+            x = x >> 3 | (x & 7) << (n - 3)         # site i -> i + 3
+            down = x >> (n - 2)
+            x = x ^ fold[down]
+            f = f ^ ((down == 1) | (down == 2))
+    del mirror, x, f
+    element = np.argmin(image, axis=0).astype(np.int32)
+    rep = image[element, j]
+    reps = np.flatnonzero(rep == j).astype(np.int32)
+    orbit = np.empty_like(j)
+    orbit[reps] = np.arange(len(reps), dtype=np.int32)
+    orbit = orbit[rep]
+    stabilizer = image[:, reps] == reps
+    del image, rep
+    # X_0 and X_1 leave the representatives and are folded back by P02
+    # and P12, which contributes their character
+    masks = np.concatenate([[bit[0] ^ p02, bit[1] ^ p12],
+                            bit[2:]]).astype(np.int32)
+    hop = (reps[:, None] ^ masks).ravel()
+    hop_folds = folds[element[hop], hop]
+    hop_folds.reshape(len(reps), n)[:, :2] ^= 1
+    pairs, pair = np.unique(
+        np.repeat(np.arange(len(reps), dtype=np.int64), n) * len(reps)
+        + orbit[hop], return_inverse=True)
+    pair = pair.ravel().astype(np.int32)
+    source, target = np.divmod(pairs, len(reps))
+    first = np.zeros(len(reps) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(source, minlength=len(reps)), out=first[1:])
+    # the element g taking hop (a, i) onto b maps X_i to X_pi(i), and
+    # X_pi(i) takes b back into the orbit of a
+    element = element[hop]
+    site = np.arange(n)
+    g = np.arange(2 * period)[:, None]
+    moved = (np.where(g < period, site, 1 - site) + 3 * (g % period)) % n
+    mirror = np.empty(len(pairs), dtype=np.int32)
+    mirror[pair] = pair[target[pair] * n
+                        + moved[element, np.tile(site, len(reps))]]
+    return _Orbits(period, _zzz_diagonal(reps, n), stabilizer,
+                   folds[:, reps], pair, element.astype(np.int8), hop_folds,
+                   first, target.astype(np.int32), mirror)
 
 
-def zzz_chain_half(bx, n, chi12, parity):
-    """Mirror-even (parity 1) or mirror-odd (parity -1) half of the block
-    of -sum_i (bx X_i + Z_i Z_{i+1} Z_{i+2}) in the sublattice-flip sector
-    P01 = 1, P12 = chi12.
+def _irreps(period):
+    """Real irreps of D as (m, parity, rho), rho a table (d, d, 2L) over
+    g = p + L m' for q = 2 pi m / L: for q = 0 and q = pi (L even) the
+    characters cos(qp) parity**m', M even then odd, and for each
+    0 < q < pi in between rho(T^(3p) M^m') = [[c, -mu s], [s, mu c]],
+    c, s = cos, sin(qp) and mu = (-1)**m', whose first row is M even.
+    The totally symmetric irrep comes first."""
+    turns = np.arange(2 * period) % period
+    flip = np.where(np.arange(2 * period) < period, 1.0, -1.0)
+    for m in range(period // 2 + 1):
+        angle = 2 * np.pi * m / period * turns
+        cos, sin = np.cos(angle), np.sin(angle)
+        if 2 * m % period == 0:
+            for parity in (1, -1):
+                yield m, parity, (np.rint(cos) * np.where(
+                    flip > 0, 1.0, parity))[None, None]
+        else:
+            yield m, 1, np.array([[cos, -flip * sin], [sin, flip * cos]])
 
-    P_ab flips every site i with i mod 3 in {a, b}; for 3 | n each triple
-    holds two flipped sites, so the flips commute with the chain and form
-    Z2 x Z2 (P01 P12 = P02).  Each orbit has one configuration with sites
-    0 and 1 up, so a sector is spanned by the flip-symmetrized states of
-    the representatives j < 2**(n - 2).  The mirror (``mirror_permutation``)
-    fixes P01 and swaps P12 with P02, which carry the same character when
-    P01 = 1, so it maps the state of j onto that of its image pi(j) with
-    no phase.  The even half is spanned by (|j> + |pi(j)>)/sqrt(2) for
-    j < pi(j) and by |j> for j = pi(j), the odd half by
-    (|j> - |pi(j)>)/sqrt(2) for j < pi(j); each has one row per smaller
-    orbit member j, in increasing order.  A hop from row j to state r lands on the column of r's orbit
-    with the sign of r in that column's vector, scaled by sqrt(2) into a
-    fixed point and by 1/sqrt(2) out of one.  Both halves are real and
-    symmetric bit for bit.  Hops that reach one column twice are kept as
-    two entries, which products and ``toarray`` add.
+
+@dataclass(frozen=True)
+class SymmetryBlock:
+    """One real block of the chain, zzz + bx hops, whose levels occur
+    ``copies`` times in the full spectrum."""
+    irrep: tuple                # (chi12, m, parity): flip sector (1, chi12),
+                                # T^3 momentum 2 pi m / (n/3), M parity
+    copies: int
+    zzz: np.ndarray
+    hops: sp.csr_matrix         # -sum_i X_i, symmetric bit for bit
+
+    def lowest(self, bx, count):
+        """Lowest ``count`` levels at field ``bx``: dense up to
+        ``DENSE_BLOCK_DIM`` states, by Lanczos beyond."""
+        dim = len(self.zzz)
+        if dim <= DENSE_BLOCK_DIM:
+            h = self.hops.toarray()
+            h *= bx
+            h.flat[::dim + 1] += self.zzz
+            return np.linalg.eigvalsh(h)[:count]
+        return extremal_eigenvalues(bx * self.hops + sp.diags(self.zzz),
+                                    k=count)
+
+
+def _sector_blocks(orbits, chi12):
+    """Blocks of every irrep of D on the flip sector (1, chi12), the
+    totally symmetric one first."""
+    odd = chi12 < 0
+    psi = orbits.stabilizer * (1 - 2 * (orbits.stabilizer_folds & odd))
+    sign = 1 - 2 * (orbits.folds & odd)
+    copies = 1 if chi12 > 0 else 3
+    blocks = (_irrep_block(orbits, (chi12, m, parity), rho, psi, sign, copies)
+              for m, parity, rho in _irreps(orbits.period))
+    return [block for block in blocks if block is not None]
+
+
+def _irrep_block(orbits, irrep, rho, psi, sign, copies):
+    """The block of irrep rho (dimension d) on one flip sector, or None
+    if no orbit carries it.
+
+    A basis state of orbit a is phi_a(e) = sum_g (rho(g) e)_1 g|a>, for
+    e a unit vector in the range of the stabilizer projector
+    Pi_a = sum_(s in S_a) psi(s) rho(s) / |S_a|, psi the sign with which
+    s fixes |a>: one state per unit of the rank of Pi_a, in the order e_1
+    of every orbit, then e_2.  Since the chain commutes with D, its
+    element between phi_b(e) and phi_a(f) is
+    -sqrt(|S_b| / |S_a|) e^T (sum_r sigma_r rho(g_r)) f over the hops
+    from a to configurations r of orbit b, g_r taking r onto b with sign
+    sigma_r.  Each element is averaged with its mirror, which makes the
+    block symmetric bit for bit, and the elements that are 0 are not
+    stored.  Row (f, a) lists its elements with every (b, e) pair by
+    pair.
+    """
+    d = len(rho)
+    size = orbits.stabilizer.sum(axis=0)
+    projector = rho @ psi / size
+    rank = np.rint(np.trace(projector)).astype(int)
+    kept = np.arange(d)[:, None] < rank
+    if not kept.any():
+        return None
+    first, target, n_pairs = orbits.first, orbits.target, len(orbits.target)
+    source = np.repeat(np.arange(len(rank), dtype=np.int32), np.diff(first))
+    values = np.empty((d, d, n_pairs))
+    for i, j in np.ndindex(d, d):
+        values[i, j] = np.bincount(orbits.pair,
+                                   sign * rho[i, j][orbits.element], n_pairs)
+    bent = (np.flatnonzero((rank[source] == 1) | (rank[target] == 1))
+            if d == 2 else ())
+    if len(bent):
+        # e and f are the unit vectors but where Pi_a has rank 1
+        single = projector[..., rank == 1]
+        norm = np.sqrt((single ** 2).sum(axis=0))
+        basis = np.zeros_like(projector)
+        basis[:, 0, rank == 1] = np.where(norm[0] >= norm[1], single[:, 0],
+                                          single[:, 1]) / norm.max(axis=0)
+        basis[0, 0, rank == 2] = basis[1, 1, rank == 2] = 1.0
+        y = np.take(values, bent, axis=2)
+        right = np.take(basis, source[bent], axis=2)
+        left = np.take(basis, target[bent], axis=2)
+        y = y[:, :1] * right[None, 0] + y[:, 1:] * right[None, 1]
+        values[..., bent] = left[0, :, None] * y[0] + left[1, :, None] * y[1]
+    root = np.sqrt(size)
+    values *= -root[target]
+    values /= root[source]
+    for i in range(d):
+        for j in range(i + 1):
+            mirrored = (values[j, i][orbits.mirror],
+                        values[i, j][orbits.mirror])
+            values[i, j] += mirrored[0]
+            values[i, j] *= 0.5
+            if i != j:
+                values[j, i] += mirrored[1]
+                values[j, i] *= 0.5
+    kept_source, kept_target = (np.take(kept, index, axis=1)
+                                for index in (source, target))
+    mask = [[kept_source[f] & kept_target[e] & (values[e, f] != 0)
+             for e in range(d)] for f in range(d)]
+    elements = [[values[e, f][mask[f][e]] for e in range(d)]
+                for f in range(d)]
+    # freed before the CSR arrays are allocated, and each element list
+    # once written: the peak of this build bounds cli.CHAIN_MAX_SITES
+    del values, kept_source, kept_target
+    # row (a, f) lists its elements with (b, e) in the order of b, then
+    # e, which is the order of their columns; rows follow (a, f)
+    count = [np.sum(row, axis=0, dtype=np.int8) for row in mask]
+    # every representative has n hops, so every orbit has pairs
+    rows = np.array([np.add.reduceat(c, first[:-1], dtype=np.int32)
+                     for c in count])
+    end = np.cumsum(rows.T, dtype=np.int32).reshape(-1, d).T
+    start = end - rows
+    column = (np.cumsum(kept.T) - 1).astype(np.int32).reshape(-1, d).T
+    data = np.empty(int(end[-1, -1]))
+    indices = np.empty(len(data), dtype=np.int32)
+    for f in range(d):
+        offset = np.cumsum(count[f], dtype=np.int32)
+        offset -= count[f]
+        offset += (start[f] - offset[first[:-1]])[source]
+        for e in range(d):
+            at = offset[mask[f][e]]
+            if e:
+                at += mask[f][0][mask[f][e]]
+            data[at] = elements[f][e]
+            indices[at] = column[e][target[mask[f][e]]]
+            elements[f][e] = None
+    indptr = np.append(start.T[kept.T], len(data)).astype(np.int32)
+    dim = len(indptr) - 1
+    return SymmetryBlock(irrep, copies * d, np.repeat(orbits.zzz, rank),
+                         sp.csr_matrix((data, indices, indptr),
+                                       shape=(dim, dim)))
+
+
+def chain_blocks(n):
+    """Real blocks of the periodic transverse-field three-spin chain
+    -sum_i (bx X_i + Z_i Z_{i+1} Z_{i+2}), bx left as a factor: the
+    structure of every field, built once.
+
+    The sublattice flips P_ab flip every site i with i mod 3 in {a, b};
+    for 3 | n each triple holds two flipped sites, so they commute with
+    the chain and split it into four blocks of dimension 2**(n-2).  Each
+    flip orbit has one configuration with sites 0 and 1 up, so a sector
+    is spanned by the flip-symmetrized states of the representatives
+    j < 2**(n - 2); X_0 and X_1 leave them and are folded back by P02 and
+    P12.  Translation by one site cycles P01 -> P12 -> P02, so the three
+    sectors with P01 P12 != 1 are isospectral and only (1, 1) and
+    (1, -1) are solved, the second counted three times.
+
+    T^3, the translation by three sites, keeps every sublattice and so
+    commutes with the flips; the mirror M: i -> (1 - i) mod n fixes P01
+    and swaps P12 with P02, which carry the same character when P01 = 1.
+    With M T^3 M = T^-3 they generate a dihedral group D of order
+    2n/3 on both sectors.  Its irreps are real: for q = 0 and q = pi
+    (n/3 even) one M-even and one M-odd block each, and for each pair
+    +-q in between one block, the M-even row of the two-dimensional
+    irrep, whose levels the M-odd row repeats and which therefore count
+    twice.  No block carries a degeneracy forced by symmetry.  The ZZZ
+    term is constant on D-orbits and the hops are read off the orbit
+    representatives (``_irrep_block``), never from whole orbits.
+
+    The first block is the totally symmetric one: trivial sector, q = 0,
+    M even.
     """
     if n % 3:
         raise ValueError("sublattice flips need a multiple of 3 sites")
-    image = mirror_permutation(n)
-    j = np.arange(len(image))
-    rows = np.flatnonzero(j < image if parity < 0 else j <= image)
-    column = np.empty(len(image), dtype=np.int32)
-    column[rows] = column[image[rows]] = np.arange(len(rows))
-    # X_0 and X_1 leave the representatives and are folded back by P02
-    # and P12, which contributes their character
-    bit = 1 << (n - 1 - np.arange(n))
-    sublattice = np.arange(n) % 3
-    masks = np.concatenate([[0, bit[0] ^ bit[sublattice != 1].sum(),
-                             bit[1] ^ bit[sublattice != 0].sum()], bit[2:]])
-    r = rows[:, None] ^ masks
-    vals = np.empty(r.shape)
-    vals[:, 0] = _zzz_diagonal(rows, n)
-    vals[:, 1:] = -bx
-    vals[:, 1:3] *= chi12
-    image_r = image[r]
-    if parity < 0:
-        vals[r > image_r] *= -1
-        keep = r != image_r
-        indptr = np.zeros(len(rows) + 1, dtype=np.int32)
-        np.cumsum(keep.sum(axis=1), out=indptr[1:])
-        return sp.csr_matrix((vals[keep], column[r[keep]], indptr),
-                             shape=(len(rows), len(rows)))
-    fixed_r = r == image_r
-    fixed_row = (image[rows] == rows)[:, None]
-    vals[fixed_r & ~fixed_row] *= np.sqrt(2.0)
-    vals[fixed_row & ~fixed_r] *= np.sqrt(0.5)
-    indptr = np.arange(0, r.size + 1, n + 1, dtype=np.int32)
-    return sp.csr_matrix((vals.ravel(), column[r].ravel(), indptr),
-                         shape=(len(rows), len(rows)))
+    orbits = _dihedral_orbits(n)
+    return tuple(block for chi12 in (1, -1)
+                 for block in _sector_blocks(orbits, chi12))
 
 
-def chain_levels(bx, n, k=8):
-    """Lowest-k levels of the periodic transverse-field three-spin chain,
-    merged from the mirror halves of its sublattice-flip sectors.
+def chain_levels(bx, blocks, k=8):
+    """Lowest-k levels of the periodic transverse-field three-spin chain
+    at field bx, merged from its ``chain_blocks``.
 
-    The flips P01, P12 split the chain into four blocks of dimension
-    2**(n-2).  Translation by one site cycles P01 -> P12 -> P02, so the
-    three non-trivial blocks are isospectral and the spectrum is the
-    trivial block's plus three copies of one non-trivial block's.  The
-    mirror i -> (1 - i) mod n maps the trivial block (1, 1) and the
-    flipped block (1, -1) onto themselves and splits each into an even
-    and an odd half (``zzz_chain_half``).  It puts the two copies of each
-    +-q momentum pair into different halves, so no half carries a
-    degeneracy forced by symmetry that ARPACK could split.  Each trivial
-    half contributes k levels and each flipped half ceil(k/3), counted
-    three times.  Halves up to ``DENSE_HALF_DIM`` states are diagonalized
-    densely.
+    A block whose levels count c times contributes its ceil(k/c) lowest
+    levels, c times each: the trivial sector's one-dimensional irreps k,
+    its +-q pairs ceil(k/2), the flipped sector's ceil(k/3) and
+    ceil(k/6).
 
-    For k = 1 only the trivial even half is solved.  The hops -bx X_i
-    all have one sign and connect every configuration, so for bx > 0 the
-    ground state is unique with positive amplitudes (Perron-Frobenius).
-    The flips and the mirror permute configurations without a sign, so
-    they fix it.  For bx < 0 the same holds after the sign change
-    prod_i Z_i, which commutes with the flips and the mirror; at bx = 0
-    the all-up ground configuration lies in that half too.
+    For k = 1 only the totally symmetric block is solved.  The hops
+    -bx X_i all have one sign and connect every configuration, so for
+    bx > 0 the ground state is unique with positive amplitudes
+    (Perron-Frobenius).  The flips, T^3 and the mirror permute
+    configurations without a sign, so they fix it.  For bx < 0 the same
+    holds after the sign change prod_i Z_i, which commutes with all of
+    them; at bx = 0 the all-up ground configuration lies in that block
+    too.
     """
-    flipped = -(-k // 3)
-    halves = ((1, 1, k, 1), (1, -1, k, 1),
-              (-1, 1, flipped, 3), (-1, -1, flipped, 3))
-    levels = []
-    for chi12, parity, count, copies in halves[:1 if k == 1 else 4]:
-        h = zzz_chain_half(bx, n, chi12, parity)
-        if h.shape[0] <= DENSE_HALF_DIM:
-            lowest = np.linalg.eigvalsh(h.toarray())[:count]
-        else:
-            lowest = extremal_eigenvalues(h, k=count)
-        levels.append(np.repeat(lowest, copies))
+    levels = [np.repeat(block.lowest(bx, -(-k // block.copies)), block.copies)
+              for block in (blocks[:1] if k == 1 else blocks)]
     return np.sort(np.concatenate(levels))[:k]
 
 
@@ -247,30 +436,39 @@ def duality_scan(bx_grid, n):
     at b = 1: dense solves of the sector blocks put it below 1e-14 for
     n = 6 to 12 and b = 0.3 to 1.7.
 
-    The spectra are symmetry-resolved (``chain_levels``): the sublattice
-    flips P01, P12 commute with the chain only when every triple of the
-    ring holds two flipped sites, which needs 3 | n.  The flips split the
-    chain into four blocks of dimension 2**(n-2), and the three
-    non-trivial ones, related by translation, each carry the same
-    levels, so every level of one of them counts three times.  The
-    mirror i -> (1 - i) mod n splits the trivial block and one
-    non-trivial block into even and odd halves, four real blocks of
-    about 2**(n-3) states that are solved per field.  Each distinct grid
-    field is solved once for its lowest eight levels; a reciprocal 1/b
-    that is a grid field too, such as b = 1 or 1.25 for b = 0.8, reuses
-    that solve, and any other is solved for E0 alone, from the one half
-    that holds the ground state.
+    The spectra are symmetry-resolved: the sublattice flips commute with
+    the chain only when every triple of the ring holds two flipped sites,
+    which needs 3 | n, and with the translation T^3 and the mirror
+    i -> (1 - i) mod n they split it into the real blocks of
+    ``chain_blocks``, 104 to 256 states at n = 12.  Their structure is
+    built once per call; each field only forms zzz + b hops per block.
+    Each distinct grid field is solved once for its lowest eight levels
+    (``chain_levels``); a reciprocal 1/b that is a grid field too, such
+    as b = 1 or 1.25 for b = 0.8, reuses that solve, and any other is
+    solved for E0 alone, from the totally symmetric block that holds the
+    ground state.
+
+    A grid with a field b for which n*b or n/b is not finite is refused
+    before anything is solved: the levels scale as n*b at large b and
+    the reciprocal's as n/b.
     """
     if n % 3:
         raise ValueError("chain length must be a multiple of 3")
     bx_grid = np.asarray(bx_grid, dtype=float)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        unscalable = ~np.isfinite(n * bx_grid) | ~np.isfinite(n / bx_grid)
+    if unscalable.any():
+        bx = float(bx_grid[unscalable][0])
+        raise ValueError(f"n*b or n/b is not finite at b = {bx!r}; keep b "
+                         "and 1/b in range")
+    blocks = chain_blocks(n)
     solved = {}
     for bx in bx_grid.tolist():
         if bx not in solved:
-            solved[bx] = chain_levels(bx, n)
+            solved[bx] = chain_levels(bx, blocks)
     for bx in bx_grid.tolist():
         if 1.0 / bx not in solved:
-            solved[1.0 / bx] = chain_levels(1.0 / bx, n, 1)
+            solved[1.0 / bx] = chain_levels(1.0 / bx, blocks, 1)
 
     e0 = np.empty_like(bx_grid)
     e1 = np.empty_like(bx_grid)

@@ -28,13 +28,14 @@ from .hubbard import HubbardParams, make_triangle
 
 SOFT_CAP = conformance.SOFT_REGIME_LIMIT
 HARD_CAP = conformance.HARD_REGIME_LIMIT
-# the largest allocation of a chain spectrum is the assembly of one
-# mirror half of a sector block, about 30 (n + 1) 2^(n-2) bytes: 0.35 GB
-# at n = 21, 3.1 GB at the next multiple of 3
+# a chain scan holds the symmetry blocks of both solved flip sectors and
+# peaks while it builds the last one, at most about 30 (n + 1) 2^(n-2)
+# bytes (28 at n = 15, 24 at n = 18 by tracemalloc; the solves add less):
+# 0.35 GB at n = 21, 3.1 GB at the next multiple of 3
 CHAIN_MAX_SITES = 21
 # grid sizes are counted before any grid is built: a chain point costs
-# its spectrum and at most a ground-energy solve at 1/b, about 0.03 s at
-# n = 12, so 10^4 points already take five minutes; a scan evaluates
+# its spectrum and at most a ground-energy solve at 1/b, about 0.02 s at
+# n = 12, so 10^4 points already take three minutes; a scan evaluates
 # and writes SCAN_CHUNK_ROWS points at a time, about 1.4 MB traced at any
 # grid size, so its steps bound time and output: a 1000 x 1000 grid takes
 # about 7.5 s (one core of a 2-core host) and writes 180 MB of CSV

@@ -32,8 +32,8 @@ def zzz_ground_space_bruteforce(n):
 def zzz_chain_sector(bx, n, chi01, chi12):
     """Block of the periodic chain -sum_i (bx X_i + Z_i Z_{i+1} Z_{i+2})
     in the sector where the sublattice flips P01, P12 have eigenvalues
-    chi01, chi12 = +-1: the reference that ``chainlab.zzz_chain_half``
-    splits by the mirror.
+    chi01, chi12 = +-1: the reference that ``chainlab.chain_blocks``
+    splits by translation and mirror.
 
     P_ab flips every site i with i mod 3 in {a, b}; for 3 | n each triple
     holds two flipped sites, so the flips commute with the chain and form
@@ -58,6 +58,39 @@ def zzz_chain_sector(bx, n, chi01, chi12):
     return sp.csr_matrix((vals.ravel(), ((j ^ masks[:, None]).ravel(),
                                          np.tile(j, n + 1))),
                          shape=(dim, dim))
+
+
+def mirror_permutation(n):
+    """Image of each sector representative j < 2**(n - 2) under the mirror
+    i -> (1 - i) mod n of the ring.  The mirror swaps sites 0 and 1, so
+    it keeps both up and permutes the representatives without a sign."""
+    j = np.arange(2 ** (n - 2))
+    image = np.zeros_like(j)
+    for i in range(2, n):
+        image |= (j >> (n - 1 - i) & 1) << (n - 1 - (1 - i) % n)
+    return image
+
+
+def translation_by_three(n, chi12):
+    """T^3, site i -> i + 3, on the sector (1, chi12) of
+    ``zzz_chain_sector`` as a signed permutation matrix, one site at a
+    time: the image of a representative has sites 0 and 1 from sites
+    n - 3 and n - 2, and the flip that raises them again brings the
+    character chi12 when it is P02 or P12."""
+    dim = 2 ** (n - 2)
+    j = np.arange(dim)
+    image = np.zeros_like(j)
+    for i in range(n):
+        image |= (j >> (n - 1 - i) & 1) << (n - 1 - (i + 3) % n)
+    bit = 1 << (n - 1 - np.arange(n))
+    sublattice = np.arange(n) % 3
+    down = [(image >> (n - 1 - site) & 1).astype(bool) for site in (0, 1)]
+    for flip, sites in (((0, 1), down[0] & down[1]),
+                        ((0, 2), down[0] & ~down[1]),
+                        ((1, 2), ~down[0] & down[1])):
+        image[sites] ^= bit[np.isin(sublattice, flip)].sum()
+    sign = np.where(down[0] ^ down[1], float(chi12), 1.0)
+    return sp.csr_matrix((sign, (image, j)), shape=(dim, dim))
 
 
 def chirality_operator(n_sites, triangles=((0, 1, 2),)):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -9,7 +11,8 @@ from trispin.hubbard import (HubbardParams, build_h0, build_v, hilbert_basis,
 from trispin.perturb import pauli_decompose
 
 from engine_reference import h_eff_up_to_third
-from spin_reference import (chirality_operator, zzz_chain_sector,
+from spin_reference import (chirality_operator, mirror_permutation,
+                            translation_by_three, zzz_chain_sector,
                             zzz_diagonal, zzz_ground_space_bruteforce)
 
 
@@ -216,7 +219,7 @@ def test_sector_dimensions_sum_to_full_space(n):
 
 def test_sector_requires_multiple_of_three():
     with pytest.raises(ValueError):
-        chainlab.zzz_chain_half(1.0, 8, 1, 1)
+        chainlab.chain_blocks(8)
 
 
 @pytest.mark.parametrize("n", [6, 9])
@@ -231,12 +234,16 @@ def test_nontrivial_sectors_are_isospectral(n):
             assert np.abs(other - spectra[1]).max() <= 1e-12
 
 
-@pytest.mark.parametrize("n", [6, 9])
+@pytest.mark.parametrize("n", [3, 6, 9])
 def test_merged_levels_match_dense_full_spectrum(n):
-    for bx in np.linspace(0.5, 1.5, 21):
+    # b = 0 and b < 0 included: there the levels are highly degenerate
+    blocks = chainlab.chain_blocks(n)
+    for bx in np.linspace(-1.5, 1.5, 13):
         full = np.linalg.eigvalsh(chainlab.zzz_chain_sparse(bx, 0, n).toarray())
-        levels = chainlab.chain_levels(bx, n)
-        assert np.abs(levels - full[:8]).max() <= 1e-12
+        for k in (8, 9):
+            levels = chainlab.chain_levels(bx, blocks, k)
+            assert len(levels) == min(k, 2 ** n)
+            assert np.abs(levels - full[:k]).max() <= 1e-12
 
 
 @pytest.mark.parametrize("bx, k", [(0.7, 8), (1.0, 8), (1.3, 8), (0.95, 9)])
@@ -248,7 +255,7 @@ def test_merged_levels_match_full_space_lanczos(bx, k):
     n = 12
     full = chainlab.extremal_eigenvalues(
         chainlab.zzz_chain_sparse(bx, 0, n), k=k + 4)[:k]
-    levels = chainlab.chain_levels(bx, n, k)
+    levels = chainlab.chain_levels(bx, chainlab.chain_blocks(n), k)
     assert np.all(np.abs(levels - full) <= 1e-10 * np.maximum(1, np.abs(full)))
     tol = chainlab.CLUSTER_TOL_FACTOR * np.abs(full).max()
     assert (np.sum(np.abs(levels - levels[0]) <= tol)
@@ -257,66 +264,81 @@ def test_merged_levels_match_full_space_lanczos(bx, k):
 
 @pytest.mark.parametrize("bx", [0.5, 0.7, 0.95, 1.0, 1.3, 1.5])
 def test_merged_levels_match_dense_sector_blocks(bx):
-    # at n = 12 the 1024-state blocks go through Lanczos; the reference
-    # is the dense spectrum of the trivial block and, three times, of a
-    # non-trivial one
+    # the reference is the dense spectrum of the 1024-state trivial block
+    # and, three times, of a non-trivial one
     n = 12
     blocks = [np.linalg.eigvalsh(zzz_chain_sector(bx, n, *chi)
                                  .toarray()) for chi in SECTORS[:2]]
     dense = np.sort(np.concatenate([blocks[0], np.repeat(blocks[1], 3)]))
     for k in (8, 9):
-        levels = chainlab.chain_levels(bx, n, k)
+        levels = chainlab.chain_levels(bx, chainlab.chain_blocks(n), k)
         assert np.abs(levels - dense[:k]).max() <= 1e-12
 
 
+def _record_solves(monkeypatch):
+    solves = []
+    lowest = chainlab.SymmetryBlock.lowest
+
+    def recording(block, bx, count):
+        solves.append((bx, block.irrep, count))
+        return lowest(block, bx, count)
+
+    monkeypatch.setattr(chainlab.SymmetryBlock, "lowest", recording)
+    return solves
+
+
 def test_duality_scan_solves_each_field_once(monkeypatch):
-    built = []
-    half = chainlab.zzz_chain_half
-
-    def counting(bx, n, chi12, parity):
-        built.append((bx, chi12, parity))
-        return half(bx, n, chi12, parity)
-
-    monkeypatch.setattr(chainlab, "zzz_chain_half", counting)
+    solves = _record_solves(monkeypatch)
     scan = chainlab.duality_scan(np.array([1.0]), 12)
-    assert built == [(1.0, 1, 1), (1.0, 1, -1), (1.0, -1, 1), (1.0, -1, -1)]
+    blocks = chainlab.chain_blocks(12)
+    assert len(blocks) == 10
+    levels = {1: 8, 2: 4, 3: 3, 6: 2}       # ceil(8 / copies)
+    assert solves == [(1.0, block.irrep, levels[block.copies])
+                      for block in blocks]
     assert scan.duality_defect[0] == 0.0
-    built.clear()
+    solves.clear()
     chainlab.duality_scan(np.array([0.8, 1.25]), 9)
-    assert len(built) == 8
+    assert [bx for bx, _, _ in solves] == [0.8] * 6 + [1.25] * 6
+
+
+def test_duality_scan_builds_each_sector_once(monkeypatch):
+    built = []
+    sector_blocks = chainlab._sector_blocks
+
+    def counting(orbits, chi12):
+        built.append(chi12)
+        return sector_blocks(orbits, chi12)
+
+    monkeypatch.setattr(chainlab, "_sector_blocks", counting)
+    chainlab.duality_scan(0.5 + 0.05 * np.arange(21), 9)
+    assert built == [1, -1]
 
 
 def test_duality_scan_solves_off_grid_reciprocals_for_e0_alone(monkeypatch):
-    requested = []
-    solve = chainlab.extremal_eigenvalues
-
-    def counting(h, k=6):
-        requested.append(k)
-        return solve(h, k)
-
-    monkeypatch.setattr(chainlab, "extremal_eigenvalues", counting)
+    solves = _record_solves(monkeypatch)
     chainlab.duality_scan(np.array([0.9, 1.0]), 12)
-    # the trivial then the flipped block's even and odd halves for each
-    # grid field, then the trivial even half at 1/0.9; the reciprocal
-    # 1/1.0 is the grid field 1.0
-    assert requested == [8, 8, 3, 3, 8, 8, 3, 3, 1]
+    # every block for each grid field, then the totally symmetric block
+    # at 1/0.9; the reciprocal 1/1.0 is the grid field 1.0
+    assert ([bx for bx, _, _ in solves]
+            == [0.9] * 10 + [1.0] * 10 + [1 / 0.9])
+    assert solves[-1][1:] == ((1, 0, 1), 1)
 
 
 @pytest.mark.parametrize("n", [6, 9, 12])
 def test_ground_level_lies_in_the_trivial_even_half(n):
-    # chain_levels(bx, n, 1) solves that half alone
+    # in its totally symmetric block, which chain_levels(bx, blocks, 1)
+    # solves alone
+    blocks = chainlab.chain_blocks(n)
+    assert blocks[0].irrep == (1, 0, 1)
     for bx in (-0.8, 0.0, 0.3, 1.0, 2.5):
-        lowest = [np.linalg.eigvalsh(
-            chainlab.zzz_chain_half(bx, n, chi12, parity).toarray())[0]
-            for chi12 in (1, -1) for parity in (1, -1)]
+        lowest = [block.lowest(bx, 1)[0] for block in blocks]
         assert lowest[0] <= min(lowest) + 1e-12 * abs(lowest[0])
-        assert chainlab.chain_levels(bx, n, 1)[0] == pytest.approx(
-            lowest[0], rel=1e-12)
+        assert chainlab.chain_levels(bx, blocks, 1)[0] == lowest[0]
 
 
 @pytest.mark.parametrize("n", [3, 6, 9, 12, 15])
 def test_mirror_commutes_with_both_sector_blocks(n):
-    image = chainlab.mirror_permutation(n)
+    image = mirror_permutation(n)
     assert np.array_equal(image[image], np.arange(2 ** (n - 2)))
     for chi in SECTORS[:2]:
         block = zzz_chain_sector(0.83, n, *chi)
@@ -324,39 +346,120 @@ def test_mirror_commutes_with_both_sector_blocks(n):
 
 
 @pytest.mark.parametrize("n", [3, 6, 9, 12, 15])
-def test_mirror_half_dimensions_sum_to_the_sector(n):
-    image = chainlab.mirror_permutation(n)
-    fixed = int(np.sum(image == np.arange(2 ** (n - 2))))
+def test_translation_by_three_commutes_with_both_sector_blocks(n):
     for chi12 in (1, -1):
-        even, odd = (chainlab.zzz_chain_half(0.9, n, chi12, parity).shape
-                     for parity in (1, -1))
-        assert even[0] == even[1] and odd[0] == odd[1]
-        assert even[0] + odd[0] == 2 ** (n - 2)
-        assert even[0] - odd[0] == fixed
+        shift = translation_by_three(n, chi12)
+        assert (shift.T @ shift != sp.identity(2 ** (n - 2))).nnz == 0
+        # (T^3)^(n/3) is the identity, signs included
+        power = sp.identity(2 ** (n - 2), format="csr")
+        for _ in range(n // 3):
+            power = shift @ power
+        assert (power != sp.identity(2 ** (n - 2))).nnz == 0
+        block = zzz_chain_sector(0.83, n, 1, chi12)
+        assert (shift @ block != block @ shift).nnz == 0
+
+
+@pytest.mark.parametrize("n", [3, 6, 9, 12, 15])
+def test_block_dimensions_times_copies_sum_to_the_sector(n):
+    blocks = chainlab.chain_blocks(n)
+    for chi12, copies in ((1, 1), (-1, 3)):
+        assert sum(len(block.zzz) * block.copies // copies
+                   for block in blocks if block.irrep[0] == chi12) \
+            == 2 ** (n - 2)
+    for block in blocks:
+        assert block.hops.shape == (len(block.zzz),) * 2
+
+
+def _mirror_halves(blocks, chi12):
+    """The blocks that span the M-even and the M-odd half of a sector: a
+    +-q pair block is the M-even row of its irrep, and the M-odd row
+    repeats its levels."""
+    pair = [block for block in blocks
+            if block.irrep[0] == chi12 and block.copies in (2, 6)]
+    return [[block for block in blocks if block.irrep[0] == chi12
+             and block.copies in (1, 3) and block.irrep[2] == parity] + pair
+            for parity in (1, -1)]
+
+
+@pytest.mark.parametrize("n", [3, 6, 9, 12, 15])
+def test_mirror_half_dimensions_sum_to_the_sector(n):
+    image = mirror_permutation(n)
+    fixed = int(np.sum(image == np.arange(2 ** (n - 2))))
+    blocks = chainlab.chain_blocks(n)
+    for chi12 in (1, -1):
+        even, odd = (sum(len(block.zzz) for block in half)
+                     for half in _mirror_halves(blocks, chi12))
+        assert even + odd == 2 ** (n - 2)
+        assert even - odd == fixed
+
+
+def _half_spectrum(h, image, parity):
+    """Spectrum of a sector block on the mirror half of the given parity,
+    from an orthonormal basis of (1 + parity M) / 2."""
+    dim = len(image)
+    projector = (np.eye(dim) + parity * np.eye(dim)[image]) / 2
+    values, vectors = np.linalg.eigh(projector)
+    basis = vectors[:, values > 0.5]
+    return np.linalg.eigvalsh(basis.T @ h @ basis)
 
 
 @pytest.mark.parametrize("n", [6, 9, 12])
 def test_mirror_halves_merge_to_the_dense_sector_spectrum(n):
+    image = mirror_permutation(n)
+    blocks = chainlab.chain_blocks(n)
+    for block in blocks:
+        hops = block.hops.toarray()
+        assert np.array_equal(hops, hops.T)
     for bx in (0.6, 1.0, 1.4):
         for chi in SECTORS[:2]:
-            halves = [chainlab.zzz_chain_half(bx, n, chi[1], parity).toarray()
-                      for parity in (1, -1)]
-            assert all(np.array_equal(h, h.T) for h in halves)
-            merged = np.sort(np.concatenate([np.linalg.eigvalsh(h)
-                                             for h in halves]))
-            dense = np.linalg.eigvalsh(zzz_chain_sector(bx, n, *chi).toarray())
-            assert np.abs(merged - dense).max() <= 1e-12 * np.abs(dense).max()
+            dense = zzz_chain_sector(bx, n, *chi).toarray()
+            scale = np.abs(np.linalg.eigvalsh(dense)).max()
+            halves = _mirror_halves(blocks, chi[1])
+            for parity, half in zip((1, -1), halves):
+                merged = np.sort(np.concatenate([np.linalg.eigvalsh(
+                    bx * block.hops.toarray() + np.diag(block.zzz))
+                    for block in half]))
+                reference = _half_spectrum(dense, image, parity)
+                assert np.abs(merged - reference).max() <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("bx", [0.5, 0.7, 0.95, 1.0, 1.3, 1.5])
 def test_flipped_halves_have_no_degenerate_low_levels(bx):
-    # chain_levels takes ceil(k/3) = 3 levels of each flipped half for
-    # k = 8 or 9; neither they nor the next one are degenerate, so the
-    # solve has no copy of its last level to miss
-    for parity in (1, -1):
-        half = chainlab.zzz_chain_half(bx, 12, -1, parity)
-        levels = np.linalg.eigvalsh(half.toarray())[:4]
+    # the mirror halves of the flipped sector, merged from its blocks,
+    # have no degenerate level among their lowest four
+    blocks = chainlab.chain_blocks(12)
+    for half in _mirror_halves(blocks, -1):
+        levels = np.sort(np.concatenate([block.lowest(bx, 4)
+                                         for block in half]))[:4]
         assert np.diff(levels).min() > 1e-3
+
+
+@pytest.mark.parametrize("bx", [0.5, 0.7, 0.95, 1.0, 1.3, 1.5])
+def test_flipped_pair_blocks_have_no_degenerate_low_levels(bx):
+    # chain_levels takes ceil(k/6) = 2 levels of each flipped pair block
+    # for k = 8 or 9; neither they nor the next one are degenerate, so a
+    # solve has no copy of its last level to miss
+    for n in (12, 15):
+        pairs = [block for block in chainlab.chain_blocks(n)
+                 if block.copies == 6]
+        assert pairs
+        for block in pairs:
+            assert np.diff(block.lowest(bx, 3)).min() > 1e-3
+
+
+def test_block_build_memory_stays_within_the_site_cap_bound():
+    # cli.CHAIN_MAX_SITES rests on this bound: a scan holds the blocks of
+    # both solved sectors and peaks while it builds the last one (about
+    # 28 (n + 1) 2^(n-2) bytes at n = 15, 24 at n = 18)
+    n = 15
+    tracemalloc.start()
+    try:
+        blocks = chainlab.chain_blocks(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(blocks) == 8
+    assert peak <= 30 * (n + 1) * 2 ** (n - 2)
 
 
 DEFAULT_GRID = 0.5 + 0.05 * np.arange(21)      # the defaults of ``chain``

@@ -356,9 +356,10 @@ def test_chain_csv_columns(capsys, tmp_path):
     assert "argmin_bx" in payload and len(payload["duality_defect"]) == 5
 
 
-# b = 1e308 overflows the chain's levels; at b = 5e-324 the levels are
-# finite but 1/b is not, and neither is the duality defect
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+# b = 1e308 overflows the chain's levels (3b is not finite); at
+# b = 5e-324 the levels are finite but 1/b is not, and neither is the
+# duality defect.  Both are refused before any solve, so no overflow
+# warning (an error under this suite's filter) precedes the refusal.
 @pytest.mark.parametrize("bx", ["1e308", "5e-324"])
 def test_chain_refuses_a_grid_with_results_that_are_not_finite(
         capsys, tmp_path, bx):
@@ -368,7 +369,8 @@ def test_chain_refuses_a_grid_with_results_that_are_not_finite(
     assert code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "not finite" in captured.err
+    refusal, = captured.err.splitlines()
+    assert refusal.startswith("error: ") and "not finite" in refusal
     assert not summary.exists()
 
 
