@@ -110,6 +110,28 @@ def _triangle_params(family, j_up, j_dn, u_upup, u_dndn, u_updn):
                                  u_updn=u_updn, u_upup=u_upup, u_dndn=u_dndn)
 
 
+def _regime_warning(family, j_peak, u_upup, u_dndn, u_updn):
+    """J/U of the largest |J| ``j_peak`` over the smallest nonzero
+    collision energy the family reads (the bosonic families all three
+    channels, the others the cross channel): a ``UsageError`` above
+    ``HARD_CAP``, and above ``SOFT_CAP`` a warning, returned for the
+    caller to print once the closed forms have accepted the energies, so
+    that a refused input writes only its refusal."""
+    channels = ((u_upup, u_dndn, u_updn) if family.endswith("bosonic")
+                else (u_updn,))
+    energies = [abs(u) for u in channels if u]
+    if not energies:
+        raise UsageError("J/U needs a nonzero collision energy to bound it")
+    peak = j_peak / min(energies)
+    if not peak <= HARD_CAP:
+        raise UsageError(
+            f"J/U reaches {peak:.3g}, beyond the hard cap {HARD_CAP}")
+    if peak > SOFT_CAP:
+        return (f"# warning: J/U up to {peak:.3g} strains the perturbative "
+                "regime")
+    return None
+
+
 def _couplings_for(family, j_up, j_dn, u_upup, u_dndn, u_updn):
     if family == "rotated_xy":
         return closedform.rotated_xy_couplings(j_up, u_updn)
@@ -221,10 +243,14 @@ def cmd_couplings(args, config):
     j_dn = _setting(args, config, "j_dn", 0.0)
     u_upup = _setting(args, config, "uuu")
     u_dndn = _setting(args, config, "udd")
-    couplings = _couplings_for(family, float(j_up), float(j_dn),
-                               None if u_upup is None else float(u_upup),
-                               None if u_dndn is None else float(u_dndn),
-                               float(u_updn))
+    j_up, j_dn, u_updn = float(j_up), float(j_dn), float(u_updn)
+    u_upup = None if u_upup is None else float(u_upup)
+    u_dndn = None if u_dndn is None else float(u_dndn)
+    warning = _regime_warning(family, max(abs(j_up), abs(j_dn)), u_upup,
+                              u_dndn, u_updn)
+    couplings = _couplings_for(family, j_up, j_dn, u_upup, u_dndn, u_updn)
+    if warning:
+        print(warning, file=sys.stderr)
     _print_json(couplings.to_json_dict())
     return 0
 
@@ -261,21 +287,8 @@ def cmd_scan(args, config):
     u_dndn = float(u_dndn) if u_dndn is not None else None
     ups = _grid(config, args, "j_up")
     dns = _grid(config, args, "j_dn")
-    # the fermionic families read only the cross channel
-    channels = ((u_updn,) if family.endswith("fermionic")
-                else (u_upup, u_dndn, u_updn))
-    energies = [abs(u) for u in channels if u]
-    if not energies:
-        raise UsageError("scan needs a nonzero collision energy to bound "
-                         "J/U")
-    scale = min(energies)
-    peak = max(max(map(abs, ups)), max(map(abs, dns))) / scale
-    if peak > HARD_CAP:
-        raise UsageError(
-            f"grid reaches J/U = {peak:.3g}, beyond the hard cap {HARD_CAP}")
-    if peak > SOFT_CAP:
-        print(f"# warning: J/U up to {peak:.3g} strains the perturbative "
-              "regime", file=sys.stderr)
+    warning = _regime_warning(family, max(map(abs, ups + dns)), u_upup,
+                              u_dndn, u_updn)
     ups, dns = np.asarray(ups), np.asarray(dns)
     out = sys.stdout
     # the header goes out with the first chunk: a refused grid writes none
@@ -289,6 +302,9 @@ def cmd_scan(args, config):
         j_up, j_dn = ups[point // len(dns)], dns[point % len(dns)]
         couplings = _couplings_for(family, j_up, j_dn, u_upup, u_dndn,
                                    u_updn)
+        if warning:
+            print(warning, file=sys.stderr)
+            warning = None
         # per-link couplings are reported on link 0
         columns = [j_up, j_dn] + [np.broadcast_to(couplings.link(name, 0),
                                                   j_up.shape)
@@ -376,6 +392,10 @@ def cmd_chiral(args, config):
         raise UsageError("tau4 = j_mag^3 / u^2 must be finite and nonzero: "
                          "the spectrum is reported in units of tau4")
     params = closedform.chirality_point_params(magnitude, scale)
+    warning = _regime_warning("complex_bosonic", abs(magnitude),
+                              params.u_upup, params.u_dndn, params.u_updn)
+    if warning:
+        print(warning, file=sys.stderr)
     _, h2, h3, dec = conformance.engine_decomposition(make_triangle(), params)
     zeeman = {s: dec[s] for s in ("ZII", "IZI", "IIZ")}
     matrix = h2.matrix + h3.matrix - pauli.pauli_sum(zeeman, 3)

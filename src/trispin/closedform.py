@@ -25,6 +25,7 @@ the audit machinery):
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,6 +80,23 @@ def _require_real(js, what):
     return [j.real for j in js]
 
 
+def _collision_energy(u, channel):
+    """``u`` if its cube is a finite normal float, else ``ValueError``.
+
+    The closed forms are of order three in J/U, and the command line caps
+    |J| at |U| / 2, so every term then stays finite: no power or product
+    of these energies overflows, and none underflows into a division.
+    """
+    try:
+        cube = abs(float(u)) ** 3
+    except OverflowError:
+        cube = math.inf
+    if not sys.float_info.min <= cube < math.inf:
+        raise ValueError(f"{channel} must be nonzero and its cube finite and "
+                         f"nonzero (a normal float), not {float(u):g}")
+    return u
+
+
 def _square(x):
     # libm pow, bit for bit CPython's float ** 2 (x * x can differ by 1 ULP)
     return np.float_power(x, 2)
@@ -94,10 +112,9 @@ def bosonic_couplings(params):
     """
     if params.statistics is not Statistics.BOSON:
         raise ValueError("bosonic couplings need bosonic statistics")
-    uu, dd, ud = params.u_upup, params.u_dndn, params.u_updn
-    for u in (uu, dd, ud):
-        if u == 0 or math.isinf(u):
-            raise ValueError("collision energies must be finite and nonzero")
+    uu = _collision_energy(params.u_upup, "the up-up channel")
+    dd = _collision_energy(params.u_dndn, "the down-down channel")
+    ud = _collision_energy(params.u_updn, "the cross channel")
     ju, jd = (_require_real(j, "bosonic coupling")
               for j in _triangle_tunnelings(params))
     tu = ju[0] * ju[1] * ju[2]
@@ -151,9 +168,7 @@ def fermionic_couplings(params):
     produce."""
     if params.statistics is not Statistics.FERMION:
         raise ValueError("fermionic couplings need fermionic statistics")
-    u = params.u_updn
-    if u == 0 or math.isinf(u):
-        raise ValueError("collision energy U must be finite and nonzero")
+    u = _collision_energy(params.u_updn, "the cross channel")
     ju, jd = (_require_real(j, "fermionic coupling")
               for j in _triangle_tunnelings(params))
 
@@ -193,6 +208,14 @@ def complex_tunneling_couplings(params):
     outputs are real.  The cross-species channel may carry the inf
     sentinel (its inverse enters as zero).
     """
+    fermions = params.statistics is Statistics.FERMION
+    ud = params.u_updn
+    # only the bosonic cross channel may hold the sentinel
+    if fermions or not math.isinf(ud):
+        ud = _collision_energy(ud, "the cross channel")
+    if not fermions:
+        uu = _collision_energy(params.u_upup, "the up-up channel")
+        dd = _collision_energy(params.u_dndn, "the down-down channel")
     ju_l, jd_l = _triangle_tunnelings(params)
     _require_imaginary(ju_l + jd_l, "triangle")
     ju = _uniform(ju_l, "complex-coupling")
@@ -200,25 +223,15 @@ def complex_tunneling_couplings(params):
     ju2, jd2 = (ju ** 2).real, (jd ** 2).real     # = -|J|^2
     sym_u = (1j * ju ** 2 * jd).real              # i J_up^2 J_dn
     sym_d = (1j * jd ** 2 * ju).real              # i J_dn^2 J_up
-    if params.statistics is Statistics.FERMION:
-        u = params.u_updn
-        if u == 0 or math.isinf(u):
-            raise ValueError("fermionic complex couplings need finite U_updn")
+    if fermions:
         return CouplingSet("complex_fermionic", {
-            "A": (ju2 + jd2) / (2 * u),
+            "A": (ju2 + jd2) / (2 * ud),
             "B": 0.0,
-            "tau1": -(ju2 + jd2) / (2 * u),
-            "tau2": -(ju * jd).real / u,
+            "tau1": -(ju2 + jd2) / (2 * ud),
+            "tau2": -(ju * jd).real / ud,
             "tau3": 0.0,
-            "tau4": -(3 / (2 * u ** 2)) * (sym_u + sym_d),
+            "tau4": -(3 / (2 * ud ** 2)) * (sym_u + sym_d),
         })
-    uu, dd, ud = params.u_upup, params.u_dndn, params.u_updn
-    for u in (uu, dd):
-        if u == 0 or math.isinf(u):
-            raise ValueError("bosonic complex couplings need finite "
-                             "same-species channels")
-    if ud == 0:
-        raise ValueError("cross channel must be nonzero")
     inv_ud = 0.0 if math.isinf(ud) else 1.0 / ud
 
     def w_two(y):
@@ -257,8 +270,7 @@ def rotated_xy_couplings(j, u):
     The string coefficients are B per single-site sigma^x, nu1 per link
     and 3*nu3 on the triple product.
     """
-    if u == 0:
-        raise ValueError("collision energy must be nonzero")
+    u = _collision_energy(u, "the collision energy")
     return CouplingSet("rotated_xy", {
         "A": -1.5 * j ** 2 / u - 3 * j ** 3 / u ** 2,
         "B": -2 * j ** 2 / u - 5.5 * j ** 3 / u ** 2,

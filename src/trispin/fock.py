@@ -18,15 +18,15 @@ assembled from ``occ`` by array passes, and a moved state is found with
 against lives with the tests, in ``tests/fock_reference.py``.
 
 A basis is structure that does not depend on any coupling: its arrays
-are read-only, and ``Basis.moves`` keeps, per pair of modes, where one
-hopping atom takes every state and with which amplitude.  The table is
-built on first use and lives as long as the basis, so an operator
-assembled again on the same basis only scales those fixed amplitudes by
-its couplings.  Beside it, ``Basis.plan`` keeps the structure that
-operators assembled from the table share, such as their sparse pattern,
-keyed by what it depends on, and ``Basis.site_occupations`` and
-``Basis.single_occupancy`` hold the per-site occupations and the
-single-occupancy positions that collision energies and the M block read.
+are read-only, and ``Basis.moves`` lists, for one pair of modes, where
+one hopping atom takes every state and with which amplitude.
+``Basis.plan`` keeps the structure that operators assembled from those
+moves share, such as their sparse pattern and the fixed amplitudes in
+it, keyed by what it depends on, so an operator assembled again on the
+same basis only scales those amplitudes by its couplings.
+``Basis.site_occupations`` and ``Basis.single_occupancy`` hold the
+per-site occupations and the single-occupancy positions that collision
+energies and the M block read.
 """
 
 from __future__ import annotations
@@ -63,9 +63,8 @@ class Statistics(Enum):
     FERMION = "fermion"
 
 
-# One entry of a basis' move table: the nonzero moves of an atom between
-# two modes, forward (way 0) and back (way 1), state by state with the
-# forward move first.  ``rows`` are the target positions, ``cols`` the
+# The nonzero moves of an atom between two modes of a basis, forward
+# (way 0) and back (way 1), state by state with the forward move first.  ``rows`` are the target positions, ``cols`` the
 # source positions, ``amp`` the fermionic sign or the bosonic factor
 # sqrt(n_from) sqrt(n_to + 1), and ``dropped`` counts the moves whose
 # target is not in the basis.
@@ -78,7 +77,7 @@ class Basis:
     and, derived from it, ``radix``, ``place`` (the key weight of each
     mode) and ``keys``.  Any rows in any order make a basis; keys that
     would overflow int64 raise ``ValueError``.  The arrays are read-only
-    views, so the move table cached on the basis cannot go stale.
+    views, so the plans kept on the basis cannot go stale.
     """
 
     occ: np.ndarray = field(repr=False)
@@ -87,7 +86,6 @@ class Basis:
     radix: int = field(init=False, repr=False)
     place: np.ndarray = field(init=False, repr=False)
     keys: np.ndarray = field(init=False, repr=False)
-    _moves: dict = field(init=False, repr=False, default_factory=dict)
     _plans: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
@@ -113,19 +111,6 @@ class Basis:
         slot = np.minimum(slot, len(self._sorted_keys) - 1)
         found = self._sorted_keys[slot] == keys
         return np.where(found, self._key_order[slot], -1)
-
-    def moves(self, a, b):
-        """The ``Moves`` of one atom from mode ``a`` to mode ``b`` and
-        back, from the move table; built on the first request.
-
-        One array pass over ``occ``: amplitudes and fermionic signs come
-        from the occupation columns and the atoms in front of each mode,
-        and the targets are found by key (``locate``).
-        """
-        table = self._moves.get((a, b))
-        if table is None:
-            table = self._moves[(a, b)] = self._build_moves(a, b)
-        return table
 
     def plan(self, key, build):
         """The operator plan kept under ``key``, made by
@@ -163,7 +148,14 @@ class Basis:
         positions.flags.writeable = False
         return positions
 
-    def _build_moves(self, a, b):
+    def moves(self, a, b):
+        """The ``Moves`` of one atom from mode ``a`` to mode ``b`` and
+        back.
+
+        One array pass over ``occ``: amplitudes and fermionic signs come
+        from the occupation columns and the atoms in front of each mode,
+        and the targets are found by key (``locate``).
+        """
         frm, to = np.array([a, b]), np.array([b, a])
         occ = self.occ
         n_from, n_to = occ[:, frm], occ[:, to]
@@ -171,8 +163,6 @@ class Basis:
         fermions = self.statistics is Statistics.FERMION
         if fermions:
             live &= n_to == 0
-        # state by state, forward before reverse, so that duplicates
-        # from parallel links sum in the order of a per-state loop
         col, way = np.nonzero(live)
         n_from, n_to = n_from[col, way], n_to[col, way]
         frm, to = frm[way], to[way]
@@ -197,11 +187,8 @@ class Basis:
             amp = np.sqrt(n_from[keep]) * np.sqrt(n_to[keep] + 1)
         # basis positions fit in 32 bits; `way` indexes the pair
         # (coupling, conjugate coupling)
-        table = Moves(row[keep].astype(np.int32), col.astype(np.int32),
-                      way.astype(np.uint8), amp, len(keep) - int(keep.sum()))
-        for array in table[:4]:
-            array.flags.writeable = False
-        return table
+        return Moves(row[keep].astype(np.int32), col.astype(np.int32),
+                     way.astype(np.uint8), amp, len(keep) - int(keep.sum()))
 
     def __len__(self):
         return len(self.occ)

@@ -8,13 +8,15 @@ to -> from, i.e. the term -J a(from)^dag a(to), and its conjugate the
 reverse move.  Infinite collision channels are never represented by
 large floats: they are enforced as exclusions at basis construction.
 
-Assembly is split into structure and values.  The structure depends only
-on the basis: ``hilbert_basis`` returns one shared basis per (n_sites,
-statistics, exclusions), and each tunneling move's targets, sources,
-signs and bosonic factors sit in that basis' move table
-(``Basis.moves``), built once.  A derivation then supplies the values:
-the collision energies of H0 and one coupling times the fixed amplitudes
-per move of V.
+A lattice joins each pair of sites by at most one link, so no two moves
+of V land on the same matrix entry.  Assembly is split into structure
+and values.  The structure depends only on the basis: ``hilbert_basis``
+returns one shared basis per (n_sites, statistics, exclusions), and the
+basis keeps, per list of live hop families, V's ``Plan``: its CSR
+pattern with each move's target, source, sign or bosonic factor sorted
+into it, built once from ``Basis.moves``.  A derivation then supplies
+the values: the collision energies of H0 and one coupling times the
+fixed amplitudes per move of V.
 """
 
 from __future__ import annotations
@@ -47,6 +49,8 @@ class LatticeGraph:
                 raise ValueError("self-loop edge")
             if not (0 <= e.frm < self.n_sites and 0 <= e.to < self.n_sites):
                 raise ValueError("edge endpoint out of range")
+        if len({frozenset((e.frm, e.to)) for e in self.edges}) < len(links):
+            raise ValueError("two links join the same pair of sites")
 
     @property
     def n_links(self):
@@ -137,8 +141,8 @@ class HubbardParams:
         return cls(statistics, u_upup, u_dndn, u_updn, tun)
 
 
-# shared bases kept for reuse, with their move tables; the least
-# recently used one is dropped first
+# shared bases kept for reuse, with their plans; the least recently used
+# one is dropped first
 BASIS_CACHE_SIZE = 8
 
 
@@ -147,7 +151,7 @@ def hilbert_basis(graph, params):
     occupancies of every infinite collision channel excluded.
 
     Equal (n_sites, statistics, exclusions) return the same read-only
-    basis, so its move table is built once for every derivation on it.
+    basis, so its plans are built once for every derivation on it.
     """
     return _shared_basis(graph.n_sites, params.statistics,
                          math.isinf(params.u_updn),
@@ -182,73 +186,36 @@ class SparseOperator:
         return self.mat.diagonal()
 
 
-@dataclass(eq=False)
-class Gather:
-    """How scipy compresses a list of (major, minor) entries: the pattern
-    it stores (``indices``, ``indptr``) and the entries summed into each
-    stored slot, in its order.  ``first`` lists the entry that opens each
-    slot; each ``(slots, entries)`` of ``rest`` then adds one more entry
-    to some slots, so a slot of three entries sums as (a + b) + c, as
-    scipy sums duplicates."""
-
-    indices: np.ndarray
-    indptr: np.ndarray
-    first: np.ndarray
-    rest: tuple
-
-    def __call__(self, values):
-        """The stored data of the entries' ``values``."""
-        data = values[self.first]
-        for slots, entries in self.rest:
-            data[slots] += values[entries]
-        return data
-
-
-def compress(major, minor, n_major, n_minor):
-    """The ``Gather`` of scipy's COO -> CSR conversion (CSC with the roles
-    swapped) of the entries (``major``, ``minor``), found once per
-    pattern.  scipy groups the entries by ``major`` in their own order,
-    then sorts each group by ``minor`` with a sort that is not stable:
-    that sort, run here on the entry numbers, decides which of two equal
-    ``minor`` comes first, and so the order in which duplicates sum."""
-    counts = np.bincount(major, minlength=n_major)
+def compress(major, minor, n_major):
+    """The CSR form (CSC with the roles swapped) of distinct entries
+    (``major``, ``minor``), as ``(order, indices, indptr)``, read-only:
+    ``order`` sorts the entries by ``major``, then ``minor``, so their
+    values in that order are the stored data of the pattern
+    (``indices``, ``indptr``)."""
+    order = np.lexsort((minor, major))
     indptr = np.zeros(n_major + 1, dtype=np.int32)
-    np.cumsum(counts, out=indptr[1:])
-    order = np.argsort(major, kind="stable")
-    probe = sp.csr_matrix((order, minor[order].astype(np.int32), indptr),
-                          shape=(n_major, n_minor))
-    probe.sort_indices()
-    order, minor = probe.data, probe.indices
-    group = np.repeat(np.arange(n_major), counts)
-    opens = np.ones(len(order), dtype=bool)
-    opens[1:] = (minor[1:] != minor[:-1]) | (group[1:] != group[:-1])
-    slot = np.cumsum(opens) - 1
-    rank = np.arange(len(order)) - np.flatnonzero(opens)[slot]
-    rest = tuple((slot[rank == k], order[rank == k])
-                 for k in range(1, rank.max(initial=0) + 1))
-    stored = np.zeros(n_major + 1, dtype=np.int32)
-    np.cumsum(np.bincount(group[opens], minlength=n_major), out=stored[1:])
-    gather = Gather(minor[opens], stored, order[opens], rest)
-    for array in (gather.indices, gather.indptr, gather.first,
-                  *(a for pair in rest for a in pair)):
+    np.cumsum(np.bincount(major, minlength=n_major), out=indptr[1:])
+    indices = minor[order].astype(np.int32)
+    for array in (order, indices, indptr):
         array.flags.writeable = False
-    return gather
+    return order, indices, indptr
 
 
 @dataclass(eq=False)
 class Plan:
     """The fixed structure of a tunneling operator on one basis.
 
-    ``gather`` stores V's entries as a CSR matrix: its pattern and, for
-    a plan of ``build_v_mixed``, how the value of every move lands in
-    it, move by move as the move table lists them (``term`` indexes the
+    ``indices`` and ``indptr`` are V's CSR pattern.  For a plan of
+    ``build_v_mixed`` every stored entry is one move, and ``term`` and
+    ``amp`` list the moves in stored order: ``term`` indexes the
     couplings -J and -J* of the moves' families, ``amp`` holds the
-    amplitudes).  ``split`` is the pattern's M/F ``perturb.Split``, the
+    amplitudes.  ``split`` is the pattern's M/F ``perturb.Split``, the
     one copy of it: ``perturb.partition`` builds it on first use, with M
     the basis' single-occupancy block.
     """
 
-    gather: Gather
+    indices: np.ndarray
+    indptr: np.ndarray
     term: np.ndarray = None
     amp: np.ndarray = None
     dropped: int = 0
@@ -264,17 +231,17 @@ def _move_plan(basis, families):
     term = np.concatenate([np.zeros(0, np.intp)]
                           + [2 * k + t.way for k, t in enumerate(tables)])
     amp = np.concatenate([np.zeros(0)] + [t.amp for t in tables])
+    order, indices, indptr = compress(rows, cols, len(basis))
+    term, amp = term[order], amp[order]
     for array in (term, amp):
         array.flags.writeable = False
-    return Plan(compress(rows, cols, len(basis), len(basis)), term, amp,
-                sum(t.dropped for t in tables))
+    return Plan(indices, indptr, term, amp, sum(t.dropped for t in tables))
 
 
 def pattern_plan(mat):
-    """The plan of an operator built without one, from its own canonical
-    CSR pattern; ``perturb.partition`` keeps it on the operator."""
-    rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
-    return Plan(compress(rows, mat.indices, *mat.shape))
+    """The plan of an operator built without one: its own canonical CSR
+    pattern; ``perturb.partition`` keeps it on the operator."""
+    return Plan(mat.indices, mat.indptr)
 
 
 def build_h0(basis, params):
@@ -319,14 +286,13 @@ def build_v_mixed(basis, graph, hop_matrices):
     ``hop_matrices[link][t, f]`` multiplies -a(from, t)^dag a(to, f); the
     Hermitian conjugate move is added automatically.
 
-    Each move (edge, t, f) with a nonzero J is a family of the basis'
-    move table (``Basis.moves``), scaled by -J forward and -J* back; a
-    zero J adds nothing, not even explicit zeros, which would join
-    conserved sectors in V's pattern.  The CSR pattern of one list of
-    live families is built once per basis (its ``Plan``, kept with the
-    basis), so a call only scales the fixed amplitudes and gathers them
-    into that pattern, summing duplicates from parallel links as scipy
-    does.  A move with a nonzero amplitude whose target is not in the
+    Each move (edge, t, f) with a nonzero J is a family of moves
+    (``Basis.moves``), scaled by -J forward and -J* back; a zero J adds
+    nothing, not even explicit zeros, which would join conserved sectors
+    in V's pattern.  The CSR pattern of one list of live families is
+    built once per basis (its ``Plan``, kept with the basis), with the
+    moves' amplitudes in stored order, so a call only scales them.  A
+    move with a nonzero amplitude whose target is not in the
     basis is dropped and counted in ``meta["dropped_moves"]``: for the
     exclusion sentinels that is the exact infinite-U projection, on a
     truncated basis a truncation.
@@ -346,11 +312,10 @@ def build_v_mixed(basis, graph, hop_matrices):
                 families.append((2 * edge.to + f, 2 * edge.frm + t))
                 couplings += (-j, -j.conjugate())
     plan = basis.plan(tuple(families), _move_plan)
-    gather = plan.gather
-    data = gather(np.array(couplings, dtype=complex)[plan.term] * plan.amp)
     dim = len(basis)
-    mat = sp.csr_matrix((data, gather.indices, gather.indptr),
-                        shape=(dim, dim))
+    mat = sp.csr_matrix(
+        (np.array(couplings, dtype=complex)[plan.term] * plan.amp,
+         plan.indices, plan.indptr), shape=(dim, dim))
     return SparseOperator(mat, basis,
                           meta={"graph": graph,
                                 "hop_matrices": dict(hop_matrices),

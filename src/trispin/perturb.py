@@ -149,13 +149,14 @@ class Split:
 
     @cached_property
     def hff(self):
-        """The ``Gather`` that stores the entries ``ff`` of V_FF, then the
-        energies of F on the diagonal, as H_FF in CSC form."""
+        """H_FF in CSC form (``hubbard.compress``): the entries ``ff`` of
+        V_FF, then the energies of F on the diagonal, which V, a hop,
+        never touches."""
         k, nf = len(self.m), len(self.f)
         diag = np.arange(nf)
         rows = np.concatenate([self.rows[self.ff] - k, diag])
         cols = np.concatenate([self.cols[self.ff] - k, diag])
-        return compress(cols, rows, nf, nf)
+        return compress(cols, rows, nf)
 
 
 @dataclass
@@ -249,14 +250,14 @@ class Partition:
         """H_FF = V_FF + diag(E_F) in canonical CSC form, real when V is.
 
         The pattern comes from the split (``Split.hff``); the values are
-        gathered into it.  SuperLU takes the 32-bit indices as they are.
+        sorted into it.  SuperLU takes the 32-bit indices as they are.
         """
-        gather = self.split.hff
+        order, indices, indptr = self.split.hff
         vals = self.vals if self.vals.imag.any() else self.vals.real
         nf = len(self.f)
         return sp.csc_matrix(
-            (gather(np.concatenate([vals[self.split.ff], self.ef])),
-             gather.indices, gather.indptr), shape=(nf, nf))
+            (np.concatenate([vals[self.split.ff], self.ef])[order],
+             indices, indptr), shape=(nf, nf))
 
 
 def partition(h0, v):
@@ -280,8 +281,7 @@ def partition(h0, v):
     if plan is None:
         plan = v.plan = pattern_plan(mat)
     if plan.split is None:
-        plan.split = Split.of_pattern(basis, plan.gather.indptr,
-                                      plan.gather.indices)
+        plan.split = Split.of_pattern(basis, plan.indptr, plan.indices)
     split = plan.split
     # R is read from the values: an entry that is stored but zero does
     # not reach its F state

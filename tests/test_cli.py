@@ -194,6 +194,30 @@ TAU4_UNUSABLE = "tau4 = j_mag^3 / u^2 must be finite and nonzero"
     (["scan", "--family", "fermionic", "--j-up-max", "0.05",
       "--j-up-steps", "1000000000000", "--j-dn-max", "0.05",
       "--j-dn-steps", "2"], "--j-up-steps must not exceed 1000"),
+    # collision energies whose cube is not a normal float: each of these
+    # used to raise OverflowError or ZeroDivisionError, or print NaN or
+    # Infinity (the last at J/U = 0.4, so no regime warning may precede
+    # the refusal)
+    (["couplings", "--family", "fermionic", "--j-up", "0.1",
+      "--u", "1e200"], "cross channel must be nonzero and its cube"),
+    (["scan", "--family", "bosonic", "--j-up-max", "0.05",
+      "--j-up-steps", "2", "--j-dn-max", "0.05", "--j-dn-steps", "2",
+      "--u", "1", "--uuu", "1e200", "--udd", "1"],
+     "up-up channel must be nonzero and its cube"),
+    (["couplings", "--family", "rotated_xy", "--j-up", "1e-201",
+      "--u", "1e-200"], "collision energy must be nonzero and its cube"),
+    (["couplings", "--family", "complex_fermionic", "--j-up", "1e-170",
+      "--u", "1e-160"], "cross channel must be nonzero and its cube"),
+    (["couplings", "--family", "fermionic", "--j-up", "4e149",
+      "--u", "1e150"], "cross channel must be nonzero and its cube"),
+    # J/U beyond the hard cap, over the smallest channel a family reads
+    (["couplings", "--family", "fermionic", "--j-up", "inf", "--u", "1"],
+     "hard cap"),
+    (["couplings", "--family", "fermionic", "--j-up", "5", "--u", "1"],
+     "hard cap"),
+    (["couplings", "--family", "bosonic", "--j-up", "0.1", "--j-dn", "0.6",
+      "--u", "2", "--uuu", "2", "--udd", "1"], "hard cap"),
+    (["chiral", "--j-mag", "5", "--u", "1"], "hard cap"),
 ], ids=["zero-step", "negative-step", "min-above-max", "zero-steps",
         "zero-sites", "negative-sites", "sites-not-multiple-of-3",
         "zero-bx-min", "negative-bx-min", "zero-j-mag", "infinite-u",
@@ -201,13 +225,17 @@ TAU4_UNUSABLE = "tau4 = j_mag^3 / u^2 must be finite and nonzero"
         "draws-above-limit", "million-draws",
         "nan-flag", "nan-energy", "infinite-bx-step", "infinite-bx-max",
         "sites-24", "sites-300", "subnormal-bx-step", "tiny-bx-step",
-        "huge-steps"])
+        "huge-steps", "overflowing-cube", "overflowing-scan-cube",
+        "vanishing-square", "underflowing-cube",
+        "overflowing-cube-at-small-ratio", "infinite-j", "j-over-u-5",
+        "bosonic-smallest-channel", "chiral-j-over-u-5"])
 def test_bad_grid_is_a_usage_error(capsys, args, message):
-    # rejected with exit 2 before any output is written
+    # rejected with exit 2 before any output is written, in one line
     assert main(args) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert message in captured.err
+    refusal, = captured.err.splitlines()
+    assert refusal.startswith("error: ") and message in refusal
 
 
 @pytest.mark.parametrize("command, setting", [
@@ -674,3 +702,15 @@ def test_verify_runs_without_library_wrappers(monkeypatch, capsys):
     assert main(["verify", "--draws", "1"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["ok"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ["couplings", "--family", "fermionic", "--j-up", "0.4", "--u", "1"],
+    ["chiral", "--j-mag", "0.4", "--u", "1"],
+], ids=["couplings", "chiral"])
+def test_strained_regime_warns_and_runs(capsys, argv):
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    json.loads(captured.out)
+    assert captured.err == ("# warning: J/U up to 0.4 strains the "
+                            "perturbative regime\n")

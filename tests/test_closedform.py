@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trispin import closedform
 from trispin.conformance import (formula_tolerance, printed_fermionic,
@@ -346,3 +348,61 @@ def test_expected_strings_match_decomposition():
         for string, c in coeffs.items():
             if string not in expected:
                 assert abs(c) <= tol, (cs.family, string)
+
+
+# A collision energy is accepted when its cube is a finite normal float:
+# with |J| <= |U| / 2, the cap of the command line, every closed form is
+# then finite.
+
+TINY, HUGE = 1e-103, 1e103      # cubes below the normal range, above max
+
+
+@pytest.mark.parametrize("u", [0.0, math.inf, -math.inf, math.nan, TINY,
+                               -TINY, HUGE, -HUGE, 1e-160, 1e150],
+                         ids=str)
+def test_collision_energy_out_of_range_is_refused(u):
+    j = 1e-3
+    calls = [
+        lambda: closedform.bosonic_couplings(
+            _uniform_params(Statistics.BOSON, j, j, uu=u)),
+        lambda: closedform.fermionic_couplings(
+            _uniform_params(Statistics.FERMION, j, j, ud=u)),
+        lambda: closedform.complex_tunneling_couplings(
+            _uniform_params(Statistics.BOSON, 1j * j, 1j * j, dd=u)),
+        lambda: closedform.complex_tunneling_couplings(
+            _uniform_params(Statistics.FERMION, 1j * j, 1j * j, ud=u)),
+        lambda: closedform.rotated_xy_couplings(j, u),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="cube finite and nonzero"):
+            call()
+
+
+def _energy():
+    # |U| from the smallest to the largest decade with a normal cube
+    return st.builds(lambda sign, exponent, mantissa:
+                     sign * mantissa * 10.0 ** exponent,
+                     st.sampled_from([-1.0, 1.0]), st.integers(-102, 101),
+                     st.floats(3.0, 5.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_energy(), _energy(), _energy(), st.floats(-0.5, 0.5),
+       st.floats(-0.5, 0.5))
+def test_couplings_within_the_cap_are_finite(uu, dd, ud, x_up, x_dn):
+    scale = min(abs(uu), abs(dd), abs(ud))
+    j_up, j_dn = x_up * scale, x_dn * scale
+    sets = [
+        closedform.bosonic_couplings(_uniform_params(
+            Statistics.BOSON, j_up, j_dn, uu, dd, ud)),
+        closedform.fermionic_couplings(_uniform_params(
+            Statistics.FERMION, j_up, j_dn, ud=ud)),
+        closedform.complex_tunneling_couplings(_uniform_params(
+            Statistics.BOSON, 1j * j_up, 1j * j_dn, uu, dd, ud)),
+        closedform.complex_tunneling_couplings(_uniform_params(
+            Statistics.FERMION, 1j * j_up, 1j * j_dn, ud=ud)),
+        closedform.rotated_xy_couplings(x_up * abs(ud), ud),
+    ]
+    for couplings in sets:
+        values = [np.ravel(value) for value in couplings.values.values()]
+        assert np.isfinite(np.concatenate(values)).all(), couplings.family

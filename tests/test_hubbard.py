@@ -47,6 +47,15 @@ def test_zigzag_too_short():
         make_zigzag(2)
 
 
+@pytest.mark.parametrize("edges", [
+    ((0, 1), (1, 2), (0, 1)), ((0, 1), (1, 2), (1, 0))],
+    ids=["parallel", "antiparallel"])
+def test_two_links_on_one_site_pair_are_refused(edges):
+    with pytest.raises(ValueError, match="two links join the same pair"):
+        LatticeGraph(3, tuple(Edge(link, *pair)
+                              for link, pair in enumerate(edges)), "twice")
+
+
 def test_triangular_patch_interior_degree():
     patch = make_triangular_patch(3, 3)
     degree = [0] * patch.n_sites
@@ -378,9 +387,9 @@ def test_hand_built_basis_equals_reference():
 def _v_cases(draw):
     n_sites = draw(st.integers(3, 4))
     pairs = list(itertools.combinations(range(n_sites), 2))
-    # a pair may repeat: parallel links put duplicate entries into V
+    # one link per site pair, in either orientation
     chosen = draw(st.lists(st.sampled_from(pairs), min_size=1,
-                           max_size=len(pairs) + 1))
+                           max_size=len(pairs), unique=True))
     edges = tuple(Edge(link, *(pair if draw(st.booleans()) else pair[::-1]))
                   for link, pair in enumerate(chosen))
     graph = LatticeGraph(n_sites, edges, "drawn")
@@ -439,7 +448,9 @@ def test_shared_basis_arrays_are_read_only():
     basis = hilbert_basis(make_triangle(), params)
     with pytest.raises(ValueError, match="read-only"):
         basis.occ[0, 0] = 1
-    for array in (basis.keys, basis.place, *basis.moves(0, 2)[:4]):
+    plan = build_v(basis, make_triangle(), params).plan
+    for array in (basis.keys, basis.place, plan.indices, plan.indptr,
+                  plan.term, plan.amp):
         assert not array.flags.writeable
     # a hand-made basis freezes its own view, not the caller's rows
     rows = basis.occ.copy()
@@ -475,7 +486,7 @@ def test_oversized_sector_error_is_not_cached():
 def test_move_table_reuse_equals_a_fresh_basis(statistics):
     """Parameter sets applied in turn to one shared basis give the CSR
     arrays and dropped-move counts of a build on a fresh copy of it,
-    whose move table starts empty."""
+    whose plans start empty."""
     tri = make_triangle()
     rng = np.random.default_rng(5)
     params = _random_params(tri, statistics, rng)
@@ -499,9 +510,6 @@ def test_move_table_reuse_equals_a_fresh_basis(statistics):
             a, b = getattr(got.mat, name), getattr(want.mat, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
         assert got.meta["dropped_moves"] == want.meta["dropped_moves"]
-    # one table entry per link and species pair, keyed by the mode pair
-    assert {(2 * e.to + f, 2 * e.frm + t) for e in tri.edges
-            for t in range(2) for f in range(2)} <= set(basis._moves)
 
 
 def test_h0_csr_equals_scipy_diags():
@@ -529,23 +537,18 @@ def _exclusion_params(graph, statistics, cross, up_doubles, dn_doubles, rng):
     return params
 
 
-THREE_PARALLEL_LINKS = LatticeGraph(3, (Edge(0, 0, 1), Edge(1, 1, 0),
-                                        Edge(2, 0, 1), Edge(3, 1, 2),
-                                        Edge(4, 2, 0)), "three_parallel")
-
-
 @pytest.mark.parametrize("statistics", list(Statistics))
 @pytest.mark.parametrize("exclusions", list(itertools.product(
     (False, True), repeat=3)), ids=lambda e: "".join("x" if x else "-"
                                                       for x in e))
 @pytest.mark.parametrize("graph", [make_triangle(), make_zigzag(4),
-                                   make_zigzag(5), THREE_PARALLEL_LINKS],
+                                   make_zigzag(5),
+                                   make_triangular_patch(2, 2)],
                          ids=lambda g: g.geometry)
 def test_planned_v_equals_per_state_reference(graph, statistics, exclusions):
     """Built twice on the shared basis, the second time from the kept
     plan, and Raman-rotated (all four species families live), V keeps
-    the CSR arrays of the per-state reference, duplicates of parallel
-    links summed in scipy's order included."""
+    the CSR arrays of the per-state reference."""
     rng = np.random.default_rng(len(graph.edges))
     params = _exclusion_params(graph, statistics, *exclusions, rng)
     try:
@@ -565,15 +568,6 @@ def test_planned_v_equals_per_state_reference(graph, statistics, exclusions):
     assert all(np.all(kmat != 0) for kmat in turned.values())
     assert rotated.plan is not first.plan
     _assert_same_v(rotated, basis, graph, turned)
-
-
-def test_three_parallel_links_sum_three_entries():
-    params = _random_params(THREE_PARALLEL_LINKS, Statistics.BOSON,
-                            np.random.default_rng(2))
-    v = build_v(hilbert_basis(THREE_PARALLEL_LINKS, params),
-                THREE_PARALLEL_LINKS, params)
-    # a slot of the links between sites 0 and 1 sums three entries
-    assert len(v.plan.gather.rest) == 2
 
 
 def test_a_zero_coupling_gets_its_own_pattern():

@@ -26,9 +26,9 @@ from trispin.cli import main
 from trispin.conformance import (engine_decomposition, random_triangle_params,
                                  run_triangle_draw)
 from trispin.fock import Basis, Species, Statistics
-from trispin.hubbard import (Edge, HubbardParams, LatticeGraph, SparseOperator,
-                             build_h0, build_v, build_v_mixed, derive,
-                             make_triangle, make_zigzag)
+from trispin.hubbard import (HubbardParams, SparseOperator, build_h0,
+                             build_v, build_v_mixed, derive, make_triangle,
+                             make_zigzag)
 from trispin.perturb import (DegenerateIntermediateError, EffectiveHamiltonian,
                              check_engine, h_eff_second, h_eff_third,
                              partition, spin_map)
@@ -454,20 +454,22 @@ def test_plans_are_built_once_per_basis_and_families(monkeypatch):
 
 
 def test_reached_states_are_read_from_the_values():
-    """Two parallel links with opposite J store exact zeros in V's kept
-    pattern; the states only they lead to are not in R."""
-    graph = LatticeGraph(3, (Edge(0, 0, 1), Edge(1, 0, 1), Edge(2, 1, 2),
-                             Edge(3, 2, 0)), "cancelling")
-    params = HubbardParams.uniform(Statistics.BOSON, 4, 0.04, 0.03,
-                                   u_upup=1.1, u_dndn=0.9)
-    h0, _ = derive(graph, params)
-    hops = {link: np.diag([0.04, 0.03]) for link in range(4)}
-    hops[1] = -hops[0]
-    cancelled = build_v_mixed(h0.basis, graph, hops)
-    without = build_v_mixed(h0.basis, graph, {2: hops[2], 3: hops[3]})
-    assert (cancelled.mat.data == 0).any()
-    p = partition(h0, cancelled)
+    """A V that stores explicit zeros, here every entry of link 0 of the
+    triangle, keeps them in its pattern; the states only they lead to
+    are not in R."""
+    h0, v = _bosonic_triangle()
+    tri, basis = make_triangle(), v.basis
+    hops = {link: np.diag([0.05, 0.03]) for link in range(3)}
+    link0 = build_v_mixed(basis, tri, {0: hops[0]}).mat.tocoo()
+    stored = v.mat.copy()
+    rows = np.repeat(np.arange(stored.shape[0]), np.diff(stored.indptr))
+    dim = stored.shape[0]
+    stored.data[np.isin(rows * dim + stored.indices,
+                        link0.row * dim + link0.col)] = 0
+    assert (stored.data == 0).any() and stored.nnz == v.mat.nnz
+    p = partition(h0, SparseOperator(stored, basis))
     assert len(p.r) < len(np.unique(p.split.mf_targets))
+    without = build_v_mixed(basis, tri, {1: hops[1], 2: hops[2]})
     assert np.array_equal(p.r, partition(h0, without).r)
 
 
