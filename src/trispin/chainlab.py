@@ -5,9 +5,10 @@ fields, its self-duality diagnostics, the circulating states of a
 triangle and the detection of next-nearest-neighbour terms generated on
 zig-zag chains.  The transverse-field chain is solved on the real blocks
 of its symmetry group (``chain_blocks``): the sublattice flips, and on
-each solved flip sector the dihedral group of the translation by three
-sites and the mirror, resolved as in Sandvik, AIP Conf. Proc. 1297, 135
-(2010), with real semi-momentum states for the +-q pairs.
+each solved flip sector a dihedral group of translations and the mirror,
+the full D_n on the trivial sector and that of the translation by three
+sites on the flipped one, resolved as in Sandvik, AIP Conf. Proc. 1297,
+135 (2010), with real semi-momentum states for the +-q pairs.
 """
 
 from __future__ import annotations
@@ -123,12 +124,13 @@ def zzz_chain_sparse(bx, bz, n):
 
 @dataclass(frozen=True)
 class _Orbits:
-    """Orbits of the sector representatives j < 2**(n - 2) under the
-    dihedral group D = <T^3, M> (see ``chain_blocks``) and the hops
+    """Orbits of the sector representatives j < 2**(n - 2) under a
+    dihedral group D = <T^step, M> (see ``chain_blocks``) and the hops
     between them, as the pairs (source, target) of orbits that a hop
-    from the source's representative connects.  Group element
-    g = p + L m, with L = n / 3, is T^(3p) M^m; on the sector (1, chi12)
-    a fold parity f gives the sign chi12**f."""
+    from the source's representative connects, and the pair (a, a) of
+    every orbit a.  Group element g = p + L m, with L = n / step, is
+    T^(step p) M^m; on the sector (1, chi12) a fold parity f gives the
+    sign chi12**f."""
     period: int
     zzz: np.ndarray             # ZZZ diagonal of each orbit
     stabilizer: np.ndarray      # (2L, R): g fixes the representative
@@ -138,15 +140,20 @@ class _Orbits:
                                 # target's representative
     folds: np.ndarray           # per hop: fold parity of the hop and g
     first: np.ndarray           # (R + 1): first pair of each source
-    target: np.ndarray          # per pair, sorted by source then target
+    source: np.ndarray          # per pair; the pairs are sorted by
+    target: np.ndarray          # source, then by target
+    own: np.ndarray             # (R): the pair (a, a) of each orbit a
     mirror: np.ndarray          # per pair: the pair (target, source)
 
 
-def _dihedral_orbits(n):
-    """Orbit tables of the representatives: each orbit is represented by
-    its smallest integer, which every member reaches by the first group
-    element that maps it there."""
-    period = n // 3
+def _dihedral_orbits(n, step):
+    """Orbit tables of the representatives under <T^step, M>: each orbit
+    is represented by its smallest integer, which every member reaches
+    by the first group element that maps it there.  A step of 3 serves
+    both solved sectors.  A step of 1 serves the trivial one alone: T
+    maps the flipped sector to another, and on the trivial sector every
+    flip has the character 1, so the fold parities do not count."""
+    period = n // step
     bit = 1 << (n - 1 - np.arange(n))
     sublattice = np.arange(n) % 3
     p01, p02, p12 = (int(bit[sublattice != a].sum()) for a in (2, 1, 0))
@@ -157,25 +164,30 @@ def _dihedral_orbits(n):
     mirror = np.zeros_like(j)
     for i in range(2, n):
         mirror |= (j >> (n - 1 - i) & 1) << (n - 1 - (1 - i) % n)
+    # each image keeps its g in the low bits, so that one minimum gives
+    # the smallest image and the first g that maps there (an int32 holds
+    # both up to n = 27)
+    bits = (2 * period - 1).bit_length()
     image = np.empty((2 * period, len(j)), dtype=np.int32)
     folds = np.empty(image.shape, dtype=np.int8)
     for m, start in enumerate((j, mirror)):
         x, f = start, np.zeros(len(j), dtype=np.int8)
         for p in range(period):
-            image[p + m * period], folds[p + m * period] = x, f
-            x = x >> 3 | (x & 7) << (n - 3)         # site i -> i + 3
+            g = p + m * period
+            image[g], folds[g] = x << bits | g, f
+            x = x >> step | (x & (1 << step) - 1) << (n - step)  # i -> i+step
             down = x >> (n - 2)
             x = x ^ fold[down]
             f = f ^ ((down == 1) | (down == 2))
     del mirror, x, f
-    element = np.argmin(image, axis=0).astype(np.int32)
-    rep = image[element, j]
+    least = image.min(axis=0)
+    element, rep = least & (1 << bits) - 1, least >> bits
     reps = np.flatnonzero(rep == j).astype(np.int32)
     orbit = np.empty_like(j)
     orbit[reps] = np.arange(len(reps), dtype=np.int32)
     orbit = orbit[rep]
-    stabilizer = image[:, reps] == reps
-    del image, rep
+    stabilizer = image[:, reps] >> bits == reps
+    del image, rep, least
     # X_0 and X_1 leave the representatives and are folded back by P02
     # and P12, which contributes their character
     masks = np.concatenate([[bit[0] ^ p02, bit[1] ^ p12],
@@ -183,10 +195,13 @@ def _dihedral_orbits(n):
     hop = (reps[:, None] ^ masks).ravel()
     hop_folds = folds[element[hop], hop]
     hop_folds.reshape(len(reps), n)[:, :2] ^= 1
-    pairs, pair = np.unique(
+    # every orbit is paired with itself too, hop or not: the pair holds
+    # the diagonal slot of its rows
+    pairs, pair = np.unique(np.concatenate([
         np.repeat(np.arange(len(reps), dtype=np.int64), n) * len(reps)
-        + orbit[hop], return_inverse=True)
-    pair = pair.ravel().astype(np.int32)
+        + orbit[hop], np.arange(len(reps)) * (len(reps) + 1)]),
+        return_inverse=True)
+    pair, own = pair[:len(hop)].astype(np.int32), pair[len(hop):]
     source, target = np.divmod(pairs, len(reps))
     first = np.zeros(len(reps) + 1, dtype=np.int64)
     np.cumsum(np.bincount(source, minlength=len(reps)), out=first[1:])
@@ -195,21 +210,23 @@ def _dihedral_orbits(n):
     element = element[hop]
     site = np.arange(n)
     g = np.arange(2 * period)[:, None]
-    moved = (np.where(g < period, site, 1 - site) + 3 * (g % period)) % n
-    mirror = np.empty(len(pairs), dtype=np.int32)
+    moved = (np.where(g < period, site, 1 - site) + step * (g % period)) % n
+    mirror = np.arange(len(pairs), dtype=np.int32)    # (a, a) is its own
     mirror[pair] = pair[target[pair] * n
                         + moved[element, np.tile(site, len(reps))]]
     return _Orbits(period, _zzz_diagonal(reps, n), stabilizer,
                    folds[:, reps], pair, element.astype(np.int8), hop_folds,
-                   first, target.astype(np.int32), mirror)
+                   first, source.astype(np.int32), target.astype(np.int32),
+                   own, mirror)
 
 
 def _irreps(period):
-    """Real irreps of D as (m, parity, rho), rho a table (d, d, 2L) over
-    g = p + L m' for q = 2 pi m / L: for q = 0 and q = pi (L even) the
-    characters cos(qp) parity**m', M even then odd, and for each
-    0 < q < pi in between rho(T^(3p) M^m') = [[c, -mu s], [s, mu c]],
-    c, s = cos, sin(qp) and mu = (-1)**m', whose first row is M even.
+    """Real irreps of D = <T^step, M> as (m, parity, rho), rho a table
+    (d, d, 2L) over g = p + L m' for q = 2 pi m / L: for q = 0 and q = pi
+    (L even) the characters cos(qp) parity**m', M even then odd, and for
+    each 0 < q < pi in between
+    rho(T^(step p) M^m') = [[c, -mu s], [s, mu c]], c, s = cos, sin(qp)
+    and mu = (-1)**m', whose first row is M even.
     The totally symmetric irrep comes first."""
     turns = np.arange(2 * period) % period
     flip = np.where(np.arange(2 * period) < period, 1.0, -1.0)
@@ -229,27 +246,33 @@ class SymmetryBlock:
     """One real block of the chain, zzz + bx hops, whose levels occur
     ``copies`` times in the full spectrum."""
     irrep: tuple                # (chi12, m, parity): flip sector (1, chi12),
-                                # T^3 momentum 2 pi m / (n/3), M parity
+                                # momentum 2 pi m / n of T on the trivial
+                                # sector, 2 pi m / (n/3) of T^3 on the
+                                # flipped one, M parity
     copies: int
     zzz: np.ndarray
-    hops: sp.csr_matrix         # -sum_i X_i, symmetric bit for bit
+    hops: sp.csr_matrix         # -sum_i X_i, symmetric bit for bit, with a
+                                # slot on every diagonal entry
+    diagonal: np.ndarray        # those slots in hops.data, row by row
 
     def lowest(self, bx, count):
         """Lowest ``count`` levels at field ``bx``: dense up to
-        ``DENSE_BLOCK_DIM`` states, by Lanczos beyond."""
+        ``DENSE_BLOCK_DIM`` states, by Lanczos beyond, on the pattern of
+        ``hops``, whose diagonal slots take zzz."""
         dim = len(self.zzz)
         if dim <= DENSE_BLOCK_DIM:
             h = self.hops.toarray()
             h *= bx
             h.flat[::dim + 1] += self.zzz
             return np.linalg.eigvalsh(h)[:count]
-        return extremal_eigenvalues(bx * self.hops + sp.diags(self.zzz),
-                                    k=count)
+        h = self.hops * bx
+        h.data[self.diagonal] += self.zzz
+        return extremal_eigenvalues(h, k=count)
 
 
 def _sector_blocks(orbits, chi12):
-    """Blocks of every irrep of D on the flip sector (1, chi12), the
-    totally symmetric one first."""
+    """Blocks of every irrep of the orbits' group on the flip sector
+    (1, chi12), the totally symmetric one first."""
     odd = chi12 < 0
     psi = orbits.stabilizer * (1 - 2 * (orbits.stabilizer_folds & odd))
     sign = 1 - 2 * (orbits.folds & odd)
@@ -273,8 +296,8 @@ def _irrep_block(orbits, irrep, rho, psi, sign, copies):
     from a to configurations r of orbit b, g_r taking r onto b with sign
     sigma_r.  Each element is averaged with its mirror, which makes the
     block symmetric bit for bit, and the elements that are 0 are not
-    stored.  Row (f, a) lists its elements with every (b, e) pair by
-    pair.
+    stored but on the diagonal, where every row keeps a slot for zzz.
+    Row (f, a) lists its elements with every (b, e) pair by pair.
     """
     d = len(rho)
     size = orbits.stabilizer.sum(axis=0)
@@ -283,8 +306,8 @@ def _irrep_block(orbits, irrep, rho, psi, sign, copies):
     kept = np.arange(d)[:, None] < rank
     if not kept.any():
         return None
-    first, target, n_pairs = orbits.first, orbits.target, len(orbits.target)
-    source = np.repeat(np.arange(len(rank), dtype=np.int32), np.diff(first))
+    first, source, target = orbits.first, orbits.source, orbits.target
+    own, n_pairs = orbits.own, len(target)
     values = np.empty((d, d, n_pairs))
     for i, j in np.ndindex(d, d):
         values[i, j] = np.bincount(orbits.pair,
@@ -307,19 +330,15 @@ def _irrep_block(orbits, irrep, rho, psi, sign, copies):
     root = np.sqrt(size)
     values *= -root[target]
     values /= root[source]
-    for i in range(d):
-        for j in range(i + 1):
-            mirrored = (values[j, i][orbits.mirror],
-                        values[i, j][orbits.mirror])
-            values[i, j] += mirrored[0]
-            values[i, j] *= 0.5
-            if i != j:
-                values[j, i] += mirrored[1]
-                values[j, i] *= 0.5
+    values += values.swapaxes(0, 1)[..., orbits.mirror]
+    values *= 0.5
     kept_source, kept_target = (np.take(kept, index, axis=1)
                                 for index in (source, target))
     mask = [[kept_source[f] & kept_target[e] & (values[e, f] != 0)
              for e in range(d)] for f in range(d)]
+    # every row keeps its diagonal slot, 0 or not: there a field adds zzz
+    for f in range(d):
+        mask[f][f][own] |= kept[f]
     elements = [[values[e, f][mask[f][e]] for e in range(d)]
                 for f in range(d)]
     # freed before the CSR arrays are allocated, and each element list
@@ -336,10 +355,15 @@ def _irrep_block(orbits, irrep, rho, psi, sign, copies):
     column = (np.cumsum(kept.T) - 1).astype(np.int32).reshape(-1, d).T
     data = np.empty(int(end[-1, -1]))
     indices = np.empty(len(data), dtype=np.int32)
+    diagonal = np.empty(int(kept.sum()), dtype=np.int32)
     for f in range(d):
         offset = np.cumsum(count[f], dtype=np.int32)
         offset -= count[f]
         offset += (start[f] - offset[first[:-1]])[source]
+        slot = offset[own[kept[f]]]
+        if f:
+            slot += mask[f][0][own[kept[f]]]
+        diagonal[column[f][kept[f]]] = slot
         for e in range(d):
             at = offset[mask[f][e]]
             if e:
@@ -351,7 +375,7 @@ def _irrep_block(orbits, irrep, rho, psi, sign, copies):
     dim = len(indptr) - 1
     return SymmetryBlock(irrep, copies * d, np.repeat(orbits.zzz, rank),
                          sp.csr_matrix((data, indices, indptr),
-                                       shape=(dim, dim)))
+                                       shape=(dim, dim)), diagonal)
 
 
 def chain_blocks(n):
@@ -369,26 +393,28 @@ def chain_blocks(n):
     sectors with P01 P12 != 1 are isospectral and only (1, 1) and
     (1, -1) are solved, the second counted three times.
 
-    T^3, the translation by three sites, keeps every sublattice and so
-    commutes with the flips; the mirror M: i -> (1 - i) mod n fixes P01
-    and swaps P12 with P02, which carry the same character when P01 = 1.
-    With M T^3 M = T^-3 they generate a dihedral group D of order
-    2n/3 on both sectors.  Its irreps are real: for q = 0 and q = pi
-    (n/3 even) one M-even and one M-odd block each, and for each pair
-    +-q in between one block, the M-even row of the two-dimensional
-    irrep, whose levels the M-odd row repeats and which therefore count
-    twice.  No block carries a degeneracy forced by symmetry.  The ZZZ
-    term is constant on D-orbits and the hops are read off the orbit
-    representatives (``_irrep_block``), never from whole orbits.
+    The mirror M: i -> (1 - i) mod n fixes P01 and swaps P12 with P02,
+    which carry the same character when P01 = 1.  T^3, the translation by
+    three sites, keeps every sublattice and so commutes with the flips,
+    and T maps the trivial sector (1, 1) to itself.  With M T M = T^-1
+    they generate the dihedral group D = <T, M> of order 2n on the
+    trivial sector and D = <T^3, M> of order 2n/3 on the flipped one.
+    Its irreps are real: for q = 0 and q = pi (even period) one M-even
+    and one M-odd block each, and for each pair +-q in between one
+    block, the M-even row of the two-dimensional irrep, whose levels the
+    M-odd row repeats and which therefore count twice.  No block carries
+    a degeneracy forced by symmetry.  The ZZZ term is constant on
+    D-orbits and the hops are read off the orbit representatives
+    (``_irrep_block``), never from whole orbits.  The orbits of each
+    group are freed before those of the next are built.
 
     The first block is the totally symmetric one: trivial sector, q = 0,
     M even.
     """
     if n % 3:
         raise ValueError("sublattice flips need a multiple of 3 sites")
-    orbits = _dihedral_orbits(n)
-    return tuple(block for chi12 in (1, -1)
-                 for block in _sector_blocks(orbits, chi12))
+    trivial = _sector_blocks(_dihedral_orbits(n, 1), 1)
+    return tuple(trivial + _sector_blocks(_dihedral_orbits(n, 3), -1))
 
 
 def chain_levels(bx, blocks, k=8):
@@ -403,7 +429,7 @@ def chain_levels(bx, blocks, k=8):
     For k = 1 only the totally symmetric block is solved.  The hops
     -bx X_i all have one sign and connect every configuration, so for
     bx > 0 the ground state is unique with positive amplitudes
-    (Perron-Frobenius).  The flips, T^3 and the mirror permute
+    (Perron-Frobenius).  The flips, T and the mirror permute
     configurations without a sign, so they fix it.  For bx < 0 the same
     holds after the sign change prod_i Z_i, which commutes with all of
     them; at bx = 0 the all-up ground configuration lies in that block
@@ -438,9 +464,9 @@ def duality_scan(bx_grid, n):
 
     The spectra are symmetry-resolved: the sublattice flips commute with
     the chain only when every triple of the ring holds two flipped sites,
-    which needs 3 | n, and with the translation T^3 and the mirror
+    which needs 3 | n, and with the translations and the mirror
     i -> (1 - i) mod n they split it into the real blocks of
-    ``chain_blocks``, 104 to 256 states at n = 12.  Their structure is
+    ``chain_blocks``, 24 to 256 states at n = 12.  Their structure is
     built once per call; each field only forms zzz + b hops per block.
     Each distinct grid field is solved once for its lowest eight levels
     (``chain_levels``); a reciprocal 1/b that is a grid field too, such

@@ -30,8 +30,8 @@ SOFT_CAP = conformance.SOFT_REGIME_LIMIT
 HARD_CAP = conformance.HARD_REGIME_LIMIT
 # a chain scan holds the symmetry blocks of both solved flip sectors and
 # peaks while it builds the last one, at most about 30 (n + 1) 2^(n-2)
-# bytes (28 at n = 15, 24 at n = 18 by tracemalloc; the solves add less):
-# 0.35 GB at n = 21, 3.1 GB at the next multiple of 3
+# bytes (28.5 at n = 15, 24 at n = 18 by tracemalloc; the solves add
+# less): 0.35 GB at n = 21, 3.1 GB at the next multiple of 3
 CHAIN_MAX_SITES = 21
 # grid sizes are counted before any grid is built: a chain point costs
 # its spectrum and at most a ground-energy solve at 1/b, about 0.02 s at

@@ -1,5 +1,6 @@
 """Exact-diagonal oracle of the bare periodic three-spin chain, its
-unsplit sublattice-flip sector blocks, and the triangle chirality
+unsplit sublattice-flip sector blocks with their translations and the
+character count of their symmetry blocks, and the triangle chirality
 operator."""
 
 import numpy as np
@@ -71,17 +72,18 @@ def mirror_permutation(n):
     return image
 
 
-def translation_by_three(n, chi12):
-    """T^3, site i -> i + 3, on the sector (1, chi12) of
+def translation(n, step, chi12):
+    """T^step, site i -> i + step, on the sector (1, chi12) of
     ``zzz_chain_sector`` as a signed permutation matrix, one site at a
     time: the image of a representative has sites 0 and 1 from sites
-    n - 3 and n - 2, and the flip that raises them again brings the
-    character chi12 when it is P02 or P12."""
+    n - step and n - step + 1, and the flip that raises them again brings
+    the character chi12 when it is P02 or P12.  For step 3 it maps each
+    sector to itself, for step 1 only the trivial sector (1, 1)."""
     dim = 2 ** (n - 2)
     j = np.arange(dim)
     image = np.zeros_like(j)
     for i in range(n):
-        image |= (j >> (n - 1 - i) & 1) << (n - 1 - (i + 3) % n)
+        image |= (j >> (n - 1 - i) & 1) << (n - 1 - (i + step) % n)
     bit = 1 << (n - 1 - np.arange(n))
     sublattice = np.arange(n) % 3
     down = [(image >> (n - 1 - site) & 1).astype(bool) for site in (0, 1)]
@@ -91,6 +93,43 @@ def translation_by_three(n, chi12):
         image[sites] ^= bit[np.isin(sublattice, flip)].sum()
     sign = np.where(down[0] ^ down[1], float(chi12), 1.0)
     return sp.csr_matrix((sign, (image, j)), shape=(dim, dim))
+
+
+def trivial_sector_block_dimensions(n):
+    """Dimension of each real block of the trivial flip sector (1, 1)
+    under D_n = <T, M>, T: i -> i + 1 and M: i -> (1 - i) mod n, as
+    {(m, parity): dimension} for q = 2 pi m / n, from characters alone.
+
+    The sector is the permutation representation of D_n on the flip
+    orbits {x, P01 x, P02 x, P12 x} of all 2**n configurations, so an
+    irrep chi occurs (1/2n) sum_g chi(g) fix(g) times, fix(g) the number
+    of orbits that g maps to themselves; a block holds one state per
+    occurrence.  For q = 0 and q = pi, chi(T^p M^m') = cos(qp) parity**m';
+    for 0 < q < pi, chi(T^p) = 2 cos(qp) and chi(T^p M) = 0, and the
+    block is filed under parity 1."""
+    j = np.arange(2 ** n)
+    site = np.arange(n)
+    spins = j[:, None] >> (n - 1 - site) & 1
+    flips = [int(sum(1 << (n - 1 - i) for i in site if i % 3 in pair))
+             for pair in ((0, 1), (0, 2), (1, 2))]
+    fixed = np.empty((2, n))
+    for mirrored in (0, 1):
+        for p in range(n):
+            moved = ((1 - site if mirrored else site) + p) % n
+            image = (spins << (n - 1 - moved)).sum(axis=1)
+            kept = (image == j) | np.isin(image ^ j, flips)
+            fixed[mirrored, p] = kept.sum() / 4
+    dims = {}
+    for m in range(n // 2 + 1):
+        cos = np.cos(2 * np.pi * m * np.arange(n) / n)
+        if 2 * m % n == 0:
+            for parity in (1, -1):
+                dims[m, parity] = cos @ fixed[0] + parity * cos @ fixed[1]
+        else:
+            dims[m, 1] = 2 * cos @ fixed[0]
+    counts = {key: value / (2 * n) for key, value in dims.items()}
+    assert all(abs(c - round(c)) < 1e-9 for c in counts.values())
+    return {key: round(c) for key, c in counts.items()}
 
 
 def chirality_operator(n_sites, triangles=((0, 1, 2),)):

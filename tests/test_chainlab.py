@@ -12,8 +12,9 @@ from trispin.perturb import pauli_decompose
 
 from engine_reference import h_eff_up_to_third
 from spin_reference import (chirality_operator, mirror_permutation,
-                            translation_by_three, zzz_chain_sector,
-                            zzz_diagonal, zzz_ground_space_bruteforce)
+                            translation, trivial_sector_block_dimensions,
+                            zzz_chain_sector, zzz_diagonal,
+                            zzz_ground_space_bruteforce)
 
 
 def _ground_degeneracy(evals):
@@ -291,14 +292,14 @@ def test_duality_scan_solves_each_field_once(monkeypatch):
     solves = _record_solves(monkeypatch)
     scan = chainlab.duality_scan(np.array([1.0]), 12)
     blocks = chainlab.chain_blocks(12)
-    assert len(blocks) == 10
+    assert len(blocks) == 14
     levels = {1: 8, 2: 4, 3: 3, 6: 2}       # ceil(8 / copies)
     assert solves == [(1.0, block.irrep, levels[block.copies])
                       for block in blocks]
     assert scan.duality_defect[0] == 0.0
     solves.clear()
     chainlab.duality_scan(np.array([0.8, 1.25]), 9)
-    assert [bx for bx, _, _ in solves] == [0.8] * 6 + [1.25] * 6
+    assert [bx for bx, _, _ in solves] == [0.8] * 8 + [1.25] * 8
 
 
 def test_duality_scan_builds_each_sector_once(monkeypatch):
@@ -320,7 +321,7 @@ def test_duality_scan_solves_off_grid_reciprocals_for_e0_alone(monkeypatch):
     # every block for each grid field, then the totally symmetric block
     # at 1/0.9; the reciprocal 1/1.0 is the grid field 1.0
     assert ([bx for bx, _, _ in solves]
-            == [0.9] * 10 + [1.0] * 10 + [1 / 0.9])
+            == [0.9] * 14 + [1.0] * 14 + [1 / 0.9])
     assert solves[-1][1:] == ((1, 0, 1), 1)
 
 
@@ -348,7 +349,7 @@ def test_mirror_commutes_with_both_sector_blocks(n):
 @pytest.mark.parametrize("n", [3, 6, 9, 12, 15])
 def test_translation_by_three_commutes_with_both_sector_blocks(n):
     for chi12 in (1, -1):
-        shift = translation_by_three(n, chi12)
+        shift = translation(n, 3, chi12)
         assert (shift.T @ shift != sp.identity(2 ** (n - 2))).nnz == 0
         # (T^3)^(n/3) is the identity, signs included
         power = sp.identity(2 ** (n - 2), format="csr")
@@ -357,6 +358,33 @@ def test_translation_by_three_commutes_with_both_sector_blocks(n):
         assert (power != sp.identity(2 ** (n - 2))).nnz == 0
         block = zzz_chain_sector(0.83, n, 1, chi12)
         assert (shift @ block != block @ shift).nnz == 0
+
+
+@pytest.mark.parametrize("n", [3, 6, 9, 12, 15])
+def test_translation_by_one_commutes_with_the_trivial_sector_block(n):
+    # so the trivial sector carries all of D_n; the flipped one does not
+    identity = sp.identity(2 ** (n - 2))
+    shift = translation(n, 1, 1)
+    assert (shift.T @ shift != identity).nnz == 0
+    power = sp.identity(2 ** (n - 2), format="csr")
+    for _ in range(n):
+        power = shift @ power
+    assert (power != identity).nnz == 0
+    block = zzz_chain_sector(0.83, n, 1, 1)
+    assert (shift @ block != block @ shift).nnz == 0
+    if n > 3:
+        flipped = zzz_chain_sector(0.83, n, 1, -1)
+        shift = translation(n, 1, -1)
+        assert (shift @ flipped != flipped @ shift).nnz > 0
+
+
+@pytest.mark.parametrize("n", [3, 6, 9, 12, 15])
+def test_trivial_block_dimensions_equal_the_dihedral_character_count(n):
+    counted = {irrep: dim for irrep, dim
+               in trivial_sector_block_dimensions(n).items() if dim}
+    assert {block.irrep[1:]: len(block.zzz)
+            for block in chainlab.chain_blocks(n)
+            if block.irrep[0] == 1} == counted
 
 
 @pytest.mark.parametrize("n", [3, 6, 9, 12, 15])
@@ -447,10 +475,28 @@ def test_flipped_pair_blocks_have_no_degenerate_low_levels(bx):
             assert np.diff(block.lowest(bx, 3)).min() > 1e-3
 
 
+def test_lanczos_blocks_fill_their_kept_pattern_as_scipy_sums_it():
+    # each field scales the hops' data and adds zzz in the diagonal
+    # slots: the matrix of bx * hops + diag(zzz), so the same levels, bit
+    # for bit; every n = 15 block but one is solved by Lanczos
+    blocks = [block for block in chainlab.chain_blocks(15)
+              if len(block.zzz) > chainlab.DENSE_BLOCK_DIM]
+    assert len(blocks) == 12
+    for block in blocks:
+        hops = block.hops
+        row = np.repeat(np.arange(hops.shape[0]), np.diff(hops.indptr))
+        assert np.array_equal(block.diagonal, np.flatnonzero(
+            hops.indices == row))
+        for bx in (0.7, 1.0):
+            reference = chainlab.extremal_eigenvalues(
+                bx * hops + sp.diags(block.zzz), k=3)
+            assert np.array_equal(block.lowest(bx, 3), reference)
+
+
 def test_block_build_memory_stays_within_the_site_cap_bound():
     # cli.CHAIN_MAX_SITES rests on this bound: a scan holds the blocks of
     # both solved sectors and peaks while it builds the last one (about
-    # 28 (n + 1) 2^(n-2) bytes at n = 15, 24 at n = 18)
+    # 28.5 (n + 1) 2^(n-2) bytes at n = 15, 24 at n = 18)
     n = 15
     tracemalloc.start()
     try:
@@ -458,7 +504,7 @@ def test_block_build_memory_stays_within_the_site_cap_bound():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(blocks) == 8
+    assert len(blocks) == 13
     assert peak <= 30 * (n + 1) * 2 ** (n - 2)
 
 

@@ -535,6 +535,22 @@ def test_chain_matches_the_benchmark_reference(capsys):
                       <= 1e-9 * np.maximum(1.0, np.abs(ref[:, 1:4])))
 
 
+def test_chain_default_grid_matches_the_benchmark_reference(capsys):
+    # the whole n = 12 reference, whose rows are the default grid; the
+    # n = 15 row at b = 1 is checked above
+    assert main(["chain", "--sites", "12"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    ref_lines = (REFERENCE / "chain_n12.csv").read_text().splitlines()
+    assert lines[0] == ref_lines[0] and len(lines) == len(ref_lines) == 22
+    got, ref = (np.array([[float(x) for x in line.split(",")]
+                          for line in table[1:]])
+                for table in (lines, ref_lines))
+    assert np.all(np.abs(got[:, 0] - ref[:, 0]) <= 1e-12)
+    assert np.array_equal(got[:, 4], ref[:, 4])
+    assert np.all(np.abs(got[:, 1:4] - ref[:, 1:4])
+                  <= 1e-9 * np.maximum(1.0, np.abs(ref[:, 1:4])))
+
+
 @pytest.mark.parametrize("argv", [["verify", "--draws", "1"], ["chiral"],
                                   ["couplings", "--family", "bosonic",
                                    "--uuu", "1.1", "--udd", "1.2", "--u", "1",
