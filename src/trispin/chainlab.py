@@ -289,15 +289,15 @@ def _irrep_block(orbits, irrep, rho, psi, sign, copies):
     A basis state of orbit a is phi_a(e) = sum_g (rho(g) e)_1 g|a>, for
     e a unit vector in the range of the stabilizer projector
     Pi_a = sum_(s in S_a) psi(s) rho(s) / |S_a|, psi the sign with which
-    s fixes |a>: one state per unit of the rank of Pi_a, in the order e_1
-    of every orbit, then e_2.  Since the chain commutes with D, its
-    element between phi_b(e) and phi_a(f) is
+    s fixes |a>: one state per unit of the rank of Pi_a.  The states
+    (a, f), and with them the rows and columns of the block, run orbit
+    by orbit: in the order of a, then f.  Since the chain commutes with
+    D, its element between phi_b(e) and phi_a(f) is
     -sqrt(|S_b| / |S_a|) e^T (sum_r sigma_r rho(g_r)) f over the hops
     from a to configurations r of orbit b, g_r taking r onto b with sign
     sigma_r.  Each element is averaged with its mirror, which makes the
     block symmetric bit for bit, and the elements that are 0 are not
     stored but on the diagonal, where every row keeps a slot for zzz.
-    Row (f, a) lists its elements with every (b, e) pair by pair.
     """
     d = len(rho)
     size = orbits.stabilizer.sum(axis=0)
@@ -344,8 +344,7 @@ def _irrep_block(orbits, irrep, rho, psi, sign, copies):
     # freed before the CSR arrays are allocated, and each element list
     # once written: the peak of this build bounds cli.CHAIN_MAX_SITES
     del values, kept_source, kept_target
-    # row (a, f) lists its elements with (b, e) in the order of b, then
-    # e, which is the order of their columns; rows follow (a, f)
+    # rows and columns in the state order of the docstring
     count = [np.sum(row, axis=0, dtype=np.int8) for row in mask]
     # every representative has n hops, so every orbit has pairs
     rows = np.array([np.add.reduceat(c, first[:-1], dtype=np.int32)

@@ -65,38 +65,66 @@ def _load_config(path):
         return {}
     try:
         with open(path) as fh:
-            return json.load(fh)
+            config = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read config: {exc}")
+    if not isinstance(config, dict):
+        raise UsageError("the config must be a JSON object")
+    return config
 
 
-def _setting(args, config, name, default=None, required=False):
+def _setting(args, config, name, default=None, required=False, text=False):
+    """A flag, else its config entry, else ``default`` (a JSON null is
+    unset): a string when ``text`` is set, and otherwise a number or a
+    numeric string."""
     value = getattr(args, name, None)
     if value is None:
-        value = config.get(name, default)
+        value = config.get(name)
+    if value is None:
+        value = default
     flag = f"--{name.replace('_', '-')}"
-    if value is None and required:
-        raise UsageError(f"missing required setting {flag}")
+    if value is None:
+        if required:
+            raise UsageError(f"missing required setting {flag}")
+    elif text:
+        if not isinstance(value, str):
+            raise UsageError(f"{flag} must be a string")
+    elif isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise UsageError(f"{flag} must be a number or a numeric string")
     # inf stays valid: it is the exclusion sentinel of a collision channel
-    if _is_nan(value):
+    elif _is_nan(value):
         raise UsageError(f"{flag} must be a number, not NaN")
     return value
+
+
+def _number(args, config, name, default=None, required=False):
+    """A float setting, or ``None`` when it is unset without a default."""
+    value = _setting(args, config, name, default, required)
+    try:
+        return None if value is None else float(value)
+    except OverflowError:
+        raise UsageError(f"--{name.replace('_', '-')} exceeds the float "
+                         "range")
 
 
 def _integer(args, config, name, default=None, required=False):
     """An integer setting; a config value of 1e999 reads as infinity."""
     value = _setting(args, config, name, default, required)
+    flag = f"--{name.replace('_', '-')}"
     try:
-        return int(value)
+        integer = int(value)
     except OverflowError:
-        raise UsageError(f"--{name.replace('_', '-')} must be finite")
+        raise UsageError(f"{flag} must be finite")
+    if isinstance(value, float) and value != integer:
+        raise UsageError(f"{flag} must be a whole number")
+    return integer
 
 
 def _is_nan(value):
     """Whether the caller's float() would read the value as NaN."""
     try:
         return math.isnan(float(value))
-    except (TypeError, ValueError, OverflowError):
+    except (ValueError, OverflowError):
         return False
 
 
@@ -237,21 +265,19 @@ def _print_json(document):
 
 
 def cmd_couplings(args, config):
-    family = _setting(args, config, "family", required=True)
-    u_updn = _setting(args, config, "uud", required=True)
-    j_up = _setting(args, config, "j_up", required=True)
-    j_dn = _setting(args, config, "j_dn", 0.0)
-    u_upup = _setting(args, config, "uuu")
-    u_dndn = _setting(args, config, "udd")
-    j_up, j_dn, u_updn = float(j_up), float(j_dn), float(u_updn)
-    u_upup = None if u_upup is None else float(u_upup)
-    u_dndn = None if u_dndn is None else float(u_dndn)
-    warning = _regime_warning(family, max(abs(j_up), abs(j_dn)), u_upup,
-                              u_dndn, u_updn)
+    family = _setting(args, config, "family", required=True, text=True)
+    u_updn = _number(args, config, "uud", required=True)
+    j_up = _number(args, config, "j_up", required=True)
+    j_dn = _number(args, config, "j_dn", 0.0)
+    u_upup = _number(args, config, "uuu")
+    u_dndn = _number(args, config, "udd")
+    # rotated_xy reads j_up alone
+    j_peak = max(abs(j_up), 0.0 if family == "rotated_xy" else abs(j_dn))
+    warning = _regime_warning(family, j_peak, u_upup, u_dndn, u_updn)
     couplings = _couplings_for(family, j_up, j_dn, u_upup, u_dndn, u_updn)
     if warning:
         print(warning, file=sys.stderr)
-    _print_json(couplings.to_json_dict())
+    _print_json({"family": couplings.family, "values": couplings.values})
     return 0
 
 
@@ -264,8 +290,8 @@ SCAN_COLUMNS = {
 
 
 def _grid(config, args, axis):
-    lo = float(_setting(args, config, f"{axis}_min", 0.0))
-    hi = float(_setting(args, config, f"{axis}_max", required=True))
+    lo = _number(args, config, f"{axis}_min", 0.0)
+    hi = _number(args, config, f"{axis}_max", required=True)
     flag = f"--{axis.replace('_', '-')}-steps"
     steps = _integer(args, config, f"{axis}_steps", required=True)
     if steps < 1:
@@ -277,14 +303,12 @@ def _grid(config, args, axis):
 
 
 def cmd_scan(args, config):
-    family = _setting(args, config, "family", required=True)
+    family = _setting(args, config, "family", required=True, text=True)
     if family not in SCAN_COLUMNS:
         raise UsageError(f"unknown scan family {family!r}")
-    u_updn = float(_setting(args, config, "uud", 1.0))
-    u_upup = _setting(args, config, "uuu")
-    u_dndn = _setting(args, config, "udd")
-    u_upup = float(u_upup) if u_upup is not None else None
-    u_dndn = float(u_dndn) if u_dndn is not None else None
+    u_updn = _number(args, config, "uud", 1.0)
+    u_upup = _number(args, config, "uuu")
+    u_dndn = _number(args, config, "udd")
     ups = _grid(config, args, "j_up")
     dns = _grid(config, args, "j_dn")
     warning = _regime_warning(family, max(map(abs, ups + dns)), u_upup,
@@ -322,7 +346,7 @@ def cmd_verify(args, config):
     if n_draws > VERIFY_MAX_DRAWS:
         raise UsageError(f"--draws must not exceed {VERIFY_MAX_DRAWS}")
     seed = _integer(args, config, "seed", 2024)
-    j_over_u = float(_setting(args, config, "j_over_u", 0.05))
+    j_over_u = _number(args, config, "j_over_u", 0.05)
     report = conformance.run_verification(n_draws=n_draws, seed=seed,
                                           j_over_u=j_over_u)
     _print_json(report)
@@ -335,9 +359,10 @@ def cmd_chain(args, config):
         raise UsageError("--sites must be a positive multiple of 3")
     if n > CHAIN_MAX_SITES:
         raise UsageError(f"--sites must not exceed {CHAIN_MAX_SITES}")
-    lo = float(_setting(args, config, "bx_min", 0.5))
-    hi = float(_setting(args, config, "bx_max", 1.5))
-    step = float(_setting(args, config, "bx_step", 0.05))
+    lo = _number(args, config, "bx_min", 0.5)
+    hi = _number(args, config, "bx_max", 1.5)
+    step = _number(args, config, "bx_step", 0.05)
+    summary_path = _setting(args, config, "summary", text=True)
     for flag, value in (("--bx-min", lo), ("--bx-max", hi),
                         ("--bx-step", step)):
         if not math.isfinite(value):
@@ -367,7 +392,6 @@ def cmd_chain(args, config):
                    scan.e1.tolist(), scan.gap.tolist(),
                    scan.ground_degeneracy.tolist()):
         out.write("%.17g,%.17g,%.17g,%.17g,%d\n" % row)
-    summary_path = _setting(args, config, "summary")
     if summary_path:
         summary = {
             "argmin_bx": scan.argmin_bx,
@@ -379,8 +403,8 @@ def cmd_chain(args, config):
 
 
 def cmd_chiral(args, config):
-    magnitude = float(_setting(args, config, "j_mag", 0.05))
-    scale = float(_setting(args, config, "u", 1.0))
+    magnitude = _number(args, config, "j_mag", 0.05)
+    scale = _number(args, config, "u", 1.0)
     if magnitude == 0:
         raise UsageError("--j-mag must be nonzero: the spectrum is reported "
                          "in units of tau4 = j_mag^3 / u^2")

@@ -34,10 +34,6 @@ from . import pauli
 from .fock import Species, Statistics
 from .hubbard import HubbardParams
 
-EPSILON_PATTERNS = (("XYZ", 1.0), ("YZX", 1.0), ("ZXY", 1.0),
-                    ("XZY", -1.0), ("ZYX", -1.0), ("YXZ", -1.0))
-
-
 @dataclass
 class CouplingSet:
     """Named effective couplings; per-link entries are 3-tuples.
@@ -55,15 +51,6 @@ class CouplingSet:
     def link(self, name, j):
         value = self.values[name]
         return value[j] if isinstance(value, (tuple, list)) else value
-
-    def to_json_dict(self):
-        vals = {}
-        for name, value in sorted(self.values.items()):
-            if isinstance(value, (tuple, list)):
-                vals[name] = [float(x) for x in value]
-            else:
-                vals[name] = float(value)
-        return {"family": self.family, "values": vals}
 
 
 def _triangle_tunnelings(params):
@@ -279,61 +266,47 @@ def rotated_xy_couplings(j, u):
     })
 
 
+# The triangle model of each family as (Pauli pattern, coupling, sign)
+# rows.  Each row sits on every link j, the pattern on sites
+# (j, j+1, ...) mod 3, with coefficient sign * couplings.link(name, j); a
+# scalar coupling takes the same value on every link.  The two rows of
+# tau4 place the six Levi-Civita terms of sigma_0.(sigma_1 x sigma_2):
+# the cyclic placements of XYZ with +1, of XZY with -1.
+_COMPLEX_TERMS = (("I", "A", 1), ("Z", "B", 1), ("ZZ", "tau1", 1),
+                  ("XX", "tau2", 1), ("YY", "tau2", 1), ("XY", "tau3", 1),
+                  ("YX", "tau3", -1), ("XYZ", "tau4", 1),
+                  ("XZY", "tau4", -1))
+TRIANGLE_TERMS = {
+    "bosonic": (("I", "A", 1), ("Z", "B", 1), ("ZZ", "lambda1", 1),
+                ("XX", "lambda2", 1), ("YY", "lambda2", 1),
+                ("ZZZ", "lambda3", 1), ("XZX", "lambda4", 1),
+                ("YZY", "lambda4", 1)),
+    "fermionic": (("I", "mu1", 1), ("ZZ", "mu1", -1), ("XX", "mu2", 1),
+                  ("YY", "mu2", 1), ("Z", "mu3", 1), ("ZZZ", "mu3", -1),
+                  ("XZX", "mu4", 1), ("YZY", "mu4", 1)),
+    "complex_bosonic": _COMPLEX_TERMS,
+    "complex_fermionic": _COMPLEX_TERMS,
+    "rotated_xy": (("I", "A", 1), ("X", "B", 1), ("XX", "nu1", 1),
+                   ("XXX", "nu3", 1)),
+}
+
+
 def triangle_strings(couplings):
-    """String -> coefficient map of the triangle model of a coupling family.
-
-    A term with pattern p at j sits on sites (j, j+1, ...) mod 3; terms
-    are summed per string in the order listed, and exact-zero
-    coefficients are skipped.
-    """
+    """String -> coefficient map of the triangle model of a coupling
+    family: the rows of ``TRIANGLE_TERMS`` placed link by link, each row
+    in table order, summed per string in that order; exact-zero
+    coefficients are skipped."""
+    rows = TRIANGLE_TERMS.get(couplings.family)
+    if rows is None:
+        raise ValueError(f"unknown coupling family {couplings.family!r}")
     coeffs = {}
-
-    def add(pattern, j, coeff):
-        if coeff != 0.0:
-            string = pauli.embed(pattern, [(j + k) % 3
-                                           for k in range(len(pattern))], 3)
-            coeffs[string] = coeffs.get(string, 0.0) + coeff
-
-    family = couplings.family
-    if family == "bosonic":
-        for j in range(3):
-            add("I", j, couplings.link("A", j))
-            add("Z", j, couplings.link("B", j))
-            add("ZZ", j, couplings.link("lambda1", j))
-            add("XX", j, couplings.link("lambda2", j))
-            add("YY", j, couplings.link("lambda2", j))
-            add("ZZZ", j, couplings["lambda3"])
-            add("XZX", j, couplings.link("lambda4", j))
-            add("YZY", j, couplings.link("lambda4", j))
-    elif family == "fermionic":
-        for j in range(3):
-            add("I", j, couplings.link("mu1", j))
-            add("ZZ", j, -couplings.link("mu1", j))
-            add("XX", j, couplings.link("mu2", j))
-            add("YY", j, couplings.link("mu2", j))
-            add("Z", j, couplings["mu3"])
-            add("ZZZ", j, -couplings["mu3"])
-            add("XZX", j, couplings.link("mu4", j))
-            add("YZY", j, couplings.link("mu4", j))
-    elif family in ("complex_bosonic", "complex_fermionic"):
-        for j in range(3):
-            add("I", j, couplings["A"])
-            add("Z", j, couplings["B"])
-            add("ZZ", j, couplings["tau1"])
-            add("XX", j, couplings["tau2"])
-            add("YY", j, couplings["tau2"])
-            add("XY", j, couplings["tau3"])
-            add("YX", j, -couplings["tau3"])
-        for pattern, sign in EPSILON_PATTERNS:
-            add(pattern, 0, sign * couplings["tau4"])
-    elif family == "rotated_xy":
-        for j in range(3):
-            add("I", j, couplings["A"])
-            add("X", j, couplings["B"])
-            add("XX", j, couplings["nu1"])
-            add("XXX", j, couplings["nu3"])
-    else:
-        raise ValueError(f"unknown coupling family {family!r}")
+    for j in range(3):
+        for pattern, name, sign in rows:
+            coeff = sign * couplings.link(name, j)
+            if coeff != 0.0:
+                sites = [(j + k) % 3 for k in range(len(pattern))]
+                string = pauli.embed(pattern, sites, 3)
+                coeffs[string] = coeffs.get(string, 0.0) + coeff
     return coeffs
 
 

@@ -7,8 +7,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from trispin import pauli
-from trispin.chainlab import _zzz_diagonal
-from trispin.closedform import EPSILON_PATTERNS
+
+# the Levi-Civita symbol on (X, Y, Z): the even permutations +1, the odd -1
+LEVI_CIVITA = (("XYZ", 1.0), ("YZX", 1.0), ("ZXY", 1.0),
+               ("XZY", -1.0), ("ZYX", -1.0), ("YXZ", -1.0))
 
 
 def zzz_diagonal(n):
@@ -54,7 +56,7 @@ def zzz_chain_sector(bx, n, chi01, chi12):
     masks = np.concatenate([[0, bit[0] ^ p02, bit[1] ^ p12], bit[2:]])
     signs = np.concatenate([[chi01 * chi12, chi12], np.ones(n - 2)])
     vals = np.empty((n + 1, dim))
-    vals[0] = _zzz_diagonal(j, n)
+    vals[0] = zzz_diagonal(n)[:dim]
     vals[1:] = -bx * signs[:, None]
     return sp.csr_matrix((vals.ravel(), ((j ^ masks[:, None]).ravel(),
                                          np.tile(j, n + 1))),
@@ -137,7 +139,7 @@ def chirality_operator(n_sites, triangles=((0, 1, 2),)):
     triangles; odd vertex permutations flip the sign."""
     coeffs = {}
     for (i, j, k) in triangles:
-        for pattern, sign in EPSILON_PATTERNS:
+        for pattern, sign in LEVI_CIVITA:
             string = pauli.embed(pattern, (i, j, k), n_sites)
             coeffs[string] = coeffs.get(string, 0.0) + sign
     return pauli.pauli_sum(coeffs, n_sites)

