@@ -16,10 +16,19 @@ at 0, by O(J^4/U^3).
 ``eliminate`` takes the partition the engine reads; its sparse H_FF is
 factored once by sparse LU (SuperLU, minimum-degree ordering of
 H_FF + H_FF^T, which fits its symmetric pattern), in real arithmetic
-when all of V is real (E_F always is); the result stays complex.  H_FM
-is nonzero only on the states R one hop from M, so the right-hand sides
-have rows only there and only those rows of the solution are used.  The
-connected components of V's pattern (without species mixing, the
+when all of V is real (E_F always is); the result stays complex.  H_FF
+is Hermitian, so SuperLU runs in its symmetric mode (Demmel, Eisenstat,
+Gilbert, Li & Liu, SIAM J. Matrix Anal. Appl. 20, 720 (1999)): the
+factorisation works on the structure of H_FF + H_FF^T that the order
+was computed from, and it prefers diagonal pivots.  The pivoting
+threshold stays at its default, so a diagonal pivot is taken only
+where it passes the threshold test of partial pivoting; an indefinite
+block (collision energies of both signs) keeps that safeguard.  The
+general driver gives the same fill on these blocks but takes longer,
+more than twice as long on the bosonic zig-zag chain of six sites.
+H_FM is nonzero only on the states R one hop from M, so the right-hand
+sides have rows only there and only those rows of the solution are
+used.  The connected components of V's pattern (without species mixing, the
 conserved (n_up, n_down) sectors) never couple, and neither do the LU
 factors of their blocks, so the M states of different components share
 one right-hand-side column: each takes its rank within its component
@@ -51,6 +60,10 @@ from .perturb import (EffectiveHamiltonian, check_engine, partition,
                       third_order)
 
 COND_LIMIT = 1e12
+# largest dense V_FF that ``series_compare`` builds: it holds the complex
+# V_FF of the fermionic zig-zag chain of six sites (F = 860, 11.8 MB) and
+# refuses seven (F = 3,304, 175 MB); eight would take 2.5 GB
+SERIES_MAX_BYTES = 2 ** 26
 # iterations of the 1-norm estimate, scipy's ``onenormest`` default
 ONENORMEST_ITMAX = 5
 
@@ -72,9 +85,15 @@ class AdiabaticResult:
 
 def _factor_fast_block(hff):
     """Sparse LU factors of H_FF and the 1-norm estimate of its
-    condition; ``None`` and ``inf`` for an exactly singular block."""
+    condition; ``None`` and ``inf`` for an exactly singular block.
+
+    Symmetric mode fits the Hermitian block: it works on the structure
+    of H_FF + H_FF^T, as the minimum-degree order does, and prefers
+    diagonal pivots; the default pivoting threshold keeps threshold
+    partial pivoting for indefinite blocks."""
     try:
-        lu = spla.splu(hff, permc_spec="MMD_AT_PLUS_A")
+        lu = spla.splu(hff, permc_spec="MMD_AT_PLUS_A",
+                       options={"SymmetricMode": True})
     except RuntimeError as exc:
         if "singular" not in str(exc):
             raise
@@ -185,8 +204,14 @@ def series_compare(h0, v):
     the perturbative engine, all from one partition.  Requires the
     Neumann series to converge, i.e. the tunneling norm within the fast
     block below the smallest fast energy; that norm is the exact
-    2-norm of the dense V_FF that the series reads too."""
+    2-norm of the dense V_FF that the series reads too.  A V_FF beyond
+    ``SERIES_MAX_BYTES`` is refused before it is built."""
     p = partition(h0, v)
+    dense = len(p.f) ** 2 * p.vals.itemsize
+    if dense > SERIES_MAX_BYTES:
+        raise ValueError(f"fast block too large for the series check: "
+                         f"dense V_FF would take {dense / 2 ** 20:.0f} MiB, "
+                         f"limit {SERIES_MAX_BYTES / 2 ** 20:.0f} MiB")
     vff_norm = spectral_norm(p.vff)
     emin = np.abs(p.ef).min() if len(p.f) else np.inf
     if vff_norm >= emin:

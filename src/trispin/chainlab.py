@@ -25,7 +25,9 @@ from .perturb import PauliDecomposition
 DENSE_LIMIT = 2 ** 16
 # chain blocks up to this size are solved densely: a dense eigvalsh
 # overtakes an eight-level Lanczos between 256 and 320 states (5.3 against
-# 6.9 ms at 256, 9.5 against 7.6 ms at 320, one BLAS thread)
+# 6.9 ms at 256, 9.5 against 7.6 ms at 320, one BLAS thread); the
+# partial ?syevr solve used since takes about three quarters of
+# eigvalsh's time at both sizes, so the crossover is not below 256
 DENSE_BLOCK_DIM = 256
 CLUSTER_TOL_FACTOR = 1e-9
 ARPACK_SEED = 2024
@@ -71,7 +73,11 @@ def extremal_eigenvalues(h_sparse, k=6):
     """
     dim = h_sparse.shape[0]
     v0 = np.random.default_rng(ARPACK_SEED).uniform(-1.0, 1.0, dim)
-    ev = spla.eigsh(h_sparse, k=k, which="SA", ncv=min(4 * k + 8, dim),
+    # the sparse product is the operator's matvec, without the
+    # matvec -> matmat -> dot layers of ``aslinearoperator``
+    op = spla.LinearOperator(h_sparse.shape, matvec=h_sparse.__matmul__,
+                             dtype=h_sparse.dtype)
+    ev = spla.eigsh(op, k=k, which="SA", ncv=min(4 * k + 8, dim),
                     tol=0, v0=v0.astype(h_sparse.dtype),
                     return_eigenvectors=False)
     ev.sort()
@@ -264,7 +270,12 @@ class SymmetryBlock:
             h = self.hops.toarray()
             h *= bx
             h.flat[::dim + 1] += self.zzz
-            return np.linalg.eigvalsh(h)[:count]
+            # LAPACK's ?syevr computes only the levels asked for
+            w, _, found, _, info = la.lapack.dsyevr(
+                h, compute_v=0, range="I", il=1, iu=min(count, dim))
+            if info:
+                raise la.LinAlgError(f"dsyevr failed (info {info})")
+            return w[:found]
         h = self.hops * bx
         h.data[self.diagonal] += self.zzz
         return extremal_eigenvalues(h, k=count)

@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -265,6 +266,32 @@ def test_non_convergent_regime_rejected():
                       u_updn=U, u_upup=U, u_dndn=U)
     with pytest.raises(ValueError, match="does not converge"):
         series_compare(h0, v)
+
+
+def test_series_compare_runs_up_to_the_six_site_chain():
+    # the largest fast block a test compares: F = 860, complex
+    h0, v, _ = _setup(make_zigzag(6), Statistics.FERMION, 0.04, 0.03j,
+                      u_updn=U)
+    report = series_compare(h0, v)
+    assert report["dims"] == (924, 860, 64)
+    assert report["series_vs_engine"] <= 1e-15
+
+
+def test_oversized_series_compare_refused_before_densifying():
+    # fermionic zig-zag chain of eight sites: the dense complex V_FF
+    # would take 16 * 12614^2 B = 2.5 GB
+    h0, v, _ = _setup(make_zigzag(8), Statistics.FERMION, 0.04, 0.03,
+                      u_updn=U)
+    dense = 16 * 12614 ** 2
+    assert dense > adiabatic.SERIES_MAX_BYTES
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="too large for the series"):
+            series_compare(h0, v)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < dense / 100
 
 
 def test_residual_scales_as_fourth_order():

@@ -12,6 +12,7 @@ the dense reference here.
 import contextlib
 import dataclasses
 import io
+import math
 import sys
 import tracemalloc
 import warnings
@@ -21,14 +22,16 @@ import pytest
 import scipy.linalg as la
 import scipy.sparse as sp
 
-from trispin.adiabatic import _neumann, adiabatic_eliminate, series_compare
+from trispin.adiabatic import (_neumann, adiabatic_eliminate, eliminate,
+                               series_compare)
 from trispin.cli import main
+from trispin.closedform import chirality_point_params
 from trispin.conformance import (engine_decomposition, random_triangle_params,
                                  run_triangle_draw)
 from trispin.fock import Basis, Species, Statistics
 from trispin.hubbard import (HubbardParams, SparseOperator, build_h0,
                              build_v, build_v_mixed, derive, make_triangle,
-                             make_zigzag)
+                             make_triangular_patch, make_zigzag)
 from trispin.perturb import (DegenerateIntermediateError, EffectiveHamiltonian,
                              check_engine, h_eff_second, h_eff_third,
                              partition, spin_map)
@@ -161,6 +164,36 @@ def test_elimination_matches_dense_reference(case):
     kappa1 = np.linalg.cond(hff, 1)
     for estimate in (result.condition_number, gecon):
         assert kappa1 / 3 <= estimate <= kappa1 * (1 + 1e-12)
+
+
+def _chiral_patch():
+    """The bosonic 2x2 patch at U_upup = -1, U_dndn = 1.3, U_updn = inf
+    and opposite imaginary tunnelings of both species on every link."""
+    graph = make_triangular_patch(2, 2)
+    tun = {(e.link, s): sign * 0.05j for e in graph.edges
+           for s, sign in ((Species.UP, -1), (Species.DOWN, 1))}
+    return derive(graph, HubbardParams(Statistics.BOSON, u_upup=-1.0,
+                                       u_dndn=1.3, u_updn=math.inf,
+                                       tunneling=tun))
+
+
+@pytest.mark.parametrize("derived, n_fast, energies", [
+    (lambda: derive(make_triangle(), chirality_point_params(0.05)), 30,
+     (-3.0, 3.0)),
+    (_chiral_patch, 176, (-6.0, 7.8))], ids=["triangle", "patch-2x2"])
+def test_elimination_of_an_indefinite_fast_block(derived, n_fast, energies):
+    # collision energies of both signs: H_FF is indefinite, and its LU
+    # must still give the dense Schur complement
+    h0, v = derived()
+    p = partition(h0, v)
+    assert len(p.f) == n_fast
+    assert np.allclose((p.ef.min(), p.ef.max()), energies)
+    vmm, vmf, vff, em, ef = _dense_partition(h0, v,
+                                              h0.basis.single_occupancy)
+    hff = vff + np.diag(ef)
+    assert np.linalg.eigvalsh(hff)[[0, -1]].prod() < 0
+    want = vmm + np.diag(em) - vmf @ np.linalg.solve(hff, vmf.conj().T)
+    _close(eliminate(p).h_eff.matrix, want)
 
 
 def test_components_are_the_conserved_sectors():
