@@ -35,7 +35,11 @@ one right-hand-side column: each takes its rank within its component
 as its column, the one solve takes max_b |M_b| columns instead of 2^n
 (20 instead of 64 for the fermionic zig-zag chain of six sites), and
 entry (a, b) of the correction is read from the column of b where a
-and b share a component and is zero elsewhere.  The condition
+and b share a component and is zero elsewhere.  That layout is
+structure, owned by the M/F split (``perturb.Split.layout``, built once
+per plan); ``eliminate`` only packs, solves and reads back values.  The
+correction is checked Hermitian within ``perturb.HERMITICITY_TOL``
+before it is symmetrized, as the orders are.  The condition
 number is a lower estimate of the 1-norm condition number kappa_1:
 ||H_FF||_1 exactly, times an estimate of ||H_FF^{-1}||_1 through solves
 with the LU factors and their adjoint.  The estimate is Hager's
@@ -55,9 +59,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .perturb import (EffectiveHamiltonian, check_engine, partition,
-                      partition_with_m, second_order, spectral_norm,
-                      third_order)
+from .perturb import (EffectiveHamiltonian, check_engine, check_hermitian,
+                      partition, partition_with_m, second_order,
+                      spectral_norm, third_order)
 
 COND_LIMIT = 1e12
 # largest dense V_FF that ``series_compare`` builds: it holds the complex
@@ -137,15 +141,6 @@ def _inverse_one_norm(lu, n):
         k += 1
 
 
-def _rank_in_component(labels):
-    """Rank of each state among the states of its component, in order."""
-    order = np.argsort(labels, kind="stable")
-    grouped = labels[order]
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order)) - np.searchsorted(grouped, grouped)
-    return rank
-
-
 def eliminate(p):
     """Exact elimination of the fast block of a partition."""
     k = len(p.m)
@@ -159,8 +154,7 @@ def eliminate(p):
         if not np.isfinite(cond) or cond > COND_LIMIT:
             raise ValueError(
                 "fast block not invertible; parameters too close to resonance")
-        label = p.split.labels[:k]
-        column = _rank_in_component(label)
+        column, same = p.split.layout
         vmr = p.vmr if np.iscomplexobj(hff) else p.vmr.real
         # the rows of V_MR that share a column have disjoint supports
         packed = np.zeros((column.max() + 1, len(p.r)), dtype=vmr.dtype)
@@ -168,7 +162,8 @@ def eliminate(p):
         rhs = np.zeros((len(p.f), len(packed)), dtype=hff.dtype)
         rhs[p.r] = packed.conj().T
         solved = vmr @ lu.solve(rhs)[p.r]
-        block -= np.where(label[:, None] == label, solved[:, column], 0)
+        block -= np.where(same, solved[:, column], 0)
+    check_hermitian(block, "eliminated Hamiltonian")
     block = 0.5 * (block + block.conj().T)
     return AdiabaticResult(EffectiveHamiltonian(block), float(cond),
                            (k + len(p.f), len(p.f), k))

@@ -538,20 +538,19 @@ def detect_nnn_terms(decomp, graph):
     couplings while leaving everything else untouched.
     """
     n = decomp.n_sites
-    is_zz = {}                      # the 9 (n - 2) distance-two strings
-    for i in range(n - 2):
+    detected = {}
+    detected_zz = {}
+    # the 9 (n - 2) distance-two strings, in ``pauli.all_strings`` order
+    for i in range(n - 3, -1, -1):
         for a in "XYZ":
             for b in "XYZ":
                 string = "I" * i + a + "I" + b + "I" * (n - 3 - i)
-                is_zz[string] = a == b == "Z"
-    detected = {}
-    detected_zz = {}
-    for string, coeff in decomp.coeffs.items():
-        if string not in is_zz or abs(coeff) <= 1e-15:
-            continue
-        detected[string] = coeff
-        if is_zz[string]:
-            detected_zz[string] = coeff
+                coeff = decomp.coeffs.get(string, 0.0)
+                if abs(coeff) <= 1e-15:
+                    continue
+                detected[string] = coeff
+                if a == b == "Z":
+                    detected_zz[string] = coeff
     compensated = dict(decomp.coeffs)
     for string in detected_zz:
         compensated[string] = 0.0

@@ -20,8 +20,9 @@ Every result is in spin order: position k of a block is the n-qubit
 configuration whose bit i (big-endian) is 0 for an up atom on site i
 and 1 for a down atom.  M is the basis' whole single-occupancy block
 (``Basis.single_occupancy``), so the structure of the split (the spin
-order of M, the (M, F) positions of V's entries, their components and
-the pattern of H_FF) depends only on V's pattern.  Its one owner is V's
+order of M, the (M, F) positions of V's entries, their connected
+components, the elimination's layout of M and the pattern of H_FF)
+depends only on V's pattern.  Its one owner is V's
 ``Plan``: ``partition(h0, v)`` builds the split there once, and a
 derivation only reads its values; a V built without a plan gets one
 from its own pattern on first use.  Only this module reads how a
@@ -38,6 +39,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from . import pauli
 from .hubbard import compress, pattern_plan
@@ -82,7 +84,8 @@ class EffectiveHamiltonian:
 class Split:
     """The M/F split of one pattern of V: structure only, so one split
     serves every derivation that shares the pattern (``partition`` keeps
-    it on V's ``Plan``).
+    it on V's ``Plan``), with the components of V's pattern and the
+    elimination's layout of M (``labels``, ``layout``), built on first use.
 
     ``m`` lists the basis positions of M in spin order and ``f`` those of
     the multiply-occupied rest in basis order.  ``rows`` and ``cols`` are
@@ -123,29 +126,28 @@ class Split:
 
     @cached_property
     def labels(self):
-        """Connected component of each (M, F) position under V's
-        pattern, labelled by its smallest position.
+        """Connected component of each (M, F) position under V's pattern,
+        numbered in the order of the components' smallest positions;
+        without species mixing, the (n_up, n_down) sectors."""
+        dim = len(self.m) + len(self.f)
+        graph = sp.coo_matrix((np.ones(len(self.rows)),
+                               (self.rows, self.cols)), shape=(dim, dim))
+        _, label = connected_components(graph, directed=False)
+        label.flags.writeable = False
+        return label
 
-        Without species mixing these are the (n_up, n_down) sectors.
-        Each pass lowers every label to the smallest label among itself
-        and its neighbours, then to the label of that label, so the
-        passes number about the logarithm of a component's diameter;
-        scipy's ``connected_components`` costs several times more at
-        triangle size.
-        """
-        ends = np.concatenate([self.rows, self.cols])
-        starts = np.concatenate([self.cols, self.rows])
-        label = np.arange(len(self.m) + len(self.f))
-        total = label.sum()
-        while True:
-            np.minimum.at(label, ends, label[starts])
-            label = label[label]
-            # labels only fall, so an unchanged sum is a fixed point
-            lowered = label.sum()
-            if lowered == total:
-                label.flags.writeable = False
-                return label
-            total = lowered
+    @cached_property
+    def layout(self):
+        """The elimination's layout of M, as ``(column, same)``: the mask
+        of the pairs of M states that share a component, and each M
+        state's right-hand-side column, the number of M states before it
+        in spin order within its component."""
+        label = self.labels[:len(self.m)]
+        same = label[:, None] == label
+        column = np.tril(same, -1).sum(axis=1)
+        for array in (column, same):
+            array.flags.writeable = False
+        return column, same
 
     @cached_property
     def hff(self):
@@ -313,7 +315,8 @@ def check_engine(p):
     return p
 
 
-def _check_hermitian(mat, what):
+def check_hermitian(mat, what):
+    """``ValueError`` unless max|A - A^H| <= HERMITICITY_TOL max(1, max|A|)."""
     defect = np.abs(mat - mat.conj().T).max()
     scale = max(1.0, np.abs(mat).max())
     if defect > HERMITICITY_TOL * scale:
@@ -332,13 +335,13 @@ def spectral_norm(a):
 
 def second_order(p):
     block = -(p.vmr / p.er) @ p.vmr.conj().T
-    _check_hermitian(block, "second-order effective Hamiltonian")
+    check_hermitian(block, "second-order effective Hamiltonian")
     return EffectiveHamiltonian(block)
 
 
 def third_order(p):
     block = (p.vmr / p.er) @ (p.vrr @ (p.vmr.conj().T / p.er[:, None]))
-    _check_hermitian(block, "third-order effective Hamiltonian")
+    check_hermitian(block, "third-order effective Hamiltonian")
     return EffectiveHamiltonian(block)
 
 

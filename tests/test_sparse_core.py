@@ -211,6 +211,120 @@ def test_components_are_the_conserved_sectors():
                           np.zeros(h0.dim, dtype=int))
 
 
+def _propagated_labels(split):
+    """Components of V's pattern by min-label propagation, each labelled
+    by its smallest (M, F) position: every pass lowers each label to the
+    smallest among itself and its neighbours, then to the label of that
+    label, until no label falls."""
+    ends = np.concatenate([split.rows, split.cols])
+    starts = np.concatenate([split.cols, split.rows])
+    label = np.arange(len(split.m) + len(split.f))
+    while True:
+        lowered = label.copy()
+        np.minimum.at(lowered, ends, label[starts])
+        lowered = lowered[lowered]
+        if np.array_equal(lowered, label):
+            return label
+        label = lowered
+
+
+def _check_components(split):
+    """``Split.labels`` groups the positions as the propagation does and
+    numbers the components by their smallest positions; each M state's
+    column is its rank among the M states of its component."""
+    want = np.unique(_propagated_labels(split), return_inverse=True)[1]
+    assert np.array_equal(split.labels, want)
+    column, same = split.layout
+    label = split.labels[:len(split.m)]
+    assert np.array_equal(same, label[:, None] == label)
+    for component in np.unique(label):
+        mine = label == component
+        assert np.array_equal(column[mine], np.arange(mine.sum()))
+
+
+def test_components_match_an_independent_labelling(case):
+    h0, v, vb, _ = case
+    for tunneling in (v, vb):
+        _check_components(partition(h0, tunneling).split)
+
+
+# J_down = 0 on the zig-zag chains and one live link on the fermionic
+# triangle: V's components are finer than the (n_up, n_down) sectors
+FINER = [("zigzag", 5, Statistics.FERMION, 32),
+         ("zigzag", 4, Statistics.BOSON, 70),
+         ("triangle", 3, Statistics.FERMION, 10)]
+
+
+@pytest.mark.parametrize("geometry, n, statistics, components", FINER,
+                         ids=[f"{g}-{n}-{s.value}" for g, n, s, _ in FINER])
+def test_elimination_on_components_finer_than_the_sectors(
+        geometry, n, statistics, components):
+    graph = make_triangle() if geometry == "triangle" else make_zigzag(n)
+    params = _params(graph, statistics, np.random.default_rng(50 + n))
+
+    def live(link, species):
+        return species is Species.UP if geometry == "zigzag" else link == 0
+
+    tunneling = {key: j if live(*key) else 0j
+                 for key, j in params.tunneling.items()}
+    h0, v = derive(graph, dataclasses.replace(params, tunneling=tunneling))
+    p = partition(h0, v)
+    assert len(np.unique(p.split.labels)) == components
+    _check_components(p.split)
+    vmm, vmf, vff, em, ef = _dense_partition(h0, v,
+                                              h0.basis.single_occupancy)
+    want = vmm + np.diag(em) - vmf @ np.linalg.solve(vff + np.diag(ef),
+                                                     vmf.conj().T)
+    _close(eliminate(p).h_eff.matrix, want)
+
+
+def test_partitions_of_one_plan_share_one_layout(monkeypatch):
+    from trispin import hubbard, perturb
+    hubbard._shared_basis.cache_clear()
+    labelled = []
+    components = perturb.connected_components
+
+    def counted(*args, **kwargs):
+        labelled.append(args)
+        return components(*args, **kwargs)
+
+    monkeypatch.setattr(perturb, "connected_components", counted)
+    graph = make_zigzag(4)
+    rng = np.random.default_rng(7)
+    parts = [partition(*derive(graph, _params(graph, Statistics.FERMION,
+                                              rng)))
+             for _ in range(2)]
+    for p in parts:
+        eliminate(p)
+    assert not np.array_equal(parts[0].vals, parts[1].vals)
+    assert parts[0].split.layout is parts[1].split.layout
+    assert len(labelled) == 1
+
+
+def test_elimination_refuses_a_non_hermitian_result(monkeypatch):
+    # H_FF factored with one off-diagonal entry of a reached row changed:
+    # the correction is no longer Hermitian, and the check before the
+    # symmetrization must see it
+    from trispin import adiabatic
+    h0, v, _, _ = _case("triangle", 3, Statistics.BOSON)
+    p = partition(h0, v)
+    factor = adiabatic._factor_fast_block
+
+    def skewed(hff):
+        hff = hff.copy()
+        rows = hff.indices
+        cols = np.repeat(np.arange(hff.shape[1]), np.diff(hff.indptr))
+        entry = np.flatnonzero((rows != cols) & np.isin(rows, p.r))[0]
+        hff.data[entry] += 0.01
+        return factor(hff)
+
+    eliminate(p)
+    monkeypatch.setattr(adiabatic, "_factor_fast_block", skewed)
+    with pytest.raises(ValueError, match="eliminated Hamiltonian lost "
+                                         "hermiticity"):
+        eliminate(p)
+
+
 @pytest.mark.parametrize("statistics", list(Statistics))
 def test_series_compare_matches_its_routes(statistics):
     h0, v, _, m = _case("triangle", 3, statistics)

@@ -2,10 +2,14 @@
 
 Derives the bosonic zig-zag chain of six sites and the fermionic one of
 seven (uniform J_up = 0.04, J_down = 0.03, U_updown = 1; bosons also
-U_upup = 1.1, U_downdown = 1.2), partitions each and eliminates its fast
-block through ``adiabatic.eliminate``.  It records the one packed solve
+U_upup = 1.1, U_downdown = 1.2), and the fermionic chain of seven with
+J_down = 0, whose 128 components of V's pattern share one right-hand-side
+column: the widest packing of the elimination.  It partitions each and
+eliminates its fast block through ``adiabatic.eliminate``, which raises,
+and so exits 1, when its result before symmetrization is not Hermitian
+within ``perturb.HERMITICITY_TOL``.  It records the one packed solve
 that the elimination makes with the LU factors of H_FF and exits 1
-unless every eliminated Hamiltonian is finite and Hermitian and
+unless every eliminated Hamiltonian is finite and
 ||H_FF X - B|| <= 1e-12 ||B|| (Frobenius) on those right-hand sides B.
 It prints one JSON line per case, with times for information only.
 
@@ -23,8 +27,9 @@ from trispin.fock import Statistics
 from trispin.hubbard import HubbardParams, derive, make_zigzag
 from trispin.perturb import partition
 
-CASES = [(Statistics.BOSON, 6, {"u_upup": 1.1, "u_dndn": 1.2}),
-         (Statistics.FERMION, 7, {})]
+CASES = [(Statistics.BOSON, 6, 0.03, {"u_upup": 1.1, "u_dndn": 1.2}),
+         (Statistics.FERMION, 7, 0.03, {}),
+         (Statistics.FERMION, 7, 0.0, {})]
 RESIDUAL_TOL = 1e-12
 
 
@@ -60,28 +65,27 @@ def main():
 
 def _run(factored):
     failed = False
-    for statistics, n, u_same in CASES:
+    for statistics, n, j_dn, u_same in CASES:
         graph = make_zigzag(n)
         h0, v = derive(graph, HubbardParams.uniform(
-            statistics, graph.n_links, 0.04, 0.03, **u_same))
+            statistics, graph.n_links, 0.04, j_dn, **u_same))
         factored.clear()
         start = time.perf_counter()
         h = adiabatic.eliminate(partition(h0, v)).h_eff.matrix
         seconds = time.perf_counter() - start
-        hermitian = bool(np.isfinite(h).all()
-                         and np.array_equal(h, h.conj().T))
+        finite = bool(np.isfinite(h).all())
         # the condition estimate ran on the bare factors, so the one
         # recorded solve is the packed one
         lu, = factored
         (rhs, x), = lu.solves
         residual = float(np.linalg.norm(lu.hff @ x - rhs)
                          / np.linalg.norm(rhs))
-        ok = hermitian and residual <= RESIDUAL_TOL
+        ok = finite and residual <= RESIDUAL_TOL
         failed |= not ok
         print(json.dumps({
-            "case": f"{statistics.value} zigzag n = {n}",
+            "case": f"{statistics.value} zigzag n = {n}, J_down = {j_dn}",
             "fast_dim": lu.hff.shape[0], "columns": rhs.shape[1],
-            "hermitian": hermitian, "relative_residual": residual,
+            "finite": finite, "relative_residual": residual,
             "eliminate_s": round(seconds, 3), "ok": ok}), flush=True)
     return 1 if failed else 0
 
