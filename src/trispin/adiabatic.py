@@ -13,24 +13,34 @@ an independent check; from order 4 on it differs from the exact
 low-energy effective Hamiltonian, whose levels sit at O(J^2/U) and not
 at 0, by O(J^4/U^3).
 
-``eliminate`` takes the partition the engine reads; its sparse H_FF is
-factored once by sparse LU (SuperLU, minimum-degree ordering of
-H_FF + H_FF^T, which fits its symmetric pattern), in real arithmetic
-when all of V is real (E_F always is); the result stays complex.  H_FF
-is Hermitian, so SuperLU runs in its symmetric mode (Demmel, Eisenstat,
-Gilbert, Li & Liu, SIAM J. Matrix Anal. Appl. 20, 720 (1999)): the
-factorisation works on the structure of H_FF + H_FF^T that the order
-was computed from, and it prefers diagonal pivots.  The pivoting
-threshold stays at its default, so a diagonal pivot is taken only
-where it passes the threshold test of partial pivoting; an indefinite
-block (collision energies of both signs) keeps that safeguard.  The
-general driver gives the same fill on these blocks but takes longer,
-more than twice as long on the bosonic zig-zag chain of six sites.
+``eliminate`` takes the partition the engine reads, in real arithmetic
+when all of V is real (E_F always is); the result stays complex.  H_MM
+is diag(E_M) plus the entries of V_MM, which no hop has.  H_FF is
+block-diagonal over the connected components of V's pattern (without
+species mixing, the conserved (n_up, n_down) sectors) and is factored
+one component at a time, from the blocks that the M/F split lays out
+once per plan (``perturb.Split.components``).  This is a size switch:
+a component of at most ``DENSE_COMPONENT_DIM`` states is scattered into
+a dense array and factored by LAPACK's ?getrf with partial pivoting
+(Anderson et al., LAPACK Users' Guide, 3rd ed., SIAM (1999)), which is
+faster there; a larger one gets its own sparse LU (SuperLU,
+minimum-degree ordering of H_b + H_b^T, which fits its symmetric
+pattern).  Each block is Hermitian, so SuperLU runs in its symmetric
+mode (Demmel, Eisenstat, Gilbert, Li & Liu, SIAM J. Matrix Anal. Appl.
+20, 720 (1999)): the factorisation works on the structure of
+H_b + H_b^T that the order was computed from, and it prefers diagonal
+pivots.  The pivoting threshold stays at its default, so a diagonal
+pivot is taken only where it passes the threshold test of partial
+pivoting; an indefinite block (collision energies of both signs) keeps
+that safeguard.  The general driver gives the same fill on these blocks
+but takes longer, more than twice as long on the bosonic zig-zag chain
+of six sites.  An exact zero pivot of either LU makes H_FF singular.
+One factor object applies the factors component by component, so the
+solves below see one solve with all of H_FF.
 H_FM is nonzero only on the states R one hop from M, so the right-hand
 sides have rows only there and only those rows of the solution are
-used.  The connected components of V's pattern (without species mixing, the
-conserved (n_up, n_down) sectors) never couple, and neither do the LU
-factors of their blocks, so the M states of different components share
+used.  The components never couple, and neither do the LU factors of
+their blocks, so the M states of different components share
 one right-hand-side column: each takes its rank within its component
 as its column, the one solve takes max_b |M_b| columns instead of 2^n
 (20 instead of 64 for the fermionic zig-zag chain of six sites), and
@@ -55,21 +65,41 @@ from above.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import get_lapack_funcs
 
 from .perturb import (EffectiveHamiltonian, check_engine, check_hermitian,
                       partition, partition_with_m, second_order,
                       spectral_norm, third_order)
 
 COND_LIMIT = 1e12
-# largest dense V_FF that ``series_compare`` builds: it holds the complex
-# V_FF of the fermionic zig-zag chain of six sites (F = 860, 11.8 MB) and
-# refuses seven (F = 3,304, 175 MB); eight would take 2.5 GB
+# largest dense V_FF that ``series_compare`` builds: it holds the V_FF of
+# the fermionic zig-zag chain of six sites (F = 860, 11.8 MB complex) and
+# refuses seven (F = 3,304, 87 MB real, 175 MB complex); eight would take
+# 1.3 GB real, 2.5 GB complex
 SERIES_MAX_BYTES = 2 ** 26
 # iterations of the 1-norm estimate, scipy's ``onenormest`` default
 ONENORMEST_ITMAX = 5
+# components of H_FF up to this many states are factored by LAPACK's
+# dense ?getrf, larger ones by SuperLU.  On the components of the zig-zag
+# chains (factors, 1-norm estimate and packed solve, one BLAS thread) the
+# dense path took 0.46-0.76 of SuperLU's time from 30 to 515 states and
+# 0.95 at 461 bosonic ones, 0.86-0.94 from 756 to 3,080 fermionic ones,
+# but 1.22-1.33 from 1,506 to 3,116 bosonic ones.  A dense block holds
+# all size^2 entries, 3.3-4.3 times SuperLU's fill from 345 to 1,190
+# states, so the switch takes the gains of 1.3-2.2 times below it and
+# leaves the few percent above it, which would hold 9 MB more at
+# fermionic n = 8 (two blocks of 756 states); a dense block stays within
+# 2.9 MB real, 5.8 MB complex
+DENSE_COMPONENT_DIM = 600
+# LAPACK's dense LU and its solve, per dtype of H_FF
+_DENSE_LU = {np.dtype(t): get_lapack_funcs(("getrf", "getrs"), dtype=t)
+             for t in (np.float64, np.complex128)}
+_TRANS = {"N": 0, "T": 1, "H": 2}
 
 
 @dataclass
@@ -87,24 +117,66 @@ class AdiabaticResult:
     dims: tuple   # (total, fast, slow)
 
 
-def _factor_fast_block(hff):
-    """Sparse LU factors of H_FF and the 1-norm estimate of its
-    condition; ``None`` and ``inf`` for an exactly singular block.
+class _ComponentFactors:
+    """LU factors of H_FF, one per connected component, applied component
+    by component: ``solve(rhs, trans)`` solves H_FF X = B as SuperLU's
+    does.  ``parts`` holds each component's F positions with its own
+    solve, ``dense`` of them by LAPACK."""
 
-    Symmetric mode fits the Hermitian block: it works on the structure
-    of H_FF + H_FF^T, as the minimum-degree order does, and prefers
-    diagonal pivots; the default pivoting threshold keeps threshold
-    partial pivoting for indefinite blocks."""
-    try:
-        lu = spla.splu(hff, permc_spec="MMD_AT_PLUS_A",
-                       options={"SymmetricMode": True})
-    except RuntimeError as exc:
-        if "singular" not in str(exc):
-            raise
-        return None, np.inf
+    def __init__(self, parts, dtype, dense):
+        self.parts, self.dtype, self.dense = parts, dtype, dense
+
+    def solve(self, rhs, trans="N"):
+        out = np.empty(rhs.shape, np.result_type(rhs, self.dtype))
+        for states, solve in self.parts:
+            out[states] = solve(rhs[states], trans)
+        return out
+
+
+def _dense_solve(getrs, lu, piv, rhs, trans):
+    return getrs(lu, piv, rhs, trans=_TRANS[trans])[0]
+
+
+def _factor_fast_block(hff, components):
+    """LU factors of H_FF on its components (``Split.components``) and
+    the 1-norm estimate of its condition; ``None`` and ``inf`` for an
+    exactly singular block.
+
+    A component of at most ``DENSE_COMPONENT_DIM`` states is scattered
+    into a dense array and factored by LAPACK's ?getrf with partial
+    pivoting; an exact zero pivot makes the block singular.  A larger
+    one gets its own SuperLU factorisation.  Symmetric mode fits the
+    Hermitian block: it works on the structure of H_FF + H_FF^T, as the
+    minimum-degree order does, and prefers diagonal pivots; the default
+    pivoting threshold keeps threshold partial pivoting for indefinite
+    blocks."""
+    getrf, getrs = _DENSE_LU[hff.dtype]
+    parts, dense_parts = [], 0
+    for states, entries, rows, indptr, cols in components:
+        size = len(states)
+        data = hff.data[entries]
+        if size <= DENSE_COMPONENT_DIM:
+            dense = np.zeros((size, size), dtype=hff.dtype, order="F")
+            dense[rows, cols] = data
+            lu, piv, info = getrf(dense, overwrite_a=True)
+            if info > 0:
+                return None, np.inf
+            solve = partial(_dense_solve, getrs, lu, piv)
+            dense_parts += 1
+        else:
+            block = sp.csc_matrix((data, rows, indptr), shape=(size, size))
+            try:
+                solve = spla.splu(block, permc_spec="MMD_AT_PLUS_A",
+                                  options={"SymmetricMode": True}).solve
+            except RuntimeError as exc:
+                if "singular" not in str(exc):
+                    raise
+                return None, np.inf
+        parts.append((states, solve))
     n = hff.shape[0]
     columns = np.repeat(np.arange(n), np.diff(hff.indptr))
     norm = np.bincount(columns, weights=np.abs(hff.data), minlength=n).max()
+    lu = _ComponentFactors(parts, hff.dtype, dense_parts)
     return lu, norm * _inverse_one_norm(lu, n)
 
 
@@ -144,22 +216,20 @@ def _inverse_one_norm(lu, n):
 def eliminate(p):
     """Exact elimination of the fast block of a partition."""
     k = len(p.m)
-    # H0 is diagonal: H_MM and H_FF are V's blocks plus the energies
-    block = p.block(np.arange(k), np.arange(k))
-    block[np.diag_indices_from(block)] += p.em
+    block = p.slow_block()
     cond = 0.0
     if len(p.f):
         hff = p.fast_block()
-        lu, cond = _factor_fast_block(hff)
+        lu, cond = _factor_fast_block(hff, p.split.components)
         if not np.isfinite(cond) or cond > COND_LIMIT:
             raise ValueError(
                 "fast block not invertible; parameters too close to resonance")
         column, same = p.split.layout
-        vmr = p.vmr if np.iscomplexobj(hff) else p.vmr.real
+        vmr = p.vmr
         # the rows of V_MR that share a column have disjoint supports
         packed = np.zeros((column.max() + 1, len(p.r)), dtype=vmr.dtype)
         np.add.at(packed, column, vmr)
-        rhs = np.zeros((len(p.f), len(packed)), dtype=hff.dtype)
+        rhs = np.zeros((len(p.f), len(packed)), dtype=vmr.dtype)
         rhs[p.r] = packed.conj().T
         solved = vmr @ lu.solve(rhs)[p.r]
         block -= np.where(same, solved[:, column], 0)

@@ -15,14 +15,17 @@ is one hop from M, so both sums only visit that set R (288 of the 860
 states of F for the fermionic zig-zag chain of six sites) and run on
 the dense block V_MR and the sparse V_RR, order 3 as
 (V_MR / E_R) (V_RR (V_MR^dag / E_R)); V itself is never densified.
+When every entry of V is real, ``partition`` keeps its values real, so
+the orders and the elimination run in real arithmetic; their results
+are complex all the same.
 
 Every result is in spin order: position k of a block is the n-qubit
 configuration whose bit i (big-endian) is 0 for an up atom on site i
 and 1 for a down atom.  M is the basis' whole single-occupancy block
 (``Basis.single_occupancy``), so the structure of the split (the spin
 order of M, the (M, F) positions of V's entries, their connected
-components, the elimination's layout of M and the pattern of H_FF)
-depends only on V's pattern.  Its one owner is V's
+components, the elimination's layout of M, the pattern of H_FF and its
+blocks on the components) depends only on V's pattern.  Its one owner is V's
 ``Plan``: ``partition(h0, v)`` builds the split there once, and a
 derivation only reads its values; a V built without a plan gets one
 from its own pattern on first use.  Only this module reads how a
@@ -84,16 +87,20 @@ class EffectiveHamiltonian:
 class Split:
     """The M/F split of one pattern of V: structure only, so one split
     serves every derivation that shares the pattern (``partition`` keeps
-    it on V's ``Plan``), with the components of V's pattern and the
-    elimination's layout of M (``labels``, ``layout``), built on first use.
+    it on V's ``Plan``), with the components of V's pattern, the
+    elimination's layout of M and H_FF's pattern and blocks (``labels``,
+    ``layout``, ``hff``, ``components``), built on first use.
 
     ``m`` lists the basis positions of M in spin order and ``f`` those of
     the multiply-occupied rest in basis order.  ``rows`` and ``cols`` are
     the positions of V's stored entries in the order (M, F): position
-    k < len(m) is ``m[k]``, position len(m) + k is ``f[k]``.  ``mf``
-    lists the entries of V_MF and ``mf_targets`` their F columns, from
-    which a partition reads which F states its values reach; ``ff``
-    lists the entries of V_FF.
+    k < len(m) is ``m[k]``, position len(m) + k is ``f[k]``.  ``mm``
+    lists the entries of V_MM (none for a hop), ``mf`` those of V_MF and
+    ``mf_targets`` their F columns, from which a partition reads which F
+    states its values reach; ``ff`` lists the entries of V_FF.  H_FF is
+    block-diagonal over the components: ``components`` gives each block
+    its F positions and each of its entries a place in it, so that the
+    elimination factors the blocks one by one without extracting them.
     """
 
     m: np.ndarray
@@ -103,11 +110,13 @@ class Split:
 
     def __post_init__(self):
         k = len(self.m)
-        self.mf = np.flatnonzero((self.rows < k) & (self.cols >= k))
+        in_m = self.rows < k
+        self.mm = np.flatnonzero(in_m & (self.cols < k))
+        self.mf = np.flatnonzero(in_m & (self.cols >= k))
         self.mf_targets = self.cols[self.mf] - k
-        self.ff = np.flatnonzero((self.rows >= k) & (self.cols >= k))
-        for array in (self.m, self.f, self.rows, self.cols, self.mf,
-                      self.mf_targets, self.ff):
+        self.ff = np.flatnonzero(~in_m & (self.cols >= k))
+        for array in (self.m, self.f, self.rows, self.cols, self.mm,
+                      self.mf, self.mf_targets, self.ff):
             array.flags.writeable = False
 
     @classmethod
@@ -160,6 +169,46 @@ class Split:
         cols = np.concatenate([self.cols[self.ff] - k, diag])
         return compress(cols, rows, nf)
 
+    @cached_property
+    def components(self):
+        """H_FF's blocks on the connected components of V's pattern, the
+        largest first, so that its factorisation runs on the least held
+        memory.  Each is ``(states, entries, rows, indptr, columns)``:
+        its F positions in F order, the stored entries of ``hff`` in its
+        block in the block's CSC order (columns, then rows, in F order),
+        and the CSC pattern of the block in the component's own
+        positions, with each entry's column beside its row."""
+        nf = len(self.f)
+        _, indices, indptr = self.hff
+        _, component, sizes = np.unique(self.labels[len(self.m):],
+                                        return_inverse=True,
+                                        return_counts=True)
+        order = np.argsort(component, kind="stable")
+        starts = np.concatenate([[0], np.cumsum(sizes)])
+        rank = np.arange(nf) - np.repeat(starts[:-1], sizes)
+        local = np.empty(nf, dtype=np.int32)
+        local[order] = rank
+        # the columns of H_FF in that order, each with its stored entries
+        per_column = np.diff(indptr)[order]
+        ends = np.cumsum(per_column)
+        entries = (np.arange(ends[-1]) + np.repeat(
+            indptr[order] + per_column - ends, per_column)).astype(np.int32)
+        rows = local[indices[entries]]
+        columns = np.repeat(rank.astype(np.int32), per_column)
+        bounds = np.concatenate([[0], ends[starts[1:] - 1]])
+        for array in (order, entries, rows, columns):
+            array.flags.writeable = False
+        blocks = []
+        for b in np.argsort(-sizes, kind="stable"):
+            states = slice(starts[b], starts[b + 1])
+            stored = slice(bounds[b], bounds[b + 1])
+            block_indptr = np.concatenate(
+                [[0], ends[states] - bounds[b]]).astype(np.int32)
+            block_indptr.flags.writeable = False
+            blocks.append((order[states], entries[stored], rows[stored],
+                           block_indptr, columns[stored]))
+        return tuple(blocks)
+
 
 @dataclass
 class Partition:
@@ -172,8 +221,10 @@ class Partition:
     other intermediate state, so they run on the small dense block
     ``vmr`` = V_MR and the sparse ``vrr`` = V_RR.  V is assembled as
     dense blocks (``block``, and ``vff`` = V_FF for the series check of
-    ``trispin.adiabatic``, which runs on all of F) and as the sparse
-    H_FF that the elimination factors (``fast_block``).
+    ``trispin.adiabatic``, which runs on all of F) and as the blocks
+    H_MM and H_FF that the elimination reads (``slow_block``, and the
+    sparse ``fast_block`` that it factors).  ``vals`` is real when all
+    of V is (``partition`` decides), and every block follows its dtype.
     """
 
     split: Split
@@ -248,6 +299,15 @@ class Partition:
         f = len(self.m) + np.arange(len(self.f))
         return self.block(f, f)
 
+    def slow_block(self):
+        """H_MM = V_MM + diag(E_M), dense and complex, from the entries
+        ``Split.mm`` of V_MM alone."""
+        k, mm = len(self.m), self.split.mm
+        out = np.zeros((k, k), dtype=complex)
+        out[self.rows[mm], self.cols[mm]] = self.vals[mm]
+        out[np.diag_indices(k)] += self.em
+        return out
+
     def fast_block(self):
         """H_FF = V_FF + diag(E_F) in canonical CSC form, real when V is.
 
@@ -255,10 +315,9 @@ class Partition:
         sorted into it.  SuperLU takes the 32-bit indices as they are.
         """
         order, indices, indptr = self.split.hff
-        vals = self.vals if self.vals.imag.any() else self.vals.real
         nf = len(self.f)
         return sp.csc_matrix(
-            (np.concatenate([vals[self.split.ff], self.ef])[order],
+            (np.concatenate([self.vals[self.split.ff], self.ef])[order],
              indices, indptr), shape=(nf, nf))
 
 
@@ -290,7 +349,9 @@ def partition(h0, v):
     reached = np.zeros(len(split.f), dtype=bool)
     reached[split.mf_targets[mat.data[split.mf] != 0]] = True
     energies = h0.diagonal().real
-    return Partition(split, mat.data, energies[split.m], energies[split.f],
+    # a real V is read in real arithmetic, by every order and block
+    vals = mat.data if mat.data.imag.any() else mat.data.real
+    return Partition(split, vals, energies[split.m], energies[split.f],
                      np.flatnonzero(reached))
 
 
@@ -336,13 +397,13 @@ def spectral_norm(a):
 def second_order(p):
     block = -(p.vmr / p.er) @ p.vmr.conj().T
     check_hermitian(block, "second-order effective Hamiltonian")
-    return EffectiveHamiltonian(block)
+    return EffectiveHamiltonian(block.astype(complex, copy=False))
 
 
 def third_order(p):
     block = (p.vmr / p.er) @ (p.vrr @ (p.vmr.conj().T / p.er[:, None]))
     check_hermitian(block, "third-order effective Hamiltonian")
-    return EffectiveHamiltonian(block)
+    return EffectiveHamiltonian(block.astype(complex, copy=False))
 
 
 def partition_with_m(h0, v, m_indices):

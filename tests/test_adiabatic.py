@@ -116,7 +116,8 @@ def _onenormest(lu, n, dtype):
 
 
 def _fast_block(h0, v, m):
-    return partition(h0, v).fast_block()
+    p = partition(h0, v)
+    return p.fast_block(), p.split.components
 
 
 def _derivation_blocks():
@@ -139,17 +140,45 @@ def _derivation_blocks():
                               u_updn=U, u_upup=1.1, u_dndn=1.2))
 
 
-def test_inverse_one_norm_is_onenormest_on_derivation_blocks():
-    dtypes = set()
-    for hff in _derivation_blocks():
-        lu, cond = _factor_fast_block(hff)
-        n = hff.shape[0]
-        want = _onenormest(lu, n, hff.dtype)
-        assert _inverse_one_norm(lu, n).hex() == float(want).hex()
-        norm = np.abs(hff.toarray()).sum(axis=0).max()
-        assert cond == pytest.approx(norm * want, rel=1e-15)
-        dtypes.add(hff.dtype)
-    assert dtypes == {np.dtype(float), np.dtype(complex)}
+# DENSE_COMPONENT_DIM at 0 factors every component by SuperLU, above F
+# every one by LAPACK's dense LU
+ALL_SUPERLU, ALL_DENSE = 0, 10 ** 6
+
+
+def test_inverse_one_norm_is_onenormest_on_derivation_blocks(monkeypatch):
+    blocks = list(_derivation_blocks())
+    for dense_dim in (ALL_SUPERLU, ALL_DENSE):
+        monkeypatch.setattr(adiabatic, "DENSE_COMPONENT_DIM", dense_dim)
+        dtypes = set()
+        for hff, components in blocks:
+            lu, cond = _factor_fast_block(hff, components)
+            assert lu.dense == (len(lu.parts) if dense_dim else 0)
+            n = hff.shape[0]
+            want = _onenormest(lu, n, hff.dtype)
+            assert _inverse_one_norm(lu, n).hex() == float(want).hex()
+            norm = np.abs(hff.toarray()).sum(axis=0).max()
+            assert cond == pytest.approx(norm * want, rel=1e-15)
+            dtypes.add(hff.dtype)
+        assert dtypes == {np.dtype(float), np.dtype(complex)}
+
+
+def test_component_factors_solve_with_each_transpose(monkeypatch):
+    # a complex fast block made non-Hermitian by one raised entry: the
+    # factors solve A x = b, A^T x = b and A^H x = b on either path
+    hff, components = _fast_block(*_setup(
+        make_triangle(), Statistics.FERMION, 0.05j, 0.03, u_updn=U))
+    hff = hff.copy()
+    hff.data[np.flatnonzero(hff.indices != np.repeat(
+        np.arange(hff.shape[1]), np.diff(hff.indptr)))[0]] += 0.01
+    a = hff.toarray()
+    rhs = np.random.default_rng(3).standard_normal((a.shape[0], 2))
+    for dense_dim in (ALL_SUPERLU, ALL_DENSE):
+        monkeypatch.setattr(adiabatic, "DENSE_COMPONENT_DIM", dense_dim)
+        lu, _ = _factor_fast_block(hff, components)
+        for trans, op in (("N", a), ("T", a.T), ("H", a.conj().T)):
+            for b in (rhs, rhs[:, 0]):
+                assert np.allclose(op @ lu.solve(b, trans=trans), b,
+                                   rtol=0, atol=1e-12)
 
 
 class _Solves:
@@ -230,13 +259,19 @@ def test_spectral_norm_is_scipy_norm_and_rejects_nan():
         spectral_norm(np.diag([1.0, np.inf]))
 
 
-def test_singular_fast_block_rejected():
+def test_singular_fast_block_rejected(monkeypatch):
     # no tunneling and no cross-species collision energy: every up-down
-    # double occupancy is a zero row of H_FF
+    # double occupancy is a zero row of H_FF, an exact zero pivot of
+    # LAPACK's LU and a singular block for SuperLU
     h0, v, m = _setup(make_triangle(), Statistics.BOSON, 0.0, 0.0,
                       u_updn=0.0, u_upup=U, u_dndn=U)
-    with pytest.raises(ValueError, match="fast block"):
-        adiabatic_eliminate(h0, v, m)
+    p = partition(h0, v)
+    for dense_dim in (ALL_SUPERLU, ALL_DENSE):
+        monkeypatch.setattr(adiabatic, "DENSE_COMPONENT_DIM", dense_dim)
+        assert _factor_fast_block(p.fast_block(), p.split.components) == (
+            None, np.inf)
+        with pytest.raises(ValueError, match="fast block not invertible"):
+            adiabatic_eliminate(h0, v, m)
 
 
 def test_truncated_series_matches_engine_exactly():

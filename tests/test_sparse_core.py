@@ -22,6 +22,7 @@ import pytest
 import scipy.linalg as la
 import scipy.sparse as sp
 
+from trispin import adiabatic
 from trispin.adiabatic import (_neumann, adiabatic_eliminate, eliminate,
                                series_compare)
 from trispin.cli import main
@@ -136,8 +137,10 @@ def test_orders_match_dense_reference(case):
     h0, v, vb, m = case
     _, vmf, vff, _, ef = _dense_partition(h0, v, m)
     want2, want3 = _dense_second(vmf, ef), _dense_third(vmf, vff, ef)
-    _close(h_eff_second(h0, v, m).matrix, want2)
-    _close(h_eff_third(h0, v, m).matrix, want3)
+    for got, want in ((h_eff_second(h0, v, m), want2),
+                      (h_eff_third(h0, v, m), want3)):
+        assert got.matrix.dtype == complex
+        _close(got.matrix, want)
     p = partition(h0, v)
     _close(_neumann(p, 2).matrix, want2)
     _close(_neumann(p, 3).matrix, want2 + want3)
@@ -151,19 +154,74 @@ def test_cross_second_matches_dense_reference(case):
     _close(cross_second(h0, v, vb).matrix, want)
 
 
-def test_elimination_matches_dense_reference(case):
+# DENSE_COMPONENT_DIM at 0 sends every component of H_FF to SuperLU, above
+# F every one to LAPACK's dense LU
+ALL_SUPERLU, ALL_DENSE = 0, 10 ** 6
+
+
+def _factored_kinds(monkeypatch, p):
+    """(dense, SuperLU) counts of the components of one elimination."""
+    factored = []
+    factor = adiabatic._factor_fast_block
+
+    def recording(hff, components):
+        lu, cond = factor(hff, components)
+        factored.append(lu)
+        return lu, cond
+
+    with monkeypatch.context() as patch:
+        patch.setattr(adiabatic, "_factor_fast_block", recording)
+        eliminate(p)
+    lu, = factored
+    return lu.dense, len(lu.parts) - lu.dense
+
+
+def test_elimination_matches_dense_reference(case, monkeypatch):
     h0, v, _, m = case
-    # H_FF is real exactly when V is
-    assert (np.iscomplexobj(partition(h0, v).fast_block())
-            == bool(v.mat.data.imag.any()))
+    p = partition(h0, v)
+    # a real V is read in real arithmetic, H_FF included
+    real = not v.mat.data.imag.any()
+    for array in (p.vals, p.vmr, p.vrr.data, p.vff, p.fast_block().data):
+        assert np.isrealobj(array) == real
     want, gecon, hff = _dense_elimination(h0, v, m)
-    result = adiabatic_eliminate(h0, v, m)
-    assert result.h_eff.matrix.dtype == complex
-    _close(result.h_eff.matrix, want)
-    assert result.dims == (h0.dim, h0.dim - len(m), len(m))
     kappa1 = np.linalg.cond(hff, 1)
-    for estimate in (result.condition_number, gecon):
-        assert kappa1 / 3 <= estimate <= kappa1 * (1 + 1e-12)
+    assert kappa1 / 3 <= gecon <= kappa1 * (1 + 1e-12)
+    # and the switch itself: a component of the constant's size is dense
+    sizes = np.array([len(states) for states, *_ in p.split.components])
+    middle = sizes[len(sizes) // 2]
+    dense = (sizes <= middle).sum()
+    for dense_dim, kinds in ((adiabatic.DENSE_COMPONENT_DIM, None),
+                             (ALL_SUPERLU, (0, len(sizes))),
+                             (middle, (dense, len(sizes) - dense)),
+                             (ALL_DENSE, (len(sizes), 0))):
+        monkeypatch.setattr(adiabatic, "DENSE_COMPONENT_DIM", dense_dim)
+        if kinds:
+            assert _factored_kinds(monkeypatch, p) == kinds
+        result = adiabatic_eliminate(h0, v, m)
+        assert result.h_eff.matrix.dtype == complex
+        _close(result.h_eff.matrix, want)
+        assert result.dims == (h0.dim, h0.dim - len(m), len(m))
+        assert (kappa1 / 3 <= result.condition_number
+                <= kappa1 * (1 + 1e-12))
+
+
+def test_elimination_reads_v_mm_from_its_entries():
+    # V_MM is empty for a hop; a coupling between two M states, put in
+    # by hand, must reach H_MM and nothing else
+    h0, v = _bosonic_triangle()
+    m = h0.basis.single_occupancy
+    spin = spin_map(h0.basis, m)
+    inside = sp.lil_matrix(v.mat.shape, dtype=complex)
+    inside[spin[0], spin[1]] = 0.01 + 0.02j
+    inside[spin[1], spin[0]] = 0.01 - 0.02j
+    coupled = SparseOperator(v.mat + inside.tocsr(), v.basis)
+    p = partition(h0, coupled)
+    assert len(p.split.mm) == 2
+    assert len(partition(h0, v).split.mm) == 0
+    vmm, _, _, em, _ = _dense_partition(h0, coupled, m)
+    assert np.array_equal(p.slow_block(), vmm + np.diag(em))
+    _close(eliminate(p).h_eff.matrix,
+           _dense_elimination(h0, coupled, m)[0])
 
 
 def _chiral_patch():
@@ -231,7 +289,11 @@ def _propagated_labels(split):
 def _check_components(split):
     """``Split.labels`` groups the positions as the propagation does and
     numbers the components by their smallest positions; each M state's
-    column is its rank among the M states of its component."""
+    column is its rank among the M states of its component.  The blocks
+    of ``Split.components`` come largest first and cover F and H_FF's
+    stored entries; read through its CSC pattern and through its (row,
+    column) pairs, each is H_FF's pattern on its F states, with each
+    stored entry in its place."""
     want = np.unique(_propagated_labels(split), return_inverse=True)[1]
     assert np.array_equal(split.labels, want)
     column, same = split.layout
@@ -240,6 +302,28 @@ def _check_components(split):
     for component in np.unique(label):
         mine = label == component
         assert np.array_equal(column[mine], np.arange(mine.sum()))
+    _, indices, indptr = split.hff
+    nf, stored = len(split.f), len(indices)
+    # H_FF's pattern with entry k stored as k + 1
+    full = sp.csc_matrix((np.arange(1, stored + 1), indices, indptr),
+                         shape=(nf, nf)).toarray()
+    blocks = split.components
+    sizes = [len(states) for states, *_ in blocks]
+    assert sizes == sorted(sizes, reverse=True)
+    for part, total in ((0, nf), (1, stored)):
+        got = np.concatenate([block[part] for block in blocks])
+        assert np.array_equal(np.sort(got), np.arange(total))
+    for states, entries, rows, block_indptr, cols in blocks:
+        size = len(states)
+        assert np.array_equal(states, np.sort(states))
+        want = full[np.ix_(states, states)]
+        by_pattern = sp.csc_matrix((entries + 1, rows, block_indptr),
+                                   shape=(size, size))
+        assert by_pattern.has_canonical_format
+        assert np.array_equal(by_pattern.toarray(), want)
+        by_pairs = np.zeros((size, size), dtype=int)
+        by_pairs[rows, cols] = entries + 1
+        assert np.array_equal(by_pairs, want)
 
 
 def test_components_match_an_independent_labelling(case):
@@ -258,7 +342,7 @@ FINER = [("zigzag", 5, Statistics.FERMION, 32),
 @pytest.mark.parametrize("geometry, n, statistics, components", FINER,
                          ids=[f"{g}-{n}-{s.value}" for g, n, s, _ in FINER])
 def test_elimination_on_components_finer_than_the_sectors(
-        geometry, n, statistics, components):
+        geometry, n, statistics, components, monkeypatch):
     graph = make_triangle() if geometry == "triangle" else make_zigzag(n)
     params = _params(graph, statistics, np.random.default_rng(50 + n))
 
@@ -276,6 +360,10 @@ def test_elimination_on_components_finer_than_the_sectors(
     want = vmm + np.diag(em) - vmf @ np.linalg.solve(vff + np.diag(ef),
                                                      vmf.conj().T)
     _close(eliminate(p).h_eff.matrix, want)
+    for dense_dim in (ALL_SUPERLU, ALL_DENSE):
+        with monkeypatch.context() as patch:
+            patch.setattr(adiabatic, "DENSE_COMPONENT_DIM", dense_dim)
+            _close(eliminate(p).h_eff.matrix, want)
 
 
 def test_partitions_of_one_plan_share_one_layout(monkeypatch):
@@ -305,18 +393,17 @@ def test_elimination_refuses_a_non_hermitian_result(monkeypatch):
     # H_FF factored with one off-diagonal entry of a reached row changed:
     # the correction is no longer Hermitian, and the check before the
     # symmetrization must see it
-    from trispin import adiabatic
     h0, v, _, _ = _case("triangle", 3, Statistics.BOSON)
     p = partition(h0, v)
     factor = adiabatic._factor_fast_block
 
-    def skewed(hff):
+    def skewed(hff, components):
         hff = hff.copy()
         rows = hff.indices
         cols = np.repeat(np.arange(hff.shape[1]), np.diff(hff.indptr))
         entry = np.flatnonzero((rows != cols) & np.isin(rows, p.r))[0]
         hff.data[entry] += 0.01
-        return factor(hff)
+        return factor(hff, components)
 
     eliminate(p)
     monkeypatch.setattr(adiabatic, "_factor_fast_block", skewed)
@@ -490,8 +577,6 @@ def test_routes_build_one_partition_per_tunneling(monkeypatch, route, built):
 def test_series_check_sees_a_reached_state_the_engine_skips(monkeypatch):
     # the series runs on all of F, so an engine that loses one state of R
     # no longer matches it
-    from trispin import adiabatic
-
     def short_reach(*args):
         p = partition(*args)
         return dataclasses.replace(p, r=p.r[1:])

@@ -7,11 +7,16 @@ J_down = 0, whose 128 components of V's pattern share one right-hand-side
 column: the widest packing of the elimination.  It partitions each and
 eliminates its fast block through ``adiabatic.eliminate``, which raises,
 and so exits 1, when its result before symmetrization is not Hermitian
-within ``perturb.HERMITICITY_TOL``.  It records the one packed solve
-that the elimination makes with the LU factors of H_FF and exits 1
+within ``perturb.HERMITICITY_TOL``.  The elimination factors H_FF one
+connected component at a time, by LAPACK's dense LU up to
+``adiabatic.DENSE_COMPONENT_DIM`` states and by SuperLU above; the run
+prints how many components of each case went to each and exits 1
+unless both kinds occur among the cases.  It records the one packed
+solve that the elimination makes through those factors and exits 1
 unless every eliminated Hamiltonian is finite and
-||H_FF X - B|| <= 1e-12 ||B|| (Frobenius) on those right-hand sides B.
-It prints one JSON line per case, with times for information only.
+||H_FF X - B|| <= 1e-12 ||B|| (Frobenius) on those right-hand sides B,
+the whole solve over all components.  It prints one JSON line per case,
+with times for information only.
 
     PYTHONPATH=src python tools/wall_smoke.py
 """
@@ -49,8 +54,8 @@ def main():
     factor = adiabatic._factor_fast_block
     factored = []
 
-    def recording(hff):
-        lu, cond = factor(hff)
+    def recording(hff, components):
+        lu, cond = factor(hff, components)
         if lu is not None:
             lu = _RecordedSolves(lu, hff)
             factored.append(lu)
@@ -65,6 +70,7 @@ def main():
 
 def _run(factored):
     failed = False
+    kinds = set()
     for statistics, n, j_dn, u_same in CASES:
         graph = make_zigzag(n)
         h0, v = derive(graph, HubbardParams.uniform(
@@ -82,11 +88,20 @@ def _run(factored):
                          / np.linalg.norm(rhs))
         ok = finite and residual <= RESIDUAL_TOL
         failed |= not ok
+        dense = lu.lu.dense
+        superlu = len(lu.lu.parts) - dense
+        kinds |= {kind for kind, count in (("dense", dense),
+                                           ("superlu", superlu)) if count}
         print(json.dumps({
             "case": f"{statistics.value} zigzag n = {n}, J_down = {j_dn}",
             "fast_dim": lu.hff.shape[0], "columns": rhs.shape[1],
+            "dense_components": dense, "superlu_components": superlu,
             "finite": finite, "relative_residual": residual,
             "eliminate_s": round(seconds, 3), "ok": ok}), flush=True)
+    if kinds != {"dense", "superlu"}:
+        print(json.dumps({"factorisations": sorted(kinds),
+                          "ok": False}), flush=True)
+        failed = True
     return 1 if failed else 0
 
 
