@@ -18,23 +18,14 @@ when all of V is real (E_F always is); the result stays complex.  H_MM
 is diag(E_M) plus the entries of V_MM, which no hop has.  H_FF is
 block-diagonal over the connected components of V's pattern (without
 species mixing, the conserved (n_up, n_down) sectors) and is factored
-one component at a time, from the blocks that the M/F split lays out
-once per plan (``perturb.Split.components``).  This is a size switch:
-a component of at most ``DENSE_COMPONENT_DIM`` states is scattered into
-a dense array and factored by LAPACK's ?getrf with partial pivoting
-(Anderson et al., LAPACK Users' Guide, 3rd ed., SIAM (1999)), which is
-faster there; a larger one gets its own sparse LU (SuperLU,
-minimum-degree ordering of H_b + H_b^T, which fits its symmetric
-pattern).  Each block is Hermitian, so SuperLU runs in its symmetric
-mode (Demmel, Eisenstat, Gilbert, Li & Liu, SIAM J. Matrix Anal. Appl.
-20, 720 (1999)): the factorisation works on the structure of
-H_b + H_b^T that the order was computed from, and it prefers diagonal
-pivots.  The pivoting threshold stays at its default, so a diagonal
-pivot is taken only where it passes the threshold test of partial
-pivoting; an indefinite block (collision energies of both signs) keeps
-that safeguard.  The general driver gives the same fill on these blocks
-but takes longer, more than twice as long on the bosonic zig-zag chain
-of six sites.  An exact zero pivot of either LU makes H_FF singular.
+one component at a time, from the (row, column) pairs that the M/F
+split lays out once per plan (``perturb.Split.components``): each block
+is scattered into a dense array and factored by LAPACK's ?getrf with
+partial pivoting (Anderson et al., LAPACK Users' Guide, 3rd ed., SIAM
+(1999)), which also covers an indefinite block (collision energies of
+both signs).  An exact zero pivot makes H_FF singular.  The dense
+blocks take sum_b size_b^2 entries, so a split whose blocks would
+exceed ``DENSE_MAX_BYTES`` is refused before anything is allocated.
 One factor object applies the factors component by component, so the
 solves below see one solve with all of H_FF.
 H_FM is nonzero only on the states R one hop from M, so the right-hand
@@ -65,11 +56,8 @@ from above.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg import get_lapack_funcs
 
 from .perturb import (EffectiveHamiltonian, check_engine, check_hermitian,
@@ -77,25 +65,16 @@ from .perturb import (EffectiveHamiltonian, check_engine, check_hermitian,
                       spectral_norm, third_order)
 
 COND_LIMIT = 1e12
-# largest dense V_FF that ``series_compare`` builds: it holds the V_FF of
-# the fermionic zig-zag chain of six sites (F = 860, 11.8 MB complex) and
-# refuses seven (F = 3,304, 87 MB real, 175 MB complex); eight would take
-# 1.3 GB real, 2.5 GB complex
-SERIES_MAX_BYTES = 2 ** 26
+# largest dense arrays of one fast block, by both refusals: the V_FF of
+# ``series_compare`` keeps the fermionic zig-zag chain of six sites
+# (F = 860, 11.8 MB complex) and refuses seven (F = 3,304, 87 MB real,
+# 175 MB complex); the blocks of H_FF that ``eliminate`` factors keep
+# fermionic chains up to seven sites (24.3 MiB real, 48.7 MiB complex)
+# and bosonic ones up to five (6.1 / 12.2 MiB) and refuse fermionic
+# eight (331.5 / 663 MiB) and bosonic six (218 / 435 MiB)
+DENSE_MAX_BYTES = 2 ** 26
 # iterations of the 1-norm estimate, scipy's ``onenormest`` default
 ONENORMEST_ITMAX = 5
-# components of H_FF up to this many states are factored by LAPACK's
-# dense ?getrf, larger ones by SuperLU.  On the components of the zig-zag
-# chains (factors, 1-norm estimate and packed solve, one BLAS thread) the
-# dense path took 0.46-0.76 of SuperLU's time from 30 to 515 states and
-# 0.95 at 461 bosonic ones, 0.86-0.94 from 756 to 3,080 fermionic ones,
-# but 1.22-1.33 from 1,506 to 3,116 bosonic ones.  A dense block holds
-# all size^2 entries, 3.3-4.3 times SuperLU's fill from 345 to 1,190
-# states, so the switch takes the gains of 1.3-2.2 times below it and
-# leaves the few percent above it, which would hold 9 MB more at
-# fermionic n = 8 (two blocks of 756 states); a dense block stays within
-# 2.9 MB real, 5.8 MB complex
-DENSE_COMPONENT_DIM = 600
 # LAPACK's dense LU and its solve, per dtype of H_FF
 _DENSE_LU = {np.dtype(t): get_lapack_funcs(("getrf", "getrs"), dtype=t)
              for t in (np.float64, np.complex128)}
@@ -119,65 +98,61 @@ class AdiabaticResult:
 
 class _ComponentFactors:
     """LU factors of H_FF, one per connected component, applied component
-    by component: ``solve(rhs, trans)`` solves H_FF X = B as SuperLU's
-    does.  ``parts`` holds each component's F positions with its own
-    solve, ``dense`` of them by LAPACK."""
+    by component: ``solve(rhs, trans)`` solves H_FF X = B ("N"),
+    H_FF^T X = B ("T") or H_FF^H X = B ("H").  ``parts`` holds each
+    component's F positions with its LAPACK factors (lu, piv)."""
 
-    def __init__(self, parts, dtype, dense):
-        self.parts, self.dtype, self.dense = parts, dtype, dense
+    def __init__(self, parts, dtype):
+        self.parts, self.dtype = parts, dtype
+        self.getrs = _DENSE_LU[dtype][1]
 
     def solve(self, rhs, trans="N"):
         out = np.empty(rhs.shape, np.result_type(rhs, self.dtype))
-        for states, solve in self.parts:
-            out[states] = solve(rhs[states], trans)
+        for states, lu, piv in self.parts:
+            out[states] = self.getrs(lu, piv, rhs[states],
+                                     trans=_TRANS[trans])[0]
         return out
 
 
-def _dense_solve(getrs, lu, piv, rhs, trans):
-    return getrs(lu, piv, rhs, trans=_TRANS[trans])[0]
+def _dense_block(p, states, entries, rows, cols):
+    """H_FF = V_FF + diag(E_F) on one component of ``Split.components``,
+    dense and in Fortran order: its entries of V_FF at their (row,
+    column) pairs, E_F on its diagonal."""
+    size = len(states)
+    dense = np.zeros((size, size), dtype=p.vals.dtype, order="F")
+    dense[rows, cols] = p.vals[entries]
+    dense[np.diag_indices(size)] += p.ef[states]
+    return dense
 
 
-def _factor_fast_block(hff, components):
-    """LU factors of H_FF on its components (``Split.components``) and
-    the 1-norm estimate of its condition; ``None`` and ``inf`` for an
-    exactly singular block.
+def _factor_hff(p):
+    """LU factors of a partition's H_FF on its components and the 1-norm
+    estimate of its condition; ``None`` and ``inf`` for an exactly
+    singular block.
 
-    A component of at most ``DENSE_COMPONENT_DIM`` states is scattered
-    into a dense array and factored by LAPACK's ?getrf with partial
-    pivoting; an exact zero pivot makes the block singular.  A larger
-    one gets its own SuperLU factorisation.  Symmetric mode fits the
-    Hermitian block: it works on the structure of H_FF + H_FF^T, as the
-    minimum-degree order does, and prefers diagonal pivots; the default
-    pivoting threshold keeps threshold partial pivoting for indefinite
-    blocks."""
-    getrf, getrs = _DENSE_LU[hff.dtype]
-    parts, dense_parts = [], 0
-    for states, entries, rows, indptr, cols in components:
-        size = len(states)
-        data = hff.data[entries]
-        if size <= DENSE_COMPONENT_DIM:
-            dense = np.zeros((size, size), dtype=hff.dtype, order="F")
-            dense[rows, cols] = data
-            lu, piv, info = getrf(dense, overwrite_a=True)
-            if info > 0:
-                return None, np.inf
-            solve = partial(_dense_solve, getrs, lu, piv)
-            dense_parts += 1
-        else:
-            block = sp.csc_matrix((data, rows, indptr), shape=(size, size))
-            try:
-                solve = spla.splu(block, permc_spec="MMD_AT_PLUS_A",
-                                  options={"SymmetricMode": True}).solve
-            except RuntimeError as exc:
-                if "singular" not in str(exc):
-                    raise
-                return None, np.inf
-        parts.append((states, solve))
-    n = hff.shape[0]
-    columns = np.repeat(np.arange(n), np.diff(hff.indptr))
-    norm = np.bincount(columns, weights=np.abs(hff.data), minlength=n).max()
-    lu = _ComponentFactors(parts, hff.dtype, dense_parts)
-    return lu, norm * _inverse_one_norm(lu, n)
+    Each component's dense block (``_dense_block``) is factored by
+    LAPACK's ?getrf with partial pivoting; an exact zero pivot makes
+    the block singular.  ||H_FF||_1 is the largest of
+    ``_column_sums``."""
+    dtype = p.vals.dtype
+    getrf = _DENSE_LU[dtype][0]
+    parts = []
+    for states, *pairs in p.split.components:
+        lu, piv, info = getrf(_dense_block(p, states, *pairs),
+                              overwrite_a=True)
+        if info > 0:
+            return None, np.inf
+        parts.append((states, lu, piv))
+    lu = _ComponentFactors(parts, dtype)
+    return lu, _column_sums(p).max() * _inverse_one_norm(lu, len(p.f))
+
+
+def _column_sums(p):
+    """The column sums of |H_FF|, each column summed in row order, its
+    diagonal included (``Split.column_order``)."""
+    above, below, columns = p.split.column_order
+    return np.bincount(columns, np.abs(np.concatenate(
+        [p.vals[above], p.ef, p.vals[below]])))
 
 
 def _inverse_one_norm(lu, n):
@@ -213,14 +188,27 @@ def _inverse_one_norm(lu, n):
         k += 1
 
 
+def _refuse_dense(nbytes, what):
+    """``ValueError`` naming the MiB of dense arrays beyond
+    ``DENSE_MAX_BYTES``, before any of them is built."""
+    if nbytes > DENSE_MAX_BYTES:
+        raise ValueError(f"fast block too large for {what} would take "
+                         f"{nbytes / 2 ** 20:.0f} MiB, "
+                         f"limit {DENSE_MAX_BYTES / 2 ** 20:.0f} MiB")
+
+
 def eliminate(p):
-    """Exact elimination of the fast block of a partition."""
+    """Exact elimination of the fast block of a partition; a fast block
+    whose dense blocks would exceed ``DENSE_MAX_BYTES`` is refused
+    before anything is allocated."""
+    _refuse_dense(p.vals.itemsize * sum(
+        len(states) ** 2 for states, *_ in p.split.components),
+        "the elimination: its dense blocks")
     k = len(p.m)
     block = p.slow_block()
     cond = 0.0
     if len(p.f):
-        hff = p.fast_block()
-        lu, cond = _factor_fast_block(hff, p.split.components)
+        lu, cond = _factor_hff(p)
         if not np.isfinite(cond) or cond > COND_LIMIT:
             raise ValueError(
                 "fast block not invertible; parameters too close to resonance")
@@ -270,13 +258,10 @@ def series_compare(h0, v):
     Neumann series to converge, i.e. the tunneling norm within the fast
     block below the smallest fast energy; that norm is the exact
     2-norm of the dense V_FF that the series reads too.  A V_FF beyond
-    ``SERIES_MAX_BYTES`` is refused before it is built."""
+    ``DENSE_MAX_BYTES`` is refused before it is built."""
     p = partition(h0, v)
-    dense = len(p.f) ** 2 * p.vals.itemsize
-    if dense > SERIES_MAX_BYTES:
-        raise ValueError(f"fast block too large for the series check: "
-                         f"dense V_FF would take {dense / 2 ** 20:.0f} MiB, "
-                         f"limit {SERIES_MAX_BYTES / 2 ** 20:.0f} MiB")
+    _refuse_dense(len(p.f) ** 2 * p.vals.itemsize,
+                  "the series check: dense V_FF")
     vff_norm = spectral_norm(p.vff)
     emin = np.abs(p.ef).min() if len(p.f) else np.inf
     if vff_norm >= emin:

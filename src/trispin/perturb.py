@@ -24,11 +24,11 @@ configuration whose bit i (big-endian) is 0 for an up atom on site i
 and 1 for a down atom.  M is the basis' whole single-occupancy block
 (``Basis.single_occupancy``), so the structure of the split (the spin
 order of M, the (M, F) positions of V's entries, their connected
-components, the elimination's layout of M, the pattern of H_FF and its
-blocks on the components) depends only on V's pattern.  Its one owner is V's
-``Plan``: ``partition(h0, v)`` builds the split there once, and a
-derivation only reads its values; a V built without a plan gets one
-from its own pattern on first use.  Only this module reads how a
+components, the elimination's layout of M, the (row, column) pairs of
+H_FF's blocks on the components) depends only on V's pattern.  Its one
+owner is V's ``Plan``: ``partition(h0, v)`` builds the split there
+once, and a derivation only reads its values; a V built without a plan
+gets one from its own pattern on first use.  Only this module reads how a
 ``Partition`` stores V.  Callers pass one partition to
 ``check_engine``, the orders and ``trispin.adiabatic.eliminate``; the
 ``(h0, v, m)`` routes such as ``h_eff_second`` check M and build their
@@ -45,7 +45,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from . import pauli
-from .hubbard import compress, pattern_plan
+from .hubbard import pattern_plan
 
 HERMITICITY_TOL = 1e-12
 
@@ -88,8 +88,9 @@ class Split:
     """The M/F split of one pattern of V: structure only, so one split
     serves every derivation that shares the pattern (``partition`` keeps
     it on V's ``Plan``), with the components of V's pattern, the
-    elimination's layout of M and H_FF's pattern and blocks (``labels``,
-    ``layout``, ``hff``, ``components``), built on first use.
+    elimination's layout of M, H_FF's blocks and the order of its
+    column sums (``labels``, ``layout``, ``components``,
+    ``column_order``), built on first use.
 
     ``m`` lists the basis positions of M in spin order and ``f`` those of
     the multiply-occupied rest in basis order.  ``rows`` and ``cols`` are
@@ -99,8 +100,8 @@ class Split:
     ``mf_targets`` their F columns, from which a partition reads which F
     states its values reach; ``ff`` lists the entries of V_FF.  H_FF is
     block-diagonal over the components: ``components`` gives each block
-    its F positions and each of its entries a place in it, so that the
-    elimination factors the blocks one by one without extracting them.
+    its F positions and its entries of V_FF with their (row, column)
+    pairs in it, so that the elimination scatters each block densely.
     """
 
     m: np.ndarray
@@ -159,55 +160,48 @@ class Split:
         return column, same
 
     @cached_property
-    def hff(self):
-        """H_FF in CSC form (``hubbard.compress``): the entries ``ff`` of
-        V_FF, then the energies of F on the diagonal, which V, a hop,
-        never touches."""
-        k, nf = len(self.m), len(self.f)
-        diag = np.arange(nf)
-        rows = np.concatenate([self.rows[self.ff] - k, diag])
-        cols = np.concatenate([self.cols[self.ff] - k, diag])
-        return compress(cols, rows, nf)
-
-    @cached_property
     def components(self):
-        """H_FF's blocks on the connected components of V's pattern, the
-        largest first, so that its factorisation runs on the least held
-        memory.  Each is ``(states, entries, rows, indptr, columns)``:
-        its F positions in F order, the stored entries of ``hff`` in its
-        block in the block's CSC order (columns, then rows, in F order),
-        and the CSC pattern of the block in the component's own
-        positions, with each entry's column beside its row."""
-        nf = len(self.f)
-        _, indices, indptr = self.hff
-        _, component, sizes = np.unique(self.labels[len(self.m):],
+        """H_FF's blocks on the connected components of V's pattern, in
+        the order of the components' labels.  Each is ``(states,
+        entries, rows, cols)``: its F positions in F order, its entries
+        of V_FF (from ``ff``) and their rows and columns in the
+        component's own positions.  The energies of F lie on the
+        blocks' diagonals, which V, a hop, never touches."""
+        k = len(self.m)
+        _, component, sizes = np.unique(self.labels[k:],
                                         return_inverse=True,
                                         return_counts=True)
-        order = np.argsort(component, kind="stable")
-        starts = np.concatenate([[0], np.cumsum(sizes)])
-        rank = np.arange(nf) - np.repeat(starts[:-1], sizes)
-        local = np.empty(nf, dtype=np.int32)
-        local[order] = rank
-        # the columns of H_FF in that order, each with its stored entries
-        per_column = np.diff(indptr)[order]
-        ends = np.cumsum(per_column)
-        entries = (np.arange(ends[-1]) + np.repeat(
-            indptr[order] + per_column - ends, per_column)).astype(np.int32)
-        rows = local[indices[entries]]
-        columns = np.repeat(rank.astype(np.int32), per_column)
-        bounds = np.concatenate([[0], ends[starts[1:] - 1]])
-        for array in (order, entries, rows, columns):
-            array.flags.writeable = False
+        rows, cols = self.rows[self.ff] - k, self.cols[self.ff] - k
+        owner = component[rows]
+        local = np.empty(len(self.f), dtype=int)
         blocks = []
-        for b in np.argsort(-sizes, kind="stable"):
-            states = slice(starts[b], starts[b + 1])
-            stored = slice(bounds[b], bounds[b + 1])
-            block_indptr = np.concatenate(
-                [[0], ends[states] - bounds[b]]).astype(np.int32)
-            block_indptr.flags.writeable = False
-            blocks.append((order[states], entries[stored], rows[stored],
-                           block_indptr, columns[stored]))
+        for b, size in enumerate(sizes):
+            states = np.flatnonzero(component == b)
+            local[states] = np.arange(size)
+            inside = owner == b
+            block = (states, self.ff[inside], local[rows[inside]],
+                     local[cols[inside]])
+            for array in block:
+                array.flags.writeable = False
+            blocks.append(block)
         return tuple(blocks)
+
+    @cached_property
+    def column_order(self):
+        """H_FF's stored entries in the order of its column sums, as
+        ``(above, below, columns)``: the entries of V_FF above H_FF's
+        diagonal and those below it, each in row order, and the F
+        column of each term of (above, E_F, below).  Summed by column in
+        that order, each column of |H_FF| is summed in row order, its
+        diagonal in its place."""
+        k = len(self.m)
+        rows, cols = self.rows[self.ff] - k, self.cols[self.ff] - k
+        below = rows > cols
+        order = (self.ff[~below], self.ff[below], np.concatenate(
+            [cols[~below], np.arange(len(self.f)), cols[below]]))
+        for array in order:
+            array.flags.writeable = False
+        return order
 
 
 @dataclass
@@ -221,10 +215,11 @@ class Partition:
     other intermediate state, so they run on the small dense block
     ``vmr`` = V_MR and the sparse ``vrr`` = V_RR.  V is assembled as
     dense blocks (``block``, and ``vff`` = V_FF for the series check of
-    ``trispin.adiabatic``, which runs on all of F) and as the blocks
-    H_MM and H_FF that the elimination reads (``slow_block``, and the
-    sparse ``fast_block`` that it factors).  ``vals`` is real when all
-    of V is (``partition`` decides), and every block follows its dtype.
+    ``trispin.adiabatic``, which runs on all of F) and as H_MM
+    (``slow_block``); the elimination scatters H_FF's blocks itself,
+    from ``vals``, ``ef`` and ``Split.components``.  ``vals`` is real
+    when all of V is (``partition`` decides), and every block follows
+    its dtype.
     """
 
     split: Split
@@ -307,18 +302,6 @@ class Partition:
         out[self.rows[mm], self.cols[mm]] = self.vals[mm]
         out[np.diag_indices(k)] += self.em
         return out
-
-    def fast_block(self):
-        """H_FF = V_FF + diag(E_F) in canonical CSC form, real when V is.
-
-        The pattern comes from the split (``Split.hff``); the values are
-        sorted into it.  SuperLU takes the 32-bit indices as they are.
-        """
-        order, indices, indptr = self.split.hff
-        nf = len(self.f)
-        return sp.csc_matrix(
-            (np.concatenate([self.vals[self.split.ff], self.ef])[order],
-             indices, indptr), shape=(nf, nf))
 
 
 def partition(h0, v):

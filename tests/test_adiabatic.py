@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from functools import partial
 
@@ -8,8 +9,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from trispin import adiabatic
-from trispin.adiabatic import (_factor_fast_block, _inverse_one_norm,
-                               _neumann, adiabatic_eliminate, series_compare)
+from trispin.adiabatic import (_factor_hff, _inverse_one_norm,
+                               _neumann, adiabatic_eliminate, eliminate,
+                               series_compare)
 from trispin.fock import Species, Statistics
 from trispin.hubbard import (Edge, HubbardParams, LatticeGraph, build_h0,
                              build_v, hilbert_basis, make_triangle,
@@ -115,70 +117,66 @@ def _onenormest(lu, n, dtype):
     return spla.onenormest(inverse, t=1)
 
 
-def _fast_block(h0, v, m):
-    p = partition(h0, v)
-    return p.fast_block(), p.split.components
+def _dense_hff(p):
+    """H_FF = V_FF + diag(E_F) of a partition, dense."""
+    return p.vff + np.diag(p.ef)
 
 
-def _derivation_blocks():
-    """Fast blocks of the derivations in use: triangles of both
+def _derivation_partitions():
+    """Partitions of the derivations in use: triangles of both
     statistics, with real and with complex tunneling, a Raman-rotated
     V, and zig-zag chains of four to six sites."""
     kw = {Statistics.BOSON: {"u_upup": 1.1, "u_dndn": 0.9},
           Statistics.FERMION: {}}
     for statistics in Statistics:
         for j_up, j_dn in ((0.05, 0.03), (0.05j, 0.03j)):
-            yield _fast_block(*_setup(make_triangle(), statistics, j_up,
-                                      j_dn, u_updn=U, **kw[statistics]))
-    h0, v, m = _setup(make_triangle(), Statistics.BOSON, 0.05, 0.02,
+            h0, v, _ = _setup(make_triangle(), statistics, j_up, j_dn,
+                              u_updn=U, **kw[statistics])
+            yield partition(h0, v)
+    h0, v, _ = _setup(make_triangle(), Statistics.BOSON, 0.05, 0.02,
                       u_updn=U, u_upup=U, u_dndn=U)
-    yield _fast_block(h0, rotate_tunneling(v, SU2Rotation(0.4, 0.9)), m)
+    yield partition(h0, rotate_tunneling(v, SU2Rotation(0.4, 0.9)))
     for n in (4, 5, 6):
-        yield _fast_block(*_setup(make_zigzag(n), Statistics.FERMION, 0.04,
-                                  0.03, u_updn=U))
-    yield _fast_block(*_setup(make_zigzag(4), Statistics.BOSON, 0.04, 0.03,
-                              u_updn=U, u_upup=1.1, u_dndn=1.2))
+        h0, v, _ = _setup(make_zigzag(n), Statistics.FERMION, 0.04, 0.03,
+                          u_updn=U)
+        yield partition(h0, v)
+    h0, v, _ = _setup(make_zigzag(4), Statistics.BOSON, 0.04, 0.03,
+                      u_updn=U, u_upup=1.1, u_dndn=1.2)
+    yield partition(h0, v)
 
 
-# DENSE_COMPONENT_DIM at 0 factors every component by SuperLU, above F
-# every one by LAPACK's dense LU
-ALL_SUPERLU, ALL_DENSE = 0, 10 ** 6
+def test_inverse_one_norm_is_onenormest_on_derivation_blocks():
+    dtypes = set()
+    for p in _derivation_partitions():
+        lu, cond = _factor_hff(p)
+        assert len(lu.parts) == len(p.split.components)
+        hff = _dense_hff(p)
+        n = hff.shape[0]
+        want = _onenormest(lu, n, hff.dtype)
+        assert _inverse_one_norm(lu, n).hex() == float(want).hex()
+        norm = np.abs(hff).sum(axis=0).max()
+        assert cond == pytest.approx(norm * want, rel=1e-15)
+        dtypes.add(hff.dtype)
+    assert dtypes == {np.dtype(float), np.dtype(complex)}
 
 
-def test_inverse_one_norm_is_onenormest_on_derivation_blocks(monkeypatch):
-    blocks = list(_derivation_blocks())
-    for dense_dim in (ALL_SUPERLU, ALL_DENSE):
-        monkeypatch.setattr(adiabatic, "DENSE_COMPONENT_DIM", dense_dim)
-        dtypes = set()
-        for hff, components in blocks:
-            lu, cond = _factor_fast_block(hff, components)
-            assert lu.dense == (len(lu.parts) if dense_dim else 0)
-            n = hff.shape[0]
-            want = _onenormest(lu, n, hff.dtype)
-            assert _inverse_one_norm(lu, n).hex() == float(want).hex()
-            norm = np.abs(hff.toarray()).sum(axis=0).max()
-            assert cond == pytest.approx(norm * want, rel=1e-15)
-            dtypes.add(hff.dtype)
-        assert dtypes == {np.dtype(float), np.dtype(complex)}
-
-
-def test_component_factors_solve_with_each_transpose(monkeypatch):
-    # a complex fast block made non-Hermitian by one raised entry: the
-    # factors solve A x = b, A^T x = b and A^H x = b on either path
-    hff, components = _fast_block(*_setup(
-        make_triangle(), Statistics.FERMION, 0.05j, 0.03, u_updn=U))
-    hff = hff.copy()
-    hff.data[np.flatnonzero(hff.indices != np.repeat(
-        np.arange(hff.shape[1]), np.diff(hff.indptr)))[0]] += 0.01
-    a = hff.toarray()
+def test_component_factors_solve_with_each_transpose():
+    # a complex fast block made non-Hermitian by one raised entry of
+    # V_FF: the factors solve A x = b, A^T x = b and A^H x = b
+    h0, v, _ = _setup(make_triangle(), Statistics.FERMION, 0.05j, 0.03,
+                      u_updn=U)
+    p = partition(h0, v)
+    vals = p.vals.copy()
+    vals[p.split.ff[0]] += 0.01
+    p = dataclasses.replace(p, vals=vals)
+    a = _dense_hff(p)
+    assert np.abs(a - a.conj().T).max() > 0
     rhs = np.random.default_rng(3).standard_normal((a.shape[0], 2))
-    for dense_dim in (ALL_SUPERLU, ALL_DENSE):
-        monkeypatch.setattr(adiabatic, "DENSE_COMPONENT_DIM", dense_dim)
-        lu, _ = _factor_fast_block(hff, components)
-        for trans, op in (("N", a), ("T", a.T), ("H", a.conj().T)):
-            for b in (rhs, rhs[:, 0]):
-                assert np.allclose(op @ lu.solve(b, trans=trans), b,
-                                   rtol=0, atol=1e-12)
+    lu, _ = _factor_hff(p)
+    for trans, op in (("N", a), ("T", a.T), ("H", a.conj().T)):
+        for b in (rhs, rhs[:, 0]):
+            assert np.allclose(op @ lu.solve(b, trans=trans), b,
+                               rtol=0, atol=1e-12)
 
 
 class _Solves:
@@ -259,19 +257,16 @@ def test_spectral_norm_is_scipy_norm_and_rejects_nan():
         spectral_norm(np.diag([1.0, np.inf]))
 
 
-def test_singular_fast_block_rejected(monkeypatch):
+def test_singular_fast_block_rejected():
     # no tunneling and no cross-species collision energy: every up-down
     # double occupancy is a zero row of H_FF, an exact zero pivot of
-    # LAPACK's LU and a singular block for SuperLU
+    # LAPACK's LU
     h0, v, m = _setup(make_triangle(), Statistics.BOSON, 0.0, 0.0,
                       u_updn=0.0, u_upup=U, u_dndn=U)
     p = partition(h0, v)
-    for dense_dim in (ALL_SUPERLU, ALL_DENSE):
-        monkeypatch.setattr(adiabatic, "DENSE_COMPONENT_DIM", dense_dim)
-        assert _factor_fast_block(p.fast_block(), p.split.components) == (
-            None, np.inf)
-        with pytest.raises(ValueError, match="fast block not invertible"):
-            adiabatic_eliminate(h0, v, m)
+    assert _factor_hff(p) == (None, np.inf)
+    with pytest.raises(ValueError, match="fast block not invertible"):
+        adiabatic_eliminate(h0, v, m)
 
 
 def test_truncated_series_matches_engine_exactly():
@@ -312,21 +307,65 @@ def test_series_compare_runs_up_to_the_six_site_chain():
     assert report["series_vs_engine"] <= 1e-15
 
 
+def _traced_peak(call, match):
+    """Peak of ``tracemalloc`` over ``call()``, which must raise
+    ``ValueError`` matching ``match``."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=match):
+            call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def _dense_block_bytes(p):
+    """Bytes of H_FF's dense blocks, one per component of V's pattern,
+    counted from the component labels."""
+    sizes = np.unique(p.split.labels[len(p.m):], return_counts=True)[1]
+    return int((sizes ** 2).sum()) * p.vals.itemsize
+
+
 def test_oversized_series_compare_refused_before_densifying():
     # fermionic zig-zag chain of eight sites: the dense complex V_FF
     # would take 16 * 12614^2 B = 2.5 GB
     h0, v, _ = _setup(make_zigzag(8), Statistics.FERMION, 0.04, 0.03,
                       u_updn=U)
     dense = 16 * 12614 ** 2
-    assert dense > adiabatic.SERIES_MAX_BYTES
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError, match="too large for the series"):
-            series_compare(h0, v)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    assert dense > adiabatic.DENSE_MAX_BYTES
+    peak = _traced_peak(lambda: series_compare(h0, v),
+                        "too large for the series")
     assert peak < dense / 100
+    # the elimination's dense blocks, one per component, are refused
+    # too: 331 MiB real here, 218 MiB on the bosonic chain of six sites.
+    # The split's structure is built once per plan and is not dense, so
+    # it is built before the trace.
+    bosonic = _setup(make_zigzag(6), Statistics.BOSON, 0.04, 0.03,
+                     u_updn=U, u_upup=1.1, u_dndn=1.2)
+    for h0, v, _ in ((h0, v, None), bosonic):
+        p = partition(h0, v)
+        p.split.components
+        dense = _dense_block_bytes(p)
+        assert dense > adiabatic.DENSE_MAX_BYTES
+        peak = _traced_peak(lambda: eliminate(p),
+                            f"too large for the elimination: its dense "
+                            f"blocks would take {dense / 2 ** 20:.0f} MiB, "
+                            f"limit 64 MiB")
+        assert peak < dense / 100
+
+
+def test_elimination_admits_dense_blocks_up_to_the_limit(monkeypatch):
+    h0, v, _ = _setup(make_triangle(), Statistics.BOSON, 0.05, 0.03,
+                      u_updn=U, u_upup=1.1, u_dndn=0.9)
+    p = partition(h0, v)
+    dense = _dense_block_bytes(p)
+    assert dense < len(p.f) ** 2 * p.vals.itemsize
+    monkeypatch.setattr(adiabatic, "DENSE_MAX_BYTES", dense)
+    assert eliminate(p).dims == (56, 48, 8)
+    monkeypatch.setattr(adiabatic, "DENSE_MAX_BYTES", dense - 1)
+    with pytest.raises(ValueError, match="too large for the elimination"):
+        eliminate(p)
 
 
 def test_residual_scales_as_fourth_order():

@@ -3,7 +3,8 @@
 The references below densify V on the whole sector, run orders 2 and 3
 on all of F and eliminate F by a dense LU with LAPACK's ?gecon condition
 estimate.  The package keeps V's nonzeros, runs the orders on the F
-states one hop from M and factors H_FF by sparse LU.  ``cross_second``,
+states one hop from M and factors H_FF by a dense LU per connected
+component of V's pattern.  ``cross_second``,
 the order-2 cross term of two tunnelings that the Raman bilinearity
 check reads, runs on the package's partitions and is checked against
 the dense reference here.
@@ -154,55 +155,23 @@ def test_cross_second_matches_dense_reference(case):
     _close(cross_second(h0, v, vb).matrix, want)
 
 
-# DENSE_COMPONENT_DIM at 0 sends every component of H_FF to SuperLU, above
-# F every one to LAPACK's dense LU
-ALL_SUPERLU, ALL_DENSE = 0, 10 ** 6
-
-
-def _factored_kinds(monkeypatch, p):
-    """(dense, SuperLU) counts of the components of one elimination."""
-    factored = []
-    factor = adiabatic._factor_fast_block
-
-    def recording(hff, components):
-        lu, cond = factor(hff, components)
-        factored.append(lu)
-        return lu, cond
-
-    with monkeypatch.context() as patch:
-        patch.setattr(adiabatic, "_factor_fast_block", recording)
-        eliminate(p)
-    lu, = factored
-    return lu.dense, len(lu.parts) - lu.dense
-
-
-def test_elimination_matches_dense_reference(case, monkeypatch):
+def test_elimination_matches_dense_reference(case):
     h0, v, _, m = case
     p = partition(h0, v)
-    # a real V is read in real arithmetic, H_FF included
+    # a real V is read in real arithmetic, H_FF's factors included
     real = not v.mat.data.imag.any()
-    for array in (p.vals, p.vmr, p.vrr.data, p.vff, p.fast_block().data):
+    factors, _ = adiabatic._factor_hff(p)
+    for array in (p.vals, p.vmr, p.vrr.data, p.vff,
+                  *(lu for _, lu, _ in factors.parts)):
         assert np.isrealobj(array) == real
     want, gecon, hff = _dense_elimination(h0, v, m)
     kappa1 = np.linalg.cond(hff, 1)
     assert kappa1 / 3 <= gecon <= kappa1 * (1 + 1e-12)
-    # and the switch itself: a component of the constant's size is dense
-    sizes = np.array([len(states) for states, *_ in p.split.components])
-    middle = sizes[len(sizes) // 2]
-    dense = (sizes <= middle).sum()
-    for dense_dim, kinds in ((adiabatic.DENSE_COMPONENT_DIM, None),
-                             (ALL_SUPERLU, (0, len(sizes))),
-                             (middle, (dense, len(sizes) - dense)),
-                             (ALL_DENSE, (len(sizes), 0))):
-        monkeypatch.setattr(adiabatic, "DENSE_COMPONENT_DIM", dense_dim)
-        if kinds:
-            assert _factored_kinds(monkeypatch, p) == kinds
-        result = adiabatic_eliminate(h0, v, m)
-        assert result.h_eff.matrix.dtype == complex
-        _close(result.h_eff.matrix, want)
-        assert result.dims == (h0.dim, h0.dim - len(m), len(m))
-        assert (kappa1 / 3 <= result.condition_number
-                <= kappa1 * (1 + 1e-12))
+    result = adiabatic_eliminate(h0, v, m)
+    assert result.h_eff.matrix.dtype == complex
+    _close(result.h_eff.matrix, want)
+    assert result.dims == (h0.dim, h0.dim - len(m), len(m))
+    assert kappa1 / 3 <= result.condition_number <= kappa1 * (1 + 1e-12)
 
 
 def test_elimination_reads_v_mm_from_its_entries():
@@ -290,10 +259,9 @@ def _check_components(split):
     """``Split.labels`` groups the positions as the propagation does and
     numbers the components by their smallest positions; each M state's
     column is its rank among the M states of its component.  The blocks
-    of ``Split.components`` come largest first and cover F and H_FF's
-    stored entries; read through its CSC pattern and through its (row,
-    column) pairs, each is H_FF's pattern on its F states, with each
-    stored entry in its place."""
+    of ``Split.components`` cover F and V_FF's stored entries; read
+    through its (row, column) pairs, each is V_FF's pattern on its F
+    states, with each stored entry in its place."""
     want = np.unique(_propagated_labels(split), return_inverse=True)[1]
     assert np.array_equal(split.labels, want)
     column, same = split.layout
@@ -302,25 +270,19 @@ def _check_components(split):
     for component in np.unique(label):
         mine = label == component
         assert np.array_equal(column[mine], np.arange(mine.sum()))
-    _, indices, indptr = split.hff
-    nf, stored = len(split.f), len(indices)
-    # H_FF's pattern with entry k stored as k + 1
-    full = sp.csc_matrix((np.arange(1, stored + 1), indices, indptr),
-                         shape=(nf, nf)).toarray()
+    k, nf = len(split.m), len(split.f)
+    # V_FF's pattern with V's stored entry e written as e + 1
+    inside = np.flatnonzero((split.rows >= k) & (split.cols >= k))
+    full = np.zeros((nf, nf), dtype=int)
+    full[split.rows[inside] - k, split.cols[inside] - k] = inside + 1
     blocks = split.components
-    sizes = [len(states) for states, *_ in blocks]
-    assert sizes == sorted(sizes, reverse=True)
-    for part, total in ((0, nf), (1, stored)):
+    for part, total in ((0, np.arange(nf)), (1, inside)):
         got = np.concatenate([block[part] for block in blocks])
-        assert np.array_equal(np.sort(got), np.arange(total))
-    for states, entries, rows, block_indptr, cols in blocks:
+        assert np.array_equal(np.sort(got), total)
+    for states, entries, rows, cols in blocks:
         size = len(states)
         assert np.array_equal(states, np.sort(states))
         want = full[np.ix_(states, states)]
-        by_pattern = sp.csc_matrix((entries + 1, rows, block_indptr),
-                                   shape=(size, size))
-        assert by_pattern.has_canonical_format
-        assert np.array_equal(by_pattern.toarray(), want)
         by_pairs = np.zeros((size, size), dtype=int)
         by_pairs[rows, cols] = entries + 1
         assert np.array_equal(by_pairs, want)
@@ -342,7 +304,7 @@ FINER = [("zigzag", 5, Statistics.FERMION, 32),
 @pytest.mark.parametrize("geometry, n, statistics, components", FINER,
                          ids=[f"{g}-{n}-{s.value}" for g, n, s, _ in FINER])
 def test_elimination_on_components_finer_than_the_sectors(
-        geometry, n, statistics, components, monkeypatch):
+        geometry, n, statistics, components):
     graph = make_triangle() if geometry == "triangle" else make_zigzag(n)
     params = _params(graph, statistics, np.random.default_rng(50 + n))
 
@@ -360,10 +322,6 @@ def test_elimination_on_components_finer_than_the_sectors(
     want = vmm + np.diag(em) - vmf @ np.linalg.solve(vff + np.diag(ef),
                                                      vmf.conj().T)
     _close(eliminate(p).h_eff.matrix, want)
-    for dense_dim in (ALL_SUPERLU, ALL_DENSE):
-        with monkeypatch.context() as patch:
-            patch.setattr(adiabatic, "DENSE_COMPONENT_DIM", dense_dim)
-            _close(eliminate(p).h_eff.matrix, want)
 
 
 def test_partitions_of_one_plan_share_one_layout(monkeypatch):
@@ -395,18 +353,18 @@ def test_elimination_refuses_a_non_hermitian_result(monkeypatch):
     # symmetrization must see it
     h0, v, _, _ = _case("triangle", 3, Statistics.BOSON)
     p = partition(h0, v)
-    factor = adiabatic._factor_fast_block
+    factor = adiabatic._factor_hff
 
-    def skewed(hff, components):
-        hff = hff.copy()
-        rows = hff.indices
-        cols = np.repeat(np.arange(hff.shape[1]), np.diff(hff.indptr))
-        entry = np.flatnonzero((rows != cols) & np.isin(rows, p.r))[0]
-        hff.data[entry] += 0.01
-        return factor(hff, components)
+    def skewed(p):
+        k, ff = len(p.m), p.split.ff
+        rows, cols = p.rows[ff] - k, p.cols[ff] - k
+        entry = ff[(rows != cols) & np.isin(rows, p.r)][0]
+        vals = p.vals.copy()
+        vals[entry] += 0.01
+        return factor(dataclasses.replace(p, vals=vals))
 
     eliminate(p)
-    monkeypatch.setattr(adiabatic, "_factor_fast_block", skewed)
+    monkeypatch.setattr(adiabatic, "_factor_hff", skewed)
     with pytest.raises(ValueError, match="eliminated Hamiltonian lost "
                                          "hermiticity"):
         eliminate(p)
@@ -588,9 +546,9 @@ def test_series_check_sees_a_reached_state_the_engine_skips(monkeypatch):
 
 # The split is structure: kept on V's plan, built once per pattern.
 
-def _old_fast_block(p):
-    """H_FF assembled as before the split kept its pattern: COO entries
-    sorted by column, then scipy's sum_duplicates."""
+def _scipy_hff(p):
+    """H_FF assembled by scipy, as before the split laid out its blocks:
+    COO entries sorted by column, then scipy's sum_duplicates."""
     k, nf = len(p.m), len(p.f)
     inside = (p.rows >= k) & (p.cols >= k)
     rows = np.concatenate([p.rows[inside] - k, np.arange(nf)])
@@ -598,9 +556,8 @@ def _old_fast_block(p):
     by_column = np.argsort(cols, kind="stable")
     indptr = np.zeros(nf + 1, dtype=np.int32)
     np.cumsum(np.bincount(cols, minlength=nf), out=indptr[1:])
-    vals = p.vals if p.vals.imag.any() else p.vals.real
     hff = sp.csc_matrix(
-        (np.concatenate([vals[inside], p.ef])[by_column],
+        (np.concatenate([p.vals[inside], p.ef])[by_column],
          rows[by_column].astype(np.int32), indptr), shape=(nf, nf))
     hff.sum_duplicates()
     return hff
@@ -624,19 +581,37 @@ def test_partition_without_a_plan_equals_the_planned_one(case):
     _same_arrays(planned, unplanned, ("m", "f", "rows", "cols", "vals",
                                       "em", "ef", "r"))
     assert np.array_equal(planned.split.labels, unplanned.split.labels)
-    _same_arrays(planned.fast_block(), unplanned.fast_block(),
-                 ("data", "indices", "indptr"))
+    for block, bare_block in zip(planned.split.components,
+                                 unplanned.split.components, strict=True):
+        for array, bare_array in zip(block, bare_block, strict=True):
+            assert np.array_equal(array, bare_array)
     # the kept split serves the next derivation on the same pattern
     assert partition(h0, v).split is planned.split
     assert partition(h0, bare).split is unplanned.split
 
 
 def test_fast_block_equals_scipy_assembly(case):
+    # the elimination's dense blocks are H_FF's blocks on the components,
+    # bit for bit, in H_FF's dtype, and together hold all of H_FF; the
+    # column sums of |H_FF| behind its 1-norm have the bits of the sums
+    # down each column of the CSC form, in row order
     h0, v, vb, _ = case
     for tunneling in (v, vb):
         p = partition(h0, tunneling)
-        _same_arrays(p.fast_block(), _old_fast_block(p),
-                     ("data", "indices", "indptr"))
+        csc = _scipy_hff(p)
+        down = np.bincount(np.repeat(np.arange(len(p.f)), np.diff(csc.indptr)),
+                           np.abs(csc.data))
+        assert adiabatic._column_sums(p).tobytes() == down.tobytes()
+        hff = csc.toarray()
+        stored = 0
+        for states, *pairs in p.split.components:
+            block = adiabatic._dense_block(p, states, *pairs)
+            assert block.flags.f_contiguous
+            want = hff[np.ix_(states, states)]
+            assert block.dtype == want.dtype == p.vals.dtype
+            assert block.tobytes() == want.tobytes()
+            stored += np.count_nonzero(block)
+        assert stored == np.count_nonzero(hff)
 
 
 def test_unplanned_duplicates_are_summed():
