@@ -17,40 +17,31 @@ at 0, by O(J^4/U^3).
 when all of V is real (E_F always is); the result stays complex.  H_MM
 is diag(E_M) plus the entries of V_MM, which no hop has.  H_FF is
 block-diagonal over the connected components of V's pattern (without
-species mixing, the conserved (n_up, n_down) sectors) and is factored
-one component at a time, from the (row, column) pairs that the M/F
-split lays out once per plan (``perturb.Split.components``): each block
-is scattered into a dense array and factored by LAPACK's ?getrf with
-partial pivoting (Anderson et al., LAPACK Users' Guide, 3rd ed., SIAM
-(1999)), which also covers an indefinite block (collision energies of
-both signs).  An exact zero pivot makes H_FF singular.  The dense
-blocks take sum_b size_b^2 entries, so a split whose blocks would
+species mixing, the conserved (n_up, n_down) sectors), and V_MF couples
+each block only to the M states of its own component, so the
+correction is a sum of one Schur complement per component.
+``eliminate`` runs one loop over the components that the M/F split
+lays out once per plan (``perturb.Split.components``): it scatters each
+block into a dense array and factors it by LAPACK's ?getrf with partial
+pivoting (Anderson et al., LAPACK Users' Guide, 3rd ed., SIAM (1999)),
+which also covers an indefinite block (collision energies of both
+signs), solves with ?getrs on the component's own V_FM columns and
+subtracts V_MF X from the component's (M, M) entries of H_MM.  The
+dense blocks take sum_b size_b^2 entries, so a split whose blocks would
 exceed ``DENSE_MAX_BYTES`` is refused before anything is allocated.
-One factor object applies the factors component by component, so the
-solves below see one solve with all of H_FF.
-H_FM is nonzero only on the states R one hop from M, so the right-hand
-sides have rows only there and only those rows of the solution are
-used.  The components never couple, and neither do the LU factors of
-their blocks, so the M states of different components share
-one right-hand-side column: each takes its rank within its component
-as its column, the one solve takes max_b |M_b| columns instead of 2^n
-(20 instead of 64 for the fermionic zig-zag chain of six sites), and
-entry (a, b) of the correction is read from the column of b where a
-and b share a component and is zero elsewhere.  That layout is
-structure, owned by the M/F split (``perturb.Split.layout``, built once
-per plan); ``eliminate`` only packs, solves and reads back values.  The
-correction is checked Hermitian within ``perturb.HERMITICITY_TOL``
-before it is symmetrized, as the orders are.  The condition
-number is a lower estimate of the 1-norm condition number kappa_1:
-||H_FF||_1 exactly, times an estimate of ||H_FF^{-1}||_1 through solves
-with the LU factors and their adjoint.  The estimate is Hager's
-iteration with one column (t = 1) from the start vector (1, ..., 1) / n,
-without random columns, so it is deterministic; it takes the steps of
-scipy's ``onenormest(..., t=1)`` in the same order and gives its bits
-(Hager, SIAM J. Sci. Stat. Comput. 5, 311 (1984); Higham & Tisseur,
-SIAM J. Matrix Anal. Appl. 21, 1185 (2000)).  In practice it is within
-a small factor of kappa_1; for Hermitian H_FF, kappa_1 bounds kappa_2
-from above.
+The correction is checked Hermitian within ``perturb.HERMITICITY_TOL``
+before it is symmetrized, as the orders are.
+
+The condition number is a lower estimate of the 1-norm condition number
+kappa_1: ||H_FF||_1, the largest column sum of |V_FF| + |E_F| from the
+sparse entries, times the largest of the blocks' estimates of
+||H_b^{-1}||_1, which is ||H_FF^{-1}||_1 for a block-diagonal H_FF.
+Each block's estimate is LAPACK's ?gecon on its LU factors (Higham, ACM
+Trans. Math. Softw. 14, 381 (1988)), which uses no random vectors, so
+it is deterministic.  An exact zero pivot, or a reciprocal estimate of
+zero, makes H_FF singular.  In practice the estimate is within a small
+factor of kappa_1; for Hermitian H_FF, kappa_1 bounds kappa_2 from
+above.
 """
 
 from __future__ import annotations
@@ -73,45 +64,26 @@ COND_LIMIT = 1e12
 # and bosonic ones up to five (6.1 / 12.2 MiB) and refuse fermionic
 # eight (331.5 / 663 MiB) and bosonic six (218 / 435 MiB)
 DENSE_MAX_BYTES = 2 ** 26
-# iterations of the 1-norm estimate, scipy's ``onenormest`` default
-ONENORMEST_ITMAX = 5
-# LAPACK's dense LU and its solve, per dtype of H_FF
-_DENSE_LU = {np.dtype(t): get_lapack_funcs(("getrf", "getrs"), dtype=t)
+# LAPACK's dense LU, its condition estimate and its solve, per dtype of
+# H_FF
+_DENSE_LU = {np.dtype(t): get_lapack_funcs(("getrf", "gecon", "getrs"),
+                                           dtype=t)
              for t in (np.float64, np.complex128)}
-_TRANS = {"N": 0, "T": 1, "H": 2}
 
 
 @dataclass
 class AdiabaticResult:
     """Eliminated Hamiltonian with the fast block's conditioning.
 
-    ``condition_number`` is ||H_FF||_1 times the one-column Hager
-    estimate of ||H_FF^{-1}||_1 from the LU factors, a deterministic
-    lower estimate of kappa_1(H_FF) (``inf`` for a singular block, 0
-    without a fast block); for Hermitian H_FF, kappa_1 >= kappa_2.
+    ``condition_number`` is ||H_FF||_1 times the largest of the blocks'
+    ?gecon estimates of ||H_b^{-1}||_1, a deterministic lower estimate
+    of kappa_1(H_FF) (0 without a fast block); for Hermitian H_FF,
+    kappa_1 >= kappa_2.
     """
 
     h_eff: EffectiveHamiltonian
     condition_number: float
     dims: tuple   # (total, fast, slow)
-
-
-class _ComponentFactors:
-    """LU factors of H_FF, one per connected component, applied component
-    by component: ``solve(rhs, trans)`` solves H_FF X = B ("N"),
-    H_FF^T X = B ("T") or H_FF^H X = B ("H").  ``parts`` holds each
-    component's F positions with its LAPACK factors (lu, piv)."""
-
-    def __init__(self, parts, dtype):
-        self.parts, self.dtype = parts, dtype
-        self.getrs = _DENSE_LU[dtype][1]
-
-    def solve(self, rhs, trans="N"):
-        out = np.empty(rhs.shape, np.result_type(rhs, self.dtype))
-        for states, lu, piv in self.parts:
-            out[states] = self.getrs(lu, piv, rhs[states],
-                                     trans=_TRANS[trans])[0]
-        return out
 
 
 def _dense_block(p, states, entries, rows, cols):
@@ -125,69 +97,6 @@ def _dense_block(p, states, entries, rows, cols):
     return dense
 
 
-def _factor_hff(p):
-    """LU factors of a partition's H_FF on its components and the 1-norm
-    estimate of its condition; ``None`` and ``inf`` for an exactly
-    singular block.
-
-    Each component's dense block (``_dense_block``) is factored by
-    LAPACK's ?getrf with partial pivoting; an exact zero pivot makes
-    the block singular.  ||H_FF||_1 is the largest of
-    ``_column_sums``."""
-    dtype = p.vals.dtype
-    getrf = _DENSE_LU[dtype][0]
-    parts = []
-    for states, *pairs in p.split.components:
-        lu, piv, info = getrf(_dense_block(p, states, *pairs),
-                              overwrite_a=True)
-        if info > 0:
-            return None, np.inf
-        parts.append((states, lu, piv))
-    lu = _ComponentFactors(parts, dtype)
-    return lu, _column_sums(p).max() * _inverse_one_norm(lu, len(p.f))
-
-
-def _column_sums(p):
-    """The column sums of |H_FF|, each column summed in row order, its
-    diagonal included (``Split.column_order``)."""
-    above, below, columns = p.split.column_order
-    return np.bincount(columns, np.abs(np.concatenate(
-        [p.vals[above], p.ef, p.vals[below]])))
-
-
-def _inverse_one_norm(lu, n):
-    """Lower estimate of ||A^{-1}||_1 from the LU factors of A: Hager's
-    iteration as scipy's ``_onenormest_core`` runs it at t = 1, step by
-    step, so the result has its bits.  (A block of one state gives the
-    exact value, as ``onenormest`` does by building the inverse.)"""
-    x = np.full(n, 1 / n)
-    s = np.zeros(n)
-    est_old, k, j = 0, 1, None
-    while True:
-        y = lu.solve(x)
-        est = np.abs(y).sum()
-        if k >= 2 and est <= est_old:
-            return est_old
-        est_old, s_old = est, s
-        if k > ONENORMEST_ITMAX:
-            return est
-        # sign(y), with sign(0) = 1; a sign vector parallel to the last
-        # one ends the iteration
-        s = y.copy()
-        s[s == 0] = 1
-        s /= np.abs(s)
-        if np.dot(s, s_old) == n:
-            return est
-        h = np.abs(lu.solve(s, trans="H"))
-        if k >= 2 and h.max() == h[j]:
-            return est
-        # the last of an unstable argsort, as scipy picks among ties
-        j = np.argsort(h)[-1]
-        x = np.zeros(n)
-        x[j] = 1
-        k += 1
-
-
 def _refuse_dense(nbytes, what):
     """``ValueError`` naming the MiB of dense arrays beyond
     ``DENSE_MAX_BYTES``, before any of them is built."""
@@ -198,33 +107,39 @@ def _refuse_dense(nbytes, what):
 
 
 def eliminate(p):
-    """Exact elimination of the fast block of a partition; a fast block
-    whose dense blocks would exceed ``DENSE_MAX_BYTES`` is refused
-    before anything is allocated."""
-    _refuse_dense(p.vals.itemsize * sum(
-        len(states) ** 2 for states, *_ in p.split.components),
-        "the elimination: its dense blocks")
-    k = len(p.m)
+    """Exact elimination of the fast block of a partition, one component
+    at a time; a fast block whose dense blocks would exceed
+    ``DENSE_MAX_BYTES`` is refused before anything is allocated, the
+    component structure included."""
+    k, nf = len(p.m), len(p.f)
+    sizes = np.bincount(p.split.labels[k:])
+    _refuse_dense(p.vals.itemsize * int((sizes ** 2).sum()),
+                  "the elimination: its dense blocks")
     block = p.slow_block()
     cond = 0.0
-    if len(p.f):
-        lu, cond = _factor_hff(p)
-        if not np.isfinite(cond) or cond > COND_LIMIT:
-            raise ValueError(
-                "fast block not invertible; parameters too close to resonance")
-        column, same = p.split.layout
-        vmr = p.vmr
-        # the rows of V_MR that share a column have disjoint supports
-        packed = np.zeros((column.max() + 1, len(p.r)), dtype=vmr.dtype)
-        np.add.at(packed, column, vmr)
-        rhs = np.zeros((len(p.f), len(packed)), dtype=vmr.dtype)
-        rhs[p.r] = packed.conj().T
-        solved = vmr @ lu.solve(rhs)[p.r]
-        block -= np.where(same, solved[:, column], 0)
+    if nf:
+        getrf, gecon, getrs = _DENSE_LU[p.vals.dtype]
+        ff = p.split.ff
+        norm = (np.bincount(p.cols[ff] - k, np.abs(p.vals[ff]), nf)
+                + np.abs(p.ef)).max()
+        for (states, entries, rows, cols,
+             m, mf, mf_rows, mf_cols) in p.split.components:
+            lu, piv, info = getrf(_dense_block(p, states, entries, rows,
+                                               cols), overwrite_a=True)
+            # ?gecon with ||H_b||_1 = 1 gives 1 / ||H_b^{-1}||_1
+            rcond = gecon(lu, 1.0)[0] if info == 0 else 0.0
+            estimate = norm / rcond if rcond > 0 else np.inf
+            if not estimate <= COND_LIMIT:
+                raise ValueError("fast block not invertible; parameters "
+                                 "too close to resonance")
+            cond = max(cond, estimate)
+            vmf = np.zeros((len(m), len(states)), dtype=p.vals.dtype)
+            vmf[mf_rows, mf_cols] = p.vals[mf]
+            block[np.ix_(m, m)] -= vmf @ getrs(lu, piv, vmf.conj().T)[0]
     check_hermitian(block, "eliminated Hamiltonian")
     block = 0.5 * (block + block.conj().T)
     return AdiabaticResult(EffectiveHamiltonian(block), float(cond),
-                           (k + len(p.f), len(p.f), k))
+                           (k + nf, nf, k))
 
 
 def adiabatic_eliminate(h0, v, m_indices):

@@ -24,15 +24,14 @@ configuration whose bit i (big-endian) is 0 for an up atom on site i
 and 1 for a down atom.  M is the basis' whole single-occupancy block
 (``Basis.single_occupancy``), so the structure of the split (the spin
 order of M, the (M, F) positions of V's entries, their connected
-components, the elimination's layout of M, the (row, column) pairs of
-H_FF's blocks on the components) depends only on V's pattern.  Its one
-owner is V's ``Plan``: ``partition(h0, v)`` builds the split there
-once, and a derivation only reads its values; a V built without a plan
-gets one from its own pattern on first use.  Only this module reads how a
-``Partition`` stores V.  Callers pass one partition to
-``check_engine``, the orders and ``trispin.adiabatic.eliminate``; the
-``(h0, v, m)`` routes such as ``h_eff_second`` check M and build their
-own (``partition_with_m``).
+components and each component's (row, column) pairs in H_FF and V_MF)
+depends only on V's pattern.  Its one owner is V's ``Plan``:
+``partition(h0, v)`` builds the split there once, and a derivation only
+reads its values; a V built without a plan gets one from its own
+pattern on first use.  Only this module reads how a ``Partition``
+stores V.  Callers pass one partition to ``check_engine``, the orders
+and ``trispin.adiabatic.eliminate``; the ``(h0, v, m)`` routes such as
+``h_eff_second`` check M and build their own (``partition_with_m``).
 """
 
 from __future__ import annotations
@@ -87,10 +86,9 @@ class EffectiveHamiltonian:
 class Split:
     """The M/F split of one pattern of V: structure only, so one split
     serves every derivation that shares the pattern (``partition`` keeps
-    it on V's ``Plan``), with the components of V's pattern, the
-    elimination's layout of M, H_FF's blocks and the order of its
-    column sums (``labels``, ``layout``, ``components``,
-    ``column_order``), built on first use.
+    it on V's ``Plan``), with the components of V's pattern and the
+    elimination's blocks on them (``labels``, ``components``), built
+    on first use.
 
     ``m`` lists the basis positions of M in spin order and ``f`` those of
     the multiply-occupied rest in basis order.  ``rows`` and ``cols`` are
@@ -99,9 +97,11 @@ class Split:
     lists the entries of V_MM (none for a hop), ``mf`` those of V_MF and
     ``mf_targets`` their F columns, from which a partition reads which F
     states its values reach; ``ff`` lists the entries of V_FF.  H_FF is
-    block-diagonal over the components: ``components`` gives each block
-    its F positions and its entries of V_FF with their (row, column)
-    pairs in it, so that the elimination scatters each block densely.
+    block-diagonal over the components, and V_MF couples each block to
+    the M states of its own component alone: ``components`` gives each
+    component its F and M positions and its entries of V_FF and V_MF
+    with their (row, column) pairs in its own positions, so that the
+    elimination scatters each block and its couplings densely.
     """
 
     m: np.ndarray
@@ -140,68 +140,46 @@ class Split:
         numbered in the order of the components' smallest positions;
         without species mixing, the (n_up, n_down) sectors."""
         dim = len(self.m) + len(self.f)
-        graph = sp.coo_matrix((np.ones(len(self.rows)),
+        graph = sp.coo_matrix((np.ones(len(self.rows), dtype=bool),
                                (self.rows, self.cols)), shape=(dim, dim))
         _, label = connected_components(graph, directed=False)
         label.flags.writeable = False
         return label
 
     @cached_property
-    def layout(self):
-        """The elimination's layout of M, as ``(column, same)``: the mask
-        of the pairs of M states that share a component, and each M
-        state's right-hand-side column, the number of M states before it
-        in spin order within its component."""
-        label = self.labels[:len(self.m)]
-        same = label[:, None] == label
-        column = np.tril(same, -1).sum(axis=1)
-        for array in (column, same):
-            array.flags.writeable = False
-        return column, same
-
-    @cached_property
     def components(self):
-        """H_FF's blocks on the connected components of V's pattern, in
-        the order of the components' labels.  Each is ``(states,
-        entries, rows, cols)``: its F positions in F order, its entries
-        of V_FF (from ``ff``) and their rows and columns in the
-        component's own positions.  The energies of F lie on the
-        blocks' diagonals, which V, a hop, never touches."""
+        """The connected components of V's pattern that hold F states, in
+        the order of their labels.  Each is ``(states, entries, rows,
+        cols, m, mf, mf_rows, mf_cols)``: its F positions in F order,
+        its entries of V_FF (from ``ff``) with their rows and columns in
+        the component's own F positions, its M positions in spin order,
+        and its entries of V_MF (from ``mf``) with their rows in its own
+        M positions and their columns in its own F positions.  The
+        energies of F lie on the blocks' diagonals, which V, a hop,
+        never touches."""
         k = len(self.m)
-        _, component, sizes = np.unique(self.labels[k:],
-                                        return_inverse=True,
-                                        return_counts=True)
+        fast_labels, component, sizes = np.unique(self.labels[k:],
+                                                  return_inverse=True,
+                                                  return_counts=True)
         rows, cols = self.rows[self.ff] - k, self.cols[self.ff] - k
-        owner = component[rows]
+        owner, mf_owner = component[rows], component[self.mf_targets]
         local = np.empty(len(self.f), dtype=int)
+        local_m = np.empty(k, dtype=int)
         blocks = []
         for b, size in enumerate(sizes):
             states = np.flatnonzero(component == b)
             local[states] = np.arange(size)
-            inside = owner == b
+            m = np.flatnonzero(self.labels[:k] == fast_labels[b])
+            local_m[m] = np.arange(len(m))
+            inside, reach = owner == b, mf_owner == b
+            mf = self.mf[reach]
             block = (states, self.ff[inside], local[rows[inside]],
-                     local[cols[inside]])
+                     local[cols[inside]], m, mf, local_m[self.rows[mf]],
+                     local[self.mf_targets[reach]])
             for array in block:
                 array.flags.writeable = False
             blocks.append(block)
         return tuple(blocks)
-
-    @cached_property
-    def column_order(self):
-        """H_FF's stored entries in the order of its column sums, as
-        ``(above, below, columns)``: the entries of V_FF above H_FF's
-        diagonal and those below it, each in row order, and the F
-        column of each term of (above, E_F, below).  Summed by column in
-        that order, each column of |H_FF| is summed in row order, its
-        diagonal in its place."""
-        k = len(self.m)
-        rows, cols = self.rows[self.ff] - k, self.cols[self.ff] - k
-        below = rows > cols
-        order = (self.ff[~below], self.ff[below], np.concatenate(
-            [cols[~below], np.arange(len(self.f)), cols[below]]))
-        for array in order:
-            array.flags.writeable = False
-        return order
 
 
 @dataclass
@@ -216,8 +194,9 @@ class Partition:
     ``vmr`` = V_MR and the sparse ``vrr`` = V_RR.  V is assembled as
     dense blocks (``block``, and ``vff`` = V_FF for the series check of
     ``trispin.adiabatic``, which runs on all of F) and as H_MM
-    (``slow_block``); the elimination scatters H_FF's blocks itself,
-    from ``vals``, ``ef`` and ``Split.components``.  ``vals`` is real
+    (``slow_block``); the elimination scatters H_FF's blocks and their
+    couplings to M itself, from ``vals``, ``ef`` and
+    ``Split.components``.  ``vals`` is real
     when all of V is (``partition`` decides), and every block follows
     its dtype.
     """

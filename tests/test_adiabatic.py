@@ -1,16 +1,11 @@
-import dataclasses
 import tracemalloc
-from functools import partial
 
 import numpy as np
 import pytest
 import scipy.linalg as la
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from trispin import adiabatic
-from trispin.adiabatic import (_factor_hff, _inverse_one_norm,
-                               _neumann, adiabatic_eliminate, eliminate,
+from trispin.adiabatic import (_neumann, adiabatic_eliminate, eliminate,
                                series_compare)
 from trispin.fock import Species, Statistics
 from trispin.hubbard import (Edge, HubbardParams, LatticeGraph, build_h0,
@@ -18,7 +13,6 @@ from trispin.hubbard import (Edge, HubbardParams, LatticeGraph, build_h0,
                              make_zigzag, projector_single_occupancy)
 from trispin.perturb import (h_eff_second, h_eff_third, partition,
                              spectral_norm)
-from trispin.raman import SU2Rotation, rotate_tunneling
 
 U = 1.0
 PAIR = LatticeGraph(2, (Edge(0, 0, 1),), "pair")
@@ -106,144 +100,6 @@ def test_condition_number_estimates_one_norm_condition(n_sites, statistics,
         assert kappa1 / 3 <= cond <= kappa1 * (1 + 1e-12)
 
 
-# The 1-norm estimate runs Hager's iteration on the LU factors directly;
-# it must give the bits of scipy's onenormest(t=1) on the same factors.
-
-def _onenormest(lu, n, dtype):
-    adjoint = partial(lu.solve, trans="H")
-    inverse = spla.LinearOperator(
-        (n, n), matvec=lu.solve, rmatvec=adjoint, matmat=lu.solve,
-        rmatmat=adjoint, dtype=dtype)
-    return spla.onenormest(inverse, t=1)
-
-
-def _dense_hff(p):
-    """H_FF = V_FF + diag(E_F) of a partition, dense."""
-    return p.vff + np.diag(p.ef)
-
-
-def _derivation_partitions():
-    """Partitions of the derivations in use: triangles of both
-    statistics, with real and with complex tunneling, a Raman-rotated
-    V, and zig-zag chains of four to six sites."""
-    kw = {Statistics.BOSON: {"u_upup": 1.1, "u_dndn": 0.9},
-          Statistics.FERMION: {}}
-    for statistics in Statistics:
-        for j_up, j_dn in ((0.05, 0.03), (0.05j, 0.03j)):
-            h0, v, _ = _setup(make_triangle(), statistics, j_up, j_dn,
-                              u_updn=U, **kw[statistics])
-            yield partition(h0, v)
-    h0, v, _ = _setup(make_triangle(), Statistics.BOSON, 0.05, 0.02,
-                      u_updn=U, u_upup=U, u_dndn=U)
-    yield partition(h0, rotate_tunneling(v, SU2Rotation(0.4, 0.9)))
-    for n in (4, 5, 6):
-        h0, v, _ = _setup(make_zigzag(n), Statistics.FERMION, 0.04, 0.03,
-                          u_updn=U)
-        yield partition(h0, v)
-    h0, v, _ = _setup(make_zigzag(4), Statistics.BOSON, 0.04, 0.03,
-                      u_updn=U, u_upup=1.1, u_dndn=1.2)
-    yield partition(h0, v)
-
-
-def test_inverse_one_norm_is_onenormest_on_derivation_blocks():
-    dtypes = set()
-    for p in _derivation_partitions():
-        lu, cond = _factor_hff(p)
-        assert len(lu.parts) == len(p.split.components)
-        hff = _dense_hff(p)
-        n = hff.shape[0]
-        want = _onenormest(lu, n, hff.dtype)
-        assert _inverse_one_norm(lu, n).hex() == float(want).hex()
-        norm = np.abs(hff).sum(axis=0).max()
-        assert cond == pytest.approx(norm * want, rel=1e-15)
-        dtypes.add(hff.dtype)
-    assert dtypes == {np.dtype(float), np.dtype(complex)}
-
-
-def test_component_factors_solve_with_each_transpose():
-    # a complex fast block made non-Hermitian by one raised entry of
-    # V_FF: the factors solve A x = b, A^T x = b and A^H x = b
-    h0, v, _ = _setup(make_triangle(), Statistics.FERMION, 0.05j, 0.03,
-                      u_updn=U)
-    p = partition(h0, v)
-    vals = p.vals.copy()
-    vals[p.split.ff[0]] += 0.01
-    p = dataclasses.replace(p, vals=vals)
-    a = _dense_hff(p)
-    assert np.abs(a - a.conj().T).max() > 0
-    rhs = np.random.default_rng(3).standard_normal((a.shape[0], 2))
-    lu, _ = _factor_hff(p)
-    for trans, op in (("N", a), ("T", a.T), ("H", a.conj().T)):
-        for b in (rhs, rhs[:, 0]):
-            assert np.allclose(op @ lu.solve(b, trans=trans), b,
-                               rtol=0, atol=1e-12)
-
-
-class _Solves:
-    """LU factors that record each solve: (trans, result)."""
-
-    def __init__(self, lu):
-        self.lu, self.calls = lu, []
-
-    def solve(self, rhs, trans="N"):
-        out = self.lu.solve(rhs, trans=trans)
-        self.calls.append((trans, out))
-        return out
-
-
-def _exit_of(calls):
-    """Which test of the iteration ended it, read off its solves."""
-    if calls[-1][0] == "H":
-        return "largest entry of h at the current index"
-    sums = [np.abs(y).sum() for trans, y in calls if trans == "N"]
-    if len(sums) >= 2 and sums[-1] <= sums[-2]:
-        return "estimate not increasing"
-    if len(sums) == adiabatic.ONENORMEST_ITMAX + 1:
-        return "more than itmax iterations"
-    return "parallel sign vectors"
-
-
-# found by search: Hager's iteration rarely runs into its iteration limit
-ITMAX_MATRIX = [[8, -3, 6, 2, -4, 1, 0, -2], [-3, 3, -2, -1, 1, 0, 0, -4],
-                [-4, -4, 2, 3, -3, 0, 2, -2], [-1, -4, -2, 10, 6, 6, 4, -4],
-                [-3, 0, 0, 0, 7, 4, 1, 1], [5, -3, -1, -3, 6, 9, -3, -2],
-                [-4, -1, -3, -3, -1, -1, 6, 4], [3, 3, -2, -5, 3, 6, 2, 3]]
-
-
-def _random_matrices():
-    rng = np.random.default_rng(11)
-    yield np.array(ITMAX_MATRIX, dtype=float)
-    yield np.array([[-2.0, 2.0], [3.0, -1.0]])
-    yield np.array([[5.0]])
-    yield 1j * np.array([[0.0, -3.0], [2.0, 1.0]])
-    for _ in range(300):
-        n = int(rng.integers(2, 12))
-        a = rng.integers(-3, 4, (n, n)).astype(float)
-        if rng.random() < 0.4:
-            a = rng.standard_normal((n, n))
-        if rng.random() < 0.3:
-            a = a + 1j * rng.standard_normal((n, n))
-        yield a
-
-
-def test_inverse_one_norm_is_onenormest_at_every_exit():
-    exits = set()
-    for a in _random_matrices():
-        block = sp.csc_matrix(a)
-        try:
-            lu = spla.splu(block, permc_spec="MMD_AT_PLUS_A")
-        except RuntimeError:
-            continue
-        n = a.shape[0]
-        solves = _Solves(lu)
-        got = _inverse_one_norm(solves, n)
-        assert got.hex() == float(_onenormest(lu, n, block.dtype)).hex()
-        exits.add(_exit_of(solves.calls))
-    assert exits == {"largest entry of h at the current index",
-                     "estimate not increasing", "more than itmax iterations",
-                     "parallel sign vectors"}
-
-
 def test_spectral_norm_is_scipy_norm_and_rejects_nan():
     rng = np.random.default_rng(2)
     for shape in ((8, 8), (5, 3), (1, 1), (0, 0)):
@@ -264,7 +120,8 @@ def test_singular_fast_block_rejected():
     h0, v, m = _setup(make_triangle(), Statistics.BOSON, 0.0, 0.0,
                       u_updn=0.0, u_upup=U, u_dndn=U)
     p = partition(h0, v)
-    assert _factor_hff(p) == (None, np.inf)
+    assert any(not np.abs(adiabatic._dense_block(p, *component[:4]))
+               .sum(axis=1).all() for component in p.split.components)
     with pytest.raises(ValueError, match="fast block not invertible"):
         adiabatic_eliminate(h0, v, m)
 
@@ -353,6 +210,22 @@ def test_oversized_series_compare_refused_before_densifying():
                             f"blocks would take {dense / 2 ** 20:.0f} MiB, "
                             f"limit 64 MiB")
         assert peak < dense / 100
+
+
+def test_cold_elimination_refused_before_building_its_components():
+    # on a new plan the refusal reads the block sizes from the component
+    # labels alone, so the refused split never builds Split.components
+    from trispin import hubbard
+    hubbard._shared_basis.cache_clear()
+    h0, v, _ = _setup(make_zigzag(8), Statistics.FERMION, 0.04, 0.03,
+                      u_updn=U)
+    p = partition(h0, v)
+    assert "labels" not in vars(p.split)
+    peak = _traced_peak(lambda: eliminate(p), "too large for the elimination")
+    assert "components" not in vars(p.split)
+    dense = _dense_block_bytes(p)
+    assert dense > adiabatic.DENSE_MAX_BYTES
+    assert peak < 0.03 * dense
 
 
 def test_elimination_admits_dense_blocks_up_to_the_limit(monkeypatch):

@@ -160,9 +160,9 @@ def test_elimination_matches_dense_reference(case):
     p = partition(h0, v)
     # a real V is read in real arithmetic, H_FF's factors included
     real = not v.mat.data.imag.any()
-    factors, _ = adiabatic._factor_hff(p)
-    for array in (p.vals, p.vmr, p.vrr.data, p.vff,
-                  *(lu for _, lu, _ in factors.parts)):
+    blocks = [adiabatic._dense_block(p, *component[:4])
+              for component in p.split.components]
+    for array in (p.vals, p.vmr, p.vrr.data, p.vff, *blocks):
         assert np.isrealobj(array) == real
     want, gecon, hff = _dense_elimination(h0, v, m)
     kappa1 = np.linalg.cond(hff, 1)
@@ -257,35 +257,42 @@ def _propagated_labels(split):
 
 def _check_components(split):
     """``Split.labels`` groups the positions as the propagation does and
-    numbers the components by their smallest positions; each M state's
-    column is its rank among the M states of its component.  The blocks
-    of ``Split.components`` cover F and V_FF's stored entries; read
-    through its (row, column) pairs, each is V_FF's pattern on its F
+    numbers the components by their smallest positions.  The blocks of
+    ``Split.components`` are the components that hold F states, in label
+    order; they cover F, V_FF's stored entries and V_MF's.  Each holds
+    the M and F states of one propagated component, and read through
+    its (row, column) pairs, each is V_FF's and V_MF's pattern on its
     states, with each stored entry in its place."""
-    want = np.unique(_propagated_labels(split), return_inverse=True)[1]
+    propagated = _propagated_labels(split)
+    want = np.unique(propagated, return_inverse=True)[1]
     assert np.array_equal(split.labels, want)
-    column, same = split.layout
-    label = split.labels[:len(split.m)]
-    assert np.array_equal(same, label[:, None] == label)
-    for component in np.unique(label):
-        mine = label == component
-        assert np.array_equal(column[mine], np.arange(mine.sum()))
     k, nf = len(split.m), len(split.f)
-    # V_FF's pattern with V's stored entry e written as e + 1
+    # V's pattern in (M, F) order with its stored entry e written as e + 1
+    full = np.zeros((k + nf, k + nf), dtype=int)
+    full[split.rows, split.cols] = np.arange(len(split.rows)) + 1
     inside = np.flatnonzero((split.rows >= k) & (split.cols >= k))
-    full = np.zeros((nf, nf), dtype=int)
-    full[split.rows[inside] - k, split.cols[inside] - k] = inside + 1
+    coupling = np.flatnonzero((split.rows < k) & (split.cols >= k))
     blocks = split.components
-    for part, total in ((0, np.arange(nf)), (1, inside)):
+    assert len(blocks) == len(np.unique(propagated[k:]))
+    for part, total in ((0, np.arange(nf)), (1, inside), (5, coupling)):
         got = np.concatenate([block[part] for block in blocks])
         assert np.array_equal(np.sort(got), total)
-    for states, entries, rows, cols in blocks:
+    smallest = []
+    for states, entries, rows, cols, m, mf, mf_rows, mf_cols in blocks:
+        # one propagated component: its F states and all its M states
+        label = propagated[k + states[0]]
+        assert np.array_equal(np.flatnonzero(propagated[k:] == label),
+                              states)
+        assert np.array_equal(np.flatnonzero(propagated[:k] == label), m)
+        smallest.append(label)
         size = len(states)
-        assert np.array_equal(states, np.sort(states))
-        want = full[np.ix_(states, states)]
         by_pairs = np.zeros((size, size), dtype=int)
         by_pairs[rows, cols] = entries + 1
-        assert np.array_equal(by_pairs, want)
+        assert np.array_equal(by_pairs, full[np.ix_(k + states, k + states)])
+        by_pairs = np.zeros((len(m), size), dtype=int)
+        by_pairs[mf_rows, mf_cols] = mf + 1
+        assert np.array_equal(by_pairs, full[np.ix_(m, k + states)])
+    assert smallest == sorted(smallest)
 
 
 def test_components_match_an_independent_labelling(case):
@@ -319,9 +326,13 @@ def test_elimination_on_components_finer_than_the_sectors(
     _check_components(p.split)
     vmm, vmf, vff, em, ef = _dense_partition(h0, v,
                                               h0.basis.single_occupancy)
-    want = vmm + np.diag(em) - vmf @ np.linalg.solve(vff + np.diag(ef),
-                                                     vmf.conj().T)
-    _close(eliminate(p).h_eff.matrix, want)
+    hff = vff + np.diag(ef)
+    want = vmm + np.diag(em) - vmf @ np.linalg.solve(hff, vmf.conj().T)
+    result = eliminate(p)
+    _close(result.h_eff.matrix, want)
+    # the largest of the per-component estimates
+    kappa1 = np.linalg.cond(hff, 1)
+    assert kappa1 / 3 <= result.condition_number <= kappa1 * (1 + 1e-12)
 
 
 def test_partitions_of_one_plan_share_one_layout(monkeypatch):
@@ -343,7 +354,7 @@ def test_partitions_of_one_plan_share_one_layout(monkeypatch):
     for p in parts:
         eliminate(p)
     assert not np.array_equal(parts[0].vals, parts[1].vals)
-    assert parts[0].split.layout is parts[1].split.layout
+    assert parts[0].split.components is parts[1].split.components
     assert len(labelled) == 1
 
 
@@ -353,18 +364,16 @@ def test_elimination_refuses_a_non_hermitian_result(monkeypatch):
     # symmetrization must see it
     h0, v, _, _ = _case("triangle", 3, Statistics.BOSON)
     p = partition(h0, v)
-    factor = adiabatic._factor_hff
+    scatter = adiabatic._dense_block
 
-    def skewed(p):
-        k, ff = len(p.m), p.split.ff
-        rows, cols = p.rows[ff] - k, p.cols[ff] - k
-        entry = ff[(rows != cols) & np.isin(rows, p.r)][0]
-        vals = p.vals.copy()
-        vals[entry] += 0.01
-        return factor(dataclasses.replace(p, vals=vals))
+    def skew(p, states, entries, rows, cols):
+        dense = scatter(p, states, entries, rows, cols)
+        off = np.flatnonzero((rows != cols) & np.isin(states[rows], p.r))
+        dense[rows[off[:1]], cols[off[:1]]] += 0.01
+        return dense
 
     eliminate(p)
-    monkeypatch.setattr(adiabatic, "_factor_hff", skewed)
+    monkeypatch.setattr(adiabatic, "_dense_block", skew)
     with pytest.raises(ValueError, match="eliminated Hamiltonian lost "
                                          "hermiticity"):
         eliminate(p)
@@ -592,20 +601,15 @@ def test_partition_without_a_plan_equals_the_planned_one(case):
 
 def test_fast_block_equals_scipy_assembly(case):
     # the elimination's dense blocks are H_FF's blocks on the components,
-    # bit for bit, in H_FF's dtype, and together hold all of H_FF; the
-    # column sums of |H_FF| behind its 1-norm have the bits of the sums
-    # down each column of the CSC form, in row order
+    # bit for bit, in H_FF's dtype, and together hold all of H_FF
     h0, v, vb, _ = case
     for tunneling in (v, vb):
         p = partition(h0, tunneling)
-        csc = _scipy_hff(p)
-        down = np.bincount(np.repeat(np.arange(len(p.f)), np.diff(csc.indptr)),
-                           np.abs(csc.data))
-        assert adiabatic._column_sums(p).tobytes() == down.tobytes()
-        hff = csc.toarray()
+        hff = _scipy_hff(p).toarray()
         stored = 0
-        for states, *pairs in p.split.components:
-            block = adiabatic._dense_block(p, states, *pairs)
+        for component in p.split.components:
+            states = component[0]
+            block = adiabatic._dense_block(p, *component[:4])
             assert block.flags.f_contiguous
             want = hff[np.ix_(states, states)]
             assert block.dtype == want.dtype == p.vals.dtype
