@@ -29,6 +29,8 @@ signs), solves with ?getrs on the component's own V_FM columns and
 subtracts V_MF X from the component's (M, M) entries of H_MM.  The
 dense blocks take sum_b size_b^2 entries, so a split whose blocks would
 exceed ``DENSE_MAX_BYTES`` is refused before anything is allocated.
+``series_compare`` sums the truncated Neumann series on the same dense
+blocks, component by component, and is refused by the same test.
 The correction is checked Hermitian within ``perturb.HERMITICITY_TOL``
 before it is symmetrized, as the orders are.
 
@@ -56,13 +58,11 @@ from .perturb import (EffectiveHamiltonian, check_engine, check_hermitian,
                       spectral_norm, third_order)
 
 COND_LIMIT = 1e12
-# largest dense arrays of one fast block, by both refusals: the V_FF of
-# ``series_compare`` keeps the fermionic zig-zag chain of six sites
-# (F = 860, 11.8 MB complex) and refuses seven (F = 3,304, 87 MB real,
-# 175 MB complex); the blocks of H_FF that ``eliminate`` factors keep
-# fermionic chains up to seven sites (24.3 MiB real, 48.7 MiB complex)
-# and bosonic ones up to five (6.1 / 12.2 MiB) and refuse fermionic
-# eight (331.5 / 663 MiB) and bosonic six (218 / 435 MiB)
+# largest sum of the dense blocks of H_FF, one per component, that
+# ``eliminate`` factors and ``series_compare`` sums: it keeps fermionic
+# zig-zag chains up to seven sites (24.3 MiB real, 48.7 MiB complex) and
+# bosonic ones up to five (6.1 / 12.2 MiB) and refuses fermionic eight
+# (331.5 / 663 MiB) and bosonic six (218 / 435 MiB)
 DENSE_MAX_BYTES = 2 ** 26
 # LAPACK's dense LU, its condition estimate and its solve, per dtype of
 # H_FF
@@ -86,24 +86,28 @@ class AdiabaticResult:
     dims: tuple   # (total, fast, slow)
 
 
-def _dense_block(p, states, entries, rows, cols):
-    """H_FF = V_FF + diag(E_F) on one component of ``Split.components``,
-    dense and in Fortran order: its entries of V_FF at their (row,
-    column) pairs, E_F on its diagonal."""
-    size = len(states)
-    dense = np.zeros((size, size), dtype=p.vals.dtype, order="F")
-    dense[rows, cols] = p.vals[entries]
-    dense[np.diag_indices(size)] += p.ef[states]
-    return dense
+def _scatter(p, states, entries, rows, cols, m, mf, mf_rows, mf_cols):
+    """V_FF and V_MF on one component of ``Split.components``, dense:
+    its entries of V_FF at their (row, column) pairs, in Fortran order
+    and with zeros on the diagonal, and its entries of V_MF on its own
+    M rows."""
+    vff = np.zeros((len(states), len(states)), dtype=p.vals.dtype, order="F")
+    vff[rows, cols] = p.vals[entries]
+    vmf = np.zeros((len(m), len(states)), dtype=p.vals.dtype)
+    vmf[mf_rows, mf_cols] = p.vals[mf]
+    return vff, vmf
 
 
-def _refuse_dense(nbytes, what):
-    """``ValueError`` naming the MiB of dense arrays beyond
-    ``DENSE_MAX_BYTES``, before any of them is built."""
+def _refuse_oversized(p):
+    """``ValueError`` naming the MiB of H_FF's dense blocks, one per
+    component, beyond ``DENSE_MAX_BYTES``; the sizes come from the
+    component labels alone, so nothing dense is built first."""
+    sizes = np.bincount(p.split.labels[len(p.m):])
+    nbytes = p.vals.itemsize * int((sizes ** 2).sum())
     if nbytes > DENSE_MAX_BYTES:
-        raise ValueError(f"fast block too large for {what} would take "
-                         f"{nbytes / 2 ** 20:.0f} MiB, "
-                         f"limit {DENSE_MAX_BYTES / 2 ** 20:.0f} MiB")
+        raise ValueError("fast block too large for the elimination: its "
+                         f"dense blocks would take {nbytes / 2 ** 20:.0f} "
+                         f"MiB, limit {DENSE_MAX_BYTES / 2 ** 20:.0f} MiB")
 
 
 def eliminate(p):
@@ -111,10 +115,8 @@ def eliminate(p):
     at a time; a fast block whose dense blocks would exceed
     ``DENSE_MAX_BYTES`` is refused before anything is allocated, the
     component structure included."""
+    _refuse_oversized(p)
     k, nf = len(p.m), len(p.f)
-    sizes = np.bincount(p.split.labels[k:])
-    _refuse_dense(p.vals.itemsize * int((sizes ** 2).sum()),
-                  "the elimination: its dense blocks")
     block = p.slow_block()
     cond = 0.0
     if nf:
@@ -122,10 +124,11 @@ def eliminate(p):
         ff = p.split.ff
         norm = (np.bincount(p.cols[ff] - k, np.abs(p.vals[ff]), nf)
                 + np.abs(p.ef)).max()
-        for (states, entries, rows, cols,
-             m, mf, mf_rows, mf_cols) in p.split.components:
-            lu, piv, info = getrf(_dense_block(p, states, entries, rows,
-                                               cols), overwrite_a=True)
+        for component in p.split.components:
+            states, m = component[0], component[4]
+            hff, vmf = _scatter(p, *component)
+            hff[np.diag_indices(len(states))] += p.ef[states]
+            lu, piv, info = getrf(hff, overwrite_a=True)
             # ?gecon with ||H_b||_1 = 1 gives 1 / ||H_b^{-1}||_1
             rcond = gecon(lu, 1.0)[0] if info == 0 else 0.0
             estimate = norm / rcond if rcond > 0 else np.inf
@@ -133,8 +136,6 @@ def eliminate(p):
                 raise ValueError("fast block not invertible; parameters "
                                  "too close to resonance")
             cond = max(cond, estimate)
-            vmf = np.zeros((len(m), len(states)), dtype=p.vals.dtype)
-            vmf[mf_rows, mf_cols] = p.vals[mf]
             block[np.ix_(m, m)] -= vmf @ getrs(lu, piv, vmf.conj().T)[0]
     check_hermitian(block, "eliminated Hamiltonian")
     block = 0.5 * (block + block.conj().T)
@@ -152,18 +153,23 @@ def adiabatic_eliminate(h0, v, m_indices):
 def _neumann(p, order):
     """Partial sum of -V_MF (D + V_FF)^-1 V_FM, D = diag(E_F), over all of
     F: -V_MF D^-1 V_FM at order 2, plus V_MF D^-1 V_FF D^-1 V_FM at
-    order 3.  It runs on the dense blocks V_MF, V_FM and ``p.vff``, not
-    on the states R one hop from M that the engine visits, so it checks
-    the engine's restriction to R."""
+    order 3.  H_FF is block-diagonal over the components of
+    ``Split.components``, so each component adds its own terms to its
+    own (M, M) entries, from the dense V_FF and V_MF of ``_scatter``.
+    It runs on every F state, not on the states R one hop from M that
+    the engine visits, so it checks the engine's restriction to R."""
     if np.any(np.abs(p.ef) < 1e-12 * p.energy_scale):
         raise ValueError("zero-energy fast state; series undefined")
-    m, f = np.arange(len(p.m)), len(p.m) + np.arange(len(p.f))
-    vmf = p.block(m, f)
-    term = p.block(f, m) / p.ef[:, None]   # D^-1 V_FM
-    block = -(vmf @ term)
-    for _ in range(order - 2):
-        term = -(p.vff @ term) / p.ef[:, None]
-        block = block - vmf @ term
+    block = np.zeros((len(p.m), len(p.m)), dtype=p.vals.dtype)
+    for component in p.split.components:
+        vff, vmf = _scatter(p, *component)
+        ef = p.ef[component[0]][:, None]
+        term = vmf.conj().T / ef   # D^-1 V_FM
+        part = -(vmf @ term)
+        for _ in range(order - 2):
+            term = -(vff @ term) / ef
+            part -= vmf @ term
+        block[np.ix_(component[4], component[4])] += part
     return EffectiveHamiltonian(block)
 
 
@@ -171,13 +177,14 @@ def series_compare(h0, v):
     """Residuals between the exact elimination, its truncated series and
     the perturbative engine, all from one partition.  Requires the
     Neumann series to converge, i.e. the tunneling norm within the fast
-    block below the smallest fast energy; that norm is the exact
-    2-norm of the dense V_FF that the series reads too.  A V_FF beyond
-    ``DENSE_MAX_BYTES`` is refused before it is built."""
+    block below the smallest fast energy; V_FF is block-diagonal over
+    the components, so its 2-norm is the largest of the blocks' exact
+    2-norms.  A fast block that ``eliminate`` refuses is refused here
+    too, before any block is built."""
     p = partition(h0, v)
-    _refuse_dense(len(p.f) ** 2 * p.vals.itemsize,
-                  "the series check: dense V_FF")
-    vff_norm = spectral_norm(p.vff)
+    _refuse_oversized(p)
+    vff_norm = max((spectral_norm(_scatter(p, *component)[0])
+                    for component in p.split.components), default=0.0)
     emin = np.abs(p.ef).min() if len(p.f) else np.inf
     if vff_norm >= emin:
         raise ValueError("tunneling too large: fast-block series does not "

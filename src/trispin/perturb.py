@@ -28,10 +28,13 @@ components and each component's (row, column) pairs in H_FF and V_MF)
 depends only on V's pattern.  Its one owner is V's ``Plan``:
 ``partition(h0, v)`` builds the split there once, and a derivation only
 reads its values; a V built without a plan gets one from its own
-pattern on first use.  Only this module reads how a ``Partition``
-stores V.  Callers pass one partition to ``check_engine``, the orders
-and ``trispin.adiabatic.eliminate``; the ``(h0, v, m)`` routes such as
-``h_eff_second`` check M and build their own (``partition_with_m``).
+pattern on first use.  Two modules read how a ``Partition`` stores V:
+this one, and ``trispin.adiabatic``, which scatters H_FF's blocks and
+their couplings to M from ``Split.components``, ``Split.labels``,
+``Split.ff``, ``vals`` and ``ef``.  Callers pass one partition to
+``check_engine``, the orders and ``trispin.adiabatic.eliminate``; the
+``(h0, v, m)`` routes such as ``h_eff_second`` check M and build their
+own (``partition_with_m``).
 """
 
 from __future__ import annotations
@@ -191,14 +194,12 @@ class Partition:
     ``vals`` the values of those entries.  ``r`` lists the F states one
     nonzero hop from M, as positions within F; orders 2 and 3 visit no
     other intermediate state, so they run on the small dense block
-    ``vmr`` = V_MR and the sparse ``vrr`` = V_RR.  V is assembled as
-    dense blocks (``block``, and ``vff`` = V_FF for the series check of
-    ``trispin.adiabatic``, which runs on all of F) and as H_MM
-    (``slow_block``); the elimination scatters H_FF's blocks and their
-    couplings to M itself, from ``vals``, ``ef`` and
-    ``Split.components``.  ``vals`` is real
-    when all of V is (``partition`` decides), and every block follows
-    its dtype.
+    ``vmr`` = V_MR and the sparse ``vrr`` = V_RR; ``slow_block`` is
+    H_MM.  No dense array here spans F: ``trispin.adiabatic`` scatters
+    V_FF and V_MF one component of ``Split.components`` at a time, from
+    ``vals`` and ``ef``, for the elimination and its series check alike.
+    ``vals`` is real when all of V is (``partition`` decides), and every
+    block follows its dtype.
     """
 
     split: Split
@@ -233,23 +234,17 @@ class Partition:
     def er(self):
         return self.ef[self.r]
 
-    def block(self, row_positions, col_positions):
-        """Dense block of V on the given (M, F)-order positions."""
-        dim = len(self.m) + len(self.f)
-        row_of = np.full(dim, -1)
-        row_of[row_positions] = np.arange(len(row_positions))
-        col_of = np.full(dim, -1)
-        col_of[col_positions] = np.arange(len(col_positions))
-        i, j = row_of[self.rows], col_of[self.cols]
-        keep = (i >= 0) & (j >= 0)
-        out = np.zeros((len(row_positions), len(col_positions)),
-                       dtype=self.vals.dtype)
-        np.add.at(out, (i[keep], j[keep]), self.vals[keep])
-        return out
-
     @cached_property
     def vmr(self):
-        return self.block(np.arange(len(self.m)), len(self.m) + self.r)
+        """V_MR, dense: the entries ``Split.mf`` of V_MF whose F state is
+        in R, scattered onto R's columns."""
+        in_r = np.full(len(self.f), -1)
+        in_r[self.r] = np.arange(len(self.r))
+        col = in_r[self.split.mf_targets]
+        mf = self.split.mf[col >= 0]
+        out = np.zeros((len(self.m), len(self.r)), dtype=self.vals.dtype)
+        out[self.rows[mf], col[col >= 0]] = self.vals[mf]
+        return out
 
     @cached_property
     def vrr(self):
@@ -267,11 +262,6 @@ class Partition:
         return sp.csr_matrix((self.vals[inside[keep]],
                               j[keep].astype(np.int32), indptr),
                              shape=(nr, nr))
-
-    @cached_property
-    def vff(self):
-        f = len(self.m) + np.arange(len(self.f))
-        return self.block(f, f)
 
     def slow_block(self):
         """H_MM = V_MM + diag(E_M), dense and complex, from the entries

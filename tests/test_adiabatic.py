@@ -120,8 +120,10 @@ def test_singular_fast_block_rejected():
     h0, v, m = _setup(make_triangle(), Statistics.BOSON, 0.0, 0.0,
                       u_updn=0.0, u_upup=U, u_dndn=U)
     p = partition(h0, v)
-    assert any(not np.abs(adiabatic._dense_block(p, *component[:4]))
-               .sum(axis=1).all() for component in p.split.components)
+    blocks = [adiabatic._scatter(p, *component)[0]
+              + np.diag(p.ef[component[0]])
+              for component in p.split.components]
+    assert any(not np.abs(block).sum(axis=1).all() for block in blocks)
     with pytest.raises(ValueError, match="fast block not invertible"):
         adiabatic_eliminate(h0, v, m)
 
@@ -155,13 +157,37 @@ def test_non_convergent_regime_rejected():
         series_compare(h0, v)
 
 
+def test_series_check_reads_every_block():
+    # bosonic triangle, every U = 1: V_FF's blocks have 2-norms 0.437,
+    # 0.670, 0.882 and 1.093 in label order against min|E_F| = 1, so
+    # only the last one stops the series from converging
+    h0, v, m = _setup(make_triangle(), Statistics.BOSON, 0.1, 0.25,
+                      u_updn=U, u_upup=U, u_dndn=U)
+    p = partition(h0, v)
+    assert np.array_equal(p.f, np.setdiff1d(np.arange(h0.dim), m))
+    vff = v.mat.toarray()[np.ix_(p.f, p.f)]
+    norms = [la.norm(vff[np.ix_(states, states)], 2)
+             for states, *_ in p.split.components]
+    assert np.allclose(norms, [0.437, 0.670, 0.882, 1.093], atol=5e-4)
+    assert np.abs(p.ef).min() == U
+    whole = la.norm(vff, 2)
+    with pytest.raises(ValueError, match=rf"\|V_FF\| = {whole:.3g} >= 1\)"):
+        series_compare(h0, v)
+    assert f"{whole:.3g}" == "1.09"
+
+
 def test_series_compare_runs_up_to_the_six_site_chain():
-    # the largest fast block a test compares: F = 860, complex
-    h0, v, _ = _setup(make_zigzag(6), Statistics.FERMION, 0.04, 0.03j,
-                      u_updn=U)
-    report = series_compare(h0, v)
-    assert report["dims"] == (924, 860, 64)
-    assert report["series_vs_engine"] <= 1e-15
+    # fermionic n = 6 (F = 860, complex) and bosonic n = 5 (F = 1,970,
+    # real), the largest fast block a test compares
+    for n_sites, statistics, j_dn, u_same, dims in (
+            (6, Statistics.FERMION, 0.03j, {}, (924, 860, 64)),
+            (5, Statistics.BOSON, 0.03, {"u_upup": 1.1, "u_dndn": 1.2},
+             (2002, 1970, 32))):
+        h0, v, _ = _setup(make_zigzag(n_sites), statistics, 0.04, j_dn,
+                          u_updn=U, **u_same)
+        report = series_compare(h0, v)
+        assert report["dims"] == dims
+        assert report["series_vs_engine"] <= 1e-15
 
 
 def _traced_peak(call, match):
@@ -186,18 +212,20 @@ def _dense_block_bytes(p):
 
 def test_oversized_series_compare_refused_before_densifying():
     # fermionic zig-zag chain of eight sites: the dense complex V_FF
-    # would take 16 * 12614^2 B = 2.5 GB
+    # would take 16 * 12614^2 B = 2.5 GB, and the elimination's dense
+    # blocks, one per component, 331 MiB real; the series check is
+    # refused by the elimination's own limit
     h0, v, _ = _setup(make_zigzag(8), Statistics.FERMION, 0.04, 0.03,
                       u_updn=U)
     dense = 16 * 12614 ** 2
     assert dense > adiabatic.DENSE_MAX_BYTES
     peak = _traced_peak(lambda: series_compare(h0, v),
-                        "too large for the series")
+                        "too large for the elimination")
     assert peak < dense / 100
-    # the elimination's dense blocks, one per component, are refused
-    # too: 331 MiB real here, 218 MiB on the bosonic chain of six sites.
-    # The split's structure is built once per plan and is not dense, so
-    # it is built before the trace.
+    # both routes are refused by the dense blocks: 331 MiB real here,
+    # 218 MiB on the bosonic chain of six sites.  The split's structure
+    # is built once per plan and is not dense, so it is built before
+    # the trace.
     bosonic = _setup(make_zigzag(6), Statistics.BOSON, 0.04, 0.03,
                      u_updn=U, u_upup=1.1, u_dndn=1.2)
     for h0, v, _ in ((h0, v, None), bosonic):
@@ -205,11 +233,10 @@ def test_oversized_series_compare_refused_before_densifying():
         p.split.components
         dense = _dense_block_bytes(p)
         assert dense > adiabatic.DENSE_MAX_BYTES
-        peak = _traced_peak(lambda: eliminate(p),
-                            f"too large for the elimination: its dense "
-                            f"blocks would take {dense / 2 ** 20:.0f} MiB, "
-                            f"limit 64 MiB")
-        assert peak < dense / 100
+        message = (f"too large for the elimination: its dense blocks "
+                   f"would take {dense / 2 ** 20:.0f} MiB, limit 64 MiB")
+        for call in (lambda: eliminate(p), lambda: series_compare(h0, v)):
+            assert _traced_peak(call, message) < dense / 100
 
 
 def test_cold_elimination_refused_before_building_its_components():
@@ -236,9 +263,11 @@ def test_elimination_admits_dense_blocks_up_to_the_limit(monkeypatch):
     assert dense < len(p.f) ** 2 * p.vals.itemsize
     monkeypatch.setattr(adiabatic, "DENSE_MAX_BYTES", dense)
     assert eliminate(p).dims == (56, 48, 8)
+    assert series_compare(h0, v)["dims"] == (56, 48, 8)
     monkeypatch.setattr(adiabatic, "DENSE_MAX_BYTES", dense - 1)
-    with pytest.raises(ValueError, match="too large for the elimination"):
-        eliminate(p)
+    for call in (lambda: eliminate(p), lambda: series_compare(h0, v)):
+        with pytest.raises(ValueError, match="too large for the elimination"):
+            call()
 
 
 def test_residual_scales_as_fourth_order():

@@ -64,12 +64,20 @@ def cross_second(h0, va, vb):
     minus the two diagonal parts, on the union of the two reached sets."""
     pa = check_engine(partition(h0, va))
     pb = check_engine(partition(h0, vb))
-    k = len(pa.m)
     r = np.union1d(pa.r, pb.r)
-    a, b = (p.block(np.arange(k), k + r) for p in (pa, pb))
+    a, b = (_vmf(p)[:, r] for p in (pa, pb))
     ef = pa.ef[r]
     block = -(a / ef) @ b.conj().T - (b / ef) @ a.conj().T
     return EffectiveHamiltonian(block)
+
+
+def _vmf(p):
+    """V_MF of a partition, dense on all of F, from the entries
+    ``Split.mf``."""
+    out = np.zeros((len(p.m), len(p.f)), dtype=p.vals.dtype)
+    mf = p.split.mf
+    out[p.rows[mf], p.split.mf_targets] = p.vals[mf]
+    return out
 
 
 def _dense_elimination(h0, v, m):
@@ -160,9 +168,9 @@ def test_elimination_matches_dense_reference(case):
     p = partition(h0, v)
     # a real V is read in real arithmetic, H_FF's factors included
     real = not v.mat.data.imag.any()
-    blocks = [adiabatic._dense_block(p, *component[:4])
-              for component in p.split.components]
-    for array in (p.vals, p.vmr, p.vrr.data, p.vff, *blocks):
+    blocks = [block for component in p.split.components
+              for block in adiabatic._scatter(p, *component)]
+    for array in (p.vals, p.vmr, p.vrr.data, *blocks):
         assert np.isrealobj(array) == real
     want, gecon, hff = _dense_elimination(h0, v, m)
     kappa1 = np.linalg.cond(hff, 1)
@@ -364,16 +372,16 @@ def test_elimination_refuses_a_non_hermitian_result(monkeypatch):
     # symmetrization must see it
     h0, v, _, _ = _case("triangle", 3, Statistics.BOSON)
     p = partition(h0, v)
-    scatter = adiabatic._dense_block
+    scatter = adiabatic._scatter
 
-    def skew(p, states, entries, rows, cols):
-        dense = scatter(p, states, entries, rows, cols)
+    def skew(p, states, entries, rows, cols, *coupling):
+        vff, vmf = scatter(p, states, entries, rows, cols, *coupling)
         off = np.flatnonzero((rows != cols) & np.isin(states[rows], p.r))
-        dense[rows[off[:1]], cols[off[:1]]] += 0.01
-        return dense
+        vff[rows[off[:1]], cols[off[:1]]] += 0.01
+        return vff, vmf
 
     eliminate(p)
-    monkeypatch.setattr(adiabatic, "_dense_block", skew)
+    monkeypatch.setattr(adiabatic, "_scatter", skew)
     with pytest.raises(ValueError, match="eliminated Hamiltonian lost "
                                          "hermiticity"):
         eliminate(p)
@@ -600,22 +608,27 @@ def test_partition_without_a_plan_equals_the_planned_one(case):
 
 
 def test_fast_block_equals_scipy_assembly(case):
-    # the elimination's dense blocks are H_FF's blocks on the components,
-    # bit for bit, in H_FF's dtype, and together hold all of H_FF
+    # the dense blocks of the elimination and the series are H_FF's
+    # blocks on the components, bit for bit, in H_FF's dtype, and
+    # together hold all of H_FF; their couplings together hold V_MF
     h0, v, vb, _ = case
     for tunneling in (v, vb):
         p = partition(h0, tunneling)
-        hff = _scipy_hff(p).toarray()
-        stored = 0
+        hff, vmf = _scipy_hff(p).toarray(), _vmf(p)
+        stored = coupled = 0
         for component in p.split.components:
-            states = component[0]
-            block = adiabatic._dense_block(p, *component[:4])
+            states, m = component[0], component[4]
+            block, coupling = adiabatic._scatter(p, *component)
             assert block.flags.f_contiguous
+            block[np.diag_indices(len(states))] += p.ef[states]
             want = hff[np.ix_(states, states)]
             assert block.dtype == want.dtype == p.vals.dtype
             assert block.tobytes() == want.tobytes()
+            assert np.array_equal(coupling, vmf[np.ix_(m, states)])
             stored += np.count_nonzero(block)
+            coupled += np.count_nonzero(coupling)
         assert stored == np.count_nonzero(hff)
+        assert coupled == np.count_nonzero(vmf)
 
 
 def test_unplanned_duplicates_are_summed():
