@@ -22,13 +22,18 @@ each block only to the M states of its own component, so the
 correction is a sum of one Schur complement per component.
 ``eliminate`` runs one loop over the components that the M/F split
 lays out once per plan (``perturb.Split.components``): it scatters each
-block into a dense array and factors it by LAPACK's ?getrf with partial
-pivoting (Anderson et al., LAPACK Users' Guide, 3rd ed., SIAM (1999)),
-which also covers an indefinite block (collision energies of both
-signs), solves with ?getrs on the component's own V_FM columns and
-subtracts V_MF X from the component's (M, M) entries of H_MM.  The
-dense blocks take sum_b size_b^2 entries, so a split whose blocks would
-exceed ``DENSE_MAX_BYTES`` is refused before anything is allocated.
+block into a dense array and factors it on one of two paths (Anderson
+et al., LAPACK Users' Guide, 3rd ed., SIAM (1999)).  A block that is
+exactly Hermitian and positive definite, as every block is at J << U
+with repulsive collision energies, is factored in place by ?potrf as
+L L^H; with Y = L^{-1} V_FM from one ?trtrs, the component's (M, M)
+entries of H_MM lose Y^H Y.  Any other block (not exactly Hermitian, or
+one on which ?potrf stops, such as an indefinite block with collision
+energies of both signs) is scattered again and factored by ?getrf with
+partial pivoting, solved with ?getrs on the component's own V_FM
+columns, and V_MF X is subtracted.  The dense blocks take
+sum_b size_b^2 entries, so a split whose blocks would exceed
+``DENSE_MAX_BYTES`` is refused before anything is allocated.
 ``series_compare`` sums the truncated Neumann series on the same dense
 blocks, component by component, and is refused by the same test.
 The correction is checked Hermitian within ``perturb.HERMITICITY_TOL``
@@ -38,12 +43,12 @@ The condition number is a lower estimate of the 1-norm condition number
 kappa_1: ||H_FF||_1, the largest column sum of |V_FF| + |E_F| from the
 sparse entries, times the largest of the blocks' estimates of
 ||H_b^{-1}||_1, which is ||H_FF^{-1}||_1 for a block-diagonal H_FF.
-Each block's estimate is LAPACK's ?gecon on its LU factors (Higham, ACM
-Trans. Math. Softw. 14, 381 (1988)), which uses no random vectors, so
-it is deterministic.  An exact zero pivot, or a reciprocal estimate of
-zero, makes H_FF singular.  In practice the estimate is within a small
-factor of kappa_1; for Hermitian H_FF, kappa_1 bounds kappa_2 from
-above.
+Each block's estimate is LAPACK's ?pocon on its Cholesky factor or
+?gecon on its LU factors (Higham, ACM Trans. Math. Softw. 14, 381
+(1988)), which use no random vectors, so it is deterministic.  An exact
+zero pivot, or a reciprocal estimate of zero, makes H_FF singular.  In
+practice the estimate is within a small factor of kappa_1; for
+Hermitian H_FF, kappa_1 bounds kappa_2 from above.
 """
 
 from __future__ import annotations
@@ -64,8 +69,13 @@ COND_LIMIT = 1e12
 # bosonic ones up to five (6.1 / 12.2 MiB) and refuses fermionic eight
 # (331.5 / 663 MiB) and bosonic six (218 / 435 MiB)
 DENSE_MAX_BYTES = 2 ** 26
-# LAPACK's dense LU, its condition estimate and its solve, per dtype of
+# LAPACK's Cholesky factorization, its condition estimate and its
+# triangular solve for a Hermitian positive-definite block of H_FF, and
+# its dense LU, condition estimate and solve for any other, per dtype of
 # H_FF
+_CHOLESKY = {np.dtype(t): get_lapack_funcs(("potrf", "pocon", "trtrs"),
+                                           dtype=t)
+             for t in (np.float64, np.complex128)}
 _DENSE_LU = {np.dtype(t): get_lapack_funcs(("getrf", "gecon", "getrs"),
                                            dtype=t)
              for t in (np.float64, np.complex128)}
@@ -76,9 +86,9 @@ class AdiabaticResult:
     """Eliminated Hamiltonian with the fast block's conditioning.
 
     ``condition_number`` is ||H_FF||_1 times the largest of the blocks'
-    ?gecon estimates of ||H_b^{-1}||_1, a deterministic lower estimate
-    of kappa_1(H_FF) (0 without a fast block); for Hermitian H_FF,
-    kappa_1 >= kappa_2.
+    estimates of ||H_b^{-1}||_1 (?pocon on a Cholesky factor, ?gecon on
+    LU factors), a deterministic lower estimate of kappa_1(H_FF) (0
+    without a fast block); for Hermitian H_FF, kappa_1 >= kappa_2.
     """
 
     h_eff: EffectiveHamiltonian
@@ -98,6 +108,15 @@ def _scatter(p, states, entries, rows, cols, m, mf, mf_rows, mf_cols):
     return vff, vmf
 
 
+def _fast_block(p, component):
+    """H_FF = V_FF + diag(E_F) and V_MF on one component, dense, as
+    ``_scatter`` lays them out."""
+    hff, vmf = _scatter(p, *component)
+    states = component[0]
+    hff[np.diag_indices(len(states))] += p.ef[states]
+    return hff, vmf
+
+
 def _refuse_oversized(p):
     """``ValueError`` naming the MiB of H_FF's dense blocks, one per
     component, beyond ``DENSE_MAX_BYTES``; the sizes come from the
@@ -110,6 +129,16 @@ def _refuse_oversized(p):
                          f"MiB, limit {DENSE_MAX_BYTES / 2 ** 20:.0f} MiB")
 
 
+def _estimate(norm, rcond):
+    """One block's lower estimate of kappa_1(H_FF), ||H_FF||_1 / rcond;
+    ``ValueError`` when it exceeds ``COND_LIMIT`` or rcond is 0."""
+    estimate = norm / rcond if rcond > 0 else np.inf
+    if not estimate <= COND_LIMIT:
+        raise ValueError("fast block not invertible; parameters too close "
+                         "to resonance")
+    return estimate
+
+
 def eliminate(p):
     """Exact elimination of the fast block of a partition, one component
     at a time; a fast block whose dense blocks would exceed
@@ -120,22 +149,31 @@ def eliminate(p):
     block = p.slow_block()
     cond = 0.0
     if nf:
+        potrf, pocon, trtrs = _CHOLESKY[p.vals.dtype]
         getrf, gecon, getrs = _DENSE_LU[p.vals.dtype]
         ff = p.split.ff
         norm = (np.bincount(p.cols[ff] - k, np.abs(p.vals[ff]), nf)
                 + np.abs(p.ef)).max()
         for component in p.split.components:
-            states, m = component[0], component[4]
-            hff, vmf = _scatter(p, *component)
-            hff[np.diag_indices(len(states))] += p.ef[states]
+            hff, vmf = _fast_block(p, component)
+            m = component[4]
+            # ?potrf reads one triangle, so only an exactly Hermitian
+            # block may take it; it factors in place, so a block it stops
+            # on (not positive definite) is scattered again for the LU
+            if (np.array_equal(hff, hff.T.conj())
+                    and potrf(hff, lower=True, clean=False,
+                              overwrite_a=True)[1] == 0):
+                # ?pocon with ||H_b||_1 = 1 gives 1 / ||H_b^{-1}||_1
+                cond = max(cond, _estimate(norm, pocon(hff, 1.0, "L")[0]))
+                # V_MF H_b^{-1} V_FM = Y^H Y with Y = L^{-1} V_FM
+                y = trtrs(hff, vmf.conj().T, lower=True, overwrite_b=True)[0]
+                block[np.ix_(m, m)] -= y.conj().T @ y
+                continue
+            hff = _fast_block(p, component)[0]
             lu, piv, info = getrf(hff, overwrite_a=True)
             # ?gecon with ||H_b||_1 = 1 gives 1 / ||H_b^{-1}||_1
             rcond = gecon(lu, 1.0)[0] if info == 0 else 0.0
-            estimate = norm / rcond if rcond > 0 else np.inf
-            if not estimate <= COND_LIMIT:
-                raise ValueError("fast block not invertible; parameters "
-                                 "too close to resonance")
-            cond = max(cond, estimate)
+            cond = max(cond, _estimate(norm, rcond))
             block[np.ix_(m, m)] -= vmf @ getrs(lu, piv, vmf.conj().T)[0]
     check_hermitian(block, "eliminated Hamiltonian")
     block = 0.5 * (block + block.conj().T)
@@ -173,17 +211,26 @@ def _neumann(p, order):
     return EffectiveHamiltonian(block)
 
 
+def _hermitian_norm(a):
+    """The 2-norm of a Hermitian matrix, its largest |eigenvalue| (read
+    from the lower triangle); a non-finite entry raises ``ValueError`` as
+    in ``spectral_norm``."""
+    eigenvalues = np.linalg.eigvalsh(np.asarray_chkfinite(a))
+    return max(-eigenvalues[0], eigenvalues[-1])
+
+
 def series_compare(h0, v):
     """Residuals between the exact elimination, its truncated series and
     the perturbative engine, all from one partition.  Requires the
     Neumann series to converge, i.e. the tunneling norm within the fast
     block below the smallest fast energy; V_FF is block-diagonal over
     the components, so its 2-norm is the largest of the blocks' exact
-    2-norms.  A fast block that ``eliminate`` refuses is refused here
-    too, before any block is built."""
+    2-norms, each the largest |eigenvalue| of its Hermitian block.  A
+    fast block that ``eliminate`` refuses is refused here too, before
+    any block is built."""
     p = partition(h0, v)
     _refuse_oversized(p)
-    vff_norm = max((spectral_norm(_scatter(p, *component)[0])
+    vff_norm = max((_hermitian_norm(_scatter(p, *component)[0])
                     for component in p.split.components), default=0.0)
     emin = np.abs(p.ef).min() if len(p.f) else np.inf
     if vff_norm >= emin:

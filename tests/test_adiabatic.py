@@ -113,6 +113,24 @@ def test_spectral_norm_is_scipy_norm_and_rejects_nan():
         spectral_norm(np.diag([1.0, np.inf]))
 
 
+def test_hermitian_norm_is_the_two_norm_and_rejects_nan():
+    # the series check's block norm: the largest |eigenvalue| of a
+    # Hermitian block, whichever sign it has
+    rng = np.random.default_rng(3)
+    for size, shift in ((8, 0.0), (5, 3.0), (5, -3.0), (1, -2.0)):
+        a = rng.standard_normal((size, size)) + 1j * rng.standard_normal(
+            (size, size))
+        a = a + a.conj().T + shift * np.eye(size)
+        assert np.isclose(adiabatic._hermitian_norm(a), la.norm(a, 2),
+                          rtol=1e-14, atol=0)
+    bad = np.eye(3)
+    bad[1, 2] = bad[2, 1] = np.nan
+    with pytest.raises(ValueError):
+        adiabatic._hermitian_norm(bad)
+    with pytest.raises(ValueError):
+        adiabatic._hermitian_norm(np.diag([1.0, np.inf]))
+
+
 def test_singular_fast_block_rejected():
     # no tunneling and no cross-species collision energy: every up-down
     # double occupancy is a zero row of H_FF, an exact zero pivot of

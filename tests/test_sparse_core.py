@@ -212,13 +212,49 @@ def _chiral_patch():
                                        tunneling=tun))
 
 
+def _record_factorizations(monkeypatch):
+    """Wrap ``?potrf`` and ``?getrf`` in the elimination's LAPACK tables;
+    the returned list gets (name, info) per call, in call order, and
+    each ``?potrf`` is checked to factor its block in place."""
+    calls = []
+    for table, name in ((adiabatic._CHOLESKY, "potrf"),
+                        (adiabatic._DENSE_LU, "getrf")):
+        for dtype, (factor, *rest) in list(table.items()):
+            def recorded(a, *args, _factor=factor, _name=name, **kwargs):
+                out = _factor(a, *args, **kwargs)
+                if _name == "potrf":
+                    assert np.shares_memory(out[0], a)
+                calls.append((_name, out[-1]))
+                return out
+            monkeypatch.setitem(table, dtype, [recorded, *rest])
+    return calls
+
+
+@pytest.mark.parametrize("tunneling", ["complex", "real"])
+def test_positive_definite_blocks_take_the_cholesky_path(monkeypatch,
+                                                         tunneling):
+    # fermionic zig-zag n = 6 at J << U: every block of H_FF is
+    # Hermitian positive definite, so none reaches the LU
+    h0, v, _, m = _case("zigzag", 6, Statistics.FERMION, tunneling)
+    p = partition(h0, v)
+    calls = _record_factorizations(monkeypatch)
+    result = eliminate(p)
+    assert calls == [("potrf", 0)] * len(p.split.components)
+    want, _, hff = _dense_elimination(h0, v, m)
+    _close(result.h_eff.matrix, want)
+    kappa1 = np.linalg.cond(hff, 1)
+    assert kappa1 / 3 <= result.condition_number <= kappa1 * (1 + 1e-12)
+
+
 @pytest.mark.parametrize("derived, n_fast, energies", [
     (lambda: derive(make_triangle(), chirality_point_params(0.05)), 30,
      (-3.0, 3.0)),
     (_chiral_patch, 176, (-6.0, 7.8))], ids=["triangle", "patch-2x2"])
-def test_elimination_of_an_indefinite_fast_block(derived, n_fast, energies):
-    # collision energies of both signs: H_FF is indefinite, and its LU
-    # must still give the dense Schur complement
+def test_elimination_of_an_indefinite_fast_block(monkeypatch, derived,
+                                                 n_fast, energies):
+    # collision energies of both signs: H_FF is indefinite, so ?potrf
+    # stops on a block that the LU then factors from a fresh scatter,
+    # and the result must still be the dense Schur complement
     h0, v = derived()
     p = partition(h0, v)
     assert len(p.f) == n_fast
@@ -228,7 +264,12 @@ def test_elimination_of_an_indefinite_fast_block(derived, n_fast, energies):
     hff = vff + np.diag(ef)
     assert np.linalg.eigvalsh(hff)[[0, -1]].prod() < 0
     want = vmm + np.diag(em) - vmf @ np.linalg.solve(hff, vmf.conj().T)
+    calls = _record_factorizations(monkeypatch)
     _close(eliminate(p).h_eff.matrix, want)
+    failed = [i for i, (name, info) in enumerate(calls)
+              if name == "potrf" and info > 0]
+    assert failed
+    assert all(calls[i + 1] == ("getrf", 0) for i in failed)
 
 
 def test_components_are_the_conserved_sectors():
