@@ -45,10 +45,12 @@ sparse entries, times the largest of the blocks' estimates of
 ||H_b^{-1}||_1, which is ||H_FF^{-1}||_1 for a block-diagonal H_FF.
 Each block's estimate is LAPACK's ?pocon on its Cholesky factor or
 ?gecon on its LU factors (Higham, ACM Trans. Math. Softw. 14, 381
-(1988)), which use no random vectors, so it is deterministic.  An exact
-zero pivot, or a reciprocal estimate of zero, makes H_FF singular.  In
-practice the estimate is within a small factor of kappa_1; for
-Hermitian H_FF, kappa_1 bounds kappa_2 from above.
+(1988)), which use no random vectors, so it repeats within a process;
+across processes its last 1-2 ULP can move on the ?pocon path, while
+the eliminated H stays bit-identical.  An exact zero pivot, or a
+reciprocal estimate of zero, makes H_FF singular.  In practice the
+estimate is within a small factor of kappa_1; for Hermitian H_FF,
+kappa_1 bounds kappa_2 from above.
 """
 
 from __future__ import annotations
@@ -87,8 +89,10 @@ class AdiabaticResult:
 
     ``condition_number`` is ||H_FF||_1 times the largest of the blocks'
     estimates of ||H_b^{-1}||_1 (?pocon on a Cholesky factor, ?gecon on
-    LU factors), a deterministic lower estimate of kappa_1(H_FF) (0
-    without a fast block); for Hermitian H_FF, kappa_1 >= kappa_2.
+    LU factors), a lower estimate of kappa_1(H_FF) (0 without a fast
+    block); for Hermitian H_FF, kappa_1 >= kappa_2.  It repeats within
+    a process; across processes its last 1-2 ULP can move on the ?pocon
+    path.
     """
 
     h_eff: EffectiveHamiltonian

@@ -18,7 +18,6 @@ import functools
 import json
 import math
 import sys
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -176,91 +175,11 @@ def _couplings_for(family, j_up, j_dn, u_upup, u_dndn, u_updn):
     return closedform.complex_tunneling_couplings(params)
 
 
-# the floats that ``json.dumps`` names instead of writing their repr
-_JSON_FLOAT_NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json_float(value):
-    """A float as ``json.dumps`` writes it."""
-    text = float.__repr__(value)
-    return _JSON_FLOAT_NAMES.get(text, text)
-
-
-# the text of a scalar as ``json.dumps`` writes it, by exact type
-_JSON_SCALARS = {
-    str: encode_basestring_ascii, int: int.__repr__, float: _json_float,
-    bool: {True: "true", False: "false"}.__getitem__,
-    type(None): lambda value: "null",
-}
-
-
-def _json_scalar(value):
-    """The JSON text of a string, number, bool or ``None``, and ``None``
-    for anything else; a subclass of str, int or float (``np.float64``,
-    an ``IntEnum``) is written as its base."""
-    encode = _JSON_SCALARS.get(value.__class__)
-    if encode is None:
-        base = next((base for base in (str, int, float)
-                     if isinstance(value, base)), None)
-        if base is None:
-            return None
-        encode = _JSON_SCALARS[base]
-    return encode(value)
-
-
-def _json_key(key):
-    """A dict key as ``json.dumps`` writes it: a string as itself, any
-    other scalar as its text in quotes."""
-    if isinstance(key, str):
-        return encode_basestring_ascii(key)
-    text = _json_scalar(key)
-    if text is None:
-        raise TypeError(f"keys must be str, int, float, bool or None, not "
-                        f"{key.__class__.__name__}")
-    return '"' + text + '"'
-
-
-def _json_text(document, indent=""):
-    """``json.dumps(document, indent=2, sort_keys=True)``, byte for byte.
-
-    With ``indent`` set, the standard library encodes through a chain of
-    pure-Python generators, one token at a time; here each container is
-    one join of its items' texts, and an item that is a scalar of an
-    exact JSON type is written in place, so a flat list or dict of
-    scalars is a single join.  Tuples are lists, and what ``json.dumps``
-    cannot encode raises its ``TypeError``.
-    """
-    text = _json_scalar(document)
-    if text is not None:
-        return text
-    inner = indent + "  "
-    scalar = _JSON_SCALARS.get
-    if isinstance(document, (list, tuple)):
-        if not document:
-            return "[]"
-        items = [encode(item) if (encode := scalar(item.__class__))
-                 else _json_text(item, inner) for item in document]
-        brackets = "[]"
-    elif isinstance(document, dict):
-        if not document:
-            return "{}"
-        items = [_json_key(key) + ": "
-                 + (encode(item) if (encode := scalar(item.__class__))
-                    else _json_text(item, inner))
-                 for key, item in sorted(document.items())]
-        brackets = "{}"
-    else:
-        raise TypeError(f"Object of type {document.__class__.__name__} "
-                        "is not JSON serializable")
-    return (brackets[0] + "\n" + inner + (",\n" + inner).join(items) + "\n"
-            + indent + brackets[1])
-
-
 def _print_json(document):
-    """The document as indented JSON with sorted keys (``_json_text``),
-    then a newline: two writes, where ``json.dump`` makes about 10^5 for
-    a ``verify`` report, and no copy of the text to join them."""
-    sys.stdout.write(_json_text(document))
+    """The document as indented JSON with sorted keys, then a newline:
+    two writes, where ``json.dump`` makes about 10^5 for a ``verify``
+    report, and no copy of the text to join them."""
+    sys.stdout.write(json.dumps(document, indent=2, sort_keys=True))
     sys.stdout.write("\n")
 
 
@@ -398,7 +317,7 @@ def cmd_chain(args, config):
             "duality_defect": [float(d) for d in scan.duality_defect],
         }
         with open(summary_path, "w") as fh:
-            fh.write(_json_text(summary))
+            fh.write(json.dumps(summary, indent=2, sort_keys=True))
     return 0
 
 

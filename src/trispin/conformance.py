@@ -13,7 +13,6 @@ engine-derived replacement value instead of being patched silently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,36 +80,14 @@ def _compare_strings(engine_dec, expected, tol):
     return entries, n_fail
 
 
-@dataclass
-class DrawResult:
-    family: str
-    j_over_u: float
-    tolerance: float
-    entries: list
-    n_failed: int
-    adiabatic_vs_engine: float
-    warnings: list
-
-    def to_json_dict(self):
-        return {
-            "family": self.family,
-            "j_over_u": self.j_over_u,
-            "tolerance": self.tolerance,
-            "n_failed": self.n_failed,
-            "adiabatic_vs_engine": self.adiabatic_vs_engine,
-            "warnings": self.warnings,
-            "strings": self.entries,
-        }
-
-
 def run_triangle_draw(params):
     """Audit one parameter draw: engine vs formulas vs elimination.
 
-    Returns the ``DrawResult`` of the certified and of the printed
-    coupling set, both from one derivation.  Their J/U is the largest
-    |J| over the smallest nonzero collision energy of the draw, since
-    the fourth-order tail that both tolerances bound grows as
-    J^4 / U_min^3.
+    Returns the report dicts of the certified and of the printed
+    coupling set, both from one derivation, each with its own copies of
+    the string entries and warnings.  Their J/U is the largest |J| over
+    the smallest nonzero collision energy of the draw, since the
+    fourth-order tail that both tolerances bound grows as J^4 / U_min^3.
     """
     graph = make_triangle()
     warnings = []
@@ -138,8 +115,10 @@ def run_triangle_draw(params):
     else:
         # a bosonic draw's printed list is its certified one
         audits = (audit(closedform.bosonic_couplings(params)),) * 2
-    return tuple(DrawResult(family, j_over_u, tol, [dict(e) for e in entries],
-                            n_fail, residual, list(warnings))
+    return tuple({"family": family, "j_over_u": j_over_u, "tolerance": tol,
+                  "n_failed": n_fail, "adiabatic_vs_engine": residual,
+                  "warnings": list(warnings),
+                  "strings": [dict(e) for e in entries]}
                  for family, entries, n_fail in audits)
 
 
@@ -208,17 +187,17 @@ def run_verification(n_draws=20, seed=2024, j_over_u=0.05):
                 statistics, rng, j_over_u,
                 u_ratios=(rng.uniform(0.8, 1.4), rng.uniform(0.8, 1.4)))
             certified, audit = run_triangle_draw(params)
-            if certified.adiabatic_vs_engine > oracle_tolerance(
-                    certified.j_over_u, 1.0):
+            if certified["adiabatic_vs_engine"] > oracle_tolerance(
+                    certified["j_over_u"], 1.0):
                 report["hard_failures"].append({
                     "kind": "oracle_disagreement",
-                    "family": certified.family,
-                    "residual": certified.adiabatic_vs_engine,
+                    "family": certified["family"],
+                    "residual": certified["adiabatic_vs_engine"],
                 })
             report["draws"].append({
                 "statistics": statistics.value,
-                "certified": certified.to_json_dict(),
-                "printed_variant": audit.to_json_dict(),
+                "certified": certified,
+                "printed_variant": audit,
             })
     report["scaling"] = {
         stats.value: scaling_ladder(stats)

@@ -32,6 +32,13 @@ def test_diagonalize_basics():
         chainlab.diagonalize(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
+def test_diagonalize_refuses_a_matrix_above_the_dense_limit(monkeypatch):
+    monkeypatch.setattr(chainlab, "DENSE_LIMIT", 4)
+    assert chainlab.diagonalize(np.eye(4)).eigenvalues.tolist() == [1.0] * 4
+    with pytest.raises(ValueError, match="too large for dense"):
+        chainlab.diagonalize(np.eye(5))
+
+
 def test_chirality_spectrum_and_annihilated_states():
     chi = chirality_operator(3)
     report = chainlab.diagonalize(chi)
